@@ -22,13 +22,12 @@ from fractions import Fraction
 from .conductor import (
     ConductorReport,
     ConsistencyError,
+    FiberDerivation,
     ModelValidationError,
     TamenessError,
-    bloch_degree,
     conductor,
-    fiber_euler,
-    normalize_fiber,
-    tame_check,
+    conductor_report,
+    derive_fibers,
 )
 from .modelfile import ModelParseError, load_model
 from .verify import (
@@ -213,12 +212,10 @@ def _print_conductor_text(report: ConductorReport) -> None:
 
 def cmd_conductor(args) -> int:
     try:
-        model = load_model(args.model)
+        report = conductor(load_model(args.model))
     except (ModelParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = conductor(model)
     except (TamenessError, ConsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
@@ -242,59 +239,45 @@ def _stratum_key(stratum):
     return (len(stratum.components), tuple(sorted(stratum.components)))
 
 
+def _print_derivation(d: FiberDerivation) -> None:
+    fiber = d.fiber
+    print(f"\nprime {fiber.prime}:")
+    print(f"  {'J':<24} {'m':>3} {'chi(T_J)':>9} {'chi_c(T*_J)':>12}")
+    mult = {c.id: c.multiplicity for c in fiber.components}
+    for s in sorted(fiber.strata, key=_stratum_key):
+        label = "{" + ",".join(sorted(s.components)) + "}"
+        m = mult[next(iter(s.components))] if len(s.components) == 1 else ""
+        print(f"  {label:<24} {str(m):>3} {s.chi_closed:>9} {s.chi_open:>12}")
+    if not d.tame.ok:
+        print(f"  not tame: p divides multiplicity of {', '.join(d.tame.offenders)}")
+        return
+    print(f"  chi(X_{fiber.prime}) = sum of chi_c(T*_J) = {d.chi_fiber}")
+    print("  bloch degree two ways:")
+    print(
+        f"    -(sum (m_i - 1) chi*) + (sum chi* over |J| >= 2) "
+        f"= -({d.singles}) + {d.deep} = {d.bloch_degree}"
+    )
+    print(
+        f"    -(sum m_i chi*) + chi(X_p) = -({d.weighted}) + {d.chi_fiber} "
+        f"= {d.bloch_degree}"
+    )
+
+
 def cmd_explain(args) -> int:
     try:
         model = load_model(args.model)
+        fibers = derive_fibers(model)
     except (ModelParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        fibers = [normalize_fiber(f) for f in model.fibers]
-    except ModelValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"relative dimension d = {model.relative_dimension}")
-    failed = False
-    for fiber in fibers:
-        print(f"\nprime {fiber.prime}:")
-        print(f"  {'J':<24} {'m':>3} {'chi(T_J)':>9} {'chi_c(T*_J)':>12}")
-        mult = {c.id: c.multiplicity for c in fiber.components}
-        for s in sorted(fiber.strata, key=_stratum_key):
-            label = "{" + ",".join(sorted(s.components)) + "}"
-            m = mult[next(iter(s.components))] if len(s.components) == 1 else ""
-            print(f"  {label:<24} {str(m):>3} {s.chi_closed:>9} {s.chi_open:>12}")
-        tame = tame_check(fiber)
-        if not tame.ok:
-            print(f"  not tame: p divides multiplicity of {', '.join(tame.offenders)}")
-            failed = True
-            continue
-        singles = sum(
-            (mult[next(iter(s.components))] - 1) * s.chi_open
-            for s in fiber.strata
-            if len(s.components) == 1
-        )
-        weighted = sum(
-            mult[next(iter(s.components))] * s.chi_open
-            for s in fiber.strata
-            if len(s.components) == 1
-        )
-        deep = sum(s.chi_open for s in fiber.strata if len(s.components) >= 2)
-        chi_p = fiber_euler(fiber)
-        degree = bloch_degree(fiber)
-        print(f"  chi(X_{fiber.prime}) = sum of chi_c(T*_J) = {chi_p}")
-        print("  bloch degree two ways:")
-        print(
-            f"    -(sum (m_i - 1) chi*) + (sum chi* over |J| >= 2) "
-            f"= -({singles}) + {deep} = {degree}"
-        )
-        print(
-            f"    -(sum m_i chi*) + chi(X_p) = -({weighted}) + {chi_p} = {degree}"
-        )
-    if failed:
+    for d in fibers:
+        _print_derivation(d)
+    if not all(d.tame.ok for d in fibers):
         print("\ntameness failed; the conductor formula does not apply", file=sys.stderr)
         return 1
     try:
-        report = conductor(model)
+        report = conductor_report(model, fibers)
     except ConsistencyError as exc:
         print(f"\ncheck failed: {exc}", file=sys.stderr)
         return 1

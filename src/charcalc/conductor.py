@@ -8,13 +8,18 @@ inclusion-exclusion over the subset lattice; everything downstream — the
 fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
+
+The pipeline validates a model once, normalizes each fiber once, and keeps
+the result as one FiberDerivation per fiber; the report and every rendering
+of it read those records.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 class ModelValidationError(ValueError):
@@ -95,13 +100,32 @@ class GenericEulerReport:
 
 
 @dataclass(frozen=True)
+class FiberDerivation:
+    """Everything the conductor formula reads from one fiber.
+
+    ``fiber`` carries both characteristics on every stratum; the sums run
+    over its open strata T*_J, writing chi* for chi_c(T*_J).
+    """
+
+    fiber: FiberModel
+    tame: TameReport
+    singles: int  # sum (m_i - 1) chi*(T_i)
+    weighted: int  # sum m_i chi*(T_i)
+    deep: int  # sum of chi*(T_J) over |J| >= 2
+    chi_fiber: int  # chi(X_p)
+    bloch_degree: int
+
+    @property
+    def prime(self) -> int:
+        return self.fiber.prime
+
+
+@dataclass(frozen=True, order=True)
 class PrimeSummary:
     prime: int
     chi_fiber: int
     bloch_degree: int
     exponent: int
-    tame: bool = True
-    generic_euler_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -130,6 +154,8 @@ class ConductorReport:
         return any(e < 0 for e in self.conductor_factors.values())
 
     def as_dict(self) -> dict:
+        # A report exists only once every fiber passed the tameness and
+        # generic-Euler checks, so both flags are always true.
         return {
             "relative_dimension": self.relative_dimension,
             "generic_euler": self.generic_euler,
@@ -139,8 +165,8 @@ class ConductorReport:
                     "chi_fiber": s.chi_fiber,
                     "bloch_degree": s.bloch_degree,
                     "exponent": s.exponent,
-                    "tame": s.tame,
-                    "generic_euler_ok": s.generic_euler_ok,
+                    "tame": True,
+                    "generic_euler_ok": True,
                 }
                 for s in sorted(self.primes, key=lambda s: s.prime)
             ],
@@ -159,12 +185,32 @@ class ConductorReport:
 
 # -- validation ---------------------------------------------------------
 
+# Miller-Rabin with these bases is exact below PRIME_LIMIT (Sorenson and
+# Webster, 2015); larger primes are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < PRIME_LIMIT."""
     if n < 2:
         return False
-    for q in range(2, isqrt(n) + 1):
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -172,6 +218,11 @@ def _is_prime(n: int) -> bool:
 def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> None:
     """Check the structural invariants of one fiber's combinatorial data."""
     where = f"fiber at p={fiber.prime}"
+    if fiber.prime >= PRIME_LIMIT:
+        raise ModelValidationError(
+            f"{where}: primes at or above {PRIME_LIMIT} are beyond the exact "
+            "primality test"
+        )
     if not _is_prime(fiber.prime):
         raise ModelValidationError(f"{where}: {fiber.prime} is not a prime")
     ids = [c.id for c in fiber.components]
@@ -237,117 +288,100 @@ def validate_model(model: ArithmeticModel) -> None:
 # -- inclusion-exclusion over the strata lattice --------------------------
 
 
-def _strata_map(fiber: FiberModel) -> dict[frozenset[str], Stratum]:
-    return {s.components: s for s in fiber.strata}
+def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozenset[str], int]:
+    """Inclusion-exclusion over the strata lattice: for each stratum J, the
+    sum of sign^(|J2| - |J|) * values[J2] over the strata J2 containing J.
 
-
-def _open_from_closed(strata: dict[frozenset[str], Stratum]) -> dict[frozenset[str], int]:
+    sign = -1 turns closed characteristics into open ones and sign = +1
+    turns open ones back into closed ones.  The strata containing J are
+    drawn from the component of J that lies on the fewest strata.
+    """
+    containing: dict[str, list[frozenset[str]]] = defaultdict(list)
+    for J in values:
+        for cid in J:
+            containing[cid].append(J)
     out = {}
-    for J in strata:
-        total = 0
-        for J2, s2 in strata.items():
-            if J <= J2:
-                sign = -1 if (len(J2) - len(J)) % 2 else 1
-                total += sign * s2.chi_closed
-        out[J] = total
+    for J in values:
+        candidates = min((containing[cid] for cid in J), key=len)
+        out[J] = sum(
+            sign ** (len(J2) - len(J)) * values[J2] for J2 in candidates if J <= J2
+        )
     return out
 
 
-def _closed_from_open(strata: dict[frozenset[str], Stratum]) -> dict[frozenset[str], int]:
-    out = {}
-    for J in strata:
-        out[J] = sum(s2.chi_open for J2, s2 in strata.items() if J <= J2)
-    return out
+def normalize_fiber(fiber: FiberModel) -> FiberModel:
+    """Fill in both chi_closed and chi_open for every stratum of a fiber
+    that has passed validate_fiber.
 
-
-def _rebuild(fiber: FiberModel, closed, opened) -> FiberModel:
+    The input must carry chi_closed on all strata or chi_open on all
+    strata; partially mixed data is rejected since neither direction of
+    the inclusion-exclusion can run.  Absent strata are empty
+    intersections and contribute 0.  Idempotent; any declared value on
+    the derived side, on a stratum or a component, must agree with the
+    derived one.
+    """
+    where = f"fiber at p={fiber.prime}"
+    if all(s.chi_closed is not None for s in fiber.strata):
+        closed = {s.components: s.chi_closed for s in fiber.strata}
+        opened = _superset_sums(closed, -1)
+    elif all(s.chi_open is not None for s in fiber.strata):
+        opened = {s.components: s.chi_open for s in fiber.strata}
+        closed = _superset_sums(opened, 1)
+    else:
+        raise ModelValidationError(
+            f"{where}: mixed strata data; supply chi_closed for all strata or "
+            "chi_open for all strata"
+        )
+    for s in fiber.strata:
+        J = s.components
+        if s.chi_open is not None and s.chi_open != opened[J]:
+            raise ModelValidationError(
+                f"{where}: stratum {sorted(J)} declares chi_open={s.chi_open} "
+                f"but inclusion-exclusion gives {opened[J]}"
+            )
+        if s.chi_closed is not None and s.chi_closed != closed[J]:
+            raise ModelValidationError(
+                f"{where}: stratum {sorted(J)} declares chi_closed={s.chi_closed} "
+                f"but the open strata sum to {closed[J]}"
+            )
+    components = []
+    for c in fiber.components:
+        chi = opened[frozenset({c.id})]
+        if c.chi_open is not None and c.chi_open != chi:
+            raise ModelValidationError(
+                f"{where}: component {c.id} declares chi_open={c.chi_open} but "
+                f"its singleton stratum gives {chi}"
+            )
+        components.append(replace(c, chi_open=chi))
     strata = tuple(
         replace(s, chi_closed=closed[s.components], chi_open=opened[s.components])
         for s in fiber.strata
     )
-    singleton_open = {next(iter(J)): chi for J, chi in opened.items() if len(J) == 1}
-    components = tuple(
-        replace(c, chi_open=singleton_open[c.id]) for c in fiber.components
-    )
-    return FiberModel(fiber.prime, components, strata)
+    return FiberModel(fiber.prime, tuple(components), strata)
 
 
-def open_strata_from_closed(fiber: FiberModel) -> FiberModel:
-    """Populate chi_open from chi_closed by inclusion-exclusion.
-
-    Absent strata are empty intersections and contribute 0.  Idempotent;
-    any chi_open already present must agree with the computed value.
-    """
+def _declaring(fiber: FiberModel, side: str) -> FiberModel:
+    """Validate the fiber and require the characteristic ``side`` on every
+    stratum."""
     validate_fiber(fiber)
-    strata = _strata_map(fiber)
-    missing = [s for s in fiber.strata if s.chi_closed is None]
+    missing = [s for s in fiber.strata if getattr(s, side) is None]
     if missing:
         raise ModelValidationError(
             f"fiber at p={fiber.prime}: stratum "
-            f"{sorted(missing[0].components)} has no chi_closed"
+            f"{sorted(missing[0].components)} has no {side}"
         )
-    opened = _open_from_closed(strata)
-    for J, s in strata.items():
-        if s.chi_open is not None and s.chi_open != opened[J]:
-            raise ModelValidationError(
-                f"fiber at p={fiber.prime}: stratum {sorted(J)} declares "
-                f"chi_open={s.chi_open} but inclusion-exclusion gives {opened[J]}"
-            )
-    closed = {J: s.chi_closed for J, s in strata.items()}
-    result = _rebuild(fiber, closed, opened)
-    _check_component_chi(fiber, result)
-    return result
+    return fiber
+
+
+def open_strata_from_closed(fiber: FiberModel) -> FiberModel:
+    """Validate a fiber with chi_closed on every stratum and populate
+    chi_open by inclusion-exclusion (see normalize_fiber)."""
+    return normalize_fiber(_declaring(fiber, "chi_closed"))
 
 
 def closed_strata_from_open(fiber: FiberModel) -> FiberModel:
     """Populate chi_closed from chi_open; inverse of open_strata_from_closed."""
-    validate_fiber(fiber)
-    strata = _strata_map(fiber)
-    missing = [s for s in fiber.strata if s.chi_open is None]
-    if missing:
-        raise ModelValidationError(
-            f"fiber at p={fiber.prime}: stratum "
-            f"{sorted(missing[0].components)} has no chi_open"
-        )
-    closed = _closed_from_open(strata)
-    for J, s in strata.items():
-        if s.chi_closed is not None and s.chi_closed != closed[J]:
-            raise ModelValidationError(
-                f"fiber at p={fiber.prime}: stratum {sorted(J)} declares "
-                f"chi_closed={s.chi_closed} but the open strata sum to {closed[J]}"
-            )
-    opened = {J: s.chi_open for J, s in strata.items()}
-    result = _rebuild(fiber, closed, opened)
-    _check_component_chi(fiber, result)
-    return result
-
-
-def _check_component_chi(original: FiberModel, normalized: FiberModel) -> None:
-    derived = {c.id: c.chi_open for c in normalized.components}
-    for c in original.components:
-        if c.chi_open is not None and c.chi_open != derived[c.id]:
-            raise ModelValidationError(
-                f"fiber at p={original.prime}: component {c.id} declares "
-                f"chi_open={c.chi_open} but its singleton stratum gives {derived[c.id]}"
-            )
-
-
-def normalize_fiber(fiber: FiberModel) -> FiberModel:
-    """Fill in both chi_closed and chi_open for every stratum.
-
-    The input must carry chi_closed on all strata or chi_open on all
-    strata; partially mixed data is rejected since neither direction of
-    the inclusion-exclusion can run.
-    """
-    validate_fiber(fiber)
-    if all(s.chi_closed is not None for s in fiber.strata):
-        return open_strata_from_closed(fiber)
-    if all(s.chi_open is not None for s in fiber.strata):
-        return closed_strata_from_open(fiber)
-    raise ModelValidationError(
-        f"fiber at p={fiber.prime}: mixed strata data; supply chi_closed for "
-        "all strata or chi_open for all strata"
-    )
+    return normalize_fiber(_declaring(fiber, "chi_open"))
 
 
 # -- numerical pipeline ---------------------------------------------------
@@ -356,15 +390,8 @@ def normalize_fiber(fiber: FiberModel) -> FiberModel:
 def fiber_euler(fiber: FiberModel) -> int:
     """chi(X_p): the open strata partition the fiber, so their compactly
     supported characteristics add up."""
-    total = 0
-    for s in fiber.strata:
-        if s.chi_open is None:
-            raise ModelValidationError(
-                f"fiber at p={fiber.prime}: chi_open missing on stratum "
-                f"{sorted(s.components)}; normalize the fiber first"
-            )
-        total += s.chi_open
-    return total
+    singles, weighted, deep = _open_sums(fiber)
+    return weighted - singles + deep
 
 
 def tame_check(fiber: FiberModel) -> TameReport:
@@ -375,102 +402,104 @@ def tame_check(fiber: FiberModel) -> TameReport:
     return TameReport(fiber.prime, not offenders, offenders)
 
 
-def _weighted_line_sum(fiber: FiberModel) -> int:
-    """Sum of m_i * chi_open(T_i) over the components."""
-    by_id = {c.id: c for c in fiber.components}
-    total = 0
+def _open_sums(fiber: FiberModel) -> tuple[int, int, int]:
+    """(sum (m_i - 1) chi*(T_i), sum m_i chi*(T_i), sum of chi*(T_J) over
+    |J| >= 2) on a normalized fiber."""
+    mult = {c.id: c.multiplicity for c in fiber.components}
+    singles = weighted = deep = 0
     for s in fiber.strata:
-        if len(s.components) != 1:
-            continue
-        (cid,) = s.components
-        total += by_id[cid].multiplicity * s.chi_open
-    return total
-
-
-def generic_euler_check(model: ArithmeticModel) -> GenericEulerReport:
-    """Check chi(X_Q) = sum m_i chi_open(T_i) at every bad prime.
-
-    When the model does not state chi(X_Q) it is inferred from the first
-    fiber; disagreement between fibers is then a hard error since no
-    stated value adjudicates.
-    """
-    fibers = [normalize_fiber(f) for f in model.fibers]
-    expected = model.generic_euler
-    inferred = expected is None
-    if inferred:
-        if not fibers:
-            raise ConsistencyError(
-                "generic_euler is not stated and there are no fibers to infer it from"
-            )
-        expected = _weighted_line_sum(fibers[0])
-        for f in fibers[1:]:
-            other = _weighted_line_sum(f)
-            if other != expected:
-                raise ConsistencyError(
-                    f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
-                    f"{expected}, p={f.prime} gives {other}"
-                )
-    entries = tuple(
-        GenericEulerEntry(f.prime, _weighted_line_sum(f), expected) for f in fibers
-    )
-    return GenericEulerReport(expected, inferred, entries)
-
-
-def bloch_degree(fiber: FiberModel) -> int:
-    """Degree of the localized top Chern class on this fiber, computed two
-    ways from the open strata:
-
-    * -sum (m_i - 1) chi_open(T_i) + sum over |J| >= 2 of chi_open(T_J)
-    * -sum m_i chi_open(T_i) + chi(X_p)
-
-    Both expressions must agree; disagreement signals corrupted strata
-    data and raises.
-    """
-    by_id = {c.id: c for c in fiber.components}
-    singles = 0
-    weighted = 0
-    deep = 0
-    for s in fiber.strata:
-        if s.chi_open is None:
+        chi = s.chi_open
+        if chi is None:
             raise ModelValidationError(
                 f"fiber at p={fiber.prime}: chi_open missing on stratum "
                 f"{sorted(s.components)}; normalize the fiber first"
             )
         if len(s.components) == 1:
             (cid,) = s.components
-            m = by_id[cid].multiplicity
-            singles += (m - 1) * s.chi_open
-            weighted += m * s.chi_open
+            singles += (mult[cid] - 1) * chi
+            weighted += mult[cid] * chi
         else:
-            deep += s.chi_open
-    first_form = -singles + deep
-    second_form = -weighted + fiber_euler(fiber)
-    if first_form != second_form:
-        raise RuntimeError(
-            f"fiber at p={fiber.prime}: the two conductor-degree expressions "
-            f"disagree ({first_form} vs {second_form}); strata data is corrupt"
-        )
-    return first_form
+            deep += chi
+    return singles, weighted, deep
 
 
-def conductor(model: ArithmeticModel) -> ConductorReport:
-    """Full pipeline: validate, normalize, check tameness and consistency,
-    then report per-prime exponents, the factored conductor, and log|eps|.
+def bloch_degree(fiber: FiberModel) -> int:
+    """Degree of the localized top Chern class on a normalized fiber:
+    -sum (m_i - 1) chi*(T_i) + sum of chi*(T_J) over |J| >= 2.
 
-    The per-prime exponent is f_p = chi(X_Q) - chi(X_p); it always equals
-    minus the localized Chern degree once the consistency check holds, and
-    that relation is asserted.
+    This is also -sum m_i chi*(T_i) + chi(X_p), identically, since chi(X_p)
+    is the sum of all the chi*.
     """
+    singles, _, deep = _open_sums(fiber)
+    return deep - singles
+
+
+def derive_fibers(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
+    """Validate the model, then normalize each fiber once and derive its
+    record, in model order.  Tameness is recorded, not enforced."""
     validate_model(model)
-    if not model.fibers:
+    derivations = []
+    for fiber in model.fibers:
+        normal = normalize_fiber(fiber)
+        singles, weighted, deep = _open_sums(normal)
+        chi_fiber = weighted - singles + deep  # every open stratum, as in fiber_euler
+        derivations.append(
+            FiberDerivation(
+                normal, tame_check(normal), singles, weighted, deep, chi_fiber,
+                bloch_degree(normal),
+            )
+        )
+    return tuple(derivations)
+
+
+def _euler_report(
+    generic_euler: int | None, fibers: tuple[FiberDerivation, ...]
+) -> GenericEulerReport:
+    """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime.
+
+    When the model does not state chi(X_Q) it is inferred from the first
+    fiber; disagreement between fibers is then a hard error since no
+    stated value adjudicates.
+    """
+    expected = generic_euler
+    inferred = expected is None
+    if inferred:
+        if not fibers:
+            raise ConsistencyError(
+                "generic_euler is not stated and there are no fibers to infer it from"
+            )
+        expected = fibers[0].weighted
+        clash = next((d for d in fibers if d.weighted != expected), None)
+        if clash is not None:
+            raise ConsistencyError(
+                f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
+                f"{expected}, p={clash.prime} gives {clash.weighted}"
+            )
+    entries = tuple(GenericEulerEntry(d.prime, d.weighted, expected) for d in fibers)
+    return GenericEulerReport(expected, inferred, entries)
+
+
+def generic_euler_check(model: ArithmeticModel) -> GenericEulerReport:
+    """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model."""
+    return _euler_report(model.generic_euler, derive_fibers(model))
+
+
+def conductor_report(
+    model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]
+) -> ConductorReport:
+    """Check tameness and consistency of derived fibers, then report the
+    per-prime exponents, the factored conductor, and log|eps|.
+
+    The exponent is f_p = chi(X_Q) - chi(X_p).  Once the generic-Euler
+    check holds, chi(X_Q) = sum m_i chi*(T_i), so f_p is exactly minus the
+    localized Chern degree.
+    """
+    if not fibers:
         return ConductorReport(model.relative_dimension, model.generic_euler, ())
-    fibers = tuple(normalize_fiber(f) for f in model.fibers)
-    for fiber in fibers:
-        report = tame_check(fiber)
-        if not report.ok:
-            raise TamenessError(fiber.prime, report.offenders)
-    normalized = ArithmeticModel(model.relative_dimension, fibers, model.generic_euler)
-    euler_report = generic_euler_check(normalized)
+    for d in fibers:
+        if not d.tame.ok:
+            raise TamenessError(d.prime, d.tame.offenders)
+    euler_report = _euler_report(model.generic_euler, fibers)
     if not euler_report.ok:
         bad = [e for e in euler_report.entries if not e.ok]
         details = "; ".join(
@@ -479,18 +508,15 @@ def conductor(model: ArithmeticModel) -> ConductorReport:
             for e in bad
         )
         raise ConsistencyError(f"generic Euler characteristic check failed: {details}")
-    summaries = []
-    for fiber in fibers:
-        chi_p = fiber_euler(fiber)
-        degree = bloch_degree(fiber)
-        exponent = euler_report.generic_euler - chi_p
-        if exponent != -degree:
-            raise RuntimeError(
-                f"fiber at p={fiber.prime}: exponent {exponent} does not equal "
-                f"minus the Chern degree {degree} despite a passing consistency check"
-            )
-        summaries.append(PrimeSummary(fiber.prime, chi_p, degree, exponent))
-    summaries.sort(key=lambda s: s.prime)
-    return ConductorReport(
-        model.relative_dimension, euler_report.generic_euler, tuple(summaries)
+    chi_q = euler_report.generic_euler
+    summaries = sorted(
+        PrimeSummary(d.prime, d.chi_fiber, d.bloch_degree, chi_q - d.chi_fiber)
+        for d in fibers
     )
+    return ConductorReport(model.relative_dimension, chi_q, tuple(summaries))
+
+
+def conductor(model: ArithmeticModel) -> ConductorReport:
+    """Full pipeline: validate, normalize, check tameness and consistency,
+    then report per-prime exponents, the factored conductor, and log|eps|."""
+    return conductor_report(model, derive_fibers(model))

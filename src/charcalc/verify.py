@@ -152,18 +152,6 @@ def verify_prop_chtd(n: int) -> CheckResult:
     return CheckResult("prop_chtd", {"n": n}, not failures, "; ".join(failures))
 
 
-def top_degree_vanishes(x: GradedSeries, d: int) -> bool:
-    """True iff the degree-d component of x vanishes.
-
-    The intended use: x is a product of a homogeneous degree-d form with a
-    series supported in degrees >= 1, so every monomial of x has degree
-    strictly above d and the extraction at d must give zero.
-    """
-    if x.truncation_degree < d:
-        raise ValueError("series truncation does not reach the requested degree")
-    return x.component(d).is_zero
-
-
 def _random_root(rng: random.Random, n: int) -> tuple:
     return tuple(rng.randint(-1, 1) for _ in range(n))
 

@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from charcalc.cli import main
-from charcalc.conductor import conductor
+from charcalc.conductor import PRIME_LIMIT, conductor
 from charcalc.modelfile import load_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -158,6 +159,72 @@ def test_conductor_inconsistent_model(tmp_path, capsys):
     code, _, err = run(capsys, "conductor", "--model", str(path))
     assert code == 1
     assert "check failed" in err
+
+
+def test_conductor_prime_at_limit_refused(tmp_path, capsys):
+    doc = {
+        "relative_dimension": 1,
+        "fibers": [
+            {
+                "prime": PRIME_LIMIT,
+                "components": [{"id": "C1", "multiplicity": 1}],
+                "strata": [{"components": ["C1"], "chi_closed": 0}],
+            }
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "conductor", "--model", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "primality" in err
+
+
+# Strata that pass the loader's structural check but fail normalization.
+NORMALIZATION_ERRORS = {
+    "mixed": (
+        [
+            {"components": ["C1"], "chi_closed": 2},
+            {"components": ["C2"], "chi_open": 0},
+            {"components": ["C1", "C2"], "chi_closed": 2},
+        ],
+        "mixed strata data; supply chi_closed for all strata or chi_open for "
+        "all strata",
+    ),
+    "open-disagrees": (
+        [
+            {"components": ["C1"], "chi_closed": 2, "chi_open": 1},
+            {"components": ["C2"], "chi_closed": 2},
+            {"components": ["C1", "C2"], "chi_closed": 2},
+        ],
+        "stratum ['C1'] declares chi_open=1 but inclusion-exclusion gives 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["conductor", "explain"])
+@pytest.mark.parametrize("case", sorted(NORMALIZATION_ERRORS))
+def test_normalization_error_is_validation_error(tmp_path, capsys, command, case):
+    strata, message = NORMALIZATION_ERRORS[case]
+    doc = {
+        "relative_dimension": 1,
+        "generic_euler": 0,
+        "fibers": [
+            {
+                "prime": 7,
+                "components": [
+                    {"id": "C1", "multiplicity": 1},
+                    {"id": "C2", "multiplicity": 1},
+                ],
+                "strata": strata,
+            }
+        ],
+    }
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: fiber at p=7: {message}\n"
 
 
 # -- explain ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Strata inclusion-exclusion and the conductor pipeline."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from charcalc.conductor import (
+    PRIME_LIMIT,
     ArithmeticModel,
     Component,
     ConsistencyError,
@@ -21,6 +23,7 @@ from charcalc.conductor import (
     normalize_fiber,
     open_strata_from_closed,
     tame_check,
+    _is_prime,
     validate_fiber,
 )
 
@@ -197,6 +200,40 @@ def test_composite_prime_rejected():
     fiber = fiber_from_chi(6, {frozenset({"C1"}): 2})
     with pytest.raises(ModelValidationError):
         validate_fiber(fiber)
+
+
+def test_large_prime_accepted_quickly():
+    fiber = fiber_from_chi(10**18 + 9, {frozenset({"C1"}): 2})
+    start = time.perf_counter()
+    validate_fiber(fiber)
+    assert time.perf_counter() - start < 1.0
+
+
+# Carmichael 561, then strong pseudoprimes to the first 1, 4 and 9 prime
+# bases; the last one fools every prime base up to 37.
+@pytest.mark.parametrize(
+    "n", [561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+)
+def test_strong_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(ModelValidationError, match="not a prime"):
+        validate_fiber(fiber_from_chi(n, {frozenset({"C1"}): 2}))
+
+
+def test_prime_limit_refused():
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 10**30):
+        with pytest.raises(ModelValidationError, match="primality test"):
+            validate_fiber(fiber_from_chi(p, {frozenset({"C1"}): 2}))
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(10**5) if _is_prime(n)] == list(sympy.primerange(10**5))
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randrange(2**39, 2**80)
+        for m in (n, sympy.nextprime(n)):
+            assert _is_prime(m) == sympy.isprime(m), m
 
 
 def test_component_chi_open_cross_checked():

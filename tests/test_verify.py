@@ -10,14 +10,12 @@ from charcalc.lambda_ring import (
     KElement,
     alternating_lambda_sum,
     ch,
-    chern_k,
     gamma_k,
     todd,
 )
 from charcalc.verify import (
     generic_lines,
     repeated_root_lines,
-    top_degree_vanishes,
     verify_borel_serre,
     verify_ch_gamma,
     verify_gala,
@@ -154,40 +152,6 @@ def test_rank_zero_concentration():
             image = ch(gamma_k(y, k), 4)
             for degree in range(k):
                 assert image.component(degree).is_zero
-
-
-# -- top-degree vanishing ---------------------------------------------------------
-
-
-def test_top_degree_vanishing_randomized():
-    rng = random.Random(22)
-    n, D = 3, 5
-    top = chern_k(generic_lines(n), n, D)
-    for _ in range(20):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            mono = tuple(rng.randint(0, 2) for _ in range(n))
-            if 1 <= sum(mono) <= D:
-                terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        positive = GradedSeries(n, D, terms)
-        assert positive.component(0).is_zero
-        assert top_degree_vanishes(top * positive, n)
-
-
-def test_top_degree_vanishing_zero_partner():
-    n = 2
-    top = chern_k(generic_lines(n), n, 4)
-    assert top_degree_vanishes(top * GradedSeries.zero(n, 4), n)
-
-
-def test_top_degree_vanishing_requires_reach():
-    with pytest.raises(ValueError):
-        top_degree_vanishes(GradedSeries.one(1, 2), 3)
-
-
-def test_top_degree_vanishing_detects_nonzero():
-    series = GradedSeries(1, 3, {(2,): 1})
-    assert not top_degree_vanishes(series, 2)
 
 
 # -- structural law sweep -----------------------------------------------------------
