@@ -30,6 +30,7 @@ from .conductor import (
     derive_fibers,
 )
 from .modelfile import ModelParseError, load_model
+from .series import render_sum
 from .verify import (
     CheckResult,
     generic_lines,
@@ -44,6 +45,11 @@ from .verify import (
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 6
 HOM_LAW_SEED = 0
+# Bounds on an explicit --max-degree: the degree itself, and the number of
+# monomials C(n + D, D) of a dense series in n = --rank-max symbols at
+# D = max(--max-degree, n + 1).  C(15, 7) is ch_gamma at n = 7, D = 8.
+MAX_DEGREE_LIMIT = 64
+MAX_SERIES_TERMS = math.comb(15, 7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,28 +126,38 @@ def _format_params(params: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-def cmd_verify(args) -> int:
-    names = [c.strip() for c in args.checks.split(",") if c.strip()]
+def _verify_refusal(names, args) -> str | None:
+    """Why ``verify`` refuses these arguments, or None if it runs them."""
     unknown = [c for c in names if c not in CHECK_NAMES]
     if unknown:
-        print(
-            f"error: unknown checks {unknown}; choose from {list(CHECK_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
+        return f"unknown checks {unknown}; choose from {list(CHECK_NAMES)}"
     if not names:
-        print("error: --checks selected no checks", file=sys.stderr)
-        return 2
+        return "--checks selected no checks"
     if not 1 <= args.rank_min <= args.rank_max:
-        print("error: need 1 <= --rank-min <= --rank-max", file=sys.stderr)
-        return 2
+        return "need 1 <= --rank-min <= --rank-max"
     if args.rank_max > args.rank_cap:
-        print(
-            f"error: --rank-max {args.rank_max} exceeds the cap {args.rank_cap}. "
+        return (
+            f"--rank-max {args.rank_max} exceeds the cap {args.rank_cap}. "
             "The truncated-series products grow combinatorially with the rank; "
-            "pass --rank-cap explicitly to go higher.",
-            file=sys.stderr,
+            "pass --rank-cap explicitly to go higher."
         )
+    if args.max_degree is not None:
+        D = max(args.max_degree, args.rank_max + 1)
+        terms = math.comb(args.rank_max + D, D)
+        if args.max_degree > MAX_DEGREE_LIMIT or terms > MAX_SERIES_TERMS:
+            return (
+                f"--max-degree {args.max_degree} at --rank-max {args.rank_max} "
+                f"means series of up to {terms} terms; the limits are degree "
+                f"{MAX_DEGREE_LIMIT} and {MAX_SERIES_TERMS} terms."
+            )
+    return None
+
+
+def cmd_verify(args) -> int:
+    names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    refusal = _verify_refusal(names, args)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
     results = _run_checks(names, args.rank_min, args.rank_max, args.max_degree)
     ok = all(r.ok for r in results)
@@ -168,18 +184,7 @@ def cmd_verify(args) -> int:
 
 
 def _render_log_terms(terms) -> str:
-    if not terms:
-        return "0"
-    chunks = []
-    for p, coeff in terms:
-        body = f"log({p})" if coeff == 1 else f"{coeff}*log({p})"
-        if chunks and not body.startswith("-"):
-            chunks.append(f"+ {body}")
-        elif chunks:
-            chunks.append(f"- {body[1:]}")
-        else:
-            chunks.append(body)
-    return " ".join(chunks)
+    return render_sum(f"log({p})" if coeff == 1 else f"{coeff}*log({p})" for p, coeff in terms)
 
 
 def _approx_log(terms) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import GradedSeries, MismatchError
+from .series import GradedSeries, MismatchError, power_coefficients, render_sum
 
 Root = tuple[int, ...]
 
@@ -178,24 +178,16 @@ class KElement:
         return text[1:] if text.startswith("+") else text
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
+        texts = []
         for root, mult in self.terms():
             body = f"[{self._render_root(root)}]"
             if mult == 1:
-                text = body
+                texts.append(body)
             elif mult == -1:
-                text = f"-{body}"
+                texts.append(f"-{body}")
             else:
-                text = f"{mult}{body}"
-            if chunks and not text.startswith("-"):
-                chunks.append(f"+ {text}")
-            elif chunks:
-                chunks.append(f"- {text[1:]}")
-            else:
-                chunks.append(text)
-        return " ".join(chunks)
+                texts.append(f"{mult}{body}")
+        return render_sum(texts)
 
     def __repr__(self):
         return f"KElement(n={self.symbol_count}, {self})"
@@ -258,20 +250,6 @@ class TSeries:
                 out[i + j] = out[i + j] + ci * cj
         return TSeries(out)
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("TSeries exponent must be a non-negative integer")
-        result = TSeries.one(self.symbol_count, self.t_max)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def invert(self) -> "TSeries":
         """Inverse of a TSeries whose constant coefficient is the unit line."""
         unit = KElement.unit(self.symbol_count)
@@ -300,30 +278,22 @@ class TSeries:
 # -- lambda and gamma operations ------------------------------------------
 
 
-def _tseries_power(base: TSeries, exponent: int) -> TSeries:
-    if exponent >= 0:
-        return base ** exponent
-    return base.invert() ** (-exponent)
-
-
 def lambda_t(x: KElement, t_max: int) -> TSeries:
     """Exterior-power generating series, truncated at t^t_max.
 
-    A single line [r] has lambda_t = 1 + t[r]; sums extend multiplicatively
-    and negative multiplicities invert the series in t.
+    A single line [r] has lambda_t = 1 + t[r], so m[r] has
+    (1 + t[r])^m = sum_k g_k [k r] t^k with g_k the coefficients of
+    (1 + t)^m (generalized binomials when m < 0); sums extend
+    multiplicatively.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     n = x.symbol_count
     result = TSeries.one(n, t_max)
-    zero = KElement.zero(n)
     for root, mult in x.terms():
-        factor_coeffs = [KElement.unit(n)]
-        if t_max >= 1:
-            factor_coeffs.append(KElement.line(root))
-            factor_coeffs.extend([zero] * (t_max - 1))
-        factor = TSeries(factor_coeffs)
-        result = result * _tseries_power(factor, mult)
+        g = power_coefficients([1, 1], mult, t_max)
+        factor = [KElement(n, {tuple(k * e for e in root): int(c)}) for k, c in enumerate(g)]
+        result = result * TSeries(factor)
     return result
 
 
@@ -370,21 +340,11 @@ def alternating_lambda_sum(x: KElement) -> KElement:
 # -- characteristic classes -------------------------------------------------
 
 
-def _root_form(root: Root, truncation_degree: int) -> GradedSeries:
-    return GradedSeries.linear_form(root, truncation_degree)
-
-
-def _series_power(base: GradedSeries, exponent: int) -> GradedSeries:
-    if exponent >= 0:
-        return base ** exponent
-    return base.invert() ** (-exponent)
-
-
 def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     """Chern character: additive, with ch([r]) = exp(c1(r))."""
     acc = GradedSeries.zero(x.symbol_count, truncation_degree)
     for root, mult in x.terms():
-        acc = acc + mult * _root_form(root, truncation_degree).exp()
+        acc = acc + mult * GradedSeries.linear_form(root, truncation_degree).exp()
     return acc
 
 
@@ -392,8 +352,8 @@ def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
     acc = GradedSeries.one(x.symbol_count, truncation_degree)
     for root, mult in x.terms():
-        factor = 1 + _root_form(root, truncation_degree)
-        acc = acc * _series_power(factor, mult)
+        g = power_coefficients([1, 1], mult, truncation_degree)
+        acc = acc * GradedSeries.linear_form(root, truncation_degree).substitute(g)
     return acc
 
 
@@ -405,24 +365,16 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
     return total_chern(x, D).component(k)
 
 
-def _todd_factor(root: Root, truncation_degree: int) -> GradedSeries:
-    # Q(l) = l / (1 - e^{-l}), expanded as the inverse of
-    # sum_k (-l)^k / (k+1)!  which has unit constant term.
-    form = _root_form(root, truncation_degree)
-    acc = GradedSeries.one(form.symbol_count, truncation_degree)
-    power = acc
-    for k in range(1, truncation_degree + 1):
-        power = power * form
-        if power.is_zero:
-            break
-        sign = -1 if k % 2 else 1
-        acc = acc + power * Fraction(sign, factorial(k + 1))
-    return acc.invert()
-
-
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
-    """Todd class: multiplicative, with line value c1 / (1 - e^{-c1})."""
-    acc = GradedSeries.one(x.symbol_count, truncation_degree)
+    """Todd class: multiplicative, with line value l / (1 - e^{-l}).
+
+    That value is f(l)^(-1) for f(l) = (1 - e^{-l}) / l
+    = sum_k (-l)^k / (k+1)!, so m lines of root r contribute f(l)^(-m).
+    """
+    D = truncation_degree
+    f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(D + 1)]
+    acc = GradedSeries.one(x.symbol_count, D)
     for root, mult in x.terms():
-        acc = acc * _series_power(_todd_factor(root, truncation_degree), mult)
+        g = power_coefficients(f, -mult, D)
+        acc = acc * GradedSeries.linear_form(root, D).substitute(g)
     return acc

@@ -9,6 +9,10 @@ maps agree, so identity checks reduce to dictionary equality.
 The truncation degree is part of the value, not ambient state: combining
 series with different symbol counts or truncation degrees raises
 :class:`MismatchError` instead of coercing silently.
+
+A series of one line (``e^l``, ``l/(1-e^{-l})``, ``(1+l)^m``) is a
+univariate power series, from :func:`power_coefficients`, evaluated at the
+linear form ``l`` by :meth:`GradedSeries.substitute`.
 """
 
 from __future__ import annotations
@@ -33,14 +37,64 @@ def _coefficient(value) -> Fraction:
     return Fraction(value)
 
 
+def power_coefficients(f, m: int, degree: int) -> list[Fraction]:
+    """Coefficients of f(t)^m up to t^degree, for f[0] = 1 and any integer m.
+
+    Uses J. C. P. Miller's recurrence, which follows from t g' f = m t f' g
+    for g = f^m:  g_0 = 1 and  g_k = (1/k) sum_{j=1..k} ((m+1)j - k) f_j g_{k-j}.
+    Missing coefficients of f are zero, so ``[1, 1]`` is 1 + t.
+    """
+    f = [_coefficient(c) for c in f]
+    if not f or f[0] != 1:
+        raise ValueError("power_coefficients needs f[0] = 1")
+    g = [Fraction(1)]
+    for k in range(1, degree + 1):
+        js = range(1, min(k, len(f) - 1) + 1)
+        g.append(sum(((m + 1) * j - k) * f[j] * g[k - j] for j in js) / Fraction(k))
+    return g
+
+
+def render_sum(texts) -> str:
+    """Join signed term texts as ``a + b - c``; ``0`` when there are none."""
+    out = ""
+    for text in texts:
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += f" - {text[1:]}"
+        else:
+            out += f" + {text}"
+    return out or "0"
+
+
+def _product(xs: dict, ys: dict, bound: int) -> dict:
+    """Term map of the product of two term maps, truncated above ``bound``."""
+    by_degree: dict[int, list] = defaultdict(list)
+    for mono, coeff in ys.items():
+        by_degree[sum(mono)].append((mono, coeff))
+    product: dict[Monomial, Fraction] = {}
+    for mono_x, coeff_x in xs.items():
+        degree_x = sum(mono_x)
+        for degree_y, bucket in by_degree.items():
+            if degree_x + degree_y > bound:
+                continue
+            for mono_y, coeff_y in bucket:
+                key = tuple(a + b for a, b in zip(mono_x, mono_y))
+                value = product.get(key)
+                product[key] = coeff_x * coeff_y if value is None else value + coeff_x * coeff_y
+    return product
+
+
 class GradedSeries:
     """Sparse polynomial in ``symbol_count`` symbols, truncated at total degree
     ``truncation_degree``.
 
-    Terms are keyed by exponent tuples.  The constructor canonicalizes:
-    zero coefficients are dropped and monomials of total degree above the
-    truncation bound are discarded (that is what truncation means for every
-    arithmetic operation, so the constructor behaves the same way).
+    Terms are keyed by exponent tuples.  The constructor validates its
+    input and canonicalizes: zero coefficients are dropped and monomials of
+    total degree above the truncation bound are discarded (that is what
+    truncation means for every arithmetic operation, so the constructor
+    behaves the same way).  Results of operations on valid series are built
+    by :meth:`_make`, which skips the validation.
     """
 
     __slots__ = ("symbol_count", "truncation_degree", "_terms")
@@ -71,6 +125,17 @@ class GradedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("GradedSeries is immutable")
 
+    @classmethod
+    def _make(cls, symbol_count: int, truncation_degree: int, terms: dict) -> "GradedSeries":
+        """Trusted constructor: ``terms`` must already have well-formed
+        monomials within the truncation degree and Fraction coefficients.
+        Only zero coefficients are dropped; ``terms`` is not kept."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "symbol_count", symbol_count)
+        object.__setattr__(series, "truncation_degree", truncation_degree)
+        object.__setattr__(series, "_terms", {m: c for m, c in terms.items() if c})
+        return series
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -91,20 +156,15 @@ class GradedSeries:
         """The degree-1 symbol ``a_{index+1}``."""
         if not 0 <= index < symbol_count:
             raise ValueError(f"symbol index {index} out of range for {symbol_count} symbols")
-        mono = tuple(1 if i == index else 0 for i in range(symbol_count))
-        return cls(symbol_count, truncation_degree, {mono: 1})
+        return cls.linear_form([int(i == index) for i in range(symbol_count)], truncation_degree)
 
     @classmethod
     def linear_form(cls, coefficients, truncation_degree: int) -> "GradedSeries":
         """Sum c_i * a_i for an integer/rational coefficient vector."""
         coefficients = tuple(coefficients)
         n = len(coefficients)
-        terms = {}
-        for i, c in enumerate(coefficients):
-            if c:
-                mono = tuple(1 if j == i else 0 for j in range(n))
-                terms[mono] = c
-        return cls(n, truncation_degree, terms)
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        return cls(n, truncation_degree, dict(zip(units, coefficients)))
 
     # -- inspection ---------------------------------------------------
 
@@ -130,13 +190,14 @@ class GradedSeries:
                 f"degree {degree} out of range [0, {self.truncation_degree}]"
             )
         picked = {m: c for m, c in self._terms.items() if sum(m) == degree}
-        return GradedSeries(self.symbol_count, self.truncation_degree, picked)
+        return GradedSeries._make(self.symbol_count, self.truncation_degree, picked)
 
     def truncate(self, truncation_degree: int) -> "GradedSeries":
         """Reduce the truncation degree, discarding higher terms."""
         if truncation_degree > self.truncation_degree:
             raise ValueError("cannot raise the truncation degree of a series")
-        return GradedSeries(self.symbol_count, truncation_degree, self._terms)
+        kept = {m: c for m, c in self._terms.items() if sum(m) <= truncation_degree}
+        return GradedSeries._make(self.symbol_count, truncation_degree, kept)
 
     # -- ring operations ----------------------------------------------
 
@@ -154,7 +215,8 @@ class GradedSeries:
     def _coerce(self, value):
         if isinstance(value, GradedSeries):
             return value
-        return GradedSeries.constant(value, self.symbol_count, self.truncation_degree)
+        constant = {(0,) * self.symbol_count: Fraction(value)}
+        return GradedSeries._make(self.symbol_count, self.truncation_degree, constant)
 
     def __add__(self, other):
         if not isinstance(other, (GradedSeries, Rational)) or isinstance(other, float):
@@ -164,14 +226,14 @@ class GradedSeries:
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
             merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return GradedSeries(self.symbol_count, self.truncation_degree, merged)
+        return GradedSeries._make(self.symbol_count, self.truncation_degree, merged)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
         negated = {m: -c for m, c in self._terms.items()}
-        return GradedSeries(self.symbol_count, self.truncation_degree, negated)
+        return GradedSeries._make(self.symbol_count, self.truncation_degree, negated)
 
     def __sub__(self, other):
         if not isinstance(other, (GradedSeries, Rational)) or isinstance(other, float):
@@ -186,74 +248,49 @@ class GradedSeries:
             return NotImplemented
         if not isinstance(other, GradedSeries):
             scaled = {m: c * other for m, c in self._terms.items()}
-            return GradedSeries(self.symbol_count, self.truncation_degree, scaled)
+            return GradedSeries._make(self.symbol_count, self.truncation_degree, scaled)
         self._check_compatible(other)
-        bound = self.truncation_degree
-        by_degree: dict[int, list] = defaultdict(list)
-        for mono, coeff in other._terms.items():
-            by_degree[sum(mono)].append((mono, coeff))
-        product: dict[Monomial, Fraction] = {}
-        for mono_x, coeff_x in self._terms.items():
-            degree_x = sum(mono_x)
-            for degree_y, bucket in by_degree.items():
-                if degree_x + degree_y > bound:
-                    continue
-                for mono_y, coeff_y in bucket:
-                    key = tuple(a + b for a, b in zip(mono_x, mono_y))
-                    value = product.get(key)
-                    product[key] = coeff_x * coeff_y if value is None else value + coeff_x * coeff_y
-        return GradedSeries(self.symbol_count, self.truncation_degree, product)
+        product = _product(self._terms, other._terms, self.truncation_degree)
+        return GradedSeries._make(self.symbol_count, self.truncation_degree, product)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
-        result = GradedSeries.one(self.symbol_count, self.truncation_degree)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    def substitute(self, coefficients) -> "GradedSeries":
+        """Sum c_k x^k for x = self, which must have zero constant term.
+
+        Horner's rule: r = c_k + x * r from the top coefficient down.  The
+        partial sum at c_k is later multiplied by x^k, so it is kept only up
+        to degree D - k; coefficients past D contribute nothing.
+        """
+        if self.constant_term:
+            raise ValueError("the series must have zero constant term")
+        D = self.truncation_degree
+        coeffs = [_coefficient(c) for c in coefficients][: D + 1]
+        unit = (0,) * self.symbol_count
+        acc: dict[Monomial, Fraction] = {}
+        for k in range(len(coeffs) - 1, -1, -1):
+            acc = _product(acc, self._terms, D - k)
+            acc[unit] = acc.get(unit, 0) + coeffs[k]
+        return GradedSeries._make(self.symbol_count, D, acc)
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.
 
         Requires a nonzero constant term.  Writes x = c*(1 - N) with N of
-        positive valuation and expands the Neumann series sum N^k, which
-        terminates because N is nilpotent under truncation.
+        positive valuation; the inverse is (1/c) * sum N^k, which stops at
+        k = D because N is nilpotent under truncation.
         """
         c = self.constant_term
         if not c:
             raise ValueError("series with zero constant term is not invertible")
-        one = GradedSeries.one(self.symbol_count, self.truncation_degree)
-        nil = one - self * (1 / c)
-        result = one
-        power = one
-        for _ in range(self.truncation_degree):
-            power = power * nil
-            if power.is_zero:
-                break
-            result = result + power
-        return result * (1 / c)
+        nil = 1 - self * (1 / c)
+        return nil.substitute([1] * (self.truncation_degree + 1)) * (1 / c)
 
     def exp(self) -> "GradedSeries":
         """Exponential sum x^k / k!, defined for zero constant term."""
-        if self.constant_term:
-            raise ValueError("exp requires a series with zero constant term")
-        result = GradedSeries.one(self.symbol_count, self.truncation_degree)
-        power = result
-        for k in range(1, self.truncation_degree + 1):
-            power = power * self
-            if power.is_zero:
-                break
-            result = result + power * Fraction(1, factorial(k))
-        return result
+        D = self.truncation_degree
+        return self.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
 
     # -- comparison / display -------------------------------------------
 
@@ -278,26 +315,18 @@ class GradedSeries:
         return "*".join(parts)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
+        texts = []
         for mono, coeff in self.terms():
             body = self._render_monomial(mono)
             if not body:
-                text = str(coeff)
+                texts.append(str(coeff))
             elif coeff == 1:
-                text = body
+                texts.append(body)
             elif coeff == -1:
-                text = f"-{body}"
+                texts.append(f"-{body}")
             else:
-                text = f"{coeff}*{body}"
-            if chunks and not text.startswith("-"):
-                chunks.append(f"+ {text}")
-            elif chunks:
-                chunks.append(f"- {text[1:]}")
-            else:
-                chunks.append(text)
-        return " ".join(chunks)
+                texts.append(f"{coeff}*{body}")
+        return render_sum(texts)
 
     def __repr__(self):
         return (

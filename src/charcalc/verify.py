@@ -27,6 +27,8 @@ from .lambda_ring import (
 )
 from .series import GradedSeries
 
+DIFF_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -44,6 +46,27 @@ class CheckResult:
             "ok": self.ok,
             "detail": self.detail,
         }
+
+
+def _differences(lhs, rhs) -> str:
+    """Bounded report of where two series, or two KElements, differ: the
+    number of differing terms, the lowest differing degree of a series, and
+    at most DIFF_SAMPLES differing terms in the order of ``terms()``.
+    Empty when they are equal."""
+    left, right = dict(lhs.terms()), dict(rhs.terms())
+    keys = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
+    if not keys:
+        return ""
+    if isinstance(lhs, GradedSeries):
+        keys.sort(key=lambda mono: (sum(mono), mono))
+        head = f"{len(keys)} terms differ, lowest degree {sum(keys[0])}"
+        labels = [lhs._render_monomial(mono) or "1" for mono in keys[:DIFF_SAMPLES]]
+    else:
+        keys.sort()
+        head = f"{len(keys)} terms differ"
+        labels = [f"[{lhs._render_root(root)}]" for root in keys[:DIFF_SAMPLES]]
+    samples = [f"{label}: {left.get(k, 0)} vs {right.get(k, 0)}" for label, k in zip(labels, keys)]
+    return "; ".join([head, *samples])
 
 
 def generic_lines(n: int) -> KElement:
@@ -73,10 +96,8 @@ def verify_gala(x: KElement) -> CheckResult:
     lhs = gamma_k(reduced, d)
     if d % 2:
         lhs = -lhs
-    rhs = alternating_lambda_sum(x)
-    ok = lhs == rhs
-    detail = "" if ok else f"lhs = {lhs}; rhs = {rhs}"
-    return CheckResult("gala", {"rank": d}, ok, detail)
+    detail = _differences(lhs, alternating_lambda_sum(x))
+    return CheckResult("gala", {"rank": d}, not detail, detail)
 
 
 def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
@@ -89,10 +110,8 @@ def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
         raise ValueError(f"truncation degree must be at least {n}")
     E = generic_lines(n)
     lhs = ch(alternating_lambda_sum(E.dual()), D) * todd(E, D)
-    rhs = chern_k(E, n, D)
-    ok = lhs == rhs
-    detail = "" if ok else f"lhs = {lhs}; rhs = {rhs}"
-    return CheckResult("borel_serre", {"n": n, "max_degree": D}, ok, detail)
+    detail = _differences(lhs, chern_k(E, n, D))
+    return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
 
 
 def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
@@ -114,9 +133,8 @@ def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
             if j != i:
                 term = term * exp_minus_one[j]
         rhs = rhs + term
-    ok = lhs == rhs
-    detail = "" if ok else f"lhs = {lhs}; rhs = {rhs}"
-    return CheckResult("ch_gamma", {"n": n, "max_degree": D}, ok, detail)
+    detail = _differences(lhs, rhs)
+    return CheckResult("ch_gamma", {"n": n, "max_degree": D}, not detail, detail)
 
 
 def verify_prop_chtd(n: int) -> CheckResult:
@@ -135,20 +153,10 @@ def verify_prop_chtd(n: int) -> CheckResult:
     reduced = x - n * KElement.unit(n)
     P = ch(gamma_k(reduced, n - 1), D) * todd(x.dual(), D)
     chern = total_chern(x, D)
-    failures = []
-    for k in range(n - 1):
-        if not P.component(k).is_zero:
-            failures.append(f"degree {k} component is {P.component(k)}, expected 0")
-    expected_sub = chern.component(n - 1)
-    if P.component(n - 1) != expected_sub:
-        failures.append(
-            f"degree {n - 1} component is {P.component(n - 1)}, expected {expected_sub}"
-        )
-    expected_top = Fraction(-n, 2) * chern.component(n)
-    if P.component(n) != expected_top:
-        failures.append(
-            f"degree {n} component is {P.component(n)}, expected {expected_top}"
-        )
+    zero = GradedSeries.zero(n, D)
+    expected = [zero] * (n - 1) + [chern.component(n - 1), Fraction(-n, 2) * chern.component(n)]
+    details = [_differences(P.component(k), want) for k, want in enumerate(expected)]
+    failures = [f"degree {k} component: {d}" for k, d in enumerate(details) if d]
     return CheckResult("prop_chtd", {"n": n}, not failures, "; ".join(failures))
 
 

@@ -51,6 +51,38 @@ def test_verify_rank_cap_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        # over the degree limit 64; this input used to run for minutes
+        (["--checks", "borel_serre", "--rank-max", "1", "--max-degree", "400"], 401),
+        # C(3 + 32, 32) = 6545 > C(15, 7) = 6435
+        (["--checks", "gala", "--rank-max", "3", "--max-degree", "32"], 6545),
+        (["--checks", "gala", "--rank-min", "7", "--rank-max", "7", "--rank-cap", "7",
+          "--max-degree", "9"], 11440),
+    ],
+)
+def test_verify_refuses_costly_max_degree(capsys, argv, terms):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --max-degree ")
+    assert f"up to {terms} terms; the limits are degree 64 and 6435 terms" in err
+
+
+def test_verify_accepts_largest_budgets(capsys):
+    # C(7 + 8, 8) is exactly the term budget
+    code, out, err = run(
+        capsys, "verify", "--checks", "gala", "--rank-min", "7", "--rank-max", "7",
+        "--rank-cap", "7", "--max-degree", "8",
+    )
+    assert (code, err) == (0, "")
+    # the largest degree, at rank 1
+    code, out, err = run(capsys, "verify", "--rank-max", "1", "--max-degree", "64")
+    assert (code, err) == (0, "")
+    assert "PASS borel_serre max_degree=64 n=1" in out
+    assert "PASS ch_gamma max_degree=64 n=1" in out
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--rank-min", "3", "--rank-max", "2")
     assert code == 2

@@ -14,6 +14,7 @@ from charcalc.lambda_ring import (
     todd,
 )
 from charcalc.verify import (
+    _differences,
     generic_lines,
     repeated_root_lines,
     verify_borel_serre,
@@ -161,3 +162,59 @@ def test_rank_zero_concentration():
 def test_hom_laws(n):
     result = verify_hom_laws(n, cases=15, seed=n)
     assert result.ok, result.detail
+
+
+# -- failure detail -------------------------------------------------------------
+
+
+def test_differences_empty_when_equal():
+    x = GradedSeries(2, 3, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+    assert _differences(x, x) == ""
+    assert _differences(KElement.line((1, 0)), KElement.line((1, 0))) == ""
+
+
+def test_differences_series_reports_count_degree_and_samples():
+    lhs = GradedSeries(2, 3, {(0, 0): 1, (1, 0): 2, (1, 1): 3, (0, 2): 1})
+    rhs = GradedSeries(2, 3, {(0, 0): 1, (1, 0): 1, (2, 1): 5})
+    assert _differences(lhs, rhs) == (
+        "4 terms differ, lowest degree 1; a1: 2 vs 1; a2^2: 1 vs 0; "
+        "a1*a2: 3 vs 0; a1^2*a2: 0 vs 5"
+    )
+    assert _differences(GradedSeries.one(1, 2), GradedSeries.zero(1, 2)) == (
+        "1 terms differ, lowest degree 0; 1: 1 vs 0"
+    )
+
+
+def test_differences_bounded_to_five_samples():
+    n, D = 3, 7
+    zero = GradedSeries.zero(n, D)
+    dense = ch(generic_lines(n), D) - n
+    detail = _differences(dense, zero)
+    count = sum(1 for _ in dense.terms())
+    assert count == 3 * D
+    assert detail.startswith(f"{count} terms differ, lowest degree 1; a3: 1 vs 0; ")
+    assert detail.count(" vs ") == 5
+    assert detail == _differences(dense, zero)
+
+
+def test_differences_k_elements():
+    lhs = KElement(2, {(1, 0): 2, (0, 0): 1})
+    rhs = KElement(2, {(1, 0): 1, (0, -1): 3})
+    assert _differences(lhs, rhs) == (
+        "3 terms differ; [-a2]: 0 vs 3; [0]: 1 vs 0; [a1]: 2 vs 1"
+    )
+
+
+def test_failing_verifiers_report_bounded_detail(monkeypatch):
+    import charcalc.verify as verify
+
+    # a wrong Todd class breaks both Todd identities in many terms
+    monkeypatch.setattr(verify, "todd", verify.total_chern)
+    result = verify.verify_borel_serre(3, 6)
+    assert not result.ok
+    assert "terms differ, lowest degree 4; " in result.detail
+    assert result.detail.count(" vs ") == 5
+    result = verify.verify_prop_chtd(4)
+    assert not result.ok
+    assert result.detail.startswith("degree 4 component: 13 terms differ, lowest degree 4; ")
+    assert result.detail.count(" vs ") == 5
