@@ -142,6 +142,8 @@ def _verify_refusal(names, args) -> str | None:
             "pass --rank-cap explicitly to go higher."
         )
     if args.max_degree is not None:
+        if args.max_degree < 0:
+            return f"--max-degree must be non-negative, got {args.max_degree}"
         D = max(args.max_degree, args.rank_max + 1)
         terms = math.comb(args.rank_max + D, D)
         if args.max_degree > MAX_DEGREE_LIMIT or terms > MAX_SERIES_TERMS:

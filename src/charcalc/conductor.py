@@ -442,12 +442,10 @@ def derive_fibers(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
     for fiber in model.fibers:
         normal = normalize_fiber(fiber)
         singles, weighted, deep = _open_sums(normal)
-        chi_fiber = weighted - singles + deep  # every open stratum, as in fiber_euler
+        # chi(X_p) as in fiber_euler, and the degree as in bloch_degree
+        chi_fiber, degree = weighted - singles + deep, deep - singles
         derivations.append(
-            FiberDerivation(
-                normal, tame_check(normal), singles, weighted, deep, chi_fiber,
-                bloch_degree(normal),
-            )
+            FiberDerivation(normal, tame_check(normal), singles, weighted, deep, chi_fiber, degree)
         )
     return tuple(derivations)
 

@@ -18,20 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import GradedSeries, MismatchError, power_coefficients, render_sum
+from .series import GradedSeries, MismatchError, _TermMap, power_coefficients
 
 Root = tuple[int, ...]
 
 
-class KElement:
+class KElement(_TermMap):
     """Finite integer combination of lines, keyed by their root vectors.
 
     The zero vector is the trivial line (the multiplicative unit).  The
     rank is the sum of multiplicities and may be negative for virtual
-    elements.
+    elements.  The constructor validates its input; results of operations
+    are built by :meth:`_like`, which skips the validation.
     """
 
-    __slots__ = ("symbol_count", "_terms")
+    __slots__ = ()
+    _times = ""
 
     def __init__(self, symbol_count: int, terms=None):
         if symbol_count < 0:
@@ -49,11 +51,14 @@ class KElement:
                 raise TypeError(f"multiplicity must be an integer, got {mult!r}")
             if mult:
                 canonical[root] = mult
-        object.__setattr__(self, "symbol_count", symbol_count)
-        object.__setattr__(self, "_terms", canonical)
+        super().__init__(symbol_count, None, canonical)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KElement is immutable")
+    @staticmethod
+    def _scalar(value):
+        return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+    # bench/tracer.py wraps only methods in a class's own namespace.
+    __mul__ = _TermMap.__mul__
 
     # -- constructors -------------------------------------------------
 
@@ -96,76 +101,13 @@ class KElement:
         """The augmentation: sum of multiplicities."""
         return sum(self._terms.values())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def dual(self) -> "KElement":
         """Negate every root; multiplicities are preserved."""
-        return KElement(self.symbol_count, {tuple(-e for e in r): m for r, m in self._terms.items()})
+        return self._like({tuple(-e for e in r): m for r, m in self._terms.items()})
 
-    # -- group-ring operations ------------------------------------------
-
-    def _check_compatible(self, other: "KElement"):
-        if self.symbol_count != other.symbol_count:
-            raise MismatchError(
-                f"cannot combine elements over {self.symbol_count} and "
-                f"{other.symbol_count} symbols"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = other * KElement.unit(self.symbol_count)
-        if not isinstance(other, KElement):
-            return NotImplemented
-        self._check_compatible(other)
-        merged = dict(self._terms)
-        for root, mult in other._terms.items():
-            merged[root] = merged.get(root, 0) + mult
-        return KElement(self.symbol_count, merged)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return KElement(self.symbol_count, {r: -m for r, m in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = other * KElement.unit(self.symbol_count)
-        if not isinstance(other, KElement):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return KElement(self.symbol_count, {r: m * other for r, m in self._terms.items()})
-        if not isinstance(other, KElement):
-            return NotImplemented
-        self._check_compatible(other)
-        product: dict[Root, int] = {}
-        for r1, m1 in self._terms.items():
-            for r2, m2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(r1, r2))
-                product[key] = product.get(key, 0) + m1 * m2
-        return KElement(self.symbol_count, product)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, KElement):
-            return NotImplemented
-        return self.symbol_count == other.symbol_count and self._terms == other._terms
-
-    __hash__ = None
-
-    def _render_root(self, root: Root) -> str:
+    def _render_key(self, root: Root) -> str:
         if not any(root):
-            return "0"
+            return "[0]"
         parts = []
         for i, e in enumerate(root):
             if e == 1:
@@ -174,23 +116,7 @@ class KElement:
                 parts.append(f"-a{i + 1}")
             elif e:
                 parts.append(f"{e:+d}a{i + 1}")
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
-
-    def __str__(self):
-        texts = []
-        for root, mult in self.terms():
-            body = f"[{self._render_root(root)}]"
-            if mult == 1:
-                texts.append(body)
-            elif mult == -1:
-                texts.append(f"-{body}")
-            else:
-                texts.append(f"{mult}{body}")
-        return render_sum(texts)
-
-    def __repr__(self):
-        return f"KElement(n={self.symbol_count}, {self})"
+        return f"[{''.join(parts).removeprefix('+')}]"
 
 
 class TSeries:
@@ -292,7 +218,7 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     result = TSeries.one(n, t_max)
     for root, mult in x.terms():
         g = power_coefficients([1, 1], mult, t_max)
-        factor = [KElement(n, {tuple(k * e for e in root): int(c)}) for k, c in enumerate(g)]
+        factor = [x._like({tuple(k * e for e in root): int(c)}) for k, c in enumerate(g)]
         result = result * TSeries(factor)
     return result
 

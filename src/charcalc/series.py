@@ -13,6 +13,10 @@ series with different symbol counts or truncation degrees raises
 A series of one line (``e^l``, ``l/(1-e^{-l})``, ``(1+l)^m``) is a
 univariate power series, from :func:`power_coefficients`, evaluated at the
 linear form ``l`` by :meth:`GradedSeries.substitute`.
+
+``GradedSeries`` and :class:`~charcalc.lambda_ring.KElement` are both term
+maps, keyed by exponent tuples, and share their ring operations, comparison
+and rendering through :class:`_TermMap`.
 """
 
 from __future__ import annotations
@@ -67,16 +71,21 @@ def render_sum(texts) -> str:
     return out or "0"
 
 
-def _product(xs: dict, ys: dict, bound: int) -> dict:
-    """Term map of the product of two term maps, truncated above ``bound``."""
-    by_degree: dict[int, list] = defaultdict(list)
-    for mono, coeff in ys.items():
-        by_degree[sum(mono)].append((mono, coeff))
+def _product(xs: dict, ys: dict, bound: int | None) -> dict:
+    """Term map of the product of two term maps: exponents add.  With a
+    ``bound``, terms of total degree above it are never formed: ``ys`` is
+    grouped by degree, and a group that would overshoot is skipped."""
+    if bound is None:
+        by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
+    else:
+        by_degree = defaultdict(list)
+        for mono, coeff in ys.items():
+            by_degree[sum(mono)].append((mono, coeff))
     product: dict[Monomial, Fraction] = {}
     for mono_x, coeff_x in xs.items():
-        degree_x = sum(mono_x)
+        room = 0 if bound is None else bound - sum(mono_x)
         for degree_y, bucket in by_degree.items():
-            if degree_x + degree_y > bound:
+            if degree_y > room:
                 continue
             for mono_y, coeff_y in bucket:
                 key = tuple(a + b for a, b in zip(mono_x, mono_y))
@@ -85,7 +94,138 @@ def _product(xs: dict, ys: dict, bound: int) -> dict:
     return product
 
 
-class GradedSeries:
+class _TermMap:
+    """Immutable map from exponent tuples of length ``symbol_count`` to
+    nonzero coefficients, multiplied by adding exponents.
+
+    The ambient is the symbol count and the product bound ``_bound``: terms
+    of total degree above it are dropped, and None means no bound.  Subclasses
+    validate outside input in their public ``__init__`` and supply
+    ``terms``, ``_scalar``, ``_render_key`` and ``_times``; every result of
+    an operation is built by the trusted :meth:`_like`.
+    """
+
+    __slots__ = ("symbol_count", "_bound", "_terms")
+
+    def __init__(self, symbol_count: int, bound: int | None, terms: dict):
+        """Store an ambient and a term map that are already valid for it."""
+        object.__setattr__(self, "symbol_count", symbol_count)
+        object.__setattr__(self, "_bound", bound)
+        object.__setattr__(self, "_terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms: dict):
+        """Trusted constructor over this ambient: ``terms`` must already be
+        valid for it.  Only zero coefficients are dropped; ``terms`` is not
+        kept."""
+        result = object.__new__(type(self))
+        _TermMap.__init__(
+            result, self.symbol_count, self._bound, {k: c for k, c in terms.items() if c}
+        )
+        return result
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # -- ring operations ----------------------------------------------
+
+    def _ambient(self) -> str:
+        bound = "" if self._bound is None else f", D={self._bound}"
+        return f"n={self.symbol_count}{bound}"
+
+    def _check_compatible(self, other: "_TermMap"):
+        if self.symbol_count != other.symbol_count or self._bound != other._bound:
+            raise MismatchError(
+                f"cannot combine {type(self).__name__}({self._ambient()}) with "
+                f"{type(other).__name__}({other._ambient()})"
+            )
+
+    def _coerce(self, value):
+        """``value`` as a term map of this class, a scalar as a constant term
+        over this ambient, or None when it is neither."""
+        if isinstance(value, type(self)):
+            return value
+        scalar = self._scalar(value)
+        if scalar is None:
+            return None
+        return self._like({(0,) * self.symbol_count: scalar})
+
+    # The reflected operators and subtraction go through ``self.__add__`` and
+    # ``self.__mul__``, so wrapping those two on a subclass wraps every sum
+    # and product.
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check_compatible(other)
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            merged[key] = merged.get(key, 0) + coeff
+        return self._like(merged)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check_compatible(other)
+            return self._like(_product(self._terms, other._terms, self._bound))
+        scalar = self._scalar(other)
+        if scalar is None:
+            return NotImplemented
+        return self._like({k: c * scalar for k, c in self._terms.items()})
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    # -- comparison / display -------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.symbol_count == other.symbol_count
+            and self._bound == other._bound
+            and self._terms == other._terms
+        )
+
+    __hash__ = None
+
+    def __str__(self):
+        texts = []
+        for key, coeff in self.terms():
+            body = self._render_key(key)
+            if not body:
+                texts.append(str(coeff))
+            elif coeff == 1:
+                texts.append(body)
+            elif coeff == -1:
+                texts.append(f"-{body}")
+            else:
+                texts.append(f"{coeff}{self._times}{body}")
+        return render_sum(texts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._ambient()}, {self})"
+
+
+class GradedSeries(_TermMap):
     """Sparse polynomial in ``symbol_count`` symbols, truncated at total degree
     ``truncation_degree``.
 
@@ -94,10 +234,11 @@ class GradedSeries:
     total degree above the truncation bound are discarded (that is what
     truncation means for every arithmetic operation, so the constructor
     behaves the same way).  Results of operations on valid series are built
-    by :meth:`_make`, which skips the validation.
+    by :meth:`_like`, which skips the validation.
     """
 
-    __slots__ = ("symbol_count", "truncation_degree", "_terms")
+    __slots__ = ()
+    _times = "*"
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         if symbol_count < 0:
@@ -118,23 +259,19 @@ class GradedSeries:
             value = _coefficient(coeff)
             if value:
                 canonical[mono] = value
-        object.__setattr__(self, "symbol_count", symbol_count)
-        object.__setattr__(self, "truncation_degree", truncation_degree)
-        object.__setattr__(self, "_terms", canonical)
+        super().__init__(symbol_count, truncation_degree, canonical)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSeries is immutable")
+    @property
+    def truncation_degree(self) -> int:
+        return self._bound
 
-    @classmethod
-    def _make(cls, symbol_count: int, truncation_degree: int, terms: dict) -> "GradedSeries":
-        """Trusted constructor: ``terms`` must already have well-formed
-        monomials within the truncation degree and Fraction coefficients.
-        Only zero coefficients are dropped; ``terms`` is not kept."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "symbol_count", symbol_count)
-        object.__setattr__(series, "truncation_degree", truncation_degree)
-        object.__setattr__(series, "_terms", {m: c for m, c in terms.items() if c})
-        return series
+    @staticmethod
+    def _scalar(value):
+        return Fraction(value) if isinstance(value, Rational) else None
+
+    # bench/tracer.py wraps only methods in a class's own namespace.
+    __add__ = _TermMap.__add__
+    __mul__ = _TermMap.__mul__
 
     # -- constructors -------------------------------------------------
 
@@ -179,82 +316,20 @@ class GradedSeries:
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.symbol_count, Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def component(self, degree: int) -> "GradedSeries":
         """The homogeneous part of the given total degree."""
-        if not 0 <= degree <= self.truncation_degree:
-            raise ValueError(
-                f"degree {degree} out of range [0, {self.truncation_degree}]"
-            )
-        picked = {m: c for m, c in self._terms.items() if sum(m) == degree}
-        return GradedSeries._make(self.symbol_count, self.truncation_degree, picked)
+        if not 0 <= degree <= self._bound:
+            raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
+        return self._like({m: c for m, c in self._terms.items() if sum(m) == degree})
 
     def truncate(self, truncation_degree: int) -> "GradedSeries":
-        """Reduce the truncation degree, discarding higher terms."""
-        if truncation_degree > self.truncation_degree:
+        """Reduce the truncation degree, discarding higher terms (the public
+        constructor discards them)."""
+        if truncation_degree > self._bound:
             raise ValueError("cannot raise the truncation degree of a series")
-        kept = {m: c for m, c in self._terms.items() if sum(m) <= truncation_degree}
-        return GradedSeries._make(self.symbol_count, truncation_degree, kept)
+        return GradedSeries(self.symbol_count, truncation_degree, self._terms)
 
-    # -- ring operations ----------------------------------------------
-
-    def _check_compatible(self, other: "GradedSeries"):
-        if (
-            self.symbol_count != other.symbol_count
-            or self.truncation_degree != other.truncation_degree
-        ):
-            raise MismatchError(
-                f"cannot combine series over {self.symbol_count} symbols at degree "
-                f"{self.truncation_degree} with series over {other.symbol_count} "
-                f"symbols at degree {other.truncation_degree}"
-            )
-
-    def _coerce(self, value):
-        if isinstance(value, GradedSeries):
-            return value
-        constant = {(0,) * self.symbol_count: Fraction(value)}
-        return GradedSeries._make(self.symbol_count, self.truncation_degree, constant)
-
-    def __add__(self, other):
-        if not isinstance(other, (GradedSeries, Rational)) or isinstance(other, float):
-            return NotImplemented
-        other = self._coerce(other)
-        self._check_compatible(other)
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return GradedSeries._make(self.symbol_count, self.truncation_degree, merged)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        negated = {m: -c for m, c in self._terms.items()}
-        return GradedSeries._make(self.symbol_count, self.truncation_degree, negated)
-
-    def __sub__(self, other):
-        if not isinstance(other, (GradedSeries, Rational)) or isinstance(other, float):
-            return NotImplemented
-        return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, (GradedSeries, Rational)) or isinstance(other, float):
-            return NotImplemented
-        if not isinstance(other, GradedSeries):
-            scaled = {m: c * other for m, c in self._terms.items()}
-            return GradedSeries._make(self.symbol_count, self.truncation_degree, scaled)
-        self._check_compatible(other)
-        product = _product(self._terms, other._terms, self.truncation_degree)
-        return GradedSeries._make(self.symbol_count, self.truncation_degree, product)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    # -- univariate substitution ------------------------------------------
 
     def substitute(self, coefficients) -> "GradedSeries":
         """Sum c_k x^k for x = self, which must have zero constant term.
@@ -272,7 +347,7 @@ class GradedSeries:
         for k in range(len(coeffs) - 1, -1, -1):
             acc = _product(acc, self._terms, D - k)
             acc[unit] = acc.get(unit, 0) + coeffs[k]
-        return GradedSeries._make(self.symbol_count, D, acc)
+        return self._like(acc)
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.
@@ -292,20 +367,9 @@ class GradedSeries:
         D = self.truncation_degree
         return self.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
 
-    # -- comparison / display -------------------------------------------
+    # -- display --------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return (
-            self.symbol_count == other.symbol_count
-            and self.truncation_degree == other.truncation_degree
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
-
-    def _render_monomial(self, mono: Monomial) -> str:
+    def _render_key(self, mono: Monomial) -> str:
         parts = []
         for i, e in enumerate(mono):
             if e == 1:
@@ -313,23 +377,3 @@ class GradedSeries:
             elif e > 1:
                 parts.append(f"a{i + 1}^{e}")
         return "*".join(parts)
-
-    def __str__(self):
-        texts = []
-        for mono, coeff in self.terms():
-            body = self._render_monomial(mono)
-            if not body:
-                texts.append(str(coeff))
-            elif coeff == 1:
-                texts.append(body)
-            elif coeff == -1:
-                texts.append(f"-{body}")
-            else:
-                texts.append(f"{coeff}*{body}")
-        return render_sum(texts)
-
-    def __repr__(self):
-        return (
-            f"GradedSeries(n={self.symbol_count}, D={self.truncation_degree}, "
-            f"{self})"
-        )

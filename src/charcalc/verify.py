@@ -60,11 +60,10 @@ def _differences(lhs, rhs) -> str:
     if isinstance(lhs, GradedSeries):
         keys.sort(key=lambda mono: (sum(mono), mono))
         head = f"{len(keys)} terms differ, lowest degree {sum(keys[0])}"
-        labels = [lhs._render_monomial(mono) or "1" for mono in keys[:DIFF_SAMPLES]]
     else:
         keys.sort()
         head = f"{len(keys)} terms differ"
-        labels = [f"[{lhs._render_root(root)}]" for root in keys[:DIFF_SAMPLES]]
+    labels = [lhs._render_key(key) or "1" for key in keys[:DIFF_SAMPLES]]
     samples = [f"{label}: {left.get(k, 0)} vs {right.get(k, 0)}" for label, k in zip(labels, keys)]
     return "; ".join([head, *samples])
 
@@ -160,21 +159,13 @@ def verify_prop_chtd(n: int) -> CheckResult:
     return CheckResult("prop_chtd", {"n": n}, not failures, "; ".join(failures))
 
 
-def _random_root(rng: random.Random, n: int) -> tuple:
-    return tuple(rng.randint(-1, 1) for _ in range(n))
-
-
-def random_k_element(
-    rng: random.Random,
-    n: int,
-    max_terms: int = 3,
-    effective: bool = False,
-) -> KElement:
-    """Small random group-ring element for property checks."""
+def random_k_element(rng: random.Random, n: int) -> KElement:
+    """Small random group-ring element for property checks: one to three
+    random lines, each with multiplicity in {-2, -1, 1, 2}."""
     terms: dict[tuple, int] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        root = _random_root(rng, n)
-        mult = rng.randint(1, 2) if effective else rng.choice([-2, -1, 1, 2])
+    for _ in range(rng.randint(1, 3)):
+        root = tuple(rng.randint(-1, 1) for _ in range(n))
+        mult = rng.choice([-2, -1, 1, 2])
         terms[root] = terms.get(root, 0) + mult
     return KElement(n, terms)
 

@@ -4,7 +4,7 @@ stdout, stderr and exit code.
 ``conductor`` and ``explain`` run on the sample models and a few edge-case
 models; each transcript lives in ``tests/golden/<model>.<mode>.txt``.
 ``verify`` runs the default suite, a raised ``--max-degree``, a
-``--max-degree`` below the clamp, and three refusals; each transcript lives
+``--max-degree`` below the clamp, and four refusals; each transcript lives
 in ``tests/golden/verify.<case>.txt``.  After a deliberate change to the
 output, rewrite them with
 
@@ -49,6 +49,7 @@ VERIFY_CASES = {
     "max-degree-6": DEGREE_6,
     "max-degree-6-machine": [*DEGREE_6, "--output", "machine"],
     "max-degree-clamped": ["--rank-max", "3", "--max-degree", "1"],
+    "max-degree-negative": ["--checks", "borel_serre", "--rank-max", "2", "--max-degree", "-5"],
     "unknown-check": ["--checks", "gala,nonsense"],
     "rank-over-cap": ["--rank-max", "7"],
     "rank-min-zero": ["--rank-min", "0"],
