@@ -16,9 +16,9 @@ dictionary equalities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .series import GradedSeries, MismatchError, _TermMap, power_coefficients
+from .series import GradedSeries, MismatchError, Monomial, _TermMap, power_coefficients
 
 Root = tuple[int, ...]
 
@@ -267,11 +267,30 @@ def alternating_lambda_sum(x: KElement) -> KElement:
 
 
 def ch(x: KElement, truncation_degree: int) -> GradedSeries:
-    """Chern character: additive, with ch([r]) = exp(c1(r))."""
-    acc = GradedSeries.zero(x.symbol_count, truncation_degree)
-    for root, mult in x.terms():
-        acc = acc + mult * GradedSeries.linear_form(root, truncation_degree).exp()
-    return acc
+    """Chern character: additive, with ch([r]) = exp(c1(r)).
+
+    ch = sum_k psi^k / k! over Adams operations, so the coefficient of a^e is
+    S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x:
+    an integer, summed over each root's support and divided once if nonzero.
+    """
+    D, n = truncation_degree, x.symbol_count
+    sums: dict[Monomial, int] = {}
+    for root, mult in x._terms.items():
+        support = [i for i, c in enumerate(root) if c]
+        # (exponents of a_1 .. a_done, mult * prod r_i^e_i, degree left)
+        level, done = [((0,) * n if not support else (), mult, D)], 0
+        for i in support:
+            end = n if i == support[-1] else i + 1
+            pieces = [(0,) * (i - done) + (k,) + (0,) * (end - i - 1) for k in range(D + 1)]
+            powers = [root[i] ** k for k in range(D + 1)]
+            level = [(head + pieces[k], value * powers[k], room - k)
+                     for head, value, room in level for k in range(room + 1)]
+            done = end
+        for key, value, _ in level:
+            sums[key] = sums.get(key, 0) + value
+    factorials = [factorial(k) for k in range(D + 1)]
+    terms = {key: Fraction(s, prod(factorials[e] for e in key)) for key, s in sums.items() if s}
+    return GradedSeries.zero(n, D)._like(terms)
 
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:

@@ -36,7 +36,7 @@ class MismatchError(ValueError):
 def _coefficient(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed; use Fraction")
-    if not isinstance(value, Rational):
+    if not isinstance(value, Rational) or isinstance(value, bool):
         raise TypeError(f"coefficient must be an integer or Fraction, got {value!r}")
     return Fraction(value)
 
@@ -267,7 +267,7 @@ class GradedSeries(_TermMap):
 
     @staticmethod
     def _scalar(value):
-        return Fraction(value) if isinstance(value, Rational) else None
+        return Fraction(value) if isinstance(value, Rational) and type(value) is not bool else None
 
     # bench/tracer.py wraps only methods in a class's own namespace.
     __add__ = _TermMap.__add__

@@ -1,15 +1,26 @@
-"""Hypothesis properties of the univariate power helper and of Horner
-substitution."""
+"""Hypothesis properties of the univariate power helper, of Horner
+substitution, of the Chern character against its exp-per-line definition,
+and of the strata-lattice round trip."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from charcalc.conductor import (
+    Component,
+    FiberModel,
+    Stratum,
+    closed_strata_from_open,
+    open_strata_from_closed,
+)
+from charcalc.lambda_ring import KElement, ch, gamma_k
 from charcalc.series import GradedSeries, power_coefficients
+from charcalc.verify import generic_lines
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-given, settings = hypothesis.given, hypothesis.settings
+given, settings, example = hypothesis.given, hypothesis.settings, hypothesis.example
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 unit_series = st.lists(rationals, max_size=6).map(lambda tail: [Fraction(1), *tail])
@@ -56,3 +67,83 @@ def test_zeroth_power_is_one(f, degree):
 def test_substitution_is_multiplicative(x, f, g):
     fg = truncated_product(f, g, x.truncation_degree)
     assert x.substitute(fg) == x.substitute(f) * x.substitute(g)
+
+
+# -- Chern character ------------------------------------------------------------
+
+
+def ch_by_exp(x, degree):
+    """The defining sum of m * exp(c1(r)) over the lines m[r] of x, each
+    exponential expanded by Horner substitution."""
+    acc = GradedSeries.zero(x.symbol_count, degree)
+    for root, mult in x.terms():
+        acc = acc + mult * GradedSeries.linear_form(root, degree).exp()
+    return acc
+
+
+@st.composite
+def k_elements(draw):
+    """A KElement over 0..5 symbols: roots with entries in [-3, 3] (the
+    all-zero root included), multiplicities in [-3, 3], possibly zero."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    root = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)
+    multiplicity = st.integers(min_value=-3, max_value=3)
+    return KElement(n, draw(st.dictionaries(root, multiplicity, max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_elements(), st.integers(min_value=0, max_value=7))
+@example(KElement.zero(3), 4)
+@example(KElement.zero(0), 2)
+@example(KElement(2, {(0, 0): -3, (2, -3): 1}), 7)
+@example(KElement(5, {(0,) * 5: 2, (1, -1, 0, 3, -2): -3, (-1, 0, 0, 0, 1): 3}), 7)
+def test_ch_matches_exp_per_line(x, degree):
+    result = ch(x, degree)
+    assert result == ch_by_exp(x, degree)
+    assert all(type(c) is Fraction for c in result._terms.values())
+
+
+def test_ch_of_gamma_matches_exp_per_line_at_rank_6():
+    n = 6
+    x = gamma_k(generic_lines(n) - n * KElement.unit(n), n - 1)
+    assert ch(x, n + 1)._terms == ch_by_exp(x, n + 1)._terms
+
+
+# -- strata lattice ---------------------------------------------------------------
+
+
+@st.composite
+def snc_fibers(draw):
+    """A valid fiber: 1..6 components of multiplicity 1..4, strata closed
+    under non-empty subsets, and an integer chi_closed on each."""
+    ids = [f"C{i + 1}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    deeper = [frozenset(J) for size in range(2, len(ids) + 1) for J in combinations(ids, size)]
+    family = {frozenset({cid}) for cid in ids}
+    for J in draw(st.sets(st.sampled_from(deeper))) if deeper else ():
+        family.update(frozenset(K) for size in range(1, len(J) + 1) for K in combinations(J, size))
+    chi = st.integers(min_value=-12, max_value=12)
+    components = tuple(
+        Component(cid, draw(st.integers(min_value=1, max_value=4))) for cid in ids
+    )
+    strata = tuple(Stratum(J, chi_closed=draw(chi)) for J in sorted(family, key=sorted))
+    return FiberModel(5, components, strata)
+
+
+def chi_by_stratum(fiber, side):
+    return {s.components: getattr(s, side) for s in fiber.strata}
+
+
+@settings(max_examples=80, deadline=None)
+@given(snc_fibers())
+def test_strata_round_trip(fiber):
+    opened = open_strata_from_closed(fiber)
+    closed = closed_strata_from_open(opened)
+    assert chi_by_stratum(closed, "chi_closed") == chi_by_stratum(fiber, "chi_closed")
+    # and from the open data alone, through the closed side and back
+    open_only = FiberModel(
+        fiber.prime,
+        fiber.components,
+        tuple(Stratum(s.components, chi_open=s.chi_open) for s in opened.strata),
+    )
+    rederived = open_strata_from_closed(closed_strata_from_open(open_only))
+    assert chi_by_stratum(rederived, "chi_open") == chi_by_stratum(opened, "chi_open")

@@ -46,6 +46,15 @@ def test_kelement_drops_zero_multiplicities():
     assert KElement(2, {(1, 0): 0}).is_zero
 
 
+# -- GradedSeries boundary --------------------------------------------------------
+
+
+@pytest.mark.parametrize("coeff", [True, False, "1"])
+def test_series_rejects_non_rational_coefficient(coeff):
+    with pytest.raises(TypeError):
+        GradedSeries(1, 2, {(0,): coeff})
+
+
 # -- operators --------------------------------------------------------------------
 
 
@@ -96,11 +105,12 @@ def test_mismatch_across_ambients(left, right, op):
         (KElement.unit(1), True),
         (KElement.unit(1), 1.0),
         (GradedSeries.one(1, 2), 0.5),
+        (GradedSeries.one(1, 2), True),
         (GradedSeries.one(1, 2), KElement.unit(1)),
         (GradedSeries.one(1, 2), "1"),
     ],
     ids=["kelement-fraction", "kelement-bool", "kelement-float", "series-float",
-         "series-kelement", "series-str"],
+         "series-bool", "series-kelement", "series-str"],
 )
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
 def test_foreign_operands_raise_type_error(left, right, op):

@@ -103,6 +103,21 @@ def test_ch_gamma(n):
     assert verify_ch_gamma(n, n + 1).ok
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_gala(generic_lines(8)),
+        lambda: verify_borel_serre(8),
+        lambda: verify_ch_gamma(8),
+        lambda: verify_prop_chtd(8),
+    ],
+    ids=["gala", "borel_serre", "ch_gamma", "prop_chtd"],
+)
+def test_generic_lines_checks_at_rank_8(check):
+    result = check()
+    assert result.ok, result.detail
+
+
 def test_ch_gamma_n1_is_constant_one():
     assert verify_ch_gamma(1, 2).ok
     x = generic_lines(1)
