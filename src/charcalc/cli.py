@@ -211,7 +211,7 @@ def _print_conductor_text(report: ConductorReport) -> None:
         )
     print(f"A(X) = {_render_conductor(report.conductor_factors)}")
     if report.has_negative_exponents:
-        print("note: negative exponents reported verbatim (A(X) < 1)")
+        print("note: exponent f_p = chi(X_Q) - chi(X_p) (Artin); negative means A(X) < 1")
     terms = report.log_eps_terms
     print(f"log|eps(X)| = {_render_log_terms(terms)}  [exact]")
     print(f"            ~= {_approx_log(terms):.12g}  [approximate]")

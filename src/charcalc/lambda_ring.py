@@ -9,6 +9,12 @@ generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class.
 
+``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
+(:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
+one more grading: its keys are ``(t-power, *root)`` and its products drop
+t-powers above ``t_max``, so ``lambda_t`` and ``gamma_t`` build their term
+maps directly and :meth:`TSeries.invert` is the shared substitution.
+
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from .series import GradedSeries, MismatchError, Monomial, _TermMap, power_coefficients
 
@@ -89,10 +96,6 @@ class KElement(_TermMap):
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self):
-        """Iterate (root, multiplicity) pairs in a deterministic order."""
-        return iter(sorted(self._terms.items()))
-
     def multiplicity(self, root) -> int:
         return self._terms.get(tuple(root), 0)
 
@@ -105,7 +108,8 @@ class KElement(_TermMap):
         """Negate every root; multiplicities are preserved."""
         return self._like({tuple(-e for e in r): m for r, m in self._terms.items()})
 
-    def _render_key(self, root: Root) -> str:
+    @staticmethod
+    def _render_key(root: Root) -> str:
         if not any(root):
             return "[0]"
         parts = []
@@ -119,86 +123,60 @@ class KElement(_TermMap):
         return f"[{''.join(parts).removeprefix('+')}]"
 
 
-class TSeries:
+class TSeries(_TermMap):
     """Polynomial in an auxiliary variable t with KElement coefficients,
-    truncated at a fixed power of t."""
+    truncated at a fixed power of t.
 
-    __slots__ = ("symbol_count", "_coeffs")
+    The term c t^k [r] is keyed by ``(k, *r)``; its degree is k, and
+    products drop degrees above ``t_max``.
+    """
+
+    __slots__ = ()
+    _times = ""
+    _lead = 1
+    _degree = itemgetter(0)
+    _scalar = staticmethod(KElement._scalar)
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
         if not coeffs:
             raise ValueError("TSeries needs at least the t^0 coefficient")
+        if not all(isinstance(c, KElement) for c in coeffs):
+            raise TypeError("TSeries coefficients must be KElements")
         n = coeffs[0].symbol_count
-        for c in coeffs:
-            if not isinstance(c, KElement):
-                raise TypeError("TSeries coefficients must be KElements")
-            if c.symbol_count != n:
-                raise MismatchError("TSeries coefficients over mixed symbol counts")
-        object.__setattr__(self, "symbol_count", n)
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TSeries is immutable")
+        if any(c.symbol_count != n for c in coeffs):
+            raise MismatchError("TSeries coefficients over mixed symbol counts")
+        terms = {(k, *root): m for k, c in enumerate(coeffs) for root, m in c._terms.items()}
+        super().__init__(n, len(coeffs) - 1, terms)
 
     @classmethod
     def one(cls, symbol_count: int, t_max: int) -> "TSeries":
-        unit = KElement.unit(symbol_count)
-        zero = KElement.zero(symbol_count)
-        return cls([unit] + [zero] * t_max)
+        return cls([KElement.unit(symbol_count)] + [KElement.zero(symbol_count)] * t_max)
 
     @property
     def t_max(self) -> int:
-        return len(self._coeffs) - 1
+        return self._bound
 
     def coefficient(self, power: int) -> KElement:
         if not 0 <= power <= self.t_max:
             raise ValueError(f"t-power {power} out of range [0, {self.t_max}]")
-        return self._coeffs[power]
+        terms = {key[1:]: m for key, m in self._terms.items() if key[0] == power}
+        return KElement.zero(self.symbol_count)._like(terms)
 
-    def _check_compatible(self, other: "TSeries"):
-        if self.symbol_count != other.symbol_count or self.t_max != other.t_max:
-            raise MismatchError("TSeries ambients differ (symbol count or t truncation)")
-
-    def __mul__(self, other):
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        zero = KElement.zero(self.symbol_count)
-        out = [zero] * (self.t_max + 1)
-        for i, ci in enumerate(self._coeffs):
-            if ci.is_zero:
-                continue
-            for j in range(self.t_max + 1 - i):
-                cj = other._coeffs[j]
-                if cj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return TSeries(out)
+    # bench/tracer.py wraps only methods in a class's own namespace.
+    __mul__ = _TermMap.__mul__
 
     def invert(self) -> "TSeries":
-        """Inverse of a TSeries whose constant coefficient is the unit line."""
-        unit = KElement.unit(self.symbol_count)
-        if self._coeffs[0] != unit:
+        """Inverse of a TSeries whose constant coefficient is the unit line:
+        for x = 1 - N, the sum of N^k, which stops at k = t_max."""
+        if self.coefficient(0) != KElement.unit(self.symbol_count):
             raise ValueError("can only invert a TSeries with unit constant coefficient")
-        out = [unit]
-        for k in range(1, self.t_max + 1):
-            acc = KElement.zero(self.symbol_count)
-            for j in range(1, k + 1):
-                acc = acc + self._coeffs[j] * out[k - j]
-            out.append(-acc)
-        return TSeries(out)
+        return (1 - self).substitute([1] * (self.t_max + 1))
 
-    def __eq__(self, other):
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        inner = ", ".join(f"t^{k}: {c}" for k, c in enumerate(self._coeffs))
-        return f"TSeries({inner})"
+    @staticmethod
+    def _render_key(key) -> str:
+        power = "" if not key[0] else "t" if key[0] == 1 else f"t^{key[0]}"
+        return power + KElement._render_key(key[1:])
 
 
 # -- lambda and gamma operations ------------------------------------------
@@ -214,30 +192,27 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    n = x.symbol_count
-    result = TSeries.one(n, t_max)
+    result = TSeries.one(x.symbol_count, t_max)
     for root, mult in x.terms():
         g = power_coefficients([1, 1], mult, t_max)
-        factor = [x._like({tuple(k * e for e in root): int(c)}) for k, c in enumerate(g)]
-        result = result * TSeries(factor)
+        factor = {(k, *(k * e for e in root)): int(c) for k, c in enumerate(g)}
+        result = result * result._like(factor)
     return result
 
 
 def gamma_t(x: KElement, t_max: int) -> TSeries:
     """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max.
 
-    Uses s^k = sum_{j >= k} C(j-1, k-1) t^j, so each gamma coefficient is an
-    integer combination of lambda coefficients.
+    Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
+    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1).
     """
     lam = lambda_t(x, t_max)
-    n = x.symbol_count
-    out = [KElement.unit(n)]
-    for j in range(1, t_max + 1):
-        acc = KElement.zero(n)
-        for k in range(1, j + 1):
-            acc = acc + lam.coefficient(k) * comb(j - 1, k - 1)
-        out.append(acc)
-    return TSeries(out)
+    terms = {lam._unit: 1}  # gamma^0 = lambda^0 = [0]
+    for (k, *root), mult in lam._terms.items():
+        for j in range(k, t_max + 1) if k else ():
+            key = (j, *root)
+            terms[key] = terms.get(key, 0) + mult * comb(j - 1, k - 1)
+    return lam._like(terms)
 
 
 def lambda_k(x: KElement, k: int) -> KElement:
@@ -255,12 +230,11 @@ def alternating_lambda_sum(x: KElement) -> KElement:
     d = x.rank
     if d < 0:
         raise ValueError(f"alternating lambda sum needs non-negative rank, got {d}")
-    lam = lambda_t(x, d)
-    acc = KElement.zero(x.symbol_count)
-    for i in range(d + 1):
-        term = lam.coefficient(i)
-        acc = acc + (-term if i % 2 else term)
-    return acc
+    terms: dict[Root, int] = {}
+    for (k, *root), mult in lambda_t(x, d)._terms.items():
+        root = tuple(root)
+        terms[root] = terms.get(root, 0) + (-1) ** k * mult
+    return x._like(terms)
 
 
 # -- characteristic classes -------------------------------------------------

@@ -14,9 +14,12 @@ A series of one line (``e^l``, ``l/(1-e^{-l})``, ``(1+l)^m``) is a
 univariate power series, from :func:`power_coefficients`, evaluated at the
 linear form ``l`` by :meth:`GradedSeries.substitute`.
 
-``GradedSeries`` and :class:`~charcalc.lambda_ring.KElement` are both term
-maps, keyed by exponent tuples, and share their ring operations, comparison
-and rendering through :class:`_TermMap`.
+``GradedSeries``, :class:`~charcalc.lambda_ring.KElement` and
+:class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
+tuples, and share their ring operations, comparison, rendering and
+:meth:`_TermMap.substitute` through :class:`_TermMap`.  The one
+substitution also inverts both bounded maps, ``GradedSeries`` and
+``TSeries``.
 """
 
 from __future__ import annotations
@@ -71,19 +74,19 @@ def render_sum(texts) -> str:
     return out or "0"
 
 
-def _product(xs: dict, ys: dict, bound: int | None) -> dict:
+def _product(xs: dict, ys: dict, bound: int | None, degree) -> dict:
     """Term map of the product of two term maps: exponents add.  With a
-    ``bound``, terms of total degree above it are never formed: ``ys`` is
+    ``bound``, terms whose ``degree`` is above it are never formed: ``ys`` is
     grouped by degree, and a group that would overshoot is skipped."""
     if bound is None:
         by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
     else:
         by_degree = defaultdict(list)
         for mono, coeff in ys.items():
-            by_degree[sum(mono)].append((mono, coeff))
+            by_degree[degree(mono)].append((mono, coeff))
     product: dict[Monomial, Fraction] = {}
     for mono_x, coeff_x in xs.items():
-        room = 0 if bound is None else bound - sum(mono_x)
+        room = 0 if bound is None else bound - degree(mono_x)
         for degree_y, bucket in by_degree.items():
             if degree_y > room:
                 continue
@@ -95,17 +98,21 @@ def _product(xs: dict, ys: dict, bound: int | None) -> dict:
 
 
 class _TermMap:
-    """Immutable map from exponent tuples of length ``symbol_count`` to
-    nonzero coefficients, multiplied by adding exponents.
+    """Immutable map from exponent tuples to nonzero coefficients, multiplied
+    by adding exponents.  A key holds ``_lead`` leading exponents, then one
+    exponent for each of the ``symbol_count`` symbols.
 
     The ambient is the symbol count and the product bound ``_bound``: terms
-    of total degree above it are dropped, and None means no bound.  Subclasses
-    validate outside input in their public ``__init__`` and supply
-    ``terms``, ``_scalar``, ``_render_key`` and ``_times``; every result of
-    an operation is built by the trusted :meth:`_like`.
+    whose ``_degree`` is above it are dropped, and None means no bound.
+    Subclasses validate outside input in their public ``__init__`` and
+    supply ``_scalar``, ``_render_key`` and ``_times``, and ``_degree`` when
+    bounded; every result of an operation is built by the trusted
+    :meth:`_like`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_terms")
+    _lead = 0
+    _degree = None
 
     def __init__(self, symbol_count: int, bound: int | None, terms: dict):
         """Store an ambient and a term map that are already valid for it."""
@@ -127,8 +134,17 @@ class _TermMap:
         return result
 
     @property
+    def _unit(self) -> tuple:
+        """The key of the constant term."""
+        return (0,) * (self._lead + self.symbol_count)
+
+    @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def terms(self):
+        """Iterate (key, coefficient) pairs in a deterministic order."""
+        return iter(sorted(self._terms.items()))
 
     # -- ring operations ----------------------------------------------
 
@@ -151,7 +167,7 @@ class _TermMap:
         scalar = self._scalar(value)
         if scalar is None:
             return None
-        return self._like({(0,) * self.symbol_count: scalar})
+        return self._like({self._unit: scalar})
 
     # The reflected operators and subtraction go through ``self.__add__`` and
     # ``self.__mul__``, so wrapping those two on a subclass wraps every sum
@@ -185,7 +201,7 @@ class _TermMap:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_compatible(other)
-            return self._like(_product(self._terms, other._terms, self._bound))
+            return self._like(_product(self._terms, other._terms, self._bound, self._degree))
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
@@ -193,6 +209,28 @@ class _TermMap:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def substitute(self, coefficients):
+        """Sum c_k x^k for x = self, a bounded map with no term of degree 0.
+
+        Horner's rule: r = c_k + x * r from the top coefficient down.  The
+        partial sum at c_k is later multiplied by x^k, of degree at least k,
+        so it is kept only up to degree D - k; coefficients past D contribute
+        nothing.  Every c_k must be a scalar of this class.
+        """
+        if self._bound is None:
+            raise TypeError(f"{type(self).__name__} has no degree bound to substitute under")
+        if any(self._degree(key) == 0 for key in self._terms):
+            raise ValueError("the series must have zero constant term")
+        coeffs = [self._scalar(c) for c in coefficients]
+        if None in coeffs:
+            raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
+        D, unit = self._bound, self._unit
+        acc: dict = {}
+        for k in range(min(len(coeffs), D + 1) - 1, -1, -1):
+            acc = _product(acc, self._terms, D - k, self._degree)
+            acc[unit] = acc.get(unit, 0) + coeffs[k]
+        return self._like(acc)
 
     # -- comparison / display -------------------------------------------
 
@@ -239,6 +277,7 @@ class GradedSeries(_TermMap):
 
     __slots__ = ()
     _times = "*"
+    _degree = sum
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         if symbol_count < 0:
@@ -328,26 +367,6 @@ class GradedSeries(_TermMap):
         if truncation_degree > self._bound:
             raise ValueError("cannot raise the truncation degree of a series")
         return GradedSeries(self.symbol_count, truncation_degree, self._terms)
-
-    # -- univariate substitution ------------------------------------------
-
-    def substitute(self, coefficients) -> "GradedSeries":
-        """Sum c_k x^k for x = self, which must have zero constant term.
-
-        Horner's rule: r = c_k + x * r from the top coefficient down.  The
-        partial sum at c_k is later multiplied by x^k, so it is kept only up
-        to degree D - k; coefficients past D contribute nothing.
-        """
-        if self.constant_term:
-            raise ValueError("the series must have zero constant term")
-        D = self.truncation_degree
-        coeffs = [_coefficient(c) for c in coefficients][: D + 1]
-        unit = (0,) * self.symbol_count
-        acc: dict[Monomial, Fraction] = {}
-        for k in range(len(coeffs) - 1, -1, -1):
-            acc = _product(acc, self._terms, D - k)
-            acc[unit] = acc.get(unit, 0) + coeffs[k]
-        return self._like(acc)
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.

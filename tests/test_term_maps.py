@@ -1,4 +1,4 @@
-"""Behaviour shared by the two term maps, KElement and GradedSeries: the
+"""Behaviour shared by the term maps KElement, GradedSeries and TSeries: the
 checks at their public constructors, which operands the ring operations
 take, ambient mismatches, and exact rendering."""
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from charcalc.series import GradedSeries, MismatchError
-from charcalc.lambda_ring import KElement
+from charcalc.lambda_ring import KElement, TSeries
 
 OPS = [operator.add, operator.sub, operator.mul]
 
@@ -53,6 +53,46 @@ def test_kelement_drops_zero_multiplicities():
 def test_series_rejects_non_rational_coefficient(coeff):
     with pytest.raises(TypeError):
         GradedSeries(1, 2, {(0,): coeff})
+
+
+# -- TSeries boundary ------------------------------------------------------------
+
+
+def test_tseries_needs_a_coefficient():
+    with pytest.raises(ValueError):
+        TSeries([])
+
+
+@pytest.mark.parametrize(
+    "coefficients", [[1, 2], [KElement.unit(1), 3]], ids=["int-first", "int-later"]
+)
+def test_tseries_rejects_non_kelement_coefficients(coefficients):
+    with pytest.raises(TypeError, match="TSeries coefficients must be KElements"):
+        TSeries(coefficients)
+
+
+def test_tseries_rejects_mixed_symbol_counts():
+    with pytest.raises(MismatchError):
+        TSeries([KElement.unit(1), KElement.line((1, 0))])
+
+
+def test_tseries_coefficients_round_trip():
+    coefficients = [
+        KElement.unit(2),
+        KElement(2, {(1, 0): 2, (0, -1): -1}),
+        KElement.zero(2),
+        KElement(2, {(3, 1): 1, (0, 0): -4}),
+    ]
+    series = TSeries(coefficients)
+    assert series.symbol_count == 2
+    assert series.t_max == 3
+    assert [series.coefficient(k) for k in range(4)] == coefficients
+
+
+@pytest.mark.parametrize("power", [-1, 3])
+def test_tseries_coefficient_out_of_range(power):
+    with pytest.raises(ValueError):
+        TSeries.one(1, 2).coefficient(power)
 
 
 # -- operators --------------------------------------------------------------------
@@ -120,6 +160,36 @@ def test_foreign_operands_raise_type_error(left, right, op):
         op(right, left)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (TSeries.one(1, 2), TSeries.one(2, 2)),
+        (TSeries.one(1, 2), TSeries.one(1, 3)),
+    ],
+    ids=["symbols", "t-max"],
+)
+def test_tseries_product_mismatch_across_ambients(left, right):
+    with pytest.raises(MismatchError):
+        left * right
+    with pytest.raises(MismatchError):
+        right * left
+
+
+@pytest.mark.parametrize(
+    "value, coefficients",
+    [
+        (GradedSeries.symbol(0, 1, 3), [1, 0.5]),
+        (GradedSeries.symbol(0, 1, 3), [1, True]),
+        (TSeries([KElement.zero(1), KElement.unit(1)]), [1, Fraction(1, 2)]),
+        (KElement.line((1,)), [1, 1]),
+    ],
+    ids=["series-float", "series-bool", "tseries-fraction", "kelement-unbounded"],
+)
+def test_substitute_refuses_foreign_coefficients(value, coefficients):
+    with pytest.raises(TypeError):
+        value.substitute(coefficients)
+
+
 def test_series_and_kelement_never_equal():
     series, element = GradedSeries.one(1, 2), KElement.unit(1)
     assert not series == element
@@ -127,6 +197,26 @@ def test_series_and_kelement_never_equal():
     assert not element == series
     assert GradedSeries.one(1, 2) != 1
     assert KElement.unit(1) != 1
+
+
+@pytest.mark.parametrize(
+    "other", [KElement.unit(1), GradedSeries.one(1, 0), 1], ids=["kelement", "series", "int"]
+)
+def test_tseries_never_equals_another_type(other):
+    series = TSeries.one(1, 0)
+    assert not series == other
+    assert series != other
+    assert not other == series
+
+
+def test_tseries_is_immutable_and_unhashable():
+    series = TSeries.one(1, 2)
+    with pytest.raises(AttributeError):
+        series.symbol_count = 3
+    with pytest.raises(AttributeError):
+        series.extra = 1
+    with pytest.raises(TypeError):
+        hash(series)
 
 
 def test_both_are_immutable_and_unhashable():
@@ -165,3 +255,19 @@ def test_series_rendering():
     assert str(GradedSeries.one(1, 2)) == "1"
     assert str(-GradedSeries.one(1, 2)) == "-1"
     assert str(GradedSeries(1, 2, {(0,): -1, (2,): Fraction(-1, 3)})) == "-1 - 1/3*a1^2"
+
+
+def test_tseries_rendering():
+    s = TSeries(
+        [
+            KElement(2, {(0, 0): -2}),
+            KElement(2, {(1, 0): 3, (0, 0): 1}),
+            KElement(2, {(1, -1): -1, (2, 0): 1}),
+        ]
+    )
+    text = "-2[0] + t[0] + 3t[a1] - t^2[a1-a2] + t^2[2a1]"
+    assert str(s) == text
+    assert repr(s) == f"TSeries(n=2, D=2, {text})"
+    assert str(TSeries([KElement.zero(1)])) == "0"
+    assert repr(TSeries([KElement.zero(1)])) == "TSeries(n=1, D=0, 0)"
+    assert repr(TSeries.one(1, 2)) == "TSeries(n=1, D=2, [0])"
