@@ -43,7 +43,7 @@ from .verify import (
 )
 
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
-DEFAULT_RANK_CAP = 6
+DEFAULT_RANK_CAP = 12
 HOM_LAW_SEED = 0
 # Bounds on an explicit --max-degree: the degree itself, and the number of
 # monomials C(n + D, D) of a dense series in n = --rank-max symbols at

@@ -7,7 +7,10 @@ ambient symbols ``a1..an`` (tensoring lines adds the vectors, so the group
 ring multiplication adds roots).  On top of that live the exterior-power
 generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
-class, and Todd class.
+class, and Todd class.  For elements invariant under permuting the symbols,
+:func:`symmetric_ch` and :func:`generic_lines_class` give the Chern
+character and the multiplicative classes of generic lines as
+:class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit.
 
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
@@ -25,7 +28,15 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import itemgetter
 
-from .series import GradedSeries, MismatchError, Monomial, _TermMap, power_coefficients
+from .series import (
+    GradedSeries,
+    MismatchError,
+    Monomial,
+    SymmetricSeries,
+    _TermMap,
+    dominant_exponents,
+    power_coefficients,
+)
 
 Root = tuple[int, ...]
 
@@ -284,16 +295,73 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
     return total_chern(x, D).component(k)
 
 
-def todd(x: KElement, truncation_degree: int) -> GradedSeries:
-    """Todd class: multiplicative, with line value l / (1 - e^{-l}).
+def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
+    """Coefficients of (l / (1 - e^{-l}))^mult up to l^truncation_degree: the
+    Todd class of mult copies of a line l.
 
-    That value is f(l)^(-1) for f(l) = (1 - e^{-l}) / l
-    = sum_k (-l)^k / (k+1)!, so m lines of root r contribute f(l)^(-m).
+    The line value is f(l)^(-1) for f(l) = (1 - e^{-l}) / l
+    = sum_k (-l)^k / (k+1)!, so mult lines contribute f(l)^(-mult).
     """
+    f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(truncation_degree + 1)]
+    return power_coefficients(f, -mult, truncation_degree)
+
+
+def todd(x: KElement, truncation_degree: int) -> GradedSeries:
+    """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
     D = truncation_degree
-    f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(D + 1)]
     acc = GradedSeries.one(x.symbol_count, D)
     for root, mult in x.terms():
-        g = power_coefficients(f, -mult, D)
-        acc = acc * GradedSeries.linear_form(root, D).substitute(g)
+        acc = acc * GradedSeries.linear_form(root, D).substitute(todd_line(mult, D))
     return acc
+
+
+# -- classes of symmetric elements, one coefficient per S_n-orbit -------------
+
+
+def symmetric_ch(x: KElement, truncation_degree: int) -> SymmetricSeries:
+    """Chern character of an x invariant under permuting the symbols, as a
+    :class:`~charcalc.series.SymmetricSeries`.
+
+    The coefficient at a dominant e is S(e) / prod e_i! as in :func:`ch`.  If
+    e has k nonzero entries, only the lines whose first k root entries are
+    all nonzero add to S(e), so the lines are summed once per such prefix.
+    An x that some adjacent transposition of the symbols changes is refused
+    with ValueError.
+    """
+    D, n, lines = truncation_degree, x.symbol_count, x._terms
+    prefixes: list[dict[Root, int]] = [{} for _ in range(min(n, D) + 1)]
+    for root, mult in lines.items():
+        for i in range(n - 1):
+            if root[i] != root[i + 1]:
+                swapped = root[:i] + (root[i + 1], root[i]) + root[i + 2:]
+                if lines.get(swapped, 0) != mult:
+                    raise ValueError(
+                        f"not invariant under permuting the symbols: {KElement._render_key(root)} "
+                        f"has multiplicity {mult}, {KElement._render_key(swapped)} has "
+                        f"{lines.get(swapped, 0)}"
+                    )
+        for k, sums in enumerate(prefixes):
+            if k and not root[k - 1]:
+                break
+            sums[root[:k]] = sums.get(root[:k], 0) + mult
+    factorials = [factorial(k) for k in range(D + 1)]
+    terms = {}
+    for e in dominant_exponents(n, D):
+        k = n - e.count(0)
+        s = sum(m * prod(r ** a for r, a in zip(head, e)) for head, m in prefixes[k].items())
+        if s:
+            terms[e] = Fraction(s, prod(factorials[a] for a in e))
+    return SymmetricSeries(n, D)._like(terms)
+
+
+def generic_lines_class(line, symbol_count: int, truncation_degree: int) -> SymmetricSeries:
+    """The multiplicative class of the n generic lines a1 + ... + an whose
+    value on one line l is sum_k line[k] l^k (missing coefficients are
+    zero): the product of line(a_i), whose coefficient at a dominant e is
+    prod_i line[e_i] (Hirzebruch, *Topological Methods in Algebraic
+    Geometry*, section 1)."""
+    D = truncation_degree
+    f = list(line)[: D + 1]
+    f += [0] * (D + 1 - len(f))
+    terms = {e: prod(f[a] for a in e) for e in dominant_exponents(symbol_count, D)}
+    return SymmetricSeries(symbol_count, D, terms)

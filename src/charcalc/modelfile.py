@@ -114,8 +114,9 @@ def _parse_fiber(raw, where: str) -> FiberModel:
 def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
     """Parse and validate a model document.
 
-    Raises ModelParseError (with line/column for JSON syntax problems) or
-    ModelValidationError for structurally invalid data.
+    Raises ModelParseError (with line/column for JSON syntax problems, and
+    for integer literals too long to convert or nesting too deep to decode)
+    or ModelValidationError for structurally invalid data.
     """
     try:
         raw = json.loads(text)
@@ -123,6 +124,10 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
         raise ModelParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ModelParseError(f"{source}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelParseError(f"{source}: invalid JSON: nested too deeply") from exc
     data = _require_object(raw, source, {"relative_dimension", "fibers"}, {"generic_euler"})
     generic_euler = None
     if "generic_euler" in data:
@@ -148,4 +153,6 @@ def load_model(path) -> ArithmeticModel:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_model(text, source=str(path))

@@ -14,19 +14,26 @@ A series of one line (``e^l``, ``l/(1-e^{-l})``, ``(1+l)^m``) is a
 univariate power series, from :func:`power_coefficients`, evaluated at the
 linear form ``l`` by :meth:`GradedSeries.substitute`.
 
-``GradedSeries``, :class:`~charcalc.lambda_ring.KElement` and
+A :class:`SymmetricSeries` is a series invariant under permuting the
+symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
+``GradedSeries`` only in how two of them multiply.
+
+``GradedSeries``, ``SymmetricSeries``,
+:class:`~charcalc.lambda_ring.KElement` and
 :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
 tuples, and share their ring operations, comparison, rendering and
-:meth:`_TermMap.substitute` through :class:`_TermMap`.  The one
-substitution also inverts both bounded maps, ``GradedSeries`` and
-``TSeries``.
+:meth:`_TermMap.substitute` through :class:`_TermMap`; each class's
+:meth:`_TermMap._product` multiplies two term maps.  The one substitution
+also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from itertools import chain, combinations_with_replacement, groupby
+from itertools import product as product_of
+from math import factorial, prod
 from numbers import Rational
 
 Monomial = tuple[int, ...]
@@ -74,27 +81,46 @@ def render_sum(texts) -> str:
     return out or "0"
 
 
-def _product(xs: dict, ys: dict, bound: int | None, degree) -> dict:
-    """Term map of the product of two term maps: exponents add.  With a
-    ``bound``, terms whose ``degree`` is above it are never formed: ``ys`` is
-    grouped by degree, and a group that would overshoot is skipped."""
-    if bound is None:
-        by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
-    else:
-        by_degree = defaultdict(list)
-        for mono, coeff in ys.items():
-            by_degree[degree(mono)].append((mono, coeff))
-    product: dict[Monomial, Fraction] = {}
-    for mono_x, coeff_x in xs.items():
-        room = 0 if bound is None else bound - degree(mono_x)
-        for degree_y, bucket in by_degree.items():
-            if degree_y > room:
-                continue
-            for mono_y, coeff_y in bucket:
-                key = tuple(a + b for a, b in zip(mono_x, mono_y))
-                value = product.get(key)
-                product[key] = coeff_x * coeff_y if value is None else value + coeff_x * coeff_y
-    return product
+def dominant_exponents(symbol_count: int, degree: int):
+    """Every non-increasing exponent tuple of ``symbol_count`` entries and
+    total degree at most ``degree``: one key per S_n-orbit of monomials."""
+
+    def extend(head, top, room, left):
+        if not left:
+            yield head
+            return
+        for k in range(min(top, room) + 1):
+            yield from extend(head + (k,), k, room - k, left - 1)
+
+    return extend((), degree, degree, symbol_count)
+
+
+def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=False) -> dict:
+    """Validated term map of outside input: exponent tuples of the right
+    length with non-negative ``int`` entries (non-increasing when
+    ``dominant``) and exact coefficients.  Zero coefficients and terms above
+    the truncation degree are dropped."""
+    if symbol_count < 0:
+        raise ValueError("symbol_count must be non-negative")
+    if truncation_degree < 0:
+        raise ValueError("truncation_degree must be non-negative")
+    canonical: dict[Monomial, Fraction] = {}
+    for mono, coeff in (terms or {}).items():
+        mono = tuple(mono)
+        if len(mono) != symbol_count:
+            raise ValueError(
+                f"monomial {mono} has {len(mono)} exponents, expected {symbol_count}"
+            )
+        if any(not isinstance(e, int) or e < 0 for e in mono):
+            raise ValueError(f"monomial {mono} has invalid exponents")
+        if dominant and any(a < b for a, b in zip(mono, mono[1:])):
+            raise ValueError(f"monomial {mono} is not dominant (non-increasing)")
+        if sum(mono) > truncation_degree:
+            continue
+        value = _coefficient(coeff)
+        if value:
+            canonical[mono] = value
+    return canonical
 
 
 class _TermMap:
@@ -107,7 +133,7 @@ class _TermMap:
     Subclasses validate outside input in their public ``__init__`` and
     supply ``_scalar``, ``_render_key`` and ``_times``, and ``_degree`` when
     bounded; every result of an operation is built by the trusted
-    :meth:`_like`.
+    :meth:`_like`, and every product of two term maps by :meth:`_product`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_terms")
@@ -143,8 +169,19 @@ class _TermMap:
         return not self._terms
 
     def terms(self):
-        """Iterate (key, coefficient) pairs in a deterministic order."""
-        return iter(sorted(self._terms.items()))
+        """Iterate (key, coefficient) pairs in a deterministic order: by
+        degree first when the map is bounded, then by key."""
+        if self._degree is None:
+            return iter(sorted(self._terms.items()))
+        degree = self._degree
+        return iter(sorted(self._terms.items(), key=lambda kv: (degree(kv[0]), kv[0])))
+
+    def component(self, degree: int):
+        """The homogeneous part of the given degree."""
+        if not 0 <= degree <= self._bound:
+            raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
+        degree_of = self._degree
+        return self._like({k: c for k, c in self._terms.items() if degree_of(k) == degree})
 
     # -- ring operations ----------------------------------------------
 
@@ -201,7 +238,7 @@ class _TermMap:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_compatible(other)
-            return self._like(_product(self._terms, other._terms, self._bound, self._degree))
+            return self._like(self._product(self._terms, other._terms, self._bound))
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
@@ -209,6 +246,29 @@ class _TermMap:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def _product(self, xs: dict, ys: dict, bound: int | None) -> dict:
+        """Term map of the product of two term maps: exponents add.  With a
+        ``bound``, terms whose degree is above it are never formed: ``ys`` is
+        grouped by degree, and a group that would overshoot is skipped."""
+        degree = self._degree
+        if bound is None:
+            by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
+        else:
+            by_degree = defaultdict(list)
+            for mono, coeff in ys.items():
+                by_degree[degree(mono)].append((mono, coeff))
+        product: dict = {}
+        for mono_x, coeff_x in xs.items():
+            room = 0 if bound is None else bound - degree(mono_x)
+            for degree_y, bucket in by_degree.items():
+                if degree_y > room:
+                    continue
+                for mono_y, coeff_y in bucket:
+                    key = tuple(a + b for a, b in zip(mono_x, mono_y))
+                    value = product.get(key)
+                    product[key] = coeff_x * coeff_y if value is None else value + coeff_x * coeff_y
+        return product
 
     def substitute(self, coefficients):
         """Sum c_k x^k for x = self, a bounded map with no term of degree 0.
@@ -228,7 +288,7 @@ class _TermMap:
         D, unit = self._bound, self._unit
         acc: dict = {}
         for k in range(min(len(coeffs), D + 1) - 1, -1, -1):
-            acc = _product(acc, self._terms, D - k, self._degree)
+            acc = self._product(acc, self._terms, D - k)
             acc[unit] = acc.get(unit, 0) + coeffs[k]
         return self._like(acc)
 
@@ -280,25 +340,8 @@ class GradedSeries(_TermMap):
     _degree = sum
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
-        if symbol_count < 0:
-            raise ValueError("symbol_count must be non-negative")
-        if truncation_degree < 0:
-            raise ValueError("truncation_degree must be non-negative")
-        canonical: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != symbol_count:
-                raise ValueError(
-                    f"monomial {mono} has {len(mono)} exponents, expected {symbol_count}"
-                )
-            if any(not isinstance(e, int) or e < 0 for e in mono):
-                raise ValueError(f"monomial {mono} has invalid exponents")
-            if sum(mono) > truncation_degree:
-                continue
-            value = _coefficient(coeff)
-            if value:
-                canonical[mono] = value
-        super().__init__(symbol_count, truncation_degree, canonical)
+        terms = _monomial_terms(symbol_count, truncation_degree, terms)
+        super().__init__(symbol_count, truncation_degree, terms)
 
     @property
     def truncation_degree(self) -> int:
@@ -311,6 +354,7 @@ class GradedSeries(_TermMap):
     # bench/tracer.py wraps only methods in a class's own namespace.
     __add__ = _TermMap.__add__
     __mul__ = _TermMap.__mul__
+    component = _TermMap.component
 
     # -- constructors -------------------------------------------------
 
@@ -344,22 +388,12 @@ class GradedSeries(_TermMap):
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self):
-        """Iterate (monomial, coefficient) pairs in a deterministic order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
     def coefficient(self, monomial) -> Fraction:
         return self._terms.get(tuple(monomial), Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.symbol_count, Fraction(0))
-
-    def component(self, degree: int) -> "GradedSeries":
-        """The homogeneous part of the given total degree."""
-        if not 0 <= degree <= self._bound:
-            raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
-        return self._like({m: c for m, c in self._terms.items() if sum(m) == degree})
 
     def truncate(self, truncation_degree: int) -> "GradedSeries":
         """Reduce the truncation degree, discarding higher terms (the public
@@ -396,3 +430,74 @@ class GradedSeries(_TermMap):
             elif e > 1:
                 parts.append(f"a{i + 1}^{e}")
         return "*".join(parts)
+
+
+class SymmetricSeries(_TermMap):
+    """Series in ``symbol_count`` symbols that is invariant under permuting
+    them, truncated at total degree ``truncation_degree``, stored as one
+    coefficient per S_n-orbit of monomials.
+
+    An orbit is keyed by its dominant (non-increasing) exponent tuple e, and
+    every monomial of the orbit has the coefficient stored at e: the series
+    is sum_e c_e m_e over the monomial symmetric functions m_e (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, I.2).  The constructor
+    validates that every key is dominant; sums, scalars, comparison,
+    rendering and :meth:`_TermMap.substitute` are shared with
+    :class:`GradedSeries`, and only :meth:`_product` differs.
+    """
+
+    __slots__ = ()
+    _times = "*"
+    _degree = sum
+    _scalar = staticmethod(GradedSeries._scalar)
+
+    def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
+        terms = _monomial_terms(symbol_count, truncation_degree, terms, dominant=True)
+        super().__init__(symbol_count, truncation_degree, terms)
+
+    def _product(self, xs: dict, ys: dict, bound: int) -> dict:
+        """At a dominant e the product is sum over 0 <= alpha <= e of
+        x[sort alpha] * y[sort(e - alpha)].
+
+        Permuting alpha inside a run of equal entries of e changes neither
+        sorted tuple, so alpha is chosen run by run as a multiset, weighted
+        by its number of orderings.
+        """
+        if not xs or not ys:
+            return {}
+        low = min(map(sum, xs)) + min(map(sum, ys))
+        product: dict[Monomial, Fraction] = {}
+        for e in dominant_exponents(self.symbol_count, bound):
+            if sum(e) < low:
+                continue
+            choices = [
+                [(piece, tuple(value - a for a in piece), _orderings(piece))
+                 for piece in combinations_with_replacement(range(value, -1, -1), len(list(run)))]
+                for value, run in groupby(e)
+            ]
+            total = 0
+            for pick in product_of(*choices):
+                alpha = tuple(sorted(chain.from_iterable(p[0] for p in pick), reverse=True))
+                x = xs.get(alpha)
+                if x is None:
+                    continue
+                rest = tuple(sorted(chain.from_iterable(p[1] for p in pick), reverse=True))
+                y = ys.get(rest)
+                if y is not None:
+                    total += prod(p[2] for p in pick) * x * y
+            if total:
+                product[e] = total
+        return product
+
+    def _render_key(self, key: Monomial) -> str:
+        """``m(e1,e2,...)`` over the nonzero entries; empty for the constant."""
+        parts = [str(e) for e in key if e]
+        return f"m({','.join(parts)})" if parts else ""
+
+
+def _orderings(piece: tuple) -> int:
+    """The number of distinct orderings of a tuple."""
+    count = factorial(len(piece))
+    for value in set(piece):
+        count //= factorial(piece.count(value))
+    return count

@@ -9,6 +9,8 @@ from charcalc.cli import main
 from charcalc.conductor import PRIME_LIMIT, conductor
 from charcalc.modelfile import load_model
 
+from test_modelfile import HOSTILE_MODELS
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -38,7 +40,7 @@ def test_verify_unknown_check_is_usage_error(capsys):
 
 
 def test_verify_rank_cap(capsys):
-    code, _, err = run(capsys, "verify", "--rank-min", "1", "--rank-max", "9")
+    code, _, err = run(capsys, "verify", "--rank-min", "1", "--rank-max", "13")
     assert code == 2
     assert "combinatorially" in err
 
@@ -257,6 +259,17 @@ def test_normalization_error_is_validation_error(tmp_path, capsys, command, case
     assert code == 2
     assert out == ""
     assert err == f"error: fiber at p=7: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["conductor", "explain"])
+@pytest.mark.parametrize("case", sorted(HOSTILE_MODELS))
+def test_hostile_model_file_is_parse_error(tmp_path, capsys, command, case):
+    content, message = HOSTILE_MODELS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 # -- explain ------------------------------------------------------------------

@@ -51,7 +51,7 @@ VERIFY_CASES = {
     "max-degree-clamped": ["--rank-max", "3", "--max-degree", "1"],
     "max-degree-negative": ["--checks", "borel_serre", "--rank-max", "2", "--max-degree", "-5"],
     "unknown-check": ["--checks", "gala,nonsense"],
-    "rank-over-cap": ["--rank-max", "7"],
+    "rank-over-cap": ["--rank-max", "13"],
     "rank-min-zero": ["--rank-min", "0"],
 }
 

@@ -145,3 +145,27 @@ def test_load_model_from_disk(tmp_path):
     path.write_text(json.dumps(i2_document()), encoding="utf-8")
     model = load_model(path)
     assert model.fibers[0].prime == 5
+
+
+# Files that used to escape the loader as a ValueError, RecursionError or
+# UnicodeDecodeError traceback: (bytes, message the ModelParseError carries).
+HOSTILE_MODELS = {
+    "long-integer": (
+        b'{"relative_dimension": ' + b"9" * 5000 + b', "fibers": []}',
+        "invalid JSON: Exceeds the limit",
+    ),
+    "deep-nesting": (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply"),
+    "not-utf8": (
+        b'{"relative_dimension": 1, "fibers": [], "x": "\xff\xfe"}',
+        "not UTF-8 text: invalid start byte at byte 46",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_MODELS))
+def test_hostile_file_is_parse_error(tmp_path, case):
+    content, message = HOSTILE_MODELS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(content)
+    with pytest.raises(ModelParseError, match=message):
+        load_model(path)

@@ -1,9 +1,10 @@
 """Hypothesis properties of the univariate power helper, of Horner
 substitution, of the Chern character against its exp-per-line definition,
-and of the strata-lattice round trip."""
+of the S_n-orbit Chern character and product against the dense ones, and
+of the strata-lattice round trip."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +15,7 @@ from charcalc.conductor import (
     closed_strata_from_open,
     open_strata_from_closed,
 )
-from charcalc.lambda_ring import KElement, ch, gamma_k
+from charcalc.lambda_ring import KElement, ch, gamma_k, symmetric_ch
 from charcalc.series import GradedSeries, power_coefficients
 from charcalc.verify import generic_lines
 
@@ -107,6 +108,42 @@ def test_ch_of_gamma_matches_exp_per_line_at_rank_6():
     n = 6
     x = gamma_k(generic_lines(n) - n * KElement.unit(n), n - 1)
     assert ch(x, n + 1)._terms == ch_by_exp(x, n + 1)._terms
+
+
+# -- the S_n-orbit Chern character and product ----------------------------------
+
+
+def dominant_part(series: GradedSeries) -> dict:
+    """The terms of a dense series at non-increasing exponent tuples."""
+    return {key: c for key, c in series.terms() if list(key) == sorted(key, reverse=True)}
+
+
+@st.composite
+def symmetric_elements(draw, n):
+    """The orbit closure of one to three random roots: each root's
+    multiplicity is added at every permutation of it."""
+    terms: dict[tuple, int] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        root = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        mult = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        for image in set(permutations(root)):
+            terms[image] = terms.get(image, 0) + mult
+    return KElement(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4), D=st.integers(0, 6))
+def test_symmetric_ch_and_product_match_dense(data, n, D):
+    x = data.draw(symmetric_elements(n))
+    y = data.draw(symmetric_elements(n))
+    sx, sy = symmetric_ch(x, D), symmetric_ch(y, D)
+    assert dict(sx.terms()) == dominant_part(ch(x, D))
+    assert dict((sx * sy).terms()) == dominant_part(ch(x, D) * ch(y, D))
+    # the shared substitution runs on the orbit product
+    coeffs = list(range(1, D + 2))
+    assert dict((sx - x.rank).substitute(coeffs).terms()) == dominant_part(
+        (ch(x, D) - x.rank).substitute(coeffs)
+    )
 
 
 # -- strata lattice ---------------------------------------------------------------

@@ -223,13 +223,18 @@ def test_differences_k_elements():
 def test_failing_verifiers_report_bounded_detail(monkeypatch):
     import charcalc.verify as verify
 
-    # a wrong Todd class breaks both Todd identities in many terms
-    monkeypatch.setattr(verify, "todd", verify.total_chern)
+    # total Chern's line coefficients in place of Todd's break both Todd
+    # identities; the details count S_n-orbits, not monomials
+    monkeypatch.setattr(verify, "todd_line", lambda mult, degree: [1, 1])
     result = verify.verify_borel_serre(3, 6)
     assert not result.ok
-    assert "terms differ, lowest degree 4; " in result.detail
-    assert result.detail.count(" vs ") == 5
+    assert result.detail.startswith("6 terms differ, lowest degree 4; ")
+    assert result.detail.count(" vs ") == verify.DIFF_SAMPLES
     result = verify.verify_prop_chtd(4)
     assert not result.ok
-    assert result.detail.startswith("degree 4 component: 13 terms differ, lowest degree 4; ")
-    assert result.detail.count(" vs ") == 5
+    # in degree n a Todd class can reach only the orbits of a1*...*an and
+    # a1^2*a2*...*a_{n-1}, so both differences are listed in full
+    assert result.detail == (
+        "degree 4 component: 2 terms differ, lowest degree 4; "
+        "m(1,1,1,1): -4 vs -2; m(2,1,1): -1/2 vs 0"
+    )
