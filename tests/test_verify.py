@@ -232,8 +232,8 @@ def test_failing_verifiers_report_bounded_detail(monkeypatch):
     assert result.detail.count(" vs ") == verify.DIFF_SAMPLES
     result = verify.verify_prop_chtd(4)
     assert not result.ok
-    # in degree n a Todd class can reach only the orbits of a1*...*an and
-    # a1^2*a2*...*a_{n-1}, so both differences are listed in full
+    # the degree-n component of P has only two orbits, those of a1*...*an
+    # and a1^2*a2*...*a_{n-1}, so fewer than DIFF_SAMPLES can differ
     assert result.detail == (
         "degree 4 component: 2 terms differ, lowest degree 4; "
         "m(1,1,1,1): -4 vs -2; m(2,1,1): -1/2 vs 0"
