@@ -45,9 +45,9 @@ from .verify import (
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
 HOM_LAW_SEED = 0
-# Bounds on an explicit --max-degree: the degree itself, and the number of
-# monomials C(n + D, D) of a dense series in n = --rank-max symbols at
-# D = max(--max-degree, n + 1).  C(15, 7) is ch_gamma at n = 7, D = 8.
+# Bounds on an explicit --max-degree: the degree and, once it passes n + 1 (the
+# largest degree a default run builds), the C(n + D, D) monomials of a dense series
+# in n = --rank-max symbols at D = --max-degree; C(15, 7) is ch_gamma at n = 7, D = 8.
 MAX_DEGREE_LIMIT = 64
 MAX_SERIES_TERMS = math.comb(15, 7)
 
@@ -146,7 +146,8 @@ def _verify_refusal(names, args) -> str | None:
             return f"--max-degree must be non-negative, got {args.max_degree}"
         D = max(args.max_degree, args.rank_max + 1)
         terms = math.comb(args.rank_max + D, D)
-        if args.max_degree > MAX_DEGREE_LIMIT or terms > MAX_SERIES_TERMS:
+        costly = D > args.rank_max + 1 and terms > MAX_SERIES_TERMS
+        if args.max_degree > MAX_DEGREE_LIMIT or costly:
             return (
                 f"--max-degree {args.max_degree} at --rank-max {args.rank_max} "
                 f"means series of up to {terms} terms; the limits are degree "

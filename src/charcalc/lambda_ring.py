@@ -204,9 +204,9 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     result = TSeries.one(x.symbol_count, t_max)
+    lines = {m: power_coefficients([1, 1], m, t_max) for m in set(x._terms.values())}
     for root, mult in x.terms():
-        g = power_coefficients([1, 1], mult, t_max)
-        factor = {(k, *(k * e for e in root)): int(c) for k, c in enumerate(g)}
+        factor = {(k, *(k * e for e in root)): int(c) for k, c in enumerate(lines[mult])}
         result = result * result._like(factor)
     return result
 
@@ -281,9 +281,9 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
     acc = GradedSeries.one(x.symbol_count, truncation_degree)
+    lines = {m: power_coefficients([1, 1], m, truncation_degree) for m in set(x._terms.values())}
     for root, mult in x.terms():
-        g = power_coefficients([1, 1], mult, truncation_degree)
-        acc = acc * GradedSeries.linear_form(root, truncation_degree).substitute(g)
+        acc = acc * GradedSeries.linear_form(root, truncation_degree).substitute(lines[mult])
     return acc
 
 
@@ -310,8 +310,9 @@ def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
     D = truncation_degree
     acc = GradedSeries.one(x.symbol_count, D)
+    lines = {m: todd_line(m, D) for m in set(x._terms.values())}
     for root, mult in x.terms():
-        acc = acc * GradedSeries.linear_form(root, D).substitute(todd_line(mult, D))
+        acc = acc * GradedSeries.linear_form(root, D).substitute(lines[mult])
     return acc
 
 

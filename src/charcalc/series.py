@@ -18,23 +18,28 @@ A :class:`SymmetricSeries` is a series invariant under permuting the
 symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
 ``GradedSeries`` only in how two of them multiply.
 
-``GradedSeries``, ``SymmetricSeries``,
-:class:`~charcalc.lambda_ring.KElement` and
-:class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
+``GradedSeries``, ``SymmetricSeries``, :class:`~charcalc.lambda_ring.KElement`
+and :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
 tuples, and share their ring operations, comparison, rendering and
 :meth:`_TermMap.substitute` through :class:`_TermMap`; each class's
 :meth:`_TermMap._product` multiplies two term maps.  The one substitution
 also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
+
+The shared product and substitution run on integers, as FLINT's ``fmpq_poly``
+does: integer numerators over one common denominator per operand, one division
+per result term, and ``int`` coefficients (``KElement``, ``TSeries``) as they are.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as product_of
-from math import factorial, prod
+from math import factorial, lcm, prod
 from numbers import Rational
+from operator import add
 
 Monomial = tuple[int, ...]
 
@@ -49,6 +54,14 @@ def _coefficient(value) -> Fraction:
     if not isinstance(value, Rational) or isinstance(value, bool):
         raise TypeError(f"coefficient must be an integer or Fraction, got {value!r}")
     return Fraction(value)
+
+
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """Integer numerators of ``terms`` over the lcm of its denominators; an ``int`` map as is."""
+    if all(isinstance(c, int) for c in terms.values()):
+        return terms, 1
+    d = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
 
 
 def power_coefficients(f, m: int, degree: int) -> list[Fraction]:
@@ -250,25 +263,29 @@ class _TermMap:
     def _product(self, xs: dict, ys: dict, bound: int | None) -> dict:
         """Term map of the product of two term maps: exponents add.  With a
         ``bound``, terms whose degree is above it are never formed: ``ys`` is
-        grouped by degree, and a group that would overshoot is skipped."""
+        grouped by degree, and a group that would overshoot is skipped.  The
+        pairs multiply as integer :func:`_numerators`, and each surviving term
+        is divided once; two maps of ``int`` coefficients give ``int``s."""
+        (nx, dx), (ny, dy) = _numerators(xs), _numerators(ys)
         degree = self._degree
         if bound is None:
-            by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
+            by_degree = {0: ny.items()}  # one group of degree 0, which fits in room 0
         else:
             by_degree = defaultdict(list)
-            for mono, coeff in ys.items():
+            for mono, coeff in ny.items():
                 by_degree[degree(mono)].append((mono, coeff))
         product: dict = {}
-        for mono_x, coeff_x in xs.items():
+        for mono_x, coeff_x in nx.items():
             room = 0 if bound is None else bound - degree(mono_x)
             for degree_y, bucket in by_degree.items():
                 if degree_y > room:
                     continue
                 for mono_y, coeff_y in bucket:
-                    key = tuple(a + b for a, b in zip(mono_x, mono_y))
-                    value = product.get(key)
-                    product[key] = coeff_x * coeff_y if value is None else value + coeff_x * coeff_y
-        return product
+                    key = tuple(map(add, mono_x, mono_y))
+                    product[key] = product.get(key, 0) + coeff_x * coeff_y
+        if nx is xs and ny is ys:
+            return product
+        return {key: Fraction(value, dx * dy) for key, value in product.items() if value}
 
     def substitute(self, coefficients):
         """Sum c_k x^k for x = self, a bounded map with no term of degree 0.
@@ -276,21 +293,26 @@ class _TermMap:
         Horner's rule: r = c_k + x * r from the top coefficient down.  The
         partial sum at c_k is later multiplied by x^k, of degree at least k,
         so it is kept only up to degree D - k; coefficients past D contribute
-        nothing.  Every c_k must be a scalar of this class.
+        nothing.  Every c_k must be a scalar of this class.  With x = X/d and
+        c_k = C_k/q, the integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1)
+        give the result A_0 / (q d^K), with one division per term.
         """
         if self._bound is None:
             raise TypeError(f"{type(self).__name__} has no degree bound to substitute under")
         if any(self._degree(key) == 0 for key in self._terms):
             raise ValueError("the series must have zero constant term")
-        coeffs = [self._scalar(c) for c in coefficients]
-        if None in coeffs:
+        coeffs = dict(enumerate(self._scalar(c) for c in coefficients))
+        if None in coeffs.values():
             raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
-        D, unit = self._bound, self._unit
+        D, unit, K = self._bound, self._unit, min(len(coeffs), self._bound + 1) - 1
+        (X, d), (C, q) = _numerators(self._terms), _numerators(coeffs)
         acc: dict = {}
-        for k in range(min(len(coeffs), D + 1) - 1, -1, -1):
-            acc = self._product(acc, self._terms, D - k)
-            acc[unit] = acc.get(unit, 0) + coeffs[k]
-        return self._like(acc)
+        for k in range(K, -1, -1):
+            acc = self._product(acc, X, D - k)
+            acc[unit] = acc.get(unit, 0) + C[k] * d ** (K - k)
+        if X is self._terms and C is coeffs:
+            return self._like(acc)
+        return self._like({key: Fraction(value, q * d**K) for key, value in acc.items() if value})
 
     # -- comparison / display -------------------------------------------
 

@@ -85,6 +85,15 @@ def test_verify_accepts_largest_budgets(capsys):
     assert "PASS ch_gamma max_degree=64 n=1" in out
 
 
+def test_verify_accepts_clamping_max_degree_at_rank_8(capsys):
+    # --max-degree 0 keeps every default degree, so it runs what the plain
+    # command runs; it used to be sized as a dense series at degree 9
+    argv = ["verify", "--checks", "gala", "--rank-min", "8", "--rank-max", "8"]
+    code, out, err = run(capsys, *argv, "--max-degree", "0")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1]
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--rank-min", "3", "--rank-max", "2")
     assert code == 2
