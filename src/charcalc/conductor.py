@@ -16,9 +16,9 @@ of it read those records.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 
@@ -293,19 +293,15 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
     sum of sign^(|J2| - |J|) * values[J2] over the strata J2 containing J.
 
     sign = -1 turns closed characteristics into open ones and sign = +1
-    turns open ones back into closed ones.  The strata containing J are
-    drawn from the component of J that lies on the fewest strata.
+    turns open ones back into closed ones.  Each J2 adds its term to its
+    proper subsets that are strata (validate_fiber makes them all strata).
     """
-    containing: dict[str, list[frozenset[str]]] = defaultdict(list)
-    for J in values:
-        for cid in J:
-            containing[cid].append(J)
-    out = {}
-    for J in values:
-        candidates = min((containing[cid] for cid in J), key=len)
-        out[J] = sum(
-            sign ** (len(J2) - len(J)) * values[J2] for J2 in candidates if J <= J2
-        )
+    out = dict(values)
+    for J2, value in values.items():
+        for size in range(1, len(J2)):
+            for J in map(frozenset, combinations(J2, size)):
+                if J in out:
+                    out[J] += sign ** (len(J2) - size) * value
     return out
 
 

@@ -7,7 +7,9 @@ ambient symbols ``a1..an`` (tensoring lines adds the vectors, so the group
 ring multiplication adds roots).  On top of that live the exterior-power
 generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
-class, and Todd class.  For elements invariant under permuting the symbols,
+class, and Todd class; the last two are exp of the first with its degree-k
+part weighted by k! (log f)_k, for f the line value, so no series is built
+per line (Hirzebruch).  For elements invariant under permuting the symbols,
 :func:`symmetric_ch` and :func:`generic_lines_class` give the Chern
 character and the multiplicative classes of generic lines as
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit.
@@ -278,13 +280,19 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     return GradedSeries.zero(n, D)._like(terms)
 
 
+def _multiplicative(chern_character: GradedSeries, line) -> GradedSeries:
+    """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
+    whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1."""
+    D, terms = chern_character.truncation_degree, chern_character._terms
+    u = GradedSeries(1, D, {(k,): c for k, c in enumerate(line) if k})
+    log = u.substitute([0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D + 1)])
+    weights = [factorial(k) * log.coefficient((k,)) for k in range(D + 1)]
+    return chern_character._like({e: c * weights[sum(e)] for e, c in terms.items()}).exp()
+
+
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
-    acc = GradedSeries.one(x.symbol_count, truncation_degree)
-    lines = {m: power_coefficients([1, 1], m, truncation_degree) for m in set(x._terms.values())}
-    for root, mult in x.terms():
-        acc = acc * GradedSeries.linear_form(root, truncation_degree).substitute(lines[mult])
-    return acc
+    return _multiplicative(ch(x, truncation_degree), [1, 1])
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
@@ -308,12 +316,7 @@ def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
 
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    D = truncation_degree
-    acc = GradedSeries.one(x.symbol_count, D)
-    lines = {m: todd_line(m, D) for m in set(x._terms.values())}
-    for root, mult in x.terms():
-        acc = acc * GradedSeries.linear_form(root, D).substitute(lines[mult])
-    return acc
+    return _multiplicative(ch(x, truncation_degree), todd_line(1, truncation_degree))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

@@ -22,8 +22,8 @@ symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
 and :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
 tuples, and share their ring operations, comparison, rendering and
 :meth:`_TermMap.substitute` through :class:`_TermMap`; each class's
-:meth:`_TermMap._product` multiplies two term maps.  The one substitution
-also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
+:meth:`_TermMap._product` multiplies two integer numerator maps.  The one
+substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 
 The shared product and substitution run on integers, as FLINT's ``fmpq_poly``
 does: integer numerators over one common denominator per operand, one division
@@ -146,7 +146,7 @@ class _TermMap:
     Subclasses validate outside input in their public ``__init__`` and
     supply ``_scalar``, ``_render_key`` and ``_times``, and ``_degree`` when
     bounded; every result of an operation is built by the trusted
-    :meth:`_like`, and every product of two term maps by :meth:`_product`.
+    :meth:`_like`, and every product of two numerator maps by :meth:`_product`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_terms")
@@ -251,7 +251,11 @@ class _TermMap:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_compatible(other)
-            return self._like(self._product(self._terms, other._terms, self._bound))
+            (xs, dx), (ys, dy) = _numerators(self._terms), _numerators(other._terms)
+            product = self._product(xs, ys, self._bound)
+            if xs is self._terms and ys is other._terms:
+                return self._like(product)
+            return self._like({key: Fraction(v, dx * dy) for key, v in product.items() if v})
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
@@ -261,21 +265,18 @@ class _TermMap:
         return self.__mul__(other)
 
     def _product(self, xs: dict, ys: dict, bound: int | None) -> dict:
-        """Term map of the product of two term maps: exponents add.  With a
-        ``bound``, terms whose degree is above it are never formed: ``ys`` is
-        grouped by degree, and a group that would overshoot is skipped.  The
-        pairs multiply as integer :func:`_numerators`, and each surviving term
-        is divided once; two maps of ``int`` coefficients give ``int``s."""
-        (nx, dx), (ny, dy) = _numerators(xs), _numerators(ys)
+        """Integer numerators of the product of two numerator maps; zero sums
+        may stay.  With a ``bound``, terms of degree above it are never formed:
+        ``ys`` is grouped by degree, and a group that would overshoot is skipped."""
         degree = self._degree
         if bound is None:
-            by_degree = {0: ny.items()}  # one group of degree 0, which fits in room 0
+            by_degree = {0: ys.items()}  # one group of degree 0, which fits in room 0
         else:
             by_degree = defaultdict(list)
-            for mono, coeff in ny.items():
+            for mono, coeff in ys.items():
                 by_degree[degree(mono)].append((mono, coeff))
         product: dict = {}
-        for mono_x, coeff_x in nx.items():
+        for mono_x, coeff_x in xs.items():
             room = 0 if bound is None else bound - degree(mono_x)
             for degree_y, bucket in by_degree.items():
                 if degree_y > room:
@@ -283,9 +284,7 @@ class _TermMap:
                 for mono_y, coeff_y in bucket:
                     key = tuple(map(add, mono_x, mono_y))
                     product[key] = product.get(key, 0) + coeff_x * coeff_y
-        if nx is xs and ny is ys:
-            return product
-        return {key: Fraction(value, dx * dy) for key, value in product.items() if value}
+        return product
 
     def substitute(self, coefficients):
         """Sum c_k x^k for x = self, a bounded map with no term of degree 0.
@@ -478,8 +477,8 @@ class SymmetricSeries(_TermMap):
         super().__init__(symbol_count, truncation_degree, terms)
 
     def _product(self, xs: dict, ys: dict, bound: int) -> dict:
-        """At a dominant e the product is sum over 0 <= alpha <= e of
-        x[sort alpha] * y[sort(e - alpha)].
+        """The integer kernel on orbits: at a dominant e the product is the
+        sum over 0 <= alpha <= e of x[sort alpha] * y[sort(e - alpha)].
 
         Permuting alpha inside a run of equal entries of e changes neither
         sorted tuple, so alpha is chosen run by run as a multiset, weighted
@@ -488,7 +487,7 @@ class SymmetricSeries(_TermMap):
         if not xs or not ys:
             return {}
         low = min(map(sum, xs)) + min(map(sum, ys))
-        product: dict[Monomial, Fraction] = {}
+        product: dict[Monomial, int] = {}
         for e in dominant_exponents(self.symbol_count, bound):
             if sum(e) < low:
                 continue

@@ -135,6 +135,8 @@ def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
     if n < 1:
         raise ValueError("need at least one line")
     D = n + 1 if max_degree is None else max_degree
+    if D < n - 1:
+        raise ValueError(f"truncation degree must be at least {n - 1}")
     x = generic_lines(n)
     reduced = x - n * KElement.unit(n)
     lhs = symmetric_ch(gamma_k(reduced, n - 1), D)

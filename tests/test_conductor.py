@@ -1,5 +1,6 @@
 """Strata inclusion-exclusion and the conductor pipeline."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -109,6 +110,20 @@ def test_open_strata_matches_union_oracle():
         result = open_strata_from_closed(fiber)
         for J in chi:
             assert open_chi(result)[J] == open_chi_via_unions(chi, J)
+
+
+def test_complete_depth_3_lattice_matches_union_oracle():
+    # every stratum of 1 to 3 of 12 components: 298 strata, each component
+    # on 66 deeper ones
+    rng = random.Random(32)
+    ids = [f"C{i + 1}" for i in range(12)]
+    chi = {
+        frozenset(J): rng.randint(-20, 20)
+        for size in (1, 2, 3)
+        for J in itertools.combinations(ids, size)
+    }
+    result = open_chi(open_strata_from_closed(fiber_from_chi(5, chi)))
+    assert result == {J: open_chi_via_unions(chi, J) for J in chi}
 
 
 def test_round_trip_identity():

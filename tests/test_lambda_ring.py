@@ -246,6 +246,13 @@ def test_todd_multiplicative_randomized():
         assert todd(x + y, 3) == todd(x, 3) * todd(y, 3)
 
 
+@pytest.mark.parametrize("cls", [ch, todd, total_chern])
+def test_classes_refuse_negative_truncation(cls):
+    x = KElement(2, {(1, 0): 1, (0, -1): -2})
+    with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
+        cls(x, -1)
+
+
 # -- alternating exterior sum -------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Hypothesis properties of the univariate power helper, of Horner
 substitution, of the Chern character against its exp-per-line definition,
-of the S_n-orbit Chern character and product against the dense ones, and
-of the strata-lattice round trip."""
+of the Todd and total Chern classes against their product-per-line
+definition, of the S_n-orbit Chern character and product against the dense
+ones, and of the strata-lattice round trip."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,7 +16,15 @@ from charcalc.conductor import (
     closed_strata_from_open,
     open_strata_from_closed,
 )
-from charcalc.lambda_ring import KElement, ch, gamma_k, symmetric_ch
+from charcalc.lambda_ring import (
+    KElement,
+    ch,
+    gamma_k,
+    symmetric_ch,
+    todd,
+    todd_line,
+    total_chern,
+)
 from charcalc.series import GradedSeries, power_coefficients
 from charcalc.verify import generic_lines
 
@@ -108,6 +117,36 @@ def test_ch_of_gamma_matches_exp_per_line_at_rank_6():
     n = 6
     x = gamma_k(generic_lines(n) - n * KElement.unit(n), n - 1)
     assert ch(x, n + 1)._terms == ch_by_exp(x, n + 1)._terms
+
+
+# -- multiplicative classes --------------------------------------------------------
+
+
+def product_per_line(x, degree, line):
+    """The defining product of f(c1(r))^m over the lines m[r] of x, for f the
+    univariate series ``line``: each factor is the Horner substitution of the
+    coefficients of f^m into the linear form r."""
+    acc = GradedSeries.one(x.symbol_count, degree)
+    for root, mult in x.terms():
+        power = power_coefficients(line, mult, degree)
+        acc = acc * GradedSeries.linear_form(root, degree).substitute(power)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_elements(), st.integers(min_value=0, max_value=7))
+@example(KElement.zero(3), 4)
+@example(KElement.zero(0), 2)
+@example(KElement(0, {(): -2}), 3)
+@example(KElement(3, {(0, 0, 0): 3}), 5)
+@example(KElement(4, {(1, -1, 0, 3): -3, (-2, 0, 0, 1): 2, (0, 0, 0, 0): 1}), 7)
+def test_todd_and_total_chern_match_product_per_line(x, degree):
+    for result, line in (
+        (todd(x, degree), todd_line(1, degree)),
+        (total_chern(x, degree), [1, 1]),
+    ):
+        assert result == product_per_line(x, degree, line)
+        assert all(type(c) is Fraction for c in result._terms.values())
 
 
 # -- the S_n-orbit Chern character and product ----------------------------------

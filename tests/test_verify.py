@@ -103,6 +103,13 @@ def test_ch_gamma(n):
     assert verify_ch_gamma(n, n + 1).ok
 
 
+def test_ch_gamma_rejects_low_degree():
+    # below degree n - 1 both sides are zero, so the check could not fail
+    with pytest.raises(ValueError, match="at least 2"):
+        verify_ch_gamma(3, 1)
+    assert verify_ch_gamma(3, 2).ok
+
+
 @pytest.mark.parametrize(
     "check",
     [
