@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .conductor import (
@@ -25,9 +26,8 @@ from .conductor import (
     FiberDerivation,
     ModelValidationError,
     TamenessError,
-    conductor,
+    _derive_validated,
     conductor_report,
-    derive_fibers,
 )
 from .modelfile import ModelParseError, load_model
 from .series import render_sum
@@ -104,11 +104,7 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
                 results.append(verify_gala(generic_lines(n)))
                 if n >= 2:
                     result = verify_gala(repeated_root_lines(n))
-                    params = dict(result.params)
-                    params["roots"] = "repeated"
-                    results.append(
-                        CheckResult(result.check, params, result.ok, result.detail)
-                    )
+                    results.append(replace(result, params={**result.params, "roots": "repeated"}))
             elif name == "borel_serre":
                 D = n if max_degree is None else max(n, max_degree)
                 results.append(verify_borel_serre(n, D))
@@ -220,7 +216,8 @@ def _print_conductor_text(report: ConductorReport) -> None:
 
 def cmd_conductor(args) -> int:
     try:
-        report = conductor(load_model(args.model))
+        model = load_model(args.model)  # parse_model validates it
+        report = conductor_report(model, _derive_validated(model))
     except (ModelParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -274,7 +271,7 @@ def _print_derivation(d: FiberDerivation) -> None:
 def cmd_explain(args) -> int:
     try:
         model = load_model(args.model)
-        fibers = derive_fibers(model)
+        fibers = _derive_validated(model)
     except (ModelParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

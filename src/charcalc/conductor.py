@@ -317,6 +317,11 @@ def normalize_fiber(fiber: FiberModel) -> FiberModel:
     derived one.
     """
     where = f"fiber at p={fiber.prime}"
+    # A valid fiber declares all 2^|J| - 1 non-empty subsets of each stratum J.
+    depth = (len(fiber.strata) + 1).bit_length() - 1
+    deep = [sorted(s.components) for s in fiber.strata if len(s.components) > depth]
+    if deep:
+        raise ModelValidationError(f"{where}: stratum {deep[0]} lacks some of its subsets")
     if all(s.chi_closed is not None for s in fiber.strata):
         closed = {s.components: s.chi_closed for s in fiber.strata}
         opened = _superset_sums(closed, -1)
@@ -434,6 +439,11 @@ def derive_fibers(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
     """Validate the model, then normalize each fiber once and derive its
     record, in model order.  Tameness is recorded, not enforced."""
     validate_model(model)
+    return _derive_validated(model)
+
+
+def _derive_validated(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
+    """:func:`derive_fibers` on a model that has passed validate_model."""
     derivations = []
     for fiber in model.fibers:
         normal = normalize_fiber(fiber)

@@ -8,11 +8,11 @@ ring multiplication adds roots).  On top of that live the exterior-power
 generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class; the last two are exp of the first with its degree-k
-part weighted by k! (log f)_k, for f the line value, so no series is built
-per line (Hirzebruch).  For elements invariant under permuting the symbols,
-:func:`symmetric_ch` and :func:`generic_lines_class` give the Chern
-character and the multiplicative classes of generic lines as
-:class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit.
+part weighted by k! (log f)_k, for f the line value (Hirzebruch), all on
+integer numerators with the weights computed once per degree.  For elements
+invariant under permuting the symbols, :func:`symmetric_ch` and
+:func:`generic_lines_class` give the Chern character and the multiplicative
+classes of generic lines, one coefficient per S_n-orbit.
 
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
@@ -26,7 +26,9 @@ dictionary equalities.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -35,6 +37,7 @@ from .series import (
     MismatchError,
     Monomial,
     SymmetricSeries,
+    _numerators,
     _TermMap,
     dominant_exponents,
     power_coefficients,
@@ -101,11 +104,7 @@ class KElement(_TermMap):
         roots = [tuple(r) for r in roots]
         if not roots:
             raise ValueError("sum_of_lines needs at least one root")
-        n = len(roots[0])
-        terms: dict[Root, int] = {}
-        for r in roots:
-            terms[r] = terms.get(r, 0) + 1
-        return cls(n, terms)
+        return cls(len(roots[0]), Counter(roots))
 
     # -- inspection ---------------------------------------------------
 
@@ -261,6 +260,7 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     an integer, summed over each root's support and divided once if nonzero.
     """
     D, n = truncation_degree, x.symbol_count
+    zero = GradedSeries.zero(n, D)  # refuses a negative D before the sums index by it
     sums: dict[Monomial, int] = {}
     for root, mult in x._terms.items():
         support = [i for i, c in enumerate(root) if c]
@@ -277,22 +277,33 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
             sums[key] = sums.get(key, 0) + value
     factorials = [factorial(k) for k in range(D + 1)]
     terms = {key: Fraction(s, prod(factorials[e] for e in key)) for key, s in sums.items() if s}
-    return GradedSeries.zero(n, D)._like(terms)
+    return zero._like(terms)
 
 
-def _multiplicative(chern_character: GradedSeries, line) -> GradedSeries:
-    """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
-    whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1."""
-    D, terms = chern_character.truncation_degree, chern_character._terms
+@lru_cache(maxsize=64)
+def _log_weights(line: tuple, D: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of k! (log f)_k, k = 0..D, over one denominator, for
+    f(l) = sum_k line[k] l^k: one substitution of the log(1 + u) coefficients."""
     u = GradedSeries(1, D, {(k,): c for k, c in enumerate(line) if k})
     log = u.substitute([0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D + 1)])
-    weights = [factorial(k) * log.coefficient((k,)) for k in range(D + 1)]
-    return chern_character._like({e: c * weights[sum(e)] for e, c in terms.items()}).exp()
+    weights, w = _numerators({k: factorial(k) * log.coefficient((k,)) for k in range(D + 1)})
+    return tuple(weights.values()), w
+
+
+def _multiplicative(chern_character: GradedSeries, line: tuple) -> GradedSeries:
+    """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
+    whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1, on integer numerators."""
+    D = chern_character.truncation_degree
+    weights, w = _log_weights(line, D)
+    X, d = _numerators(chern_character._terms)
+    weighted = {e: c * weights[k] for e, c in X.items() if weights[k := sum(e)]}
+    exp = {k: Fraction(1, factorial(k)) for k in range(D + 1)}
+    return chern_character._horner(weighted, d * w, exp)
 
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
-    return _multiplicative(ch(x, truncation_degree), [1, 1])
+    return _multiplicative(ch(x, truncation_degree), (1, 1))
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
@@ -314,9 +325,14 @@ def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
     return power_coefficients(f, -mult, truncation_degree)
 
 
+@lru_cache(maxsize=64)
+def _todd_line(mult: int, D: int) -> tuple[Fraction, ...]:
+    return tuple(todd_line(mult, D))
+
+
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _multiplicative(ch(x, truncation_degree), todd_line(1, truncation_degree))
+    return _multiplicative(ch(x, truncation_degree), _todd_line(1, truncation_degree))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

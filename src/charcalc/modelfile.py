@@ -44,6 +44,10 @@ def _require_int(value, where: str) -> int:
     return value
 
 
+def _optional_int(data: dict, key: str, where: str) -> int | None:
+    return _require_int(data[key], f"{where}.{key}") if key in data else None
+
+
 def _require_str(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ModelParseError(f"{where}: expected a non-empty string, got {value!r}")
@@ -70,13 +74,10 @@ def _require_list(value, where: str) -> list:
 
 def _parse_component(raw, where: str) -> Component:
     data = _require_object(raw, where, {"id", "multiplicity"}, {"chi_open"})
-    chi_open = None
-    if "chi_open" in data:
-        chi_open = _require_int(data["chi_open"], f"{where}.chi_open")
     return Component(
         id=_require_str(data["id"], f"{where}.id"),
         multiplicity=_require_int(data["multiplicity"], f"{where}.multiplicity"),
-        chi_open=chi_open,
+        chi_open=_optional_int(data, "chi_open", where),
     )
 
 
@@ -86,12 +87,8 @@ def _parse_stratum(raw, where: str) -> Stratum:
     members = frozenset(_require_str(v, f"{where}.components[{i}]") for i, v in enumerate(ids))
     if len(members) != len(ids):
         raise ModelParseError(f"{where}.components: repeated component id in {ids}")
-    chi_closed = chi_open = None
-    if "chi_closed" in data:
-        chi_closed = _require_int(data["chi_closed"], f"{where}.chi_closed")
-    if "chi_open" in data:
-        chi_open = _require_int(data["chi_open"], f"{where}.chi_open")
-    return Stratum(components=members, chi_closed=chi_closed, chi_open=chi_open)
+    chi = {key: _optional_int(data, key, where) for key in ("chi_closed", "chi_open")}
+    return Stratum(components=members, **chi)
 
 
 def _parse_fiber(raw, where: str) -> FiberModel:
@@ -129,9 +126,7 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
     except RecursionError as exc:
         raise ModelParseError(f"{source}: invalid JSON: nested too deeply") from exc
     data = _require_object(raw, source, {"relative_dimension", "fibers"}, {"generic_euler"})
-    generic_euler = None
-    if "generic_euler" in data:
-        generic_euler = _require_int(data["generic_euler"], f"{source}.generic_euler")
+    generic_euler = _optional_int(data, "generic_euler", source)
     fibers = tuple(
         _parse_fiber(f, f"{source}.fibers[{i}]")
         for i, f in enumerate(_require_list(data["fibers"], f"{source}.fibers"))

@@ -27,7 +27,8 @@ substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 
 The shared product and substitution run on integers, as FLINT's ``fmpq_poly``
 does: integer numerators over one common denominator per operand, one division
-per result term, and ``int`` coefficients (``KElement``, ``TSeries``) as they are.
+per result term, and ``int`` coefficients (``KElement``, ``TSeries``) as they are;
+the one Horner loop, :meth:`_TermMap._horner`, takes such a numerator map.
 """
 
 from __future__ import annotations
@@ -287,15 +288,7 @@ class _TermMap:
         return product
 
     def substitute(self, coefficients):
-        """Sum c_k x^k for x = self, a bounded map with no term of degree 0.
-
-        Horner's rule: r = c_k + x * r from the top coefficient down.  The
-        partial sum at c_k is later multiplied by x^k, of degree at least k,
-        so it is kept only up to degree D - k; coefficients past D contribute
-        nothing.  Every c_k must be a scalar of this class.  With x = X/d and
-        c_k = C_k/q, the integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1)
-        give the result A_0 / (q d^K), with one division per term.
-        """
+        """Sum c_k x^k for x = self, a bounded map with no term of degree 0 (:meth:`_horner`)."""
         if self._bound is None:
             raise TypeError(f"{type(self).__name__} has no degree bound to substitute under")
         if any(self._degree(key) == 0 for key in self._terms):
@@ -303,13 +296,22 @@ class _TermMap:
         coeffs = dict(enumerate(self._scalar(c) for c in coefficients))
         if None in coeffs.values():
             raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
-        D, unit, K = self._bound, self._unit, min(len(coeffs), self._bound + 1) - 1
-        (X, d), (C, q) = _numerators(self._terms), _numerators(coeffs)
+        return self._horner(*_numerators(self._terms), coeffs)
+
+    def _horner(self, X: dict, d: int, coefficients: dict):
+        """Sum c_k x^k for x = X/d, X integer numerators with no degree-0 term.
+
+        Horner's rule, r = c_k + x * r from the top down, keeps the partial sum
+        at c_k only up to degree D - k, as x^k raises it by at least k.  With
+        c_k = C_k/q, the integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1)
+        give A_0 / (q d^K): one division per term, none for ``int`` c_k."""
+        D, unit, K = self._bound, self._unit, min(len(coefficients), self._bound + 1) - 1
+        C, q = _numerators(coefficients)
         acc: dict = {}
         for k in range(K, -1, -1):
             acc = self._product(acc, X, D - k)
             acc[unit] = acc.get(unit, 0) + C[k] * d ** (K - k)
-        if X is self._terms and C is coeffs:
+        if C is coefficients:
             return self._like(acc)
         return self._like({key: Fraction(value, q * d**K) for key, value in acc.items() if value})
 

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -279,6 +280,24 @@ def test_hostile_model_file_is_parse_error(tmp_path, capsys, command, case):
     code, out, err = run(capsys, command, "--model", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["conductor", "explain"])
+def test_cli_validates_each_fiber_once(monkeypatch, capsys, command):
+    # the package exports a function named conductor over the module's name
+    conductor_module = importlib.import_module("charcalc.conductor")
+    validated = []
+    original = conductor_module.validate_fiber
+
+    def counted(fiber, *args):
+        validated.append(fiber.prime)
+        return original(fiber, *args)
+
+    monkeypatch.setattr(conductor_module, "validate_fiber", counted)
+    path = Path(__file__).resolve().parent / "golden" / "models" / "two_primes_inferred.json"
+    code, _, _ = run(capsys, command, "--model", str(path))
+    assert code == 0
+    assert sorted(validated) == [5, 11]
 
 
 # -- explain ------------------------------------------------------------------

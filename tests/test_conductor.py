@@ -205,6 +205,18 @@ def test_subset_closure_required():
         validate_fiber(FiberModel(3, comps, strata))
 
 
+def test_normalize_refuses_stratum_without_its_subsets_quickly():
+    # one 20-component stratum over 20 singletons lacks most of its
+    # 2^20 - 1 subsets, so it is refused before they are enumerated
+    ids = [f"C{i}" for i in range(20)]
+    chi = {frozenset({cid}): 2 for cid in ids}
+    chi[frozenset(ids)] = 1
+    start = time.process_time()
+    with pytest.raises(ModelValidationError, match="lacks some of its subsets"):
+        normalize_fiber(fiber_from_chi(5, chi))
+    assert time.process_time() - start < 0.5
+
+
 def test_depth_bound_from_relative_dimension():
     fiber = cycle_fiber(2, 5)
     with pytest.raises(ModelValidationError):

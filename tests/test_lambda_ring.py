@@ -253,6 +253,12 @@ def test_classes_refuse_negative_truncation(cls):
         cls(x, -1)
 
 
+@pytest.mark.parametrize("cls", [ch, todd, total_chern])
+def test_classes_refuse_negative_truncation_with_trivial_line(cls):
+    with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
+        cls(KElement(2, {(0, 0): 2, (1, 0): -1}), -1)
+
+
 # -- alternating exterior sum -------------------------------------------------------
 
 

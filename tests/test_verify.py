@@ -186,6 +186,31 @@ def test_hom_laws(n):
     assert result.ok, result.detail
 
 
+def test_hom_laws_refuses_vacuous_input():
+    with pytest.raises(ValueError, match="at least one case"):
+        verify_hom_laws(3, cases=0)
+    with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
+        verify_hom_laws(3, max_degree=-1)
+
+
+def test_hom_laws_builds_one_ch_per_element(monkeypatch):
+    import charcalc.lambda_ring as lambda_ring
+    import charcalc.verify as verify
+
+    calls = []
+    original = lambda_ring.ch
+
+    def counted(x, truncation_degree):
+        calls.append(x)
+        return original(x, truncation_degree)
+
+    monkeypatch.setattr(lambda_ring, "ch", counted)
+    monkeypatch.setattr(verify, "ch", counted)
+    assert verify.verify_hom_laws(3, cases=1).ok
+    # x, y, x + y, x * y and x*: Todd and c are derived from those
+    assert len(calls) <= 5
+
+
 # -- failure detail -------------------------------------------------------------
 
 
