@@ -140,13 +140,20 @@ def _verify_refusal(names, args) -> str | None:
     if args.max_degree is not None:
         if args.max_degree < 0:
             return f"--max-degree must be non-negative, got {args.max_degree}"
-        D = max(args.max_degree, args.rank_max + 1)
-        terms = math.comb(args.rank_max + D, D)
-        costly = D > args.rank_max + 1 and terms > MAX_SERIES_TERMS
+        n, D = args.rank_max, max(args.max_degree, args.rank_max + 1)
+        # C(n + D, D), one factor at a time and only up to 10^12: C(n + D, i) grows
+        # up to i = min(n, D), and a huge one has more digits than int formats
+        terms, shown = 1, 10**12
+        for i in range(1, min(n, D) + 1):
+            terms = terms * (n + D + 1 - i) // i
+            if terms > shown:
+                break
+        costly = D > n + 1 and terms > MAX_SERIES_TERMS
         if args.max_degree > MAX_DEGREE_LIMIT or costly:
+            size = f"up to {terms}" if terms <= shown else "more than 10^12"
             return (
-                f"--max-degree {args.max_degree} at --rank-max {args.rank_max} "
-                f"means series of up to {terms} terms; the limits are degree "
+                f"--max-degree {args.max_degree} at --rank-max {n} "
+                f"means series of {size} terms; the limits are degree "
                 f"{MAX_DEGREE_LIMIT} and {MAX_SERIES_TERMS} terms."
             )
     return None

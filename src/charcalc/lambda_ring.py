@@ -10,9 +10,9 @@ into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class; the last two are exp of the first with its degree-k
 part weighted by k! (log f)_k, for f the line value (Hirzebruch), all on
 integer numerators with the weights computed once per degree.  For elements
-invariant under permuting the symbols, :func:`symmetric_ch` and
-:func:`generic_lines_class` give the Chern character and the multiplicative
-classes of generic lines, one coefficient per S_n-orbit.
+invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
+character times a multiplicative class of the generic lines in one sum, one
+coefficient per S_n-orbit.
 
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
@@ -321,6 +321,8 @@ def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
     The line value is f(l)^(-1) for f(l) = (1 - e^{-l}) / l
     = sum_k (-l)^k / (k+1)!, so mult lines contribute f(l)^(-mult).
     """
+    if truncation_degree < 0:
+        raise ValueError("truncation_degree must be non-negative")
     f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(truncation_degree + 1)]
     return power_coefficients(f, -mult, truncation_degree)
 
@@ -338,17 +340,24 @@ def todd(x: KElement, truncation_degree: int) -> GradedSeries:
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------
 
 
-def symmetric_ch(x: KElement, truncation_degree: int) -> SymmetricSeries:
-    """Chern character of an x invariant under permuting the symbols, as a
-    :class:`~charcalc.series.SymmetricSeries`.
+def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSeries:
+    """ch(x) times the class of the n generic lines a1 + ... + an with value
+    f(l) = sum_k line[k] l^k on one line l, line[0] = 1, for an x invariant
+    under permuting the symbols, as a :class:`~charcalc.series.SymmetricSeries`.
 
-    The coefficient at a dominant e is S(e) / prod e_i! as in :func:`ch`.  If
-    e has k nonzero entries, only the lines whose first k root entries are
-    all nonzero add to S(e), so the lines are summed once per such prefix.
-    An x that some adjacent transposition of the symbols changes is refused
-    with ValueError.
+    A line m[r] of x gives m prod_i g_{r_i}(a_i), g_r(l) = e^{rl} f(l) (Hirzebruch,
+    *Topological Methods*, section 1), and g_r[0] = 1.  So with b! line[b] = Q_b / q
+    and j! g_r[j] = H_r[j] / q, H_r[j] = sum_a C(j, a) r^a Q_{j-a}, the coefficient
+    at a dominant e with k nonzero entries is sum m prod_{i<=k} H_{r_i}[e_i] /
+    (q^k prod e_i!), summed once per k-entry root prefix; for f = 1 only the
+    prefixes with no zero entry add.  An x that some adjacent transposition of
+    the symbols changes is refused with ValueError.
     """
     D, n, lines = truncation_degree, x.symbol_count, x._terms
+    zero = SymmetricSeries(n, D)  # refuses a negative D before the sums index by it
+    f = power_coefficients(line, 1, D)  # line, zero-padded to degree D; refuses line[0] != 1
+    Q, q = _numerators({b: factorial(b) * c for b, c in enumerate(f)})
+    trivial = not any(f[1:])
     prefixes: list[dict[Root, int]] = [{} for _ in range(min(n, D) + 1)]
     for root, mult in lines.items():
         for i in range(n - 1):
@@ -361,27 +370,16 @@ def symmetric_ch(x: KElement, truncation_degree: int) -> SymmetricSeries:
                         f"{lines.get(swapped, 0)}"
                     )
         for k, sums in enumerate(prefixes):
-            if k and not root[k - 1]:
+            if k and trivial and not root[k - 1]:
                 break
             sums[root[:k]] = sums.get(root[:k], 0) + mult
+    H = {r: [sum(comb(j, a) * r**a * Q[j - a] for a in range(j + 1)) for j in range(D + 1)]
+         for r in {r for sums in prefixes for head in sums for r in head}}
     factorials = [factorial(k) for k in range(D + 1)]
     terms = {}
     for e in dominant_exponents(n, D):
         k = n - e.count(0)
-        s = sum(m * prod(r ** a for r, a in zip(head, e)) for head, m in prefixes[k].items())
+        s = sum(m * prod(H[r][a] for r, a in zip(head, e)) for head, m in prefixes[k].items())
         if s:
-            terms[e] = Fraction(s, prod(factorials[a] for a in e))
-    return SymmetricSeries(n, D)._like(terms)
-
-
-def generic_lines_class(line, symbol_count: int, truncation_degree: int) -> SymmetricSeries:
-    """The multiplicative class of the n generic lines a1 + ... + an whose
-    value on one line l is sum_k line[k] l^k (missing coefficients are
-    zero): the product of line(a_i), whose coefficient at a dominant e is
-    prod_i line[e_i] (Hirzebruch, *Topological Methods in Algebraic
-    Geometry*, section 1)."""
-    D = truncation_degree
-    f = list(line)[: D + 1]
-    f += [0] * (D + 1 - len(f))
-    terms = {e: prod(f[a] for a in e) for e in dominant_exponents(symbol_count, D)}
-    return SymmetricSeries(symbol_count, D, terms)
+            terms[e] = Fraction(s, q**k * prod(factorials[a] for a in e))
+    return zero._like(terms)

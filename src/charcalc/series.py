@@ -16,13 +16,13 @@ linear form ``l`` by :meth:`GradedSeries.substitute`.
 
 A :class:`SymmetricSeries` is a series invariant under permuting the
 symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
-``GradedSeries`` only in how two of them multiply.
+``GradedSeries`` in having no product (:func:`~charcalc.lambda_ring.symmetric_ch`).
 
 ``GradedSeries``, ``SymmetricSeries``, :class:`~charcalc.lambda_ring.KElement`
 and :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
 tuples, and share their ring operations, comparison, rendering and
-:meth:`_TermMap.substitute` through :class:`_TermMap`; each class's
-:meth:`_TermMap._product` multiplies two integer numerator maps.  The one
+:meth:`_TermMap.substitute` through :class:`_TermMap`; :meth:`_TermMap._product`
+multiplies two integer numerator maps, except on ``SymmetricSeries``.  The one
 substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 
 The shared product and substitution run on integers, as FLINT's ``fmpq_poly``
@@ -36,9 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations_with_replacement, groupby
-from itertools import product as product_of
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from numbers import Rational
 from operator import add
 
@@ -464,9 +462,9 @@ class SymmetricSeries(_TermMap):
     every monomial of the orbit has the coefficient stored at e: the series
     is sum_e c_e m_e over the monomial symmetric functions m_e (Macdonald,
     *Symmetric Functions and Hall Polynomials*, I.2).  The constructor
-    validates that every key is dominant; sums, scalars, comparison,
-    rendering and :meth:`_TermMap.substitute` are shared with
-    :class:`GradedSeries`, and only :meth:`_product` differs.
+    validates that every key is dominant; sums, scalars, comparison and
+    rendering are shared with :class:`GradedSeries`.  Two orbit series do not
+    multiply and do not substitute: :meth:`_product` raises TypeError.
     """
 
     __slots__ = ()
@@ -479,48 +477,11 @@ class SymmetricSeries(_TermMap):
         super().__init__(symbol_count, truncation_degree, terms)
 
     def _product(self, xs: dict, ys: dict, bound: int) -> dict:
-        """The integer kernel on orbits: at a dominant e the product is the
-        sum over 0 <= alpha <= e of x[sort alpha] * y[sort(e - alpha)].
-
-        Permuting alpha inside a run of equal entries of e changes neither
-        sorted tuple, so alpha is chosen run by run as a multiset, weighted
-        by its number of orderings.
-        """
-        if not xs or not ys:
-            return {}
-        low = min(map(sum, xs)) + min(map(sum, ys))
-        product: dict[Monomial, int] = {}
-        for e in dominant_exponents(self.symbol_count, bound):
-            if sum(e) < low:
-                continue
-            choices = [
-                [(piece, tuple(value - a for a in piece), _orderings(piece))
-                 for piece in combinations_with_replacement(range(value, -1, -1), len(list(run)))]
-                for value, run in groupby(e)
-            ]
-            total = 0
-            for pick in product_of(*choices):
-                alpha = tuple(sorted(chain.from_iterable(p[0] for p in pick), reverse=True))
-                x = xs.get(alpha)
-                if x is None:
-                    continue
-                rest = tuple(sorted(chain.from_iterable(p[1] for p in pick), reverse=True))
-                y = ys.get(rest)
-                if y is not None:
-                    total += prod(p[2] for p in pick) * x * y
-            if total:
-                product[e] = total
-        return product
+        """Refused, for ``*`` and substitute: the dense kernel would be wrong on orbits."""
+        raise TypeError("SymmetricSeries do not multiply; use symmetric_ch(x, D, line)")
 
     def _render_key(self, key: Monomial) -> str:
         """``m(e1,e2,...)`` over the nonzero entries; empty for the constant."""
         parts = [str(e) for e in key if e]
         return f"m({','.join(parts)})" if parts else ""
 
-
-def _orderings(piece: tuple) -> int:
-    """The number of distinct orderings of a tuple."""
-    count = factorial(len(piece))
-    for value in set(piece):
-        count //= factorial(piece.count(value))
-    return count

@@ -9,7 +9,8 @@ report, never an exception.
 Every class of n generic lines is symmetric in a1..an, so ``borel_serre``,
 ``ch_gamma`` and ``prop_chtd`` evaluate both sides as
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit of
-monomials.  ``gala`` compares K-elements, and ``homomorphism`` runs on
+monomials, each one :func:`~charcalc.lambda_ring.symmetric_ch`, ch(x) times a
+class of the lines.  ``gala`` compares K-elements, and ``homomorphism`` runs on
 random elements that are not symmetric, so both stay dense.
 """
 
@@ -30,7 +31,6 @@ from .lambda_ring import (
     chern_k,
     gamma_k,
     gamma_t,
-    generic_lines_class,
     lambda_t,
     symmetric_ch,
     todd_line,
@@ -119,9 +119,8 @@ def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     if D < n:
         raise ValueError(f"truncation degree must be at least {n}")
     E = generic_lines(n)
-    todd_E = generic_lines_class(todd_line(1, D), n, D)
-    lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D) * todd_E
-    detail = _differences(lhs, generic_lines_class([1, 1], n, D).component(n))
+    lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D, todd_line(1, D))
+    detail = _differences(lhs, symmetric_ch(KElement.unit(n), D, (1, 1)).component(n))
     return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
 
 
@@ -165,8 +164,8 @@ def verify_prop_chtd(n: int) -> CheckResult:
     x = generic_lines(n)
     reduced = x - n * KElement.unit(n)
     todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(1, D))]
-    P = symmetric_ch(gamma_k(reduced, n - 1), D) * generic_lines_class(todd_dual, n, D)
-    chern = generic_lines_class([1, 1], n, D)
+    P = symmetric_ch(gamma_k(reduced, n - 1), D, todd_dual)
+    chern = symmetric_ch(KElement.unit(n), D, (1, 1))
     zero = SymmetricSeries(n, D)
     expected = [zero] * (n - 1) + [chern.component(n - 1), Fraction(-n, 2) * chern.component(n)]
     details = [_differences(P.component(k), want) for k, want in enumerate(expected)]

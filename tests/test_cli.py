@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from charcalc.cli import main
+from charcalc import cli
+from charcalc.cli import build_parser, main
 from charcalc.conductor import PRIME_LIMIT, conductor
 from charcalc.modelfile import load_model
 
@@ -70,6 +71,21 @@ def test_verify_refuses_costly_max_degree(capsys, argv, terms):
     assert (code, out) == (2, "")
     assert err.startswith("error: --max-degree ")
     assert f"up to {terms} terms; the limits are degree 64 and 6435 terms" in err
+
+
+def test_verify_refuses_max_degree_with_a_huge_term_count(capsys):
+    # C(12 + D, D) at D = 10^400 has about 4,800 digits, more than int formats
+    code, out, err = run(capsys, "verify", "--rank-max", "12", "--max-degree", "1" + "0" * 400)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --max-degree ") and err.count("\n") == 1
+    assert "more than 10^12 terms" in err
+    # over the degree limit at a rank whose default series are already huge; the
+    # refusal is asked for directly, as a refusal that failed to fire would run the checks
+    args = build_parser().parse_args(
+        ["verify", "--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "65"]
+    )
+    refusal = cli._verify_refusal(list(cli.CHECK_NAMES), args)
+    assert refusal.startswith("--max-degree 65 at --rank-max 8000 means series of more than")
 
 
 def test_verify_accepts_largest_budgets(capsys):

@@ -17,6 +17,7 @@ from charcalc.lambda_ring import (
     lambda_k,
     lambda_t,
     todd,
+    todd_line,
     total_chern,
 )
 from charcalc.verify import random_k_element
@@ -257,6 +258,11 @@ def test_classes_refuse_negative_truncation(cls):
 def test_classes_refuse_negative_truncation_with_trivial_line(cls):
     with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
         cls(KElement(2, {(0, 0): 2, (1, 0): -1}), -1)
+
+
+def test_todd_line_refuses_negative_truncation():
+    with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
+        todd_line(1, -1)
 
 
 # -- alternating exterior sum -------------------------------------------------------

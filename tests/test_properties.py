@@ -1,8 +1,8 @@
 """Hypothesis properties of the univariate power helper, of Horner
 substitution, of the Chern character against its exp-per-line definition,
 of the Todd and total Chern classes against their product-per-line
-definition, of the S_n-orbit Chern character and product against the dense
-ones, and of the strata-lattice round trip."""
+definition, of the S_n-orbit Chern character times a class of generic lines
+against the dense ones, and of the strata-lattice round trip."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -149,7 +149,7 @@ def test_todd_and_total_chern_match_product_per_line(x, degree):
         assert all(type(c) is Fraction for c in result._terms.values())
 
 
-# -- the S_n-orbit Chern character and product ----------------------------------
+# -- the S_n-orbit Chern character times a class of generic lines ---------------
 
 
 def dominant_part(series: GradedSeries) -> dict:
@@ -171,18 +171,15 @@ def symmetric_elements(draw, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(0, 4), D=st.integers(0, 6))
-def test_symmetric_ch_and_product_match_dense(data, n, D):
+@given(data=st.data(), n=st.integers(0, 4), D=st.integers(0, 6), line=unit_series)
+def test_symmetric_ch_and_product_match_dense(data, n, D, line):
     x = data.draw(symmetric_elements(n))
-    y = data.draw(symmetric_elements(n))
-    sx, sy = symmetric_ch(x, D), symmetric_ch(y, D)
-    assert dict(sx.terms()) == dominant_part(ch(x, D))
-    assert dict((sx * sy).terms()) == dominant_part(ch(x, D) * ch(y, D))
-    # the shared substitution runs on the orbit product
-    coeffs = list(range(1, D + 2))
-    assert dict((sx - x.rank).substitute(coeffs).terms()) == dominant_part(
-        (ch(x, D) - x.rank).substitute(coeffs)
-    )
+    assert dict(symmetric_ch(x, D).terms()) == dominant_part(ch(x, D))
+    # ch(x) times the class of the generic lines with value sum_k line[k] l^k
+    dense = ch(x, D)
+    for i in range(n):
+        dense = dense * (1 + GradedSeries.symbol(i, n, D).substitute([0, *line[1:]]))
+    assert dict(symmetric_ch(x, D, line).terms()) == dominant_part(dense)
 
 
 # -- strata lattice ---------------------------------------------------------------

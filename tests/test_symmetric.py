@@ -1,6 +1,6 @@
-"""The S_n-orbit path of the generic-lines verifiers: ``SymmetricSeries``,
-``symmetric_ch`` and ``generic_lines_class`` against the dense series of
-``ch``, ``todd``, ``total_chern`` and ``GradedSeries`` products."""
+"""The S_n-orbit path of the generic-lines verifiers: ``SymmetricSeries`` and
+``symmetric_ch`` with its line values against the dense series of ``ch``,
+``todd``, ``total_chern`` and ``GradedSeries`` products."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -12,7 +12,6 @@ from charcalc.lambda_ring import (
     alternating_lambda_sum,
     ch,
     gamma_k,
-    generic_lines_class,
     symmetric_ch,
     todd,
     todd_line,
@@ -43,15 +42,15 @@ def test_orbit_series_expand_to_dense(n):
     ch_alternating = symmetric_ch(alternating, n)
     assert expand(ch_alternating) == ch(alternating, n)
 
-    todd_E = generic_lines_class(todd_line(1, n), n, n)
-    dual_line = [c * (-1) ** k for k, c in enumerate(todd_line(1, n))]
-    todd_dual = generic_lines_class(dual_line, n, n)
-    assert expand(todd_E) == todd(E, n)
-    assert expand(todd_dual) == todd(E.dual(), n)
-    assert expand(generic_lines_class([1, 1], n, n)) == total_chern(E, n)
+    unit = KElement.unit(n)
+    todd_E = todd_line(1, n)
+    todd_dual = [c * (-1) ** k for k, c in enumerate(todd_E)]
+    assert expand(symmetric_ch(unit, n, todd_E)) == todd(E, n)
+    assert expand(symmetric_ch(unit, n, todd_dual)) == todd(E.dual(), n)
+    assert expand(symmetric_ch(unit, n, [1, 1])) == total_chern(E, n)
 
-    assert expand(ch_alternating * todd_E) == ch(alternating, n) * todd(E, n)
-    assert expand(symmetric_ch(top_gamma, n) * todd_dual) == ch(top_gamma, n) * todd(E.dual(), n)
+    assert expand(symmetric_ch(alternating, n, todd_E)) == ch(alternating, n) * todd(E, n)
+    assert expand(symmetric_ch(top_gamma, n, todd_dual)) == ch(top_gamma, n) * todd(E.dual(), n)
 
 
 # -- refusals -------------------------------------------------------------
@@ -65,6 +64,26 @@ def test_symmetric_ch_refuses_asymmetric_element(terms):
     x = KElement(len(next(iter(terms))), terms)
     with pytest.raises(ValueError, match="not invariant under permuting the symbols"):
         symmetric_ch(x, 3)
+
+
+def test_symmetric_ch_refuses_negative_truncation():
+    with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
+        symmetric_ch(KElement(0, {(): 1}), -1)
+
+
+@pytest.mark.parametrize("line", [(), (0, 1), (2, 1), (Fraction(1, 2),)])
+def test_symmetric_ch_refuses_line_without_unit_constant(line):
+    with pytest.raises(ValueError, match=r"f\[0\] = 1"):
+        symmetric_ch(KElement.unit(2), 3, line)
+
+
+def test_symmetric_series_do_not_multiply():
+    x = symmetric_ch(KElement.unit(2), 3) - 1
+    with pytest.raises(TypeError, match="symmetric_ch"):
+        x * x
+    with pytest.raises(TypeError, match="symmetric_ch"):
+        x.substitute([1, 1, 1])
+    assert Fraction(1, 2) * x == x * Fraction(1, 2)  # scalars still act
 
 
 def test_symmetric_series_refuses_non_dominant_key():
