@@ -270,7 +270,7 @@ def _print_derivation(d: FiberDerivation) -> None:
         f"= -({d.singles}) + {d.deep} = {d.bloch_degree}"
     )
     print(
-        f"    -(sum m_i chi*) + chi(X_p) = -({d.weighted}) + {d.chi_fiber} "
+        f"    -(sum m_i chi*) + chi(X_p) = -({d.weighted_sum}) + {d.chi_fiber} "
         f"= {d.bloch_degree}"
     )
 

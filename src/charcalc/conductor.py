@@ -10,8 +10,9 @@ class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
 The pipeline validates a model once, normalizes each fiber once, and keeps
-the result as one FiberDerivation per fiber; the report and every rendering
-of it read those records.
+the result as one FiberDerivation per fiber, the one place chi(X_p) and the
+localized Chern degree are computed; the generic-Euler check, the report and
+every rendering of it read those records.
 """
 
 from __future__ import annotations
@@ -78,30 +79,9 @@ class TameReport:
 
 
 @dataclass(frozen=True)
-class GenericEulerEntry:
-    prime: int
-    weighted_sum: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.weighted_sum == self.expected
-
-
-@dataclass(frozen=True)
-class GenericEulerReport:
-    generic_euler: int
-    inferred: bool
-    entries: tuple[GenericEulerEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.ok for entry in self.entries)
-
-
-@dataclass(frozen=True)
 class FiberDerivation:
-    """Everything the conductor formula reads from one fiber.
+    """Everything the conductor formula reads from one fiber, and the only
+    place chi(X_p) and the localized Chern degree are computed.
 
     ``fiber`` carries both characteristics on every stratum; the sums run
     over its open strata T*_J, writing chi* for chi_c(T*_J).
@@ -110,14 +90,39 @@ class FiberDerivation:
     fiber: FiberModel
     tame: TameReport
     singles: int  # sum (m_i - 1) chi*(T_i)
-    weighted: int  # sum m_i chi*(T_i)
+    weighted_sum: int  # sum m_i chi*(T_i)
     deep: int  # sum of chi*(T_J) over |J| >= 2
-    chi_fiber: int  # chi(X_p)
-    bloch_degree: int
 
     @property
     def prime(self) -> int:
         return self.fiber.prime
+
+    @property
+    def chi_fiber(self) -> int:
+        """chi(X_p): the open strata partition the fiber, so their compactly
+        supported characteristics add up."""
+        return self.weighted_sum - self.singles + self.deep
+
+    @property
+    def bloch_degree(self) -> int:
+        """Degree of the localized top Chern class:
+        -sum (m_i - 1) chi*(T_i) + sum of chi*(T_J) over |J| >= 2.
+
+        This is also -sum m_i chi*(T_i) + chi(X_p), identically, since chi(X_p)
+        is the sum of all the chi*.
+        """
+        return self.deep - self.singles
+
+
+@dataclass(frozen=True)
+class GenericEulerReport:
+    generic_euler: int
+    inferred: bool
+    entries: tuple[FiberDerivation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(d.weighted_sum == self.generic_euler for d in self.entries)
 
 
 @dataclass(frozen=True, order=True)
@@ -147,7 +152,7 @@ class ConductorReport:
     def log_eps_terms(self) -> tuple[tuple[int, Fraction], ...]:
         """log|eps(X)| = (d+1)/2 * log A(X), as exact multiples of log p."""
         half = Fraction(self.relative_dimension + 1, 2)
-        return tuple((p, half * Fraction(e)) for p, e in sorted(self.conductor_factors.items()))
+        return tuple((p, half * c) for p, c in self.log_conductor_terms)
 
     @property
     def has_negative_exponents(self) -> bool:
@@ -388,13 +393,6 @@ def closed_strata_from_open(fiber: FiberModel) -> FiberModel:
 # -- numerical pipeline ---------------------------------------------------
 
 
-def fiber_euler(fiber: FiberModel) -> int:
-    """chi(X_p): the open strata partition the fiber, so their compactly
-    supported characteristics add up."""
-    singles, weighted, deep = _open_sums(fiber)
-    return weighted - singles + deep
-
-
 def tame_check(fiber: FiberModel) -> TameReport:
     """Every multiplicity must be prime to the residue characteristic."""
     offenders = tuple(
@@ -403,9 +401,8 @@ def tame_check(fiber: FiberModel) -> TameReport:
     return TameReport(fiber.prime, not offenders, offenders)
 
 
-def _open_sums(fiber: FiberModel) -> tuple[int, int, int]:
-    """(sum (m_i - 1) chi*(T_i), sum m_i chi*(T_i), sum of chi*(T_J) over
-    |J| >= 2) on a normalized fiber."""
+def _derive(fiber: FiberModel) -> FiberDerivation:
+    """The record of a normalized fiber.  Tameness is recorded, not enforced."""
     mult = {c.id: c.multiplicity for c in fiber.components}
     singles = weighted = deep = 0
     for s in fiber.strata:
@@ -421,39 +418,23 @@ def _open_sums(fiber: FiberModel) -> tuple[int, int, int]:
             weighted += mult[cid] * chi
         else:
             deep += chi
-    return singles, weighted, deep
+    return FiberDerivation(fiber, tame_check(fiber), singles, weighted, deep)
+
+
+def fiber_euler(fiber: FiberModel) -> int:
+    """chi(X_p) of a normalized fiber (FiberDerivation.chi_fiber)."""
+    return _derive(fiber).chi_fiber
 
 
 def bloch_degree(fiber: FiberModel) -> int:
-    """Degree of the localized top Chern class on a normalized fiber:
-    -sum (m_i - 1) chi*(T_i) + sum of chi*(T_J) over |J| >= 2.
-
-    This is also -sum m_i chi*(T_i) + chi(X_p), identically, since chi(X_p)
-    is the sum of all the chi*.
-    """
-    singles, _, deep = _open_sums(fiber)
-    return deep - singles
-
-
-def derive_fibers(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
-    """Validate the model, then normalize each fiber once and derive its
-    record, in model order.  Tameness is recorded, not enforced."""
-    validate_model(model)
-    return _derive_validated(model)
+    """Localized Chern degree of a normalized fiber (FiberDerivation.bloch_degree)."""
+    return _derive(fiber).bloch_degree
 
 
 def _derive_validated(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
-    """:func:`derive_fibers` on a model that has passed validate_model."""
-    derivations = []
-    for fiber in model.fibers:
-        normal = normalize_fiber(fiber)
-        singles, weighted, deep = _open_sums(normal)
-        # chi(X_p) as in fiber_euler, and the degree as in bloch_degree
-        chi_fiber, degree = weighted - singles + deep, deep - singles
-        derivations.append(
-            FiberDerivation(normal, tame_check(normal), singles, weighted, deep, chi_fiber, degree)
-        )
-    return tuple(derivations)
+    """Normalize each fiber once and derive its record, in model order, for
+    a model that has passed validate_model."""
+    return tuple(_derive(normalize_fiber(f)) for f in model.fibers)
 
 
 def _euler_report(
@@ -472,20 +453,20 @@ def _euler_report(
             raise ConsistencyError(
                 "generic_euler is not stated and there are no fibers to infer it from"
             )
-        expected = fibers[0].weighted
-        clash = next((d for d in fibers if d.weighted != expected), None)
+        expected = fibers[0].weighted_sum
+        clash = next((d for d in fibers if d.weighted_sum != expected), None)
         if clash is not None:
             raise ConsistencyError(
                 f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
-                f"{expected}, p={clash.prime} gives {clash.weighted}"
+                f"{expected}, p={clash.prime} gives {clash.weighted_sum}"
             )
-    entries = tuple(GenericEulerEntry(d.prime, d.weighted, expected) for d in fibers)
-    return GenericEulerReport(expected, inferred, entries)
+    return GenericEulerReport(expected, inferred, fibers)
 
 
 def generic_euler_check(model: ArithmeticModel) -> GenericEulerReport:
     """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model."""
-    return _euler_report(model.generic_euler, derive_fibers(model))
+    validate_model(model)
+    return _euler_report(model.generic_euler, _derive_validated(model))
 
 
 def conductor_report(
@@ -503,16 +484,14 @@ def conductor_report(
     for d in fibers:
         if not d.tame.ok:
             raise TamenessError(d.prime, d.tame.offenders)
-    euler_report = _euler_report(model.generic_euler, fibers)
-    if not euler_report.ok:
-        bad = [e for e in euler_report.entries if not e.ok]
+    chi_q = _euler_report(model.generic_euler, fibers).generic_euler
+    bad = [d for d in fibers if d.weighted_sum != chi_q]
+    if bad:
         details = "; ".join(
-            f"p={e.prime}: sum m_i*chi_open(T_i) = {e.weighted_sum} != "
-            f"{e.expected} = chi(X_Q)"
-            for e in bad
+            f"p={d.prime}: sum m_i*chi_open(T_i) = {d.weighted_sum} != {chi_q} = chi(X_Q)"
+            for d in bad
         )
         raise ConsistencyError(f"generic Euler characteristic check failed: {details}")
-    chi_q = euler_report.generic_euler
     summaries = sorted(
         PrimeSummary(d.prime, d.chi_fiber, d.bloch_degree, chi_q - d.chi_fiber)
         for d in fibers
@@ -523,4 +502,5 @@ def conductor_report(
 def conductor(model: ArithmeticModel) -> ConductorReport:
     """Full pipeline: validate, normalize, check tameness and consistency,
     then report per-prime exponents, the factored conductor, and log|eps|."""
-    return conductor_report(model, derive_fibers(model))
+    validate_model(model)
+    return conductor_report(model, _derive_validated(model))

@@ -46,6 +46,14 @@ from .series import (
 Root = tuple[int, ...]
 
 
+def _root(root, symbol_count: int) -> Root:
+    """``root`` as a tuple, refused when it has not ``symbol_count`` entries."""
+    root = tuple(root)
+    if len(root) != symbol_count:
+        raise ValueError(f"root {root} has length {len(root)}, expected {symbol_count}")
+    return root
+
+
 class KElement(_TermMap):
     """Finite integer combination of lines, keyed by their root vectors.
 
@@ -63,12 +71,8 @@ class KElement(_TermMap):
             raise ValueError("symbol_count must be non-negative")
         canonical: dict[Root, int] = {}
         for root, mult in (terms or {}).items():
-            root = tuple(root)
-            if len(root) != symbol_count:
-                raise ValueError(
-                    f"root {root} has length {len(root)}, expected {symbol_count}"
-                )
-            if any(not isinstance(e, int) for e in root):
+            root = _root(root, symbol_count)
+            if any(not isinstance(e, int) or isinstance(e, bool) for e in root):
                 raise ValueError(f"root {root} must have integer entries")
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise TypeError(f"multiplicity must be an integer, got {mult!r}")
@@ -109,7 +113,7 @@ class KElement(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def multiplicity(self, root) -> int:
-        return self._terms.get(tuple(root), 0)
+        return self._terms.get(_root(root, self.symbol_count), 0)
 
     @property
     def rank(self) -> int:

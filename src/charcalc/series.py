@@ -107,6 +107,14 @@ def dominant_exponents(symbol_count: int, degree: int):
     return extend((), degree, degree, symbol_count)
 
 
+def _monomial(mono, symbol_count: int) -> Monomial:
+    """``mono`` as a tuple, refused when it has not ``symbol_count`` exponents."""
+    mono = tuple(mono)
+    if len(mono) != symbol_count:
+        raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {symbol_count}")
+    return mono
+
+
 def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=False) -> dict:
     """Validated term map of outside input: exponent tuples of the right
     length with non-negative ``int`` entries (non-increasing when
@@ -118,12 +126,8 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
         raise ValueError("truncation_degree must be non-negative")
     canonical: dict[Monomial, Fraction] = {}
     for mono, coeff in (terms or {}).items():
-        mono = tuple(mono)
-        if len(mono) != symbol_count:
-            raise ValueError(
-                f"monomial {mono} has {len(mono)} exponents, expected {symbol_count}"
-            )
-        if any(not isinstance(e, int) or e < 0 for e in mono):
+        mono = _monomial(mono, symbol_count)
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in mono):
             raise ValueError(f"monomial {mono} has invalid exponents")
         if dominant and any(a < b for a, b in zip(mono, mono[1:])):
             raise ValueError(f"monomial {mono} is not dominant (non-increasing)")
@@ -190,6 +194,8 @@ class _TermMap:
 
     def component(self, degree: int):
         """The homogeneous part of the given degree."""
+        if self._bound is None:
+            raise TypeError(f"{type(self).__name__} has no degree bound to take components under")
         if not 0 <= degree <= self._bound:
             raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
         degree_of = self._degree
@@ -410,7 +416,7 @@ class GradedSeries(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def coefficient(self, monomial) -> Fraction:
-        return self._terms.get(tuple(monomial), Fraction(0))
+        return self._terms.get(_monomial(monomial, self.symbol_count), Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:

@@ -17,7 +17,7 @@ random elements that are not symmetric, so both stay dense.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
@@ -50,12 +50,7 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _differences(lhs, rhs) -> str:
@@ -113,12 +108,10 @@ def verify_gala(x: KElement) -> CheckResult:
 def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     """Check ch(sum (-1)^i lambda^i(E*)) * Td(E) = c_n(E) for E a sum of n
     generic lines, exact in every degree up to the truncation."""
-    if n < 1:
-        raise ValueError("need at least one line")
+    E = generic_lines(n)
     D = n if max_degree is None else max_degree
     if D < n:
         raise ValueError(f"truncation degree must be at least {n}")
-    E = generic_lines(n)
     lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D, todd_line(1, D))
     detail = _differences(lhs, symmetric_ch(KElement.unit(n), D, (1, 1)).component(n))
     return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
@@ -132,12 +125,10 @@ def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
     other symbol present, each a^e with coefficient 1 / prod e_j!; so the
     right side is that coefficient at each dominant e with exactly one zero
     entry, and zero elsewhere."""
-    if n < 1:
-        raise ValueError("need at least one line")
+    x = generic_lines(n)
     D = n + 1 if max_degree is None else max_degree
     if D < n - 1:
         raise ValueError(f"truncation degree must be at least {n - 1}")
-    x = generic_lines(n)
     reduced = x - n * KElement.unit(n)
     lhs = symmetric_ch(gamma_k(reduced, n - 1), D)
     rhs = SymmetricSeries(n, D, {
@@ -158,8 +149,6 @@ def verify_prop_chtd(n: int) -> CheckResult:
     2. the degree n-1 component equals c_{n-1}(x),
     3. the degree n component equals -(n/2) c_n(x).
     """
-    if n < 1:
-        raise ValueError("need at least one line")
     D = n
     x = generic_lines(n)
     reduced = x - n * KElement.unit(n)

@@ -12,6 +12,7 @@ from charcalc.conductor import (
     ArithmeticModel,
     Component,
     ConsistencyError,
+    FiberDerivation,
     FiberModel,
     ModelValidationError,
     Stratum,
@@ -463,6 +464,33 @@ def test_conductor_rejects_duplicate_primes():
     model = ArithmeticModel(1, (cycle_fiber(2, 5), cycle_fiber(3, 5)), generic_euler=0)
     with pytest.raises(ModelValidationError):
         conductor(model)
+    with pytest.raises(ModelValidationError):
+        generic_euler_check(model)
+
+
+@pytest.mark.parametrize("entry", [conductor, generic_euler_check])
+def test_entry_points_validate_hand_built_models(entry):
+    # the singleton stratum of an undeclared component would be a KeyError
+    # in the derivation if the model were not validated first
+    strata = (
+        Stratum(frozenset({"C1"}), chi_closed=2),
+        Stratum(frozenset({"ghost"}), chi_closed=2),
+        Stratum(frozenset({"C1", "ghost"}), chi_closed=1),
+    )
+    fiber = FiberModel(5, (Component("C1", 1),), strata)
+    with pytest.raises(ModelValidationError, match="undeclared components"):
+        entry(ArithmeticModel(1, (fiber,), generic_euler=0))
+
+
+def test_euler_entries_and_report_agree_per_prime():
+    model = ArithmeticModel(1, (cycle_fiber(3, 7), cycle_fiber(2, 5)), generic_euler=0)
+    entries = generic_euler_check(model).entries
+    assert all(type(d) is FiberDerivation for d in entries)
+    assert [d.prime for d in entries] == [7, 5]  # model order
+    summaries = conductor(model).primes
+    assert sorted((d.prime, d.chi_fiber) for d in entries) == [
+        (s.prime, s.chi_fiber) for s in summaries
+    ] == [(5, 2), (7, 3)]
 
 
 def test_log_eps_halves_for_even_dimension():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from charcalc.series import GradedSeries, MismatchError
+from charcalc.series import GradedSeries, MismatchError, SymmetricSeries
 from charcalc.lambda_ring import KElement, TSeries
 
 OPS = [operator.add, operator.sub, operator.mul]
@@ -53,6 +53,41 @@ def test_kelement_drops_zero_multiplicities():
 def test_series_rejects_non_rational_coefficient(coeff):
     with pytest.raises(TypeError):
         GradedSeries(1, 2, {(0,): coeff})
+
+
+# -- keys: constructors and lookups -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SymmetricSeries(2, 3, {(True, False): 1}), "invalid exponents"),
+        (lambda: GradedSeries(1, 2, {(True,): 1}), "invalid exponents"),
+        (lambda: KElement(2, {(1, True): 1}), "must have integer entries"),
+    ],
+    ids=["symmetric", "series", "kelement"],
+)
+def test_constructors_refuse_bool_in_keys(build, message):
+    # bool is an int, but it is refused as a coefficient and a multiplicity too
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_lookups_refuse_keys_of_the_wrong_length():
+    series, element = GradedSeries.symbol(0, 2, 2), KElement.line((1, 0))
+    assert series.coefficient((1, 0)) == 1 and series.coefficient((0, 1)) == 0
+    assert element.multiplicity((1, 0)) == 1 and element.multiplicity((0, 1)) == 0
+    with pytest.raises(ValueError, match="expected 2"):
+        series.coefficient((1,))
+    with pytest.raises(ValueError, match="expected 2"):
+        series.coefficient((1, 0, 0))
+    with pytest.raises(ValueError, match="expected 2"):
+        element.multiplicity((1,))
+
+
+def test_kelement_has_no_components():
+    with pytest.raises(TypeError, match="KElement has no degree bound"):
+        KElement.line((1,)).component(0)
 
 
 # -- TSeries boundary ------------------------------------------------------------

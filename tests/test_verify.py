@@ -125,6 +125,21 @@ def test_generic_lines_checks_at_rank_8(check):
     assert result.ok, result.detail
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_borel_serre(0, -5),
+        lambda: verify_ch_gamma(0, -5),
+        lambda: verify_prop_chtd(0),
+    ],
+    ids=["borel_serre", "ch_gamma", "prop_chtd"],
+)
+def test_generic_lines_checks_need_a_line_before_a_degree(check):
+    # generic_lines refuses n = 0 before the truncation degree is looked at
+    with pytest.raises(ValueError, match="need at least one line"):
+        check()
+
+
 def test_ch_gamma_n1_is_constant_one():
     assert verify_ch_gamma(1, 2).ok
     x = generic_lines(1)
