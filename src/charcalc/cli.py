@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .conductor import (
@@ -193,8 +194,18 @@ def _render_log_terms(terms) -> str:
     return render_sum(f"log({p})" if coeff == 1 else f"{coeff}*log({p})" for p, coeff in terms)
 
 
-def _approx_log(terms) -> float:
-    return sum(float(c) * math.log(p) for p, c in terms)
+def _approx_log(terms) -> str:
+    """sum c*log(p) to 12 significant digits, in floats where they hold it, else in
+    30-digit decimals; a sum that cancels far below its largest term loses digits."""
+    try:
+        value = sum(float(c) * math.log(p) for p, c in terms)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return f"{value:.12g}"
+    with localcontext(Context(prec=30)):
+        value = sum(c.numerator / Decimal(c.denominator) * Decimal(p).ln() for p, c in terms)
+    return f"{value.normalize(Context(prec=12)):g}"
 
 
 def _render_conductor(factors: dict[int, int]) -> str:
@@ -218,7 +229,7 @@ def _print_conductor_text(report: ConductorReport) -> None:
         print("note: exponent f_p = chi(X_Q) - chi(X_p) (Artin); negative means A(X) < 1")
     terms = report.log_eps_terms
     print(f"log|eps(X)| = {_render_log_terms(terms)}  [exact]")
-    print(f"            ~= {_approx_log(terms):.12g}  [approximate]")
+    print(f"            ~= {_approx_log(terms)}  [approximate]")
 
 
 def cmd_conductor(args) -> int:
@@ -236,7 +247,7 @@ def cmd_conductor(args) -> int:
             "command": "conductor",
             "status": "pass",
             "report": report.as_dict(),
-            "log_eps_approx": f"{_approx_log(report.log_eps_terms):.12g}",
+            "log_eps_approx": _approx_log(report.log_eps_terms),
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -285,11 +296,11 @@ def cmd_explain(args) -> int:
     print(f"relative dimension d = {model.relative_dimension}")
     for d in fibers:
         _print_derivation(d)
-    if not all(d.tame.ok for d in fibers):
-        print("\ntameness failed; the conductor formula does not apply", file=sys.stderr)
-        return 1
     try:
         report = conductor_report(model, fibers)
+    except TamenessError:
+        print("\ntameness failed; the conductor formula does not apply", file=sys.stderr)
+        return 1
     except ConsistencyError as exc:
         print(f"\ncheck failed: {exc}", file=sys.stderr)
         return 1

@@ -9,10 +9,10 @@ fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
-The pipeline validates a model once, normalizes each fiber once, and keeps
-the result as one FiberDerivation per fiber, the one place chi(X_p) and the
-localized Chern degree are computed; the generic-Euler check, the report and
-every rendering of it read those records.
+The pipeline validates a model once and normalizes each fiber once into a
+FiberDerivation, the one place chi(X_p) and the localized Chern degree are
+computed; the generic-Euler check and the conductor both return one
+ConductorReport over those records, and every rendering reads it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class TameReport:
 @dataclass(frozen=True)
 class FiberDerivation:
     """Everything the conductor formula reads from one fiber, and the only
-    place chi(X_p) and the localized Chern degree are computed.
+    place chi(X_p), the localized Chern degree and the exponent are computed.
 
     ``fiber`` carries both characteristics on every stratum; the sums run
     over its open strata T*_J, writing chi* for chi_c(T*_J).
@@ -113,40 +113,44 @@ class FiberDerivation:
         """
         return self.deep - self.singles
 
-
-@dataclass(frozen=True)
-class GenericEulerReport:
-    generic_euler: int
-    inferred: bool
-    entries: tuple[FiberDerivation, ...]
-
     @property
-    def ok(self) -> bool:
-        return all(d.weighted_sum == self.generic_euler for d in self.entries)
-
-
-@dataclass(frozen=True, order=True)
-class PrimeSummary:
-    prime: int
-    chi_fiber: int
-    bloch_degree: int
-    exponent: int
+    def exponent(self) -> int:
+        """sum m_i chi*(T_i) - chi(X_p) = -bloch_degree: the Artin exponent
+        f_p = chi(X_Q) - chi(X_p) exactly when chi(X_Q) = sum m_i chi*(T_i), as
+        it is at every prime of a report that conductor() returns."""
+        return self.weighted_sum - self.chi_fiber
 
 
 @dataclass(frozen=True)
 class ConductorReport:
+    """The fibers' records in model order against chi(X_Q), stated or ``inferred``
+    from the first fiber, and None for a model with no fibers that states none."""
+
     relative_dimension: int
     generic_euler: int | None
-    primes: tuple[PrimeSummary, ...]
+    entries: tuple[FiberDerivation, ...]
+    inferred: bool = False
+
+    def euler_holds(self, d: FiberDerivation) -> bool:
+        """chi(X_Q) = sum m_i chi*(T_i) at the prime of the record ``d``."""
+        return d.weighted_sum == self.generic_euler
+
+    @property
+    def ok(self) -> bool:
+        return all(map(self.euler_holds, self.entries))
+
+    @property
+    def primes(self) -> tuple[FiberDerivation, ...]:
+        return tuple(sorted(self.entries, key=lambda d: d.prime))
 
     @property
     def conductor_factors(self) -> dict[int, int]:
-        """Factored A(X): prime -> exponent, zero exponents omitted."""
-        return {s.prime: s.exponent for s in self.primes if s.exponent}
+        """Factored A(X): prime -> exponent, by prime, zero exponents omitted."""
+        return {d.prime: d.exponent for d in self.primes if d.exponent}
 
     @property
     def log_conductor_terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((p, Fraction(e)) for p, e in sorted(self.conductor_factors.items()))
+        return tuple((p, Fraction(e)) for p, e in self.conductor_factors.items())
 
     @property
     def log_eps_terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -159,25 +163,21 @@ class ConductorReport:
         return any(e < 0 for e in self.conductor_factors.values())
 
     def as_dict(self) -> dict:
-        # A report exists only once every fiber passed the tameness and
-        # generic-Euler checks, so both flags are always true.
         return {
             "relative_dimension": self.relative_dimension,
             "generic_euler": self.generic_euler,
             "primes": [
                 {
-                    "prime": s.prime,
-                    "chi_fiber": s.chi_fiber,
-                    "bloch_degree": s.bloch_degree,
-                    "exponent": s.exponent,
-                    "tame": True,
-                    "generic_euler_ok": True,
+                    "prime": d.prime,
+                    "chi_fiber": d.chi_fiber,
+                    "bloch_degree": d.bloch_degree,
+                    "exponent": d.exponent,
+                    "tame": d.tame.ok,
+                    "generic_euler_ok": self.euler_holds(d),
                 }
-                for s in sorted(self.primes, key=lambda s: s.prime)
+                for d in self.primes
             ],
-            "conductor_factors": {
-                str(p): e for p, e in sorted(self.conductor_factors.items())
-            },
+            "conductor_factors": {str(p): e for p, e in self.conductor_factors.items()},
             "log_conductor_terms": [
                 {"prime": p, "coefficient": str(c)} for p, c in self.log_conductor_terms
             ],
@@ -414,8 +414,14 @@ def _derive(fiber: FiberModel) -> FiberDerivation:
             )
         if len(s.components) == 1:
             (cid,) = s.components
-            singles += (mult[cid] - 1) * chi
-            weighted += mult[cid] * chi
+            try:
+                m = mult[cid]
+            except KeyError:
+                raise ModelValidationError(
+                    f"fiber at p={fiber.prime}: undeclared component {cid!r}"
+                ) from None
+            singles += (m - 1) * chi
+            weighted += m * chi
         else:
             deep += chi
     return FiberDerivation(fiber, tame_check(fiber), singles, weighted, deep)
@@ -437,66 +443,53 @@ def _derive_validated(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
     return tuple(_derive(normalize_fiber(f)) for f in model.fibers)
 
 
-def _euler_report(
-    generic_euler: int | None, fibers: tuple[FiberDerivation, ...]
-) -> GenericEulerReport:
-    """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime.
-
-    When the model does not state chi(X_Q) it is inferred from the first
-    fiber; disagreement between fibers is then a hard error since no
-    stated value adjudicates.
-    """
-    expected = generic_euler
-    inferred = expected is None
-    if inferred:
-        if not fibers:
-            raise ConsistencyError(
-                "generic_euler is not stated and there are no fibers to infer it from"
-            )
-        expected = fibers[0].weighted_sum
-        clash = next((d for d in fibers if d.weighted_sum != expected), None)
-        if clash is not None:
-            raise ConsistencyError(
-                f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
-                f"{expected}, p={clash.prime} gives {clash.weighted_sum}"
-            )
-    return GenericEulerReport(expected, inferred, fibers)
+def _euler_report(model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]) -> ConductorReport:
+    """The report of the derived fibers against chi(X_Q).  When the model does not
+    state chi(X_Q) it is inferred from the first fiber, and disagreement between
+    fibers is then a hard error since no stated value adjudicates."""
+    stated = model.generic_euler
+    if stated is None and not fibers:
+        raise ConsistencyError(
+            "generic_euler is not stated and there are no fibers to infer it from"
+        )
+    expected = fibers[0].weighted_sum if stated is None else stated
+    report = ConductorReport(model.relative_dimension, expected, fibers, stated is None)
+    if report.inferred and not report.ok:
+        clash = next(d for d in fibers if not report.euler_holds(d))
+        raise ConsistencyError(
+            f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
+            f"{expected}, p={clash.prime} gives {clash.weighted_sum}"
+        )
+    return report
 
 
-def generic_euler_check(model: ArithmeticModel) -> GenericEulerReport:
-    """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model."""
+def generic_euler_check(model: ArithmeticModel) -> ConductorReport:
+    """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model; the
+    report says whether it holds (``ok``) and does not enforce it."""
     validate_model(model)
-    return _euler_report(model.generic_euler, _derive_validated(model))
+    return _euler_report(model, _derive_validated(model))
 
 
 def conductor_report(
     model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]
 ) -> ConductorReport:
-    """Check tameness and consistency of derived fibers, then report the
-    per-prime exponents, the factored conductor, and log|eps|.
-
-    The exponent is f_p = chi(X_Q) - chi(X_p).  Once the generic-Euler
-    check holds, chi(X_Q) = sum m_i chi*(T_i), so f_p is exactly minus the
-    localized Chern degree.
-    """
-    if not fibers:
-        return ConductorReport(model.relative_dimension, model.generic_euler, ())
+    """The report of derived fibers, refused unless every fiber is tame and
+    the generic-Euler identity holds at every prime, so that each record's
+    exponent is the Artin exponent f_p = chi(X_Q) - chi(X_p)."""
     for d in fibers:
         if not d.tame.ok:
             raise TamenessError(d.prime, d.tame.offenders)
-    chi_q = _euler_report(model.generic_euler, fibers).generic_euler
-    bad = [d for d in fibers if d.weighted_sum != chi_q]
-    if bad:
+    if not fibers:
+        return ConductorReport(model.relative_dimension, model.generic_euler, ())
+    report = _euler_report(model, fibers)
+    if not report.ok:
+        chi_q = report.generic_euler
         details = "; ".join(
             f"p={d.prime}: sum m_i*chi_open(T_i) = {d.weighted_sum} != {chi_q} = chi(X_Q)"
-            for d in bad
+            for d in fibers if not report.euler_holds(d)
         )
         raise ConsistencyError(f"generic Euler characteristic check failed: {details}")
-    summaries = sorted(
-        PrimeSummary(d.prime, d.chi_fiber, d.bloch_degree, chi_q - d.chi_fiber)
-        for d in fibers
-    )
-    return ConductorReport(model.relative_dimension, chi_q, tuple(summaries))
+    return report
 
 
 def conductor(model: ArithmeticModel) -> ConductorReport:

@@ -318,7 +318,8 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
     return total_chern(x, D).component(k)
 
 
-def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
+@lru_cache(maxsize=64)
+def todd_line(mult: int, truncation_degree: int) -> tuple[Fraction, ...]:
     """Coefficients of (l / (1 - e^{-l}))^mult up to l^truncation_degree: the
     Todd class of mult copies of a line l.
 
@@ -328,17 +329,12 @@ def todd_line(mult: int, truncation_degree: int) -> list[Fraction]:
     if truncation_degree < 0:
         raise ValueError("truncation_degree must be non-negative")
     f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(truncation_degree + 1)]
-    return power_coefficients(f, -mult, truncation_degree)
-
-
-@lru_cache(maxsize=64)
-def _todd_line(mult: int, D: int) -> tuple[Fraction, ...]:
-    return tuple(todd_line(mult, D))
+    return tuple(power_coefficients(f, -mult, truncation_degree))
 
 
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _multiplicative(ch(x, truncation_degree), _todd_line(1, truncation_degree))
+    return _multiplicative(ch(x, truncation_degree), todd_line(1, truncation_degree))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

@@ -25,7 +25,6 @@ from .lambda_ring import (
     KElement,
     TSeries,
     _multiplicative,
-    _todd_line,
     alternating_lambda_sum,
     ch,
     chern_k,
@@ -201,7 +200,7 @@ def verify_hom_laws(
         if ch(x * y, D) != ch_x * ch_y:
             failures.append(f"case {case}: ch not multiplicative on {x}, {y}")
         # Todd and c are functions of ch, as in todd and total_chern
-        td = _todd_line(1, D)
+        td = todd_line(1, D)
         if _multiplicative(ch_sum, td) != _multiplicative(ch_x, td) * _multiplicative(ch_y, td):
             failures.append(f"case {case}: Todd not multiplicative on {x}, {y}")
         k = rng.randint(0, D)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,52 @@ def test_conductor_machine_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def _two_line_model(chi):
+    """Two lines meeting in a stratum, every closed characteristic ``chi``: the
+    open singletons vanish, so f_5 = chi(X_Q) - chi(X_5) = -chi."""
+    strata = [["C1"], ["C2"], ["C1", "C2"]]
+    return {
+        "relative_dimension": 1,
+        "generic_euler": 0,
+        "fibers": [
+            {
+                "prime": 5,
+                "components": [{"id": c, "multiplicity": 1} for c in ("C1", "C2")],
+                "strata": [{"components": J, "chi_closed": chi} for J in strata],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, log_eps_over_1e400",
+    [
+        # f_5 = -10^400 and (d + 1)/2 = 1
+        ("exponent", -math.log(5)),
+        # f_5 = -3 and (d + 1)/2 = (10^400 + 1)/2
+        ("dimension", -1.5 * math.log(5)),
+    ],
+    ids=["exponent", "dimension"],
+)
+def test_conductor_approximates_log_eps_past_the_float_range(
+    tmp_path, capsys, case, log_eps_over_1e400
+):
+    if case == "exponent":
+        doc = _two_line_model(10**400)
+    else:
+        doc = json.loads((MODELS / "elliptic_i3.json").read_text(encoding="utf-8"))
+        doc["relative_dimension"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    approx = f"{log_eps_over_1e400:.12g}e+400"
+    code, out, err = run(capsys, "conductor", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert f"~= {approx}  [approximate]" in out
+    code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["log_eps_approx"] == approx
 
 
 def test_conductor_wild_model_refused(capsys):

@@ -11,6 +11,7 @@ from charcalc.conductor import (
     PRIME_LIMIT,
     ArithmeticModel,
     Component,
+    ConductorReport,
     ConsistencyError,
     FiberDerivation,
     FiberModel,
@@ -491,6 +492,49 @@ def test_euler_entries_and_report_agree_per_prime():
     assert sorted((d.prime, d.chi_fiber) for d in entries) == [
         (s.prime, s.chi_fiber) for s in summaries
     ] == [(5, 2), (7, 3)]
+
+
+def test_generic_euler_check_and_conductor_return_one_report_type():
+    model = ArithmeticModel(1, (cycle_fiber(3, 7), cycle_fiber(2, 5)), generic_euler=0)
+    assert type(generic_euler_check(model)) is type(conductor(model)) is ConductorReport
+
+
+def test_report_primes_are_its_records_by_prime():
+    model = ArithmeticModel(
+        1, (cycle_fiber(3, 11), cycle_fiber(4, 5), cycle_fiber(2, 7)), generic_euler=0
+    )
+    report = conductor(model)
+    assert [d.prime for d in report.entries] == [11, 5, 7]  # model order
+    assert [d.prime for d in report.primes] == [5, 7, 11]
+    assert sorted(map(id, report.primes)) == sorted(map(id, report.entries))
+    for d in report.primes:
+        assert type(d) is FiberDerivation
+        assert d.exponent == -d.bloch_degree == report.generic_euler - d.chi_fiber
+    assert report.conductor_factors == {5: -4, 7: -2, 11: -3}
+
+
+def test_generic_euler_check_reports_a_stated_inconsistency():
+    # the one-component fiber at 7 has sum m_i chi*(T_i) = 3, not the stated 0
+    good, bad = cycle_fiber(3, 5), fiber_from_chi(7, {frozenset({"C1"}): 3})
+    report = generic_euler_check(ArithmeticModel(1, (bad, good), generic_euler=0))
+    assert not report.ok and not report.inferred
+    flags = {row["prime"]: row["generic_euler_ok"] for row in report.as_dict()["primes"]}
+    assert flags == {5: True, 7: False}
+    assert all(row["tame"] for row in report.as_dict()["primes"])
+
+
+def test_derivation_names_an_undeclared_component():
+    # normalize_fiber does not validate, so the ghost's singleton stratum
+    # reaches the derivation
+    strata = (
+        Stratum(frozenset({"C1"}), chi_closed=2),
+        Stratum(frozenset({"ghost"}), chi_closed=2),
+        Stratum(frozenset({"C1", "ghost"}), chi_closed=1),
+    )
+    fiber = normalize_fiber(FiberModel(5, (Component("C1", 1),), strata))
+    for derived in (fiber_euler, bloch_degree):
+        with pytest.raises(ModelValidationError, match="undeclared component 'ghost'"):
+            derived(fiber)
 
 
 def test_log_eps_halves_for_even_dimension():

@@ -2,13 +2,19 @@
 substitution, of the Chern character against its exp-per-line definition,
 of the Todd and total Chern classes against their product-per-line
 definition, of the S_n-orbit Chern character times a class of generic lines
-against the dense ones, and of the strata-lattice round trip."""
+against the dense ones, of the strata-lattice round trip, and of the
+conductor CLI on hostile integers."""
 
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
+from charcalc.cli import main
 from charcalc.conductor import (
     Component,
     FiberModel,
@@ -27,6 +33,8 @@ from charcalc.lambda_ring import (
 )
 from charcalc.series import GradedSeries, power_coefficients
 from charcalc.verify import generic_lines
+
+from oracles import random_strata_lattice
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -220,3 +228,58 @@ def test_strata_round_trip(fiber):
     )
     rederived = open_strata_from_closed(closed_strata_from_open(open_only))
     assert chi_by_stratum(rederived, "chi_open") == chi_by_stratum(opened, "chi_open")
+
+
+# -- the conductor CLI on hostile integers ----------------------------------------
+
+HUGE = 10**500
+
+
+@st.composite
+def scaled_models(draw):
+    """A model document of one or two random valid strata lattices, with the
+    chi values, generic_euler and relative_dimension scaled by up to 10^500."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    scale = draw(st.integers(min_value=-HUGE, max_value=HUGE))
+    fibers = []
+    primes = st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=2, unique=True)
+    for prime in draw(primes):
+        ids, chi = random_strata_lattice(rng)
+        fibers.append({
+            "prime": prime,
+            "components": [{"id": cid, "multiplicity": rng.randint(1, 3)} for cid in ids],
+            "strata": [{"components": sorted(J), "chi_closed": v * scale} for J, v in chi.items()],
+        })
+    dimension = draw(st.integers(min_value=0, max_value=4))
+    doc = {"relative_dimension": dimension * draw(st.integers(min_value=1, max_value=HUGE)),
+           "fibers": fibers}
+    generic_euler = draw(st.none() | st.integers(min_value=-5, max_value=5))
+    if generic_euler is not None:
+        doc["generic_euler"] = generic_euler * scale
+    return doc
+
+
+# two lines meeting in a stratum, every closed chi 10^400: f_5 = -10^400
+TWO_LINES_AT_1E400 = {
+    "relative_dimension": 1,
+    "generic_euler": 0,
+    "fibers": [{
+        "prime": 5,
+        "components": [{"id": "C1", "multiplicity": 1}, {"id": "C2", "multiplicity": 1}],
+        "strata": [
+            {"components": J, "chi_closed": 10**400} for J in (["C1"], ["C2"], ["C1", "C2"])
+        ],
+    }],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=scaled_models())
+@example(doc=TWO_LINES_AT_1E400)
+def test_conductor_cli_exits_cleanly_on_hostile_integers(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("hostile") / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command, *options in (["conductor"], ["conductor", "--output", "machine"], ["explain"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, "--model", str(path), *options])
+        assert code in (0, 1, 2)
