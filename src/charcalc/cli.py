@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import wraps
 
 from .conductor import (
     ConductorReport,
@@ -232,13 +233,32 @@ def _print_conductor_text(report: ConductorReport) -> None:
     print(f"            ~= {_approx_log(terms)}  [approximate]")
 
 
-def cmd_conductor(args) -> int:
+def _model_command(command):
+    """Run ``command(args, model)`` on the model read from ``args.model``; a refused
+    file exits 2.  The reader keeps the int-to-str digit limit and the command runs
+    without it: each value it prints is a sum of products of at most three literals."""
+
+    @wraps(command)
+    def run(args) -> int:
+        try:
+            model = load_model(args.model)  # parse_model validates and normalizes it
+        except (ModelParseError, ModelValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return command(args, model)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return run
+
+
+@_model_command
+def cmd_conductor(args, model) -> int:
     try:
-        model = load_model(args.model)  # parse_model validates it
         report = conductor_report(model, _derive_validated(model))
-    except (ModelParseError, ModelValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TamenessError, ConsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
@@ -286,13 +306,9 @@ def _print_derivation(d: FiberDerivation) -> None:
     )
 
 
-def cmd_explain(args) -> int:
-    try:
-        model = load_model(args.model)
-        fibers = _derive_validated(model)
-    except (ModelParseError, ModelValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+@_model_command
+def cmd_explain(args, model) -> int:
+    fibers = _derive_validated(model)
     print(f"relative dimension d = {model.relative_dimension}")
     for d in fibers:
         _print_derivation(d)

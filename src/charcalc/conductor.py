@@ -9,10 +9,10 @@ fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
-The pipeline validates a model once and normalizes each fiber once into a
-FiberDerivation, the one place chi(X_p) and the localized Chern degree are
-computed; the generic-Euler check and the conductor both return one
-ConductorReport over those records, and every rendering reads it.
+validate_model validates and normalizes each fiber once; each normalized fiber
+is derived once into a FiberDerivation, the one place chi(X_p) and the localized
+Chern degree are computed.  The generic-Euler check and the conductor both
+return one ConductorReport over those records, and every rendering reads it.
 """
 
 from __future__ import annotations
@@ -269,8 +269,6 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
             raise ModelValidationError(f"{where}: missing singleton stratum for {cid}")
     # A non-empty intersection forces all of its sub-intersections non-empty.
     for J in seen:
-        if len(J) < 2:
-            continue
         for cid in J:
             sub = J - {cid}
             if sub and sub not in seen:
@@ -280,14 +278,15 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
                 )
 
 
-def validate_model(model: ArithmeticModel) -> None:
+def validate_model(model: ArithmeticModel) -> ArithmeticModel:
+    """The model with each fiber validated and normalized once, in model order."""
     if model.relative_dimension < 0:
         raise ModelValidationError("relative_dimension must be non-negative")
     primes = [f.prime for f in model.fibers]
     if len(set(primes)) != len(primes):
         raise ModelValidationError("fiber primes must be pairwise distinct")
-    for fiber in model.fibers:
-        validate_fiber(fiber, model.relative_dimension)
+    d = model.relative_dimension
+    return replace(model, fibers=tuple(normalize_fiber(f, d) for f in model.fibers))
 
 
 # -- inclusion-exclusion over the strata lattice --------------------------
@@ -298,21 +297,20 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
     sum of sign^(|J2| - |J|) * values[J2] over the strata J2 containing J.
 
     sign = -1 turns closed characteristics into open ones and sign = +1
-    turns open ones back into closed ones.  Each J2 adds its term to its
-    proper subsets that are strata (validate_fiber makes them all strata).
+    turns open ones back into closed ones.  Each J2 adds its term to all of
+    its proper subsets, which validate_fiber makes strata.
     """
     out = dict(values)
     for J2, value in values.items():
         for size in range(1, len(J2)):
             for J in map(frozenset, combinations(J2, size)):
-                if J in out:
-                    out[J] += sign ** (len(J2) - size) * value
+                out[J] += sign ** (len(J2) - size) * value
     return out
 
 
-def normalize_fiber(fiber: FiberModel) -> FiberModel:
-    """Fill in both chi_closed and chi_open for every stratum of a fiber
-    that has passed validate_fiber.
+def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> FiberModel:
+    """Validate a fiber (see validate_fiber) and fill in both chi_closed and
+    chi_open for every stratum.
 
     The input must carry chi_closed on all strata or chi_open on all
     strata; partially mixed data is rejected since neither direction of
@@ -321,12 +319,8 @@ def normalize_fiber(fiber: FiberModel) -> FiberModel:
     the derived side, on a stratum or a component, must agree with the
     derived one.
     """
+    validate_fiber(fiber, relative_dimension)
     where = f"fiber at p={fiber.prime}"
-    # A valid fiber declares all 2^|J| - 1 non-empty subsets of each stratum J.
-    depth = (len(fiber.strata) + 1).bit_length() - 1
-    deep = [sorted(s.components) for s in fiber.strata if len(s.components) > depth]
-    if deep:
-        raise ModelValidationError(f"{where}: stratum {deep[0]} lacks some of its subsets")
     if all(s.chi_closed is not None for s in fiber.strata):
         closed = {s.components: s.chi_closed for s in fiber.strata}
         opened = _superset_sums(closed, -1)
@@ -367,9 +361,7 @@ def normalize_fiber(fiber: FiberModel) -> FiberModel:
 
 
 def _declaring(fiber: FiberModel, side: str) -> FiberModel:
-    """Validate the fiber and require the characteristic ``side`` on every
-    stratum."""
-    validate_fiber(fiber)
+    """Require the characteristic ``side`` on every stratum."""
     missing = [s for s in fiber.strata if getattr(s, side) is None]
     if missing:
         raise ModelValidationError(
@@ -380,8 +372,8 @@ def _declaring(fiber: FiberModel, side: str) -> FiberModel:
 
 
 def open_strata_from_closed(fiber: FiberModel) -> FiberModel:
-    """Validate a fiber with chi_closed on every stratum and populate
-    chi_open by inclusion-exclusion (see normalize_fiber)."""
+    """Populate chi_open by inclusion-exclusion on a fiber with chi_closed on
+    every stratum (see normalize_fiber)."""
     return normalize_fiber(_declaring(fiber, "chi_closed"))
 
 
@@ -402,45 +394,28 @@ def tame_check(fiber: FiberModel) -> TameReport:
 
 
 def _derive(fiber: FiberModel) -> FiberDerivation:
-    """The record of a normalized fiber.  Tameness is recorded, not enforced."""
-    mult = {c.id: c.multiplicity for c in fiber.components}
-    singles = weighted = deep = 0
-    for s in fiber.strata:
-        chi = s.chi_open
-        if chi is None:
-            raise ModelValidationError(
-                f"fiber at p={fiber.prime}: chi_open missing on stratum "
-                f"{sorted(s.components)}; normalize the fiber first"
-            )
-        if len(s.components) == 1:
-            (cid,) = s.components
-            try:
-                m = mult[cid]
-            except KeyError:
-                raise ModelValidationError(
-                    f"fiber at p={fiber.prime}: undeclared component {cid!r}"
-                ) from None
-            singles += (m - 1) * chi
-            weighted += m * chi
-        else:
-            deep += chi
+    """The record of a fiber that normalize_fiber returned, whose components
+    carry chi*(T_i).  Tameness is recorded, not enforced."""
+    singles = sum((c.multiplicity - 1) * c.chi_open for c in fiber.components)
+    weighted = sum(c.multiplicity * c.chi_open for c in fiber.components)
+    deep = sum(s.chi_open for s in fiber.strata if len(s.components) > 1)
     return FiberDerivation(fiber, tame_check(fiber), singles, weighted, deep)
 
 
 def fiber_euler(fiber: FiberModel) -> int:
-    """chi(X_p) of a normalized fiber (FiberDerivation.chi_fiber)."""
-    return _derive(fiber).chi_fiber
+    """chi(X_p) of a fiber, raw or normalized (FiberDerivation.chi_fiber)."""
+    return _derive(normalize_fiber(fiber)).chi_fiber
 
 
 def bloch_degree(fiber: FiberModel) -> int:
-    """Localized Chern degree of a normalized fiber (FiberDerivation.bloch_degree)."""
-    return _derive(fiber).bloch_degree
+    """Localized Chern degree of a fiber, raw or normalized (FiberDerivation.bloch_degree)."""
+    return _derive(normalize_fiber(fiber)).bloch_degree
 
 
 def _derive_validated(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
-    """Normalize each fiber once and derive its record, in model order, for
-    a model that has passed validate_model."""
-    return tuple(_derive(normalize_fiber(f)) for f in model.fibers)
+    """The record of each fiber, in model order, of a model that
+    validate_model returned."""
+    return tuple(map(_derive, model.fibers))
 
 
 def _euler_report(model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]) -> ConductorReport:
@@ -466,7 +441,7 @@ def _euler_report(model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]) -
 def generic_euler_check(model: ArithmeticModel) -> ConductorReport:
     """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model; the
     report says whether it holds (``ok``) and does not enforce it."""
-    validate_model(model)
+    model = validate_model(model)
     return _euler_report(model, _derive_validated(model))
 
 
@@ -495,5 +470,5 @@ def conductor_report(
 def conductor(model: ArithmeticModel) -> ConductorReport:
     """Full pipeline: validate, normalize, check tameness and consistency,
     then report per-prime exponents, the factored conductor, and log|eps|."""
-    validate_model(model)
+    model = validate_model(model)
     return conductor_report(model, _derive_validated(model))

@@ -16,8 +16,8 @@ The file is a single JSON object:
 
 All numbers are exact integers (floats and booleans are rejected — every
 input is an Euler characteristic, a multiplicity, or a prime), unknown
-fields are errors, and the parsed model is structurally validated before
-it is returned.
+fields are errors, and the parsed model is validated and normalized (both
+characteristics on every stratum) before it is returned.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _parse_fiber(raw, where: str) -> FiberModel:
 
 
 def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
-    """Parse and validate a model document.
+    """Parse a model document and return it validated and normalized.
 
     Raises ModelParseError (with line/column for JSON syntax problems, and
     for integer literals too long to convert or nesting too deep to decode)
@@ -138,8 +138,7 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
         fibers=fibers,
         generic_euler=generic_euler,
     )
-    validate_model(model)
-    return model
+    return validate_model(model)
 
 
 def load_model(path) -> ArithmeticModel:

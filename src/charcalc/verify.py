@@ -9,8 +9,8 @@ report, never an exception.
 Every class of n generic lines is symmetric in a1..an, so ``borel_serre``,
 ``ch_gamma`` and ``prop_chtd`` evaluate both sides as
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit of
-monomials, each one :func:`~charcalc.lambda_ring.symmetric_ch`, ch(x) times a
-class of the lines.  ``gala`` compares K-elements, and ``homomorphism`` runs on
+monomials: :func:`~charcalc.lambda_ring.symmetric_ch` on the left, a closed
+form on the right.  ``gala`` compares K-elements, and ``homomorphism`` runs on
 random elements that are not symmetric, so both stay dense.
 """
 
@@ -106,13 +106,14 @@ def verify_gala(x: KElement) -> CheckResult:
 
 def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     """Check ch(sum (-1)^i lambda^i(E*)) * Td(E) = c_n(E) for E a sum of n
-    generic lines, exact in every degree up to the truncation."""
+    generic lines, exact in every degree up to the truncation; c(E) = prod (1 + a_i),
+    so c_k(E) is the orbit sum m(1^k) and c_n(E) = a1 ... an."""
     E = generic_lines(n)
     D = n if max_degree is None else max_degree
     if D < n:
         raise ValueError(f"truncation degree must be at least {n}")
     lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D, todd_line(1, D))
-    detail = _differences(lhs, symmetric_ch(KElement.unit(n), D, (1, 1)).component(n))
+    detail = _differences(lhs, SymmetricSeries(n, D, {(1,) * n: 1}))
     return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
 
 
@@ -145,17 +146,17 @@ def verify_prop_chtd(n: int) -> CheckResult:
 
     1. components of P vanish below degree n-1 (the product is concentrated
        in the top two degrees),
-    2. the degree n-1 component equals c_{n-1}(x),
-    3. the degree n component equals -(n/2) c_n(x).
+    2. the degree n-1 component equals c_{n-1}(x) = m(1^{n-1}),
+    3. the degree n component equals -(n/2) c_n(x) = -(n/2) m(1^n).
     """
     D = n
     x = generic_lines(n)
     reduced = x - n * KElement.unit(n)
     todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(1, D))]
     P = symmetric_ch(gamma_k(reduced, n - 1), D, todd_dual)
-    chern = symmetric_ch(KElement.unit(n), D, (1, 1))
+    c_below, c_top = (SymmetricSeries(n, D, {(1,) * k + (0,) * (n - k): 1}) for k in (n - 1, n))
     zero = SymmetricSeries(n, D)
-    expected = [zero] * (n - 1) + [chern.component(n - 1), Fraction(-n, 2) * chern.component(n)]
+    expected = [zero] * (n - 1) + [c_below, Fraction(-n, 2) * c_top]
     details = [_differences(P.component(k), want) for k, want in enumerate(expected)]
     failures = [f"degree {k} component: {d}" for k, d in enumerate(details) if d]
     return CheckResult("prop_chtd", {"n": n}, not failures, "; ".join(failures))

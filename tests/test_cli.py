@@ -363,6 +363,25 @@ def test_cli_validates_each_fiber_once(monkeypatch, capsys, command):
     assert sorted(validated) == [5, 11]
 
 
+@pytest.mark.parametrize("command", ["conductor", "explain"])
+def test_cli_validates_and_normalizes_each_fiber_once(monkeypatch, capsys, command):
+    model = MODELS / "elliptic_i3.json"
+    primes = [f.prime for f in load_model(model).fibers]
+    conductor_module = importlib.import_module("charcalc.conductor")
+    calls = {"validate_fiber": [], "normalize_fiber": []}
+    for name, seen in calls.items():
+        original = getattr(conductor_module, name)
+
+        def counted(fiber, *args, original=original, seen=seen):
+            seen.append(fiber.prime)
+            return original(fiber, *args)
+
+        monkeypatch.setattr(conductor_module, name, counted)
+    code, _, _ = run(capsys, command, "--model", str(model))
+    assert code == 0
+    assert calls == {"validate_fiber": primes, "normalize_fiber": primes}
+
+
 # -- explain ------------------------------------------------------------------
 
 

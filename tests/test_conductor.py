@@ -207,15 +207,20 @@ def test_subset_closure_required():
         validate_fiber(FiberModel(3, comps, strata))
 
 
-def test_normalize_refuses_stratum_without_its_subsets_quickly():
-    # one 20-component stratum over 20 singletons lacks most of its
-    # 2^20 - 1 subsets, so it is refused before they are enumerated
+def stratum_without_its_subsets():
+    """One 20-component stratum over 20 singletons: it lacks most of its
+    2^20 - 1 subsets."""
     ids = [f"C{i}" for i in range(20)]
     chi = {frozenset({cid}): 2 for cid in ids}
     chi[frozenset(ids)] = 1
+    return fiber_from_chi(5, chi)
+
+
+def test_normalize_refuses_stratum_without_its_subsets_quickly():
+    # validation refuses it before the subsets are enumerated
     start = time.process_time()
-    with pytest.raises(ModelValidationError, match="lacks some of its subsets"):
-        normalize_fiber(fiber_from_chi(5, chi))
+    with pytest.raises(ModelValidationError, match="is declared but its subset"):
+        normalize_fiber(stratum_without_its_subsets())
     assert time.process_time() - start < 0.5
 
 
@@ -285,9 +290,10 @@ def test_fiber_euler_cycles():
     assert fiber_euler(normalize_fiber(cycle_fiber(2, 5))) == 2
 
 
-def test_fiber_euler_requires_normalization():
-    with pytest.raises(ModelValidationError):
-        fiber_euler(cycle_fiber(3, 5))
+def test_fiber_euler_normalizes_its_input():
+    raw = cycle_fiber(3, 5)
+    assert fiber_euler(raw) == fiber_euler(normalize_fiber(raw)) == 3
+    assert bloch_degree(raw) == bloch_degree(normalize_fiber(raw)) == 3
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -524,17 +530,47 @@ def test_generic_euler_check_reports_a_stated_inconsistency():
 
 
 def test_derivation_names_an_undeclared_component():
-    # normalize_fiber does not validate, so the ghost's singleton stratum
-    # reaches the derivation
     strata = (
         Stratum(frozenset({"C1"}), chi_closed=2),
         Stratum(frozenset({"ghost"}), chi_closed=2),
         Stratum(frozenset({"C1", "ghost"}), chi_closed=1),
     )
-    fiber = normalize_fiber(FiberModel(5, (Component("C1", 1),), strata))
-    for derived in (fiber_euler, bloch_degree):
-        with pytest.raises(ModelValidationError, match="undeclared component 'ghost'"):
-            derived(fiber)
+    raw = FiberModel(5, (Component("C1", 1),), strata)
+    for entry in (normalize_fiber, fiber_euler, bloch_degree):
+        with pytest.raises(ModelValidationError, match=r"undeclared components \['ghost'\]"):
+            entry(raw)
+
+
+def _strata(chi):
+    return tuple(Stratum(frozenset(J), chi_closed=v) for J, v in chi)
+
+
+TWO_LINES = (Component("C1", 1), Component("C2", 1))
+INVALID_FIBERS = {
+    "missing-singleton": FiberModel(5, TWO_LINES, _strata([({"C1"}, 2)])),
+    "ghost-in-deep-stratum": FiberModel(
+        5, TWO_LINES,
+        _strata([({"C1"}, 2), ({"C2"}, 2), ({"C1", "C2"}, 1), ({"C1", "ghost"}, 1)]),
+    ),
+    "ghost-singleton": FiberModel(
+        5, TWO_LINES[:1], _strata([({"C1"}, 2), ({"ghost"}, 2), ({"C1", "ghost"}, 1)])
+    ),
+    "stratum-without-subsets": stratum_without_its_subsets(),
+    "composite-prime": fiber_from_chi(6, {frozenset({"C1"}): 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_FIBERS))
+@pytest.mark.parametrize(
+    "entry", [normalize_fiber, open_strata_from_closed, fiber_euler, bloch_degree],
+    ids=lambda f: f.__name__,
+)
+def test_fiber_functions_refuse_invalid_fibers(entry, case):
+    # a typed refusal, never a KeyError and never a value, and quickly
+    start = time.process_time()
+    with pytest.raises(ModelValidationError):
+        entry(INVALID_FIBERS[case])
+    assert time.process_time() - start < 0.5
 
 
 def test_log_eps_halves_for_even_dimension():

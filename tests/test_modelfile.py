@@ -29,6 +29,16 @@ def i2_document():
     }
 
 
+def open_side_document():
+    """The I2 document with chi_open declared instead of chi_closed."""
+    doc = i2_document()
+    opened = {("C1",): 1, ("C2",): 1, ("C1", "C2"): 2}
+    doc["fibers"][0]["strata"] = [
+        {"components": list(J), "chi_open": chi} for J, chi in opened.items()
+    ]
+    return doc
+
+
 def parse(doc):
     return parse_model(json.dumps(doc))
 
@@ -41,6 +51,13 @@ def test_parse_well_formed_document():
     assert fiber.prime == 5
     assert {c.id for c in fiber.components} == {"C1", "C2"}
     assert len(fiber.strata) == 3
+
+
+def test_parse_returns_normalized_fibers():
+    for doc in (i2_document(), open_side_document()):
+        for fiber in parse(doc).fibers:
+            assert all(s.chi_closed is not None and s.chi_open is not None for s in fiber.strata)
+            assert all(c.chi_open is not None for c in fiber.components)
 
 
 def test_generic_euler_is_optional():

@@ -2,8 +2,9 @@
 substitution, of the Chern character against its exp-per-line definition,
 of the Todd and total Chern classes against their product-per-line
 definition, of the S_n-orbit Chern character times a class of generic lines
-against the dense ones, of the strata-lattice round trip, and of the
-conductor CLI on hostile integers."""
+against the dense ones, of the strata-lattice round trip, of the fiber
+functions' refusal of corrupted strata lattices, and of the conductor CLI on
+hostile integers."""
 
 import io
 import json
@@ -18,9 +19,14 @@ from charcalc.cli import main
 from charcalc.conductor import (
     Component,
     FiberModel,
+    ModelValidationError,
     Stratum,
+    bloch_degree,
     closed_strata_from_open,
+    fiber_euler,
+    normalize_fiber,
     open_strata_from_closed,
+    validate_fiber,
 )
 from charcalc.lambda_ring import (
     KElement,
@@ -230,6 +236,46 @@ def test_strata_round_trip(fiber):
     assert chi_by_stratum(rederived, "chi_open") == chi_by_stratum(opened, "chi_open")
 
 
+# -- every fiber function refuses a corrupted strata lattice -----------------------
+
+CORRUPTIONS = ("drop a singleton", "add a component to one stratum", "add an undeclared deep stratum")
+
+
+def corrupt(family: dict, ids: list, how: str, rng: random.Random) -> dict:
+    """``family`` ({stratum: chi}) after one corruption that makes it invalid."""
+    family = dict(family)
+    if how == "drop a singleton":
+        del family[frozenset({rng.choice(ids)})]
+    elif how == "add a component to one stratum":
+        J = rng.choice(sorted(family, key=sorted))
+        extra = rng.choice([cid for cid in [*ids, "ghost"] if cid not in J])
+        family[J | {extra}] = family.pop(J)
+    else:
+        family[frozenset({rng.choice(ids), "ghost"})] = rng.randint(-5, 5)
+    return family
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), how=st.sampled_from(CORRUPTIONS),
+       side=st.sampled_from(["chi_closed", "chi_open"]))
+def test_fiber_functions_refuse_corrupted_lattices(seed, how, side):
+    rng = random.Random(seed)
+    ids, family = random_strata_lattice(rng)
+    components = tuple(Component(cid, rng.randint(1, 3)) for cid in ids)
+
+    def fiber(chi):
+        return FiberModel(5, components, tuple(Stratum(J, **{side: v}) for J, v in chi.items()))
+
+    convert = open_strata_from_closed if side == "chi_closed" else closed_strata_from_open
+    entries = (validate_fiber, normalize_fiber, convert, fiber_euler, bloch_degree)
+    for entry in entries:  # the uncorrupted lattice is accepted
+        entry(fiber(family))
+    corrupted = fiber(corrupt(family, ids, how, rng))
+    for entry in entries:
+        with pytest.raises(ModelValidationError):
+            entry(corrupted)
+
+
 # -- the conductor CLI on hostile integers ----------------------------------------
 
 HUGE = 10**500
@@ -273,13 +319,34 @@ TWO_LINES_AT_1E400 = {
 }
 
 
+# every literal at the reader's 4,300-digit limit, and values of twice as many
+# digits to print: chi(X_Q) is inferred as 2 * 9 * 10^4299 * (9 * 10^4299 + 2)
+AT_DIGIT_LIMIT = 9 * 10**4299
+PAST_DIGIT_LIMIT = {
+    "relative_dimension": AT_DIGIT_LIMIT,
+    "fibers": [{
+        "prime": 5,
+        "components": [
+            {"id": "C1", "multiplicity": AT_DIGIT_LIMIT + 1},
+            {"id": "C2", "multiplicity": 1},
+        ],
+        "strata": [
+            {"components": ["C1"], "chi_closed": AT_DIGIT_LIMIT},
+            {"components": ["C2"], "chi_closed": AT_DIGIT_LIMIT},
+            {"components": ["C1", "C2"], "chi_closed": -AT_DIGIT_LIMIT},
+        ],
+    }],
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(doc=scaled_models())
 @example(doc=TWO_LINES_AT_1E400)
+@example(doc=PAST_DIGIT_LIMIT)
 def test_conductor_cli_exits_cleanly_on_hostile_integers(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("hostile") / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for command, *options in (["conductor"], ["conductor", "--output", "machine"], ["explain"]):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main([command, "--model", str(path), *options])
-        assert code in (0, 1, 2)
+        assert code == 0 if doc is PAST_DIGIT_LIMIT else code in (0, 1, 2)

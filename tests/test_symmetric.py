@@ -48,6 +48,10 @@ def test_orbit_series_expand_to_dense(n):
     assert expand(symmetric_ch(unit, n, todd_E)) == todd(E, n)
     assert expand(symmetric_ch(unit, n, todd_dual)) == todd(E.dual(), n)
     assert expand(symmetric_ch(unit, n, [1, 1])) == total_chern(E, n)
+    # the closed form of borel_serre and prop_chtd: c(E) = prod (1 + a_i), so c_k = m(1^k)
+    for D in (n, n + 1, n + 3):
+        chern = {(1,) * k + (0,) * (n - k): 1 for k in range(n + 1)}
+        assert symmetric_ch(unit, D, (1, 1)) == SymmetricSeries(n, D, chern)
 
     assert expand(symmetric_ch(alternating, n, todd_E)) == ch(alternating, n) * todd(E, n)
     assert expand(symmetric_ch(top_gamma, n, todd_dual)) == ch(top_gamma, n) * todd(E.dual(), n)
