@@ -21,6 +21,7 @@ from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate
 
 from .conductor import (
     ConductorReport,
@@ -32,7 +33,7 @@ from .conductor import (
     conductor_report,
 )
 from .modelfile import ModelParseError, load_model
-from .series import render_sum
+from .series import dominant_exponents, render_sum
 from .verify import (
     CheckResult,
     generic_lines,
@@ -47,11 +48,11 @@ from .verify import (
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
 HOM_LAW_SEED = 0
-# Bounds on an explicit --max-degree: the degree and, once it passes n + 1 (the
-# largest degree a default run builds), the C(n + D, D) monomials of a dense series
-# in n = --rank-max symbols at D = --max-degree; C(15, 7) is ch_gamma at n = 7, D = 8.
+# The checks that read --max-degree: each verifier and its default degree less the rank n.
+# Past n + 1, --max-degree is bounded for the O(D^2) line series and by _root_prefixes.
+DEGREE_CHECKS = {"borel_serre": (verify_borel_serre, 0), "ch_gamma": (verify_ch_gamma, 1)}
 MAX_DEGREE_LIMIT = 64
-MAX_SERIES_TERMS = math.comb(15, 7)
+MAX_ROOT_PREFIXES = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="raise the series truncation degree of the degree-sensitive checks",
+        help=f"raise the truncation degree of borel_serre and ch_gamma, to at most "
+        f"{MAX_DEGREE_LIMIT} and {MAX_ROOT_PREFIXES:,} root prefixes to sum",
     )
     verify.add_argument(
         "--rank-cap",
@@ -107,12 +109,9 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
                 if n >= 2:
                     result = verify_gala(repeated_root_lines(n))
                     results.append(replace(result, params={**result.params, "roots": "repeated"}))
-            elif name == "borel_serre":
-                D = n if max_degree is None else max(n, max_degree)
-                results.append(verify_borel_serre(n, D))
-            elif name == "ch_gamma":
-                D = n + 1 if max_degree is None else max(n + 1, max_degree)
-                results.append(verify_ch_gamma(n, D))
+            elif name in DEGREE_CHECKS:
+                verify, offset = DEGREE_CHECKS[name]
+                results.append(verify(n, max(n + offset, max_degree or 0)))
             elif name == "prop_chtd":
                 results.append(verify_prop_chtd(n))
             elif name == "homomorphism":
@@ -120,8 +119,14 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
     return results
 
 
-def _format_params(params: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+def _root_prefixes(n: int, D: int) -> int:
+    """The root prefixes symmetric_ch may sum at rank n and degree D, about 2 us each in
+    borel_serre, counted until past MAX_ROOT_PREFIXES: 2^k per orbit of k symbols, since
+    the roots of both checks' elements have entries 0 and 1 or 0 and -1."""
+    for total in accumulate(2 ** (len(e) - e.count(0)) for e in dominant_exponents(min(n, D), D)):
+        if total > MAX_ROOT_PREFIXES:
+            break
+    return total
 
 
 def _verify_refusal(names, args) -> str | None:
@@ -139,25 +144,15 @@ def _verify_refusal(names, args) -> str | None:
             "The truncated-series products grow combinatorially with the rank; "
             "pass --rank-cap explicitly to go higher."
         )
-    if args.max_degree is not None:
-        if args.max_degree < 0:
-            return f"--max-degree must be non-negative, got {args.max_degree}"
-        n, D = args.rank_max, max(args.max_degree, args.rank_max + 1)
-        # C(n + D, D), one factor at a time and only up to 10^12: C(n + D, i) grows
-        # up to i = min(n, D), and a huge one has more digits than int formats
-        terms, shown = 1, 10**12
-        for i in range(1, min(n, D) + 1):
-            terms = terms * (n + D + 1 - i) // i
-            if terms > shown:
-                break
-        costly = D > n + 1 and terms > MAX_SERIES_TERMS
-        if args.max_degree > MAX_DEGREE_LIMIT or costly:
-            size = f"up to {terms}" if terms <= shown else "more than 10^12"
-            return (
-                f"--max-degree {args.max_degree} at --rank-max {n} "
-                f"means series of {size} terms; the limits are degree "
-                f"{MAX_DEGREE_LIMIT} and {MAX_SERIES_TERMS} terms."
-            )
+    n, D = args.rank_max, args.max_degree
+    if D is not None and D < 0:
+        return f"--max-degree must be non-negative, got {D}"
+    if D is None or not DEGREE_CHECKS.keys() & names:
+        return None
+    if D > MAX_DEGREE_LIMIT:
+        return f"--max-degree {D} exceeds the limit {MAX_DEGREE_LIMIT}"
+    if D > n + 1 and _root_prefixes(n, D) > MAX_ROOT_PREFIXES:
+        return f"--max-degree {D} at --rank-max {n} means over {MAX_ROOT_PREFIXES:,} root prefixes"
     return None
 
 
@@ -179,7 +174,8 @@ def cmd_verify(args) -> int:
     else:
         for r in results:
             label = "PASS" if r.ok else "FAIL"
-            line = f"{label} {r.check} {_format_params(r.params)}"
+            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+            line = f"{label} {r.check} {params}"
             if r.detail and not r.ok:
                 line += f"  ({r.detail})"
             print(line)

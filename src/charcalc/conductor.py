@@ -18,6 +18,7 @@ return one ConductorReport over those records, and every rendering reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -41,6 +42,14 @@ class TamenessError(ValueError):
 
 class ConsistencyError(ValueError):
     """Fibers imply contradictory generic-fiber Euler characteristics."""
+
+
+def _shown(value: int) -> str:
+    """``value`` in decimal, or to four digits past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"~{Decimal(value):.3e}"
 
 
 @dataclass(frozen=True)
@@ -336,21 +345,21 @@ def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) ->
         J = s.components
         if s.chi_open is not None and s.chi_open != opened[J]:
             raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_open={s.chi_open} "
-                f"but inclusion-exclusion gives {opened[J]}"
+                f"{where}: stratum {sorted(J)} declares chi_open={_shown(s.chi_open)} "
+                f"but inclusion-exclusion gives {_shown(opened[J])}"
             )
         if s.chi_closed is not None and s.chi_closed != closed[J]:
             raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_closed={s.chi_closed} "
-                f"but the open strata sum to {closed[J]}"
+                f"{where}: stratum {sorted(J)} declares chi_closed={_shown(s.chi_closed)} "
+                f"but the open strata sum to {_shown(closed[J])}"
             )
     components = []
     for c in fiber.components:
         chi = opened[frozenset({c.id})]
         if c.chi_open is not None and c.chi_open != chi:
             raise ModelValidationError(
-                f"{where}: component {c.id} declares chi_open={c.chi_open} but "
-                f"its singleton stratum gives {chi}"
+                f"{where}: component {c.id} declares chi_open={_shown(c.chi_open)} but "
+                f"its singleton stratum gives {_shown(chi)}"
             )
         components.append(replace(c, chi_open=chi))
     strata = tuple(
@@ -433,7 +442,7 @@ def _euler_report(model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]) -
         clash = next(d for d in fibers if not report.euler_holds(d))
         raise ConsistencyError(
             f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
-            f"{expected}, p={clash.prime} gives {clash.weighted_sum}"
+            f"{_shown(expected)}, p={clash.prime} gives {_shown(clash.weighted_sum)}"
         )
     return report
 
@@ -458,9 +467,9 @@ def conductor_report(
         return ConductorReport(model.relative_dimension, model.generic_euler, ())
     report = _euler_report(model, fibers)
     if not report.ok:
-        chi_q = report.generic_euler
+        chi_q = _shown(report.generic_euler)
         details = "; ".join(
-            f"p={d.prime}: sum m_i*chi_open(T_i) = {d.weighted_sum} != {chi_q} = chi(X_Q)"
+            f"p={d.prime}: sum m_i*chi_open(T_i) = {_shown(d.weighted_sum)} != {chi_q} = chi(X_Q)"
             for d in fibers if not report.euler_holds(d)
         )
         raise ConsistencyError(f"generic Euler characteristic check failed: {details}")

@@ -231,11 +231,6 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
     return lam._like(terms)
 
 
-def lambda_k(x: KElement, k: int) -> KElement:
-    """The k-th exterior power coefficient of lambda_t(x)."""
-    return lambda_t(x, k).coefficient(k)
-
-
 def gamma_k(x: KElement, k: int) -> KElement:
     """The k-th gamma operation, read off gamma_t(x)."""
     return gamma_t(x, k).coefficient(k)

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,16 @@ import pytest
 from charcalc import cli
 from charcalc.cli import build_parser, main
 from charcalc.conductor import PRIME_LIMIT, conductor
+from charcalc.lambda_ring import KElement, alternating_lambda_sum, gamma_k
 from charcalc.modelfile import load_model
+from charcalc.series import dominant_exponents
+from charcalc.verify import generic_lines
 
-from test_modelfile import HOSTILE_MODELS
+from test_modelfile import (
+    DERIVED_PAST_DIGIT_LIMIT,
+    DERIVED_PAST_DIGIT_LIMIT_MESSAGE,
+    HOSTILE_MODELS,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -56,47 +64,106 @@ def test_verify_rank_cap_override(capsys):
     assert code == 0
 
 
+def prefix_terms(x, D: int, trivial: bool) -> int:
+    """The root-prefix terms symmetric_ch sums for x at degree D: at each dominant
+    e with k nonzero entries, one per distinct k-prefix of the roots of x, only the
+    prefixes with no zero entry when the line value is trivial."""
+    roots = dict(x.terms())
+    n = x.symbol_count
+    return sum(
+        len({r[:k] for r in roots if not trivial or all(r[:k])})
+        for k in (n - e.count(0) for e in dominant_exponents(n, D))
+    )
+
+
+def test_root_prefix_count_bounds_the_terms_symmetric_ch_sums():
+    for n in range(1, 8):
+        E = generic_lines(n)
+        borel_serre = alternating_lambda_sum(E.dual())
+        ch_gamma = gamma_k(E - n * KElement.unit(n), n - 1)
+        for D in range(13):
+            bound = cli._root_prefixes(n, D)
+            assert bound >= prefix_terms(borel_serre, D, trivial=False), (n, D)
+            assert bound >= prefix_terms(ch_gamma, D, trivial=True), (n, D)
+
+
+def no_checks(*args):
+    raise AssertionError("a refused verify ran its checks")
+
+
 @pytest.mark.parametrize(
-    "argv, terms",
+    "argv, message",
     [
         # over the degree limit 64; this input used to run for minutes
-        (["--checks", "borel_serre", "--rank-max", "1", "--max-degree", "400"], 401),
-        # C(3 + 32, 32) = 6545 > C(15, 7) = 6435
-        (["--checks", "gala", "--rank-max", "3", "--max-degree", "32"], 6545),
-        (["--checks", "gala", "--rank-min", "7", "--rank-max", "7", "--rank-cap", "7",
-          "--max-degree", "9"], 11440),
+        (["--checks", "borel_serre", "--rank-max", "1", "--max-degree", "400"],
+         "--max-degree 400 exceeds the limit 64"),
+        (["--max-degree", "65"], "--max-degree 65 exceeds the limit 64"),
+        (["--checks", "gala,borel_serre", "--rank-max", "12", "--max-degree", "24"],
+         "--max-degree 24 at --rank-max 12 means over 1,000,000 root prefixes"),
+        (["--checks", "ch_gamma", "--rank-max", "12", "--max-degree", "24"],
+         "--max-degree 24 at --rank-max 12 means over 1,000,000 root prefixes"),
     ],
+    ids=["degree-400", "degree-65", "borel_serre-n12-D24", "ch_gamma-n12-D24"],
 )
-def test_verify_refuses_costly_max_degree(capsys, argv, terms):
+def test_verify_refuses_costly_max_degree(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_run_checks", no_checks)
     code, out, err = run(capsys, "verify", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: --max-degree ")
-    assert f"up to {terms} terms; the limits are degree 64 and 6435 terms" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_verify_refuses_max_degree_with_a_huge_term_count(capsys):
-    # C(12 + D, D) at D = 10^400 has about 4,800 digits, more than int formats
+def test_verify_refuses_max_degree_with_a_huge_term_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run_checks", no_checks)
     code, out, err = run(capsys, "verify", "--rank-max", "12", "--max-degree", "1" + "0" * 400)
     assert (code, out) == (2, "")
-    assert err.startswith("error: --max-degree ") and err.count("\n") == 1
-    assert "more than 10^12 terms" in err
-    # over the degree limit at a rank whose default series are already huge; the
-    # refusal is asked for directly, as a refusal that failed to fire would run the checks
-    args = build_parser().parse_args(
-        ["verify", "--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "65"]
-    )
-    refusal = cli._verify_refusal(list(cli.CHECK_NAMES), args)
-    assert refusal.startswith("--max-degree 65 at --rank-max 8000 means series of more than")
+    assert err == f"error: --max-degree 1{'0' * 400} exceeds the limit 64\n"
+
+
+def refusal(*argv):
+    return cli._verify_refusal(list(cli.CHECK_NAMES), build_parser().parse_args(["verify", *argv]))
+
+
+def test_verify_sizes_every_rank_at_the_largest_degree_quickly():
+    # the refusal is asked for directly, as a refusal that failed to fire would run the checks
+    refused = []
+    for n in range(1, 65):
+        start = time.process_time()
+        answer = refusal("--rank-max", str(n), "--rank-cap", "64", "--max-degree", "64")
+        assert time.process_time() - start < 1.0, n
+        if answer:
+            assert answer.startswith(f"--max-degree 64 at --rank-max {n} means over")
+            refused.append(n)
+    # from rank 63 on, degree 64 is at most n + 1 and runs as the default does
+    assert refused == list(range(5, 63))
+    start = time.process_time()
+    assert refusal("--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "64") is None
+    over = refusal("--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "65")
+    assert over == "--max-degree 65 exceeds the limit 64"
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--checks", "borel_serre,ch_gamma", "--rank-min", "8", "--rank-max", "8",
+         "--max-degree", "12"],
+        ["--checks", "borel_serre", "--rank-min", "12", "--rank-max", "12", "--max-degree", "16"],
+        # gala ignores --max-degree, so no degree is refused for it
+        ["--checks", "gala", "--rank-max", "3", "--max-degree", "32"],
+        ["--checks", "gala", "--rank-min", "7", "--rank-max", "7", "--rank-cap", "7",
+         "--max-degree", "9"],
+        ["--checks", "gala", "--rank-max", "3", "--max-degree", "65"],
+    ],
+    ids=["borel_serre,ch_gamma-n8-D12", "borel_serre-n12-D16", "gala-n3-D32", "gala-n7-D9",
+         "gala-n3-D65"],
+)
+def test_verify_runs_raised_degrees_the_orbits_afford(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
 
 
 def test_verify_accepts_largest_budgets(capsys):
-    # C(7 + 8, 8) is exactly the term budget
-    code, out, err = run(
-        capsys, "verify", "--checks", "gala", "--rank-min", "7", "--rank-max", "7",
-        "--rank-cap", "7", "--max-degree", "8",
-    )
-    assert (code, err) == (0, "")
-    # the largest degree, at rank 1
+    # 1 + 2 * 64 root prefixes at rank 1, the largest degree
     code, out, err = run(capsys, "verify", "--rank-max", "1", "--max-degree", "64")
     assert (code, err) == (0, "")
     assert "PASS borel_serre max_degree=64 n=1" in out
@@ -343,6 +410,16 @@ def test_hostile_model_file_is_parse_error(tmp_path, capsys, command, case):
     code, out, err = run(capsys, command, "--model", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("options", [["conductor"], ["conductor", "--output", "machine"],
+                                     ["explain"]], ids=" ".join)
+def test_mismatch_past_the_digit_limit_exits_2(tmp_path, capsys, options):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(DERIVED_PAST_DIGIT_LIMIT), encoding="utf-8")
+    command, *rest = options
+    code, out, err = run(capsys, command, "--model", str(path), *rest)
+    assert (code, out, err) == (2, "", f"error: {DERIVED_PAST_DIGIT_LIMIT_MESSAGE}\n")
 
 
 @pytest.mark.parametrize("command", ["conductor", "explain"])

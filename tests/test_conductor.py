@@ -584,3 +584,17 @@ def test_log_eps_halves_for_even_dimension():
     report = conductor(model)
     assert report.primes[0].exponent == 1
     assert report.log_eps_terms == ((3, Fraction(1, 2)),)
+
+
+def test_consistency_messages_past_the_digit_limit():
+    # two lines meeting in a point: sum m_i chi* = 2 * 9*10^4299 - 2 has 4,301 digits
+    huge = 9 * 10**4299
+    chi = {frozenset({"C1"}): huge, frozenset({"C2"}): huge, frozenset({"C1", "C2"}): 1}
+    stated = ArithmeticModel(1, (fiber_from_chi(5, chi),), generic_euler=0)
+    with pytest.raises(ConsistencyError, match=r"= ~1\.800e\+4300 != 0 = chi\(X_Q\)"):
+        conductor(stated)
+    negated = {J: -v for J, v in chi.items()}
+    inferred = ArithmeticModel(1, (fiber_from_chi(5, chi), fiber_from_chi(7, negated)))
+    clash = r"p=5 gives ~1\.800e\+4300, p=7 gives ~-1\.800e\+4300"
+    with pytest.raises(ConsistencyError, match=clash):
+        conductor(inferred)

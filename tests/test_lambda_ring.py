@@ -14,7 +14,6 @@ from charcalc.lambda_ring import (
     chern_k,
     gamma_k,
     gamma_t,
-    lambda_k,
     lambda_t,
     todd,
     todd_line,
@@ -287,11 +286,3 @@ def test_alternating_sum_of_zero():
 def test_alternating_sum_rejects_negative_rank():
     with pytest.raises(ValueError):
         alternating_lambda_sum(-unit(1))
-
-
-def test_lambda_k_matches_series_coefficient():
-    rng = random.Random(10)
-    for _ in range(10):
-        x = random_k_element(rng, 2)
-        for k in range(3):
-            assert lambda_k(x, k) == lambda_t(x, 3).coefficient(k)

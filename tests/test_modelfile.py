@@ -186,3 +186,34 @@ def test_hostile_file_is_parse_error(tmp_path, case):
     path.write_bytes(content)
     with pytest.raises(ModelParseError, match=message):
         load_model(path)
+
+
+# every literal parses, but C1's open value 9*10^4299 - (-9*10^4299) has 4,301 digits
+AT_DIGIT_LIMIT = 9 * 10**4299
+DERIVED_PAST_DIGIT_LIMIT = {
+    "relative_dimension": 1,
+    "fibers": [{
+        "prime": 5,
+        "components": [{"id": "C1", "multiplicity": 1, "chi_open": 1},
+                       {"id": "C2", "multiplicity": 1}],
+        "strata": [
+            {"components": ["C1"], "chi_closed": AT_DIGIT_LIMIT},
+            {"components": ["C2"], "chi_closed": AT_DIGIT_LIMIT},
+            {"components": ["C1", "C2"], "chi_closed": -AT_DIGIT_LIMIT},
+        ],
+    }],
+}
+DERIVED_PAST_DIGIT_LIMIT_MESSAGE = (
+    "fiber at p=5: component C1 declares chi_open=1 but its singleton stratum "
+    "gives ~1.800e+4300"
+)
+
+
+def test_mismatch_past_the_digit_limit_is_validation_error():
+    with pytest.raises(ModelValidationError) as info:
+        parse_model(json.dumps(DERIVED_PAST_DIGIT_LIMIT))
+    assert str(info.value) == DERIVED_PAST_DIGIT_LIMIT_MESSAGE
+    # the reader still refuses a literal of 4,301 digits
+    text = json.dumps(DERIVED_PAST_DIGIT_LIMIT).replace(str(AT_DIGIT_LIMIT), "1" + "0" * 4300, 1)
+    with pytest.raises(ModelParseError, match="invalid JSON: Exceeds the limit"):
+        parse_model(text)

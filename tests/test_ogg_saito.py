@@ -2,15 +2,18 @@
 
 For a tame elliptic fiber on a regular model with strict normal crossings,
 the exponent is -(f + m - 1), where m is the number of components of that
-model, and f = 1 for I_n (n >= 2), f = 2 for the additive types II, III,
+model, and f = 1 for I_n (n >= 1), f = 2 for the additive types II, III,
 IV, I_n*, IV*, III* and II* (Ogg 1967; T. Saito, Duke 1988).  The model
 need not be minimal: blowing up a point adds one component and raises
 chi(X_p) by one, so the formula holds with m counted on the model at hand.
 II, III and IV are tested on their SNC resolutions, stars of four
-components.  The formula uses none of the strata algebra, so it checks the
-conductor pipeline from outside.
+components, and I_1 on the blow-up of its node: the normalized line C and
+the exceptional line E of multiplicity 2, meeting in two points.  The formula
+uses none of the strata algebra, so it checks the conductor pipeline from
+outside.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,14 @@ def cycle(n: int, prime: int) -> FiberModel:
 def test_cycle(n):
     report = conductor(ArithmeticModel(1, (cycle(n, 7),), generic_euler=0))
     assert report.primes[0].exponent == ogg_saito(1, n) == -n
+
+
+@pytest.mark.parametrize("prime", [5, 7, 11])
+def test_nodal_fiber_on_its_blow_up(prime):
+    model = load_model(MODELS / "kodaira_i1.json")
+    (fiber,) = model.fibers
+    assert [c.multiplicity for c in fiber.components] == [1, 2]
+    model = replace(model, fibers=(replace(fiber, prime=prime),))
+    (summary,) = conductor(model).primes
+    assert (summary.prime, summary.chi_fiber) == (prime, 2)
+    assert summary.exponent == ogg_saito(1, 2) == -2
