@@ -47,7 +47,6 @@ from .verify import (
 
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
-HOM_LAW_SEED = 0
 # The checks that read --max-degree: each verifier and its default degree less the rank n.
 # Past n + 1, --max-degree is bounded for the O(D^2) line series and by _root_prefixes.
 DEGREE_CHECKS = {"borel_serre": (verify_borel_serre, 0), "ch_gamma": (verify_ch_gamma, 1)}
@@ -115,7 +114,7 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
             elif name == "prop_chtd":
                 results.append(verify_prop_chtd(n))
             elif name == "homomorphism":
-                results.append(verify_hom_laws(n, seed=HOM_LAW_SEED))
+                results.append(verify_hom_laws(n))
     return results
 
 

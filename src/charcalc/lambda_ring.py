@@ -37,6 +37,7 @@ from .series import (
     MismatchError,
     Monomial,
     SymmetricSeries,
+    _key,
     _numerators,
     _TermMap,
     dominant_exponents,
@@ -44,14 +45,6 @@ from .series import (
 )
 
 Root = tuple[int, ...]
-
-
-def _root(root, symbol_count: int) -> Root:
-    """``root`` as a tuple, refused when it has not ``symbol_count`` entries."""
-    root = tuple(root)
-    if len(root) != symbol_count:
-        raise ValueError(f"root {root} has length {len(root)}, expected {symbol_count}")
-    return root
 
 
 class KElement(_TermMap):
@@ -71,7 +64,7 @@ class KElement(_TermMap):
             raise ValueError("symbol_count must be non-negative")
         canonical: dict[Root, int] = {}
         for root, mult in (terms or {}).items():
-            root = _root(root, symbol_count)
+            root = _key(root, symbol_count)
             if any(not isinstance(e, int) or isinstance(e, bool) for e in root):
                 raise ValueError(f"root {root} must have integer entries")
             if not isinstance(mult, int) or isinstance(mult, bool):
@@ -113,7 +106,7 @@ class KElement(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def multiplicity(self, root) -> int:
-        return self._terms.get(_root(root, self.symbol_count), 0)
+        return self._terms.get(_key(root, self.symbol_count), 0)
 
     @property
     def rank(self) -> int:
@@ -314,22 +307,21 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
 
 
 @lru_cache(maxsize=64)
-def todd_line(mult: int, truncation_degree: int) -> tuple[Fraction, ...]:
-    """Coefficients of (l / (1 - e^{-l}))^mult up to l^truncation_degree: the
-    Todd class of mult copies of a line l.
-
-    The line value is f(l)^(-1) for f(l) = (1 - e^{-l}) / l
-    = sum_k (-l)^k / (k+1)!, so mult lines contribute f(l)^(-mult).
+def todd_line(truncation_degree: int) -> tuple[Fraction, ...]:
+    """Coefficients of l / (1 - e^{-l}) up to l^truncation_degree: the Todd
+    class of one line l, f(l)^(-1) for f(l) = (1 - e^{-l}) / l
+    = sum_k (-l)^k / (k+1)!.  Multiplicities enter through the weighted ``ch``
+    of :func:`_multiplicative`, not through powers of this series.
     """
     if truncation_degree < 0:
         raise ValueError("truncation_degree must be non-negative")
     f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(truncation_degree + 1)]
-    return tuple(power_coefficients(f, -mult, truncation_degree))
+    return tuple(power_coefficients(f, -1, truncation_degree))
 
 
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _multiplicative(ch(x, truncation_degree), todd_line(1, truncation_degree))
+    return _multiplicative(ch(x, truncation_degree), todd_line(truncation_degree))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

@@ -15,9 +15,9 @@ The file is a single JSON object:
     }
 
 All numbers are exact integers (floats and booleans are rejected — every
-input is an Euler characteristic, a multiplicity, or a prime), unknown
-fields are errors, and the parsed model is validated and normalized (both
-characteristics on every stratum) before it is returned.
+input is an Euler characteristic, a multiplicity, or a prime), unknown and
+repeated fields are errors, and the parsed model is validated and
+normalized (both characteristics on every stratum) before it is returned.
 """
 
 from __future__ import annotations
@@ -35,7 +35,18 @@ from .conductor import (
 
 
 class ModelParseError(ValueError):
-    """Malformed model file (bad JSON, wrong types, or unknown fields)."""
+    """Malformed model file (bad JSON, wrong types, or unknown or repeated fields)."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refused when a key repeats (``json``
+    alone would keep the last value without a word)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ModelParseError(f"repeated key {repeated!r}")
+    return data
 
 
 def _require_int(value, where: str) -> int:
@@ -112,16 +123,16 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
     """Parse a model document and return it validated and normalized.
 
     Raises ModelParseError (with line/column for JSON syntax problems, and
-    for integer literals too long to convert or nesting too deep to decode)
-    or ModelValidationError for structurally invalid data.
+    for repeated keys, integer literals too long to convert or nesting too
+    deep to decode) or ModelValidationError for structurally invalid data.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+    except ValueError as exc:  # a repeated key, or an integer past the int-to-str digit limit
         raise ModelParseError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ModelParseError(f"{source}: invalid JSON: nested too deeply") from exc

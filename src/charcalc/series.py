@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import lcm
 from numbers import Rational
 from operator import add
 
@@ -107,12 +107,13 @@ def dominant_exponents(symbol_count: int, degree: int):
     return extend((), degree, degree, symbol_count)
 
 
-def _monomial(mono, symbol_count: int) -> Monomial:
-    """``mono`` as a tuple, refused when it has not ``symbol_count`` exponents."""
-    mono = tuple(mono)
-    if len(mono) != symbol_count:
-        raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {symbol_count}")
-    return mono
+def _key(entries, symbol_count: int) -> tuple[int, ...]:
+    """``entries`` as a tuple, refused when it has not one entry per symbol: a
+    monomial's exponents or a line's root."""
+    key = tuple(entries)
+    if len(key) != symbol_count:
+        raise ValueError(f"key {key} has {len(key)} entries, expected {symbol_count}")
+    return key
 
 
 def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=False) -> dict:
@@ -126,7 +127,7 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
         raise ValueError("truncation_degree must be non-negative")
     canonical: dict[Monomial, Fraction] = {}
     for mono, coeff in (terms or {}).items():
-        mono = _monomial(mono, symbol_count)
+        mono = _key(mono, symbol_count)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in mono):
             raise ValueError(f"monomial {mono} has invalid exponents")
         if dominant and any(a < b for a, b in zip(mono, mono[1:])):
@@ -416,18 +417,11 @@ class GradedSeries(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def coefficient(self, monomial) -> Fraction:
-        return self._terms.get(_monomial(monomial, self.symbol_count), Fraction(0))
+        return self._terms.get(_key(monomial, self.symbol_count), Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.symbol_count, Fraction(0))
-
-    def truncate(self, truncation_degree: int) -> "GradedSeries":
-        """Reduce the truncation degree, discarding higher terms (the public
-        constructor discards them)."""
-        if truncation_degree > self._bound:
-            raise ValueError("cannot raise the truncation degree of a series")
-        return GradedSeries(self.symbol_count, truncation_degree, self._terms)
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.
@@ -441,11 +435,6 @@ class GradedSeries(_TermMap):
             raise ValueError("series with zero constant term is not invertible")
         nil = 1 - self * (1 / c)
         return nil.substitute([1] * (self.truncation_degree + 1)) * (1 / c)
-
-    def exp(self) -> "GradedSeries":
-        """Exponential sum x^k / k!, defined for zero constant term."""
-        D = self.truncation_degree
-        return self.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
 
     # -- display --------------------------------------------------------
 

@@ -112,7 +112,7 @@ def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     D = n if max_degree is None else max_degree
     if D < n:
         raise ValueError(f"truncation degree must be at least {n}")
-    lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D, todd_line(1, D))
+    lhs = symmetric_ch(alternating_lambda_sum(E.dual()), D, todd_line(D))
     detail = _differences(lhs, SymmetricSeries(n, D, {(1,) * n: 1}))
     return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
 
@@ -152,7 +152,7 @@ def verify_prop_chtd(n: int) -> CheckResult:
     D = n
     x = generic_lines(n)
     reduced = x - n * KElement.unit(n)
-    todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(1, D))]
+    todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(D))]
     P = symmetric_ch(gamma_k(reduced, n - 1), D, todd_dual)
     c_below, c_top = (SymmetricSeries(n, D, {(1,) * k + (0,) * (n - k): 1}) for k in (n - 1, n))
     zero = SymmetricSeries(n, D)
@@ -201,7 +201,7 @@ def verify_hom_laws(
         if ch(x * y, D) != ch_x * ch_y:
             failures.append(f"case {case}: ch not multiplicative on {x}, {y}")
         # Todd and c are functions of ch, as in todd and total_chern
-        td = todd_line(1, D)
+        td = todd_line(D)
         if _multiplicative(ch_sum, td) != _multiplicative(ch_x, td) * _multiplicative(ch_y, td):
             failures.append(f"case {case}: Todd not multiplicative on {x}, {y}")
         k = rng.randint(0, D)

@@ -139,3 +139,24 @@ def random_strata_lattice(rng: random.Random, max_components: int = 4):
                     family.add(sub)
                     changed = True
     return ids, {J: rng.randint(-5, 5) for J in family}
+
+
+def blow_up(mults: dict, closed: dict, J: frozenset, d: int) -> tuple[dict, dict]:
+    """A fiber of relative dimension d after blowing up a point P of its open
+    stratum T*_J, for 1 <= |J| <= d + 1, as (multiplicities, closed chi).
+
+    The exceptional divisor E is a P^d, with chi(E) = d + 1 and multiplicity
+    sum_{i in J} m_i.  For each nonempty I within J, P on the smooth
+    (d + 1 - |I|)-fold T_I becomes a P^(d - |I|), so chi(T_I) gains d - |I|,
+    and E meets T_I in that P^(d - |I|): a new stratum with chi = d - |I| + 1
+    when that is positive.  Every other stratum stays as it is.
+    """
+    E = f"E{len(mults)}"
+    mults = {**mults, E: sum(mults[i] for i in J)}
+    closed = {**closed, frozenset({E}): d + 1}
+    for size in range(1, len(J) + 1):
+        for I in map(frozenset, combinations(sorted(J), size)):
+            closed[I] += d - size
+            if d - size + 1 > 0:
+                closed[I | {E}] = d - size + 1
+    return mults, closed

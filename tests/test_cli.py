@@ -20,6 +20,7 @@ from test_modelfile import (
     DERIVED_PAST_DIGIT_LIMIT,
     DERIVED_PAST_DIGIT_LIMIT_MESSAGE,
     HOSTILE_MODELS,
+    repeated_key_text,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -410,6 +411,17 @@ def test_hostile_model_file_is_parse_error(tmp_path, capsys, command, case):
     code, out, err = run(capsys, command, "--model", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("options", [["conductor"], ["conductor", "--output", "machine"],
+                                     ["explain"]], ids=" ".join)
+def test_repeated_key_exits_2(tmp_path, capsys, options):
+    # "prime": 5, "prime": 7: json alone keeps the last value and runs p = 7
+    path = tmp_path / "model.json"
+    path.write_text(repeated_key_text("fiber"), encoding="utf-8")
+    command, *rest = options
+    code, out, err = run(capsys, command, "--model", str(path), *rest)
+    assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: repeated key 'prime'\n")
 
 
 @pytest.mark.parametrize("options", [["conductor"], ["conductor", "--output", "machine"],

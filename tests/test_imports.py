@@ -6,7 +6,9 @@ syntax tree, takes the names its imports bind, and fails on any that no
 expression reads.  A name listed in ``__all__`` is a re-export and counts
 as used; ``from __future__`` imports bind nothing.  An exported name must be
 read or imported by another module of the package, or be named in the
-README, so that no export serves only the tests."""
+README, so that no export serves only the tests; a public method or
+property of a package class must likewise be read by the package, named in
+the README or read by the acceptance tests."""
 
 import ast
 import re
@@ -75,5 +77,39 @@ def test_every_export_has_a_reader():
     read = set().union(*(names_read(path.read_text()) for path in modules))
     readme = README.read_text(encoding="utf-8")
     unread = [name for name in charcalc.__all__
+              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert unread == []
+
+
+def attributes_read(source: str) -> set[str]:
+    """The attribute names ``source`` loads, as in ``x.name``."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def public_methods(source: str) -> set[str]:
+    """The public methods and properties defined in the classes of ``source``."""
+    return {
+        item.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def test_every_public_method_has_a_reader():
+    """Matched by name only: a read of ``component.multiplicity`` counts for
+    ``KElement.multiplicity`` as well, since the class of ``x`` in ``x.name``
+    is not known to the syntax tree."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    read = set().union(*(attributes_read(path.read_text()) for path in [*modules, acceptance]))
+    readme = README.read_text(encoding="utf-8")
+    defined = set().union(*(public_methods(path.read_text()) for path in modules))
+    unread = [name for name in sorted(defined)
               if name not in read and not re.search(rf"\b{name}\b", readme)]
     assert unread == []

@@ -261,7 +261,7 @@ def test_classes_refuse_negative_truncation_with_trivial_line(cls):
 
 def test_todd_line_refuses_negative_truncation():
     with pytest.raises(ValueError, match="truncation_degree must be non-negative"):
-        todd_line(1, -1)
+        todd_line(-1)
 
 
 # -- alternating exterior sum -------------------------------------------------------

@@ -117,6 +117,30 @@ def test_repeated_component_in_stratum_rejected():
         parse(doc)
 
 
+# A key repeated at each level of the document: (text of i2_document() it
+# replaces, the text with the key twice).  ``json`` alone keeps the last value.
+REPEATED_KEYS = {
+    "top-level": ('"generic_euler": 0', '"generic_euler": 0, "generic_euler": 2'),
+    "fiber": ('"prime": 5', '"prime": 5, "prime": 7'),
+    "component": ('"multiplicity": 1}', '"multiplicity": 1, "multiplicity": 2}'),
+    "stratum": ('"chi_closed": 2}', '"chi_closed": 2, "chi_closed": 2}'),
+}
+
+
+def repeated_key_text(case):
+    old, new = REPEATED_KEYS[case]
+    text = json.dumps(i2_document())
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_key_rejected(case):
+    key = REPEATED_KEYS[case][0].split('"')[1]
+    with pytest.raises(ModelParseError, match=f"^m.json: invalid JSON: repeated key '{key}'$"):
+        parse_model(repeated_key_text(case), source="m.json")
+
+
 def test_referential_integrity_enforced():
     doc = i2_document()
     doc["fibers"][0]["strata"][2]["components"] = ["C1", "ghost"]

@@ -13,19 +13,24 @@ uses none of the strata algebra, so it checks the conductor pipeline from
 outside.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from charcalc.cli import main
 from charcalc.conductor import (
     ArithmeticModel,
     Component,
     FiberModel,
     Stratum,
+    TamenessError,
     conductor,
 )
 from charcalc.modelfile import load_model
+
+from oracles import blow_up
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -99,3 +104,41 @@ def test_nodal_fiber_on_its_blow_up(prime):
     (summary,) = conductor(model).primes
     assert (summary.prime, summary.chi_fiber) == (prime, 2)
     assert summary.exponent == ogg_saito(1, 2) == -2
+
+
+def blown_up_cycle(n: int, prime: int) -> FiberModel:
+    """I_n with the node of C0 and C1 blown up: E of multiplicity 2 meets C0 and C1."""
+    fiber = cycle(n, prime)
+    mults, closed = blow_up(
+        {c.id: c.multiplicity for c in fiber.components},
+        {s.components: s.chi_closed for s in fiber.strata},
+        frozenset({"C0", "C1"}),
+        1,
+    )
+    components = tuple(Component(cid, m) for cid, m in mults.items())
+    return FiberModel(prime, components, tuple(Stratum(J, chi_closed=v) for J, v in closed.items()))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_cycle_blown_up_at_a_node(n, tmp_path, capsys):
+    report = conductor(ArithmeticModel(1, (blown_up_cycle(n, 5),), generic_euler=0))
+    assert report.primes[0].exponent == ogg_saito(1, n + 1)
+    # at p = 2 the exceptional line's multiplicity 2 is wild
+    fiber = blown_up_cycle(n, 2)
+    with pytest.raises(TamenessError):
+        conductor(ArithmeticModel(1, (fiber,), generic_euler=0))
+    path = tmp_path / "blown_up.json"
+    path.write_text(json.dumps({
+        "relative_dimension": 1,
+        "generic_euler": 0,
+        "fibers": [{
+            "prime": 2,
+            "components": [{"id": c.id, "multiplicity": c.multiplicity} for c in fiber.components],
+            "strata": [{"components": sorted(s.components), "chi_closed": s.chi_closed}
+                       for s in fiber.strata],
+        }],
+    }), encoding="utf-8")
+    assert main(["conductor", "--model", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"check failed: fiber at p=2 is not tame: p divides the multiplicity of E{n}\n"
+    )

@@ -3,8 +3,8 @@ substitution, of the Chern character against its exp-per-line definition,
 of the Todd and total Chern classes against their product-per-line
 definition, of the S_n-orbit Chern character times a class of generic lines
 against the dense ones, of the strata-lattice round trip, of the fiber
-functions' refusal of corrupted strata lattices, and of the conductor CLI on
-hostile integers."""
+functions' refusal of corrupted strata lattices, of the conductor under
+point blow-ups, and of the conductor CLI on hostile integers."""
 
 import io
 import json
@@ -17,6 +17,7 @@ import pytest
 
 from charcalc.cli import main
 from charcalc.conductor import (
+    ArithmeticModel,
     Component,
     FiberModel,
     ModelValidationError,
@@ -24,6 +25,7 @@ from charcalc.conductor import (
     bloch_degree,
     closed_strata_from_open,
     fiber_euler,
+    generic_euler_check,
     normalize_fiber,
     open_strata_from_closed,
     validate_fiber,
@@ -40,7 +42,7 @@ from charcalc.lambda_ring import (
 from charcalc.series import GradedSeries, power_coefficients
 from charcalc.verify import generic_lines
 
-from oracles import random_strata_lattice
+from oracles import blow_up, exp_coefficients, random_strata_lattice
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -99,9 +101,10 @@ def test_substitution_is_multiplicative(x, f, g):
 def ch_by_exp(x, degree):
     """The defining sum of m * exp(c1(r)) over the lines m[r] of x, each
     exponential expanded by Horner substitution."""
+    exp = exp_coefficients(degree)
     acc = GradedSeries.zero(x.symbol_count, degree)
     for root, mult in x.terms():
-        acc = acc + mult * GradedSeries.linear_form(root, degree).exp()
+        acc = acc + mult * GradedSeries.linear_form(root, degree).substitute(exp)
     return acc
 
 
@@ -156,7 +159,7 @@ def product_per_line(x, degree, line):
 @example(KElement(4, {(1, -1, 0, 3): -3, (-2, 0, 0, 1): 2, (0, 0, 0, 0): 1}), 7)
 def test_todd_and_total_chern_match_product_per_line(x, degree):
     for result, line in (
-        (todd(x, degree), todd_line(1, degree)),
+        (todd(x, degree), todd_line(degree)),
         (total_chern(x, degree), [1, 1]),
     ):
         assert result == product_per_line(x, degree, line)
@@ -274,6 +277,50 @@ def test_fiber_functions_refuse_corrupted_lattices(seed, how, side):
     for entry in entries:
         with pytest.raises(ModelValidationError):
             entry(corrupted)
+
+
+# -- point blow-ups: an oracle independent of the fiber's dimension ----------------
+
+
+def derivation(mults: dict, closed: dict, d: int):
+    """The conductor's record of the fiber at p = 5 given by multiplicities and closed chi."""
+    fiber = FiberModel(
+        5,
+        tuple(Component(cid, m) for cid, m in mults.items()),
+        tuple(Stratum(J, chi_closed=chi) for J, chi in closed.items()),
+    )
+    (record,) = generic_euler_check(ArithmeticModel(d, (fiber,))).primes
+    return record
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), extra=st.integers(min_value=0, max_value=2),
+       blow_ups=st.integers(min_value=1, max_value=4))
+def test_point_blow_ups_keep_the_generic_euler_characteristic(seed, extra, blow_ups):
+    # Blowing up a closed point changes neither the generic fiber nor the Swan
+    # conductor: chi(X_Q) = sum m_i chi*(T_i) holds on both models, and the
+    # point's P^d raises chi(X_p) by d, so the exponent falls by d.
+    rng = random.Random(seed)
+    ids, closed = random_strata_lattice(rng, max_components=6)
+    mults = {cid: rng.randint(1, 5) for cid in ids}
+    d = max(1, max(map(len, closed)) - 1) + extra
+    before = derivation(mults, closed, d)
+    for _ in range(blow_ups):
+        J = rng.choice(sorted(closed, key=sorted))
+        mults, closed = blow_up(mults, closed, J, d)
+        after = derivation(mults, closed, d)
+        assert after.weighted_sum == before.weighted_sum
+        assert after.chi_fiber == before.chi_fiber + d
+        assert after.exponent == before.exponent - d
+        before = after
+
+
+def test_projective_plane_blown_up_at_a_point():
+    # P^2 over Z_p: good reduction, chi = 3; its blow-up has chi(X_p) = 5
+    mults, closed = blow_up({"P": 1}, {frozenset({"P"}): 3}, frozenset({"P"}), 2)
+    assert closed == {frozenset({"P"}): 4, frozenset({"E1"}): 3, frozenset({"P", "E1"}): 2}
+    record = derivation(mults, closed, 2)
+    assert (record.weighted_sum, record.chi_fiber, record.exponent) == (3, 5, -2)
 
 
 # -- the conductor CLI on hostile integers ----------------------------------------

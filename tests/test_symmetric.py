@@ -43,7 +43,7 @@ def test_orbit_series_expand_to_dense(n):
     assert expand(ch_alternating) == ch(alternating, n)
 
     unit = KElement.unit(n)
-    todd_E = todd_line(1, n)
+    todd_E = todd_line(n)
     todd_dual = [c * (-1) ** k for k, c in enumerate(todd_E)]
     assert expand(symmetric_ch(unit, n, todd_E)) == todd(E, n)
     assert expand(symmetric_ch(unit, n, todd_dual)) == todd(E.dual(), n)

@@ -272,7 +272,7 @@ def test_failing_verifiers_report_bounded_detail(monkeypatch):
 
     # total Chern's line coefficients in place of Todd's break both Todd
     # identities; the details count S_n-orbits, not monomials
-    monkeypatch.setattr(verify, "todd_line", lambda mult, degree: [1, 1])
+    monkeypatch.setattr(verify, "todd_line", lambda degree: [1, 1])
     result = verify.verify_borel_serre(3, 6)
     assert not result.ok
     assert result.detail.startswith("6 terms differ, lowest degree 4; ")
