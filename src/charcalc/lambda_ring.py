@@ -77,6 +77,11 @@ class KElement(_TermMap):
     def _scalar(value):
         return value if isinstance(value, int) and not isinstance(value, bool) else None
 
+    @staticmethod
+    def _value(numerator: int) -> int:
+        """A multiplicity, over the denominator 1 of every KElement."""
+        return numerator
+
     # bench/tracer.py wraps only methods in a class's own namespace.
     __mul__ = _TermMap.__mul__
 
@@ -145,6 +150,7 @@ class TSeries(_TermMap):
     _lead = 1
     _degree = itemgetter(0)
     _scalar = staticmethod(KElement._scalar)
+    _value = staticmethod(KElement._value)
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
@@ -191,20 +197,27 @@ class TSeries(_TermMap):
 # -- lambda and gamma operations ------------------------------------------
 
 
+def _binomials(m: int, t_max: int) -> list[int]:
+    """The coefficients of (1 + t)^m up to t^t_max, for any integer m: the
+    generalized binomials C(m, k), which are (-1)^k C(k - m - 1, k) when m < 0."""
+    if m >= 0:
+        return [comb(m, k) for k in range(t_max + 1)]
+    return [(-1) ** k * comb(k - m - 1, k) for k in range(t_max + 1)]
+
+
 def lambda_t(x: KElement, t_max: int) -> TSeries:
     """Exterior-power generating series, truncated at t^t_max.
 
     A single line [r] has lambda_t = 1 + t[r], so m[r] has
-    (1 + t[r])^m = sum_k g_k [k r] t^k with g_k the coefficients of
-    (1 + t)^m (generalized binomials when m < 0); sums extend
-    multiplicatively.
+    (1 + t[r])^m = sum_k g_k [k r] t^k with g_k the integer coefficients of
+    (1 + t)^m (:func:`_binomials`); sums extend multiplicatively.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     result = TSeries.one(x.symbol_count, t_max)
-    lines = {m: power_coefficients([1, 1], m, t_max) for m in set(x._terms.values())}
+    lines = {m: _binomials(m, t_max) for m in set(x._terms.values())}
     for root, mult in x.terms():
-        factor = {(k, *(k * e for e in root)): int(c) for k, c in enumerate(lines[mult])}
+        factor = {(k, *(k * e for e in root)): c for k, c in enumerate(lines[mult])}
         result = result * result._like(factor)
     return result
 
@@ -225,8 +238,17 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
 
 
 def gamma_k(x: KElement, k: int) -> KElement:
-    """The k-th gamma operation, read off gamma_t(x)."""
-    return gamma_t(x, k).coefficient(k)
+    """The k-th gamma operation: the t^k coefficient of gamma_t(x), read off
+    lambda_t(x) as gamma^k = sum_{j=1..k} C(k-1, j-1) lambda^j for k >= 1,
+    and gamma^0 = lambda^0 = [0], without building the rest of gamma_t."""
+    lam = lambda_t(x, k)  # refuses a negative k
+    # the weight of lambda^j; lambda^0 = [0] counts only in gamma^0
+    weights = [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)]
+    terms: dict[Root, int] = {}
+    for (j, *root), mult in lam._terms.items():
+        root = tuple(root)
+        terms[root] = terms.get(root, 0) + weights[j] * mult
+    return x._like(terms)
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:
@@ -248,28 +270,32 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     """Chern character: additive, with ch([r]) = exp(c1(r)).
 
     ch = sum_k psi^k / k! over Adams operations, so the coefficient of a^e is
-    S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x:
-    an integer, summed over each root's support and divided once if nonzero.
+    S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x.
+    The result holds the integer numerators S(e) D! / prod e_i! over D!, summed
+    over each root's support: a step that gives a_i the exponent k out of room
+    left multiplies by r_i^k C(room, k), and the room left at the end by room!.
     """
     D, n = truncation_degree, x.symbol_count
     zero = GradedSeries.zero(n, D)  # refuses a negative D before the sums index by it
+    factorials = [factorial(k) for k in range(D + 1)]
+    # steps[r][room][k] = r^k C(room, k), for each nonzero root entry r
+    steps = {r: [[r**k * comb(room, k) for k in range(room + 1)] for room in range(D + 1)]
+             for r in {r for root in x._terms for r in root if r}}
     sums: dict[Monomial, int] = {}
     for root, mult in x._terms.items():
         support = [i for i, c in enumerate(root) if c]
-        # (exponents of a_1 .. a_done, mult * prod r_i^e_i, degree left)
+        # (exponents of a_1 .. a_done, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
         level, done = [((0,) * n if not support else (), mult, D)], 0
         for i in support:
             end = n if i == support[-1] else i + 1
             pieces = [(0,) * (i - done) + (k,) + (0,) * (end - i - 1) for k in range(D + 1)]
-            powers = [root[i] ** k for k in range(D + 1)]
-            level = [(head + pieces[k], value * powers[k], room - k)
-                     for head, value, room in level for k in range(room + 1)]
+            by_room = steps[root[i]]
+            level = [(head + pieces[k], value * step, room - k)
+                     for head, value, room in level for k, step in enumerate(by_room[room])]
             done = end
-        for key, value, _ in level:
-            sums[key] = sums.get(key, 0) + value
-    factorials = [factorial(k) for k in range(D + 1)]
-    terms = {key: Fraction(s, prod(factorials[e] for e in key)) for key, s in sums.items() if s}
-    return zero._like(terms)
+        for key, value, room in level:
+            sums[key] = sums.get(key, 0) + value * factorials[room]
+    return zero._like(sums, factorials[D])
 
 
 @lru_cache(maxsize=64)
@@ -287,10 +313,11 @@ def _multiplicative(chern_character: GradedSeries, line: tuple) -> GradedSeries:
     whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1, on integer numerators."""
     D = chern_character.truncation_degree
     weights, w = _log_weights(line, D)
-    X, d = _numerators(chern_character._terms)
+    X, d = chern_character._terms, chern_character._den
     weighted = {e: c * weights[k] for e, c in X.items() if weights[k := sum(e)]}
-    exp = {k: Fraction(1, factorial(k)) for k in range(D + 1)}
-    return chern_character._horner(weighted, d * w, exp)
+    top = factorial(D)
+    exp = {k: top // factorial(k) for k in range(D + 1)}  # 1/k! over D!
+    return chern_character._horner(weighted, d * w, exp, top)
 
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
@@ -337,7 +364,8 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     and j! g_r[j] = H_r[j] / q, H_r[j] = sum_a C(j, a) r^a Q_{j-a}, the coefficient
     at a dominant e with k nonzero entries is sum m prod_{i<=k} H_{r_i}[e_i] /
     (q^k prod e_i!), summed once per k-entry root prefix; for f = 1 only the
-    prefixes with no zero entry add.  An x that some adjacent transposition of
+    prefixes with no zero entry add.  The result holds these as integer
+    numerators over q^min(n, D) D!.  An x that some adjacent transposition of
     the symbols changes is refused with ValueError.
     """
     D, n, lines = truncation_degree, x.symbol_count, x._terms
@@ -363,10 +391,12 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     H = {r: [sum(comb(j, a) * r**a * Q[j - a] for a in range(j + 1)) for j in range(D + 1)]
          for r in {r for sums in prefixes for head in sums for r in head}}
     factorials = [factorial(k) for k in range(D + 1)]
+    top = len(prefixes) - 1  # the most nonzero entries of a dominant e: min(n, D)
+    scale = [q ** (top - k) for k in range(top + 1)]
     terms = {}
     for e in dominant_exponents(n, D):
         k = n - e.count(0)
         s = sum(m * prod(H[r][a] for r, a in zip(head, e)) for head, m in prefixes[k].items())
         if s:
-            terms[e] = Fraction(s, q**k * prod(factorials[a] for a in e))
-    return zero._like(terms)
+            terms[e] = s * scale[k] * (factorials[D] // prod(factorials[a] for a in e))
+    return zero._like(terms, q**top * factorials[D])

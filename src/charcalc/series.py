@@ -25,10 +25,13 @@ tuples, and share their ring operations, comparison, rendering and
 multiplies two integer numerator maps, except on ``SymmetricSeries``.  The one
 substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 
-The shared product and substitution run on integers, as FLINT's ``fmpq_poly``
-does: integer numerators over one common denominator per operand, one division
-per result term, and ``int`` coefficients (``KElement``, ``TSeries``) as they are;
-the one Horner loop, :meth:`_TermMap._horner`, takes such a numerator map.
+Every term map is stored as FLINT's ``fmpq_poly`` stores a polynomial: integer
+numerators over one positive denominator, kept reduced, so that the canonical
+form is unique and the whole class layer runs on integers.  ``KElement`` and
+``TSeries`` always have denominator 1.  A ``Fraction`` is made only where a
+coefficient leaves the map: :meth:`_TermMap.terms`, ``str`` and the lookups of
+``GradedSeries``.  The one Horner loop, :meth:`_TermMap._horner`, takes and
+gives such numerator maps.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from operator import add
 
@@ -56,7 +59,8 @@ def _coefficient(value) -> Fraction:
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:
-    """Integer numerators of ``terms`` over the lcm of its denominators; an ``int`` map as is."""
+    """Integer numerators of ``terms`` over the lcm of its denominators, which
+    is reduced for reduced ``Fraction`` values; an ``int`` map as is, over 1."""
     if all(isinstance(c, int) for c in terms.values()):
         return terms, 1
     d = reduce(lcm, (c.denominator for c in terms.values()), 1)
@@ -143,38 +147,52 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
 class _TermMap:
     """Immutable map from exponent tuples to nonzero coefficients, multiplied
     by adding exponents.  A key holds ``_lead`` leading exponents, then one
-    exponent for each of the ``symbol_count`` symbols.
+    exponent for each of the ``symbol_count`` symbols.  The coefficient at a
+    key is ``_terms[key] / _den``: nonzero integer numerators over one positive
+    denominator, with ``gcd(_den, *numerators) == 1`` (``_den == 1`` when empty).
 
     The ambient is the symbol count and the product bound ``_bound``: terms
     whose ``_degree`` is above it are dropped, and None means no bound.
     Subclasses validate outside input in their public ``__init__`` and
-    supply ``_scalar``, ``_render_key`` and ``_times``, and ``_degree`` when
-    bounded; every result of an operation is built by the trusted
-    :meth:`_like`, and every product of two numerator maps by :meth:`_product`.
+    supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` when
+    bounded, and ``_value`` when their coefficients are ``int``; every result
+    of an operation is built by the trusted :meth:`_like`, and every product
+    of two numerator maps by :meth:`_product`.
     """
 
-    __slots__ = ("symbol_count", "_bound", "_terms")
+    __slots__ = ("symbol_count", "_bound", "_terms", "_den")
     _lead = 0
     _degree = None
 
-    def __init__(self, symbol_count: int, bound: int | None, terms: dict):
-        """Store an ambient and a term map that are already valid for it."""
+    def __init__(self, symbol_count: int, bound: int | None, terms: dict, den: int = 1):
+        """Store an ambient and a reduced numerator map that are already valid for it."""
         object.__setattr__(self, "symbol_count", symbol_count)
         object.__setattr__(self, "_bound", bound)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, terms: dict):
-        """Trusted constructor over this ambient: ``terms`` must already be
-        valid for it.  Only zero coefficients are dropped; ``terms`` is not
-        kept."""
+    def _like(self, terms: dict, den: int = 1):
+        """Trusted constructor over this ambient for the coefficients
+        ``terms[key] / den``: integer numerators whose keys are already valid
+        for it, over a positive ``den``.  Zero numerators are dropped and the
+        common gcd is divided out, so the result is canonical; ``terms`` is
+        not kept."""
+        terms = {k: c for k, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
         result = object.__new__(type(self))
-        _TermMap.__init__(
-            result, self.symbol_count, self._bound, {k: c for k, c in terms.items() if c}
-        )
+        _TermMap.__init__(result, self.symbol_count, self._bound, terms, den)
         return result
+
+    def _value(self, numerator: int):
+        """The coefficient ``numerator / _den`` as it leaves the map."""
+        return Fraction(numerator, self._den)
 
     @property
     def _unit(self) -> tuple:
@@ -188,10 +206,12 @@ class _TermMap:
     def terms(self):
         """Iterate (key, coefficient) pairs in a deterministic order: by
         degree first when the map is bounded, then by key."""
+        value = self._value
+        items = [(key, value(c)) for key, c in self._terms.items()]
         if self._degree is None:
-            return iter(sorted(self._terms.items()))
+            return iter(sorted(items))
         degree = self._degree
-        return iter(sorted(self._terms.items(), key=lambda kv: (degree(kv[0]), kv[0])))
+        return iter(sorted(items, key=lambda kv: (degree(kv[0]), kv[0])))
 
     def component(self, degree: int):
         """The homogeneous part of the given degree."""
@@ -200,7 +220,9 @@ class _TermMap:
         if not 0 <= degree <= self._bound:
             raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
         degree_of = self._degree
-        return self._like({k: c for k, c in self._terms.items() if degree_of(k) == degree})
+        return self._like(
+            {k: c for k, c in self._terms.items() if degree_of(k) == degree}, self._den
+        )
 
     # -- ring operations ----------------------------------------------
 
@@ -223,7 +245,7 @@ class _TermMap:
         scalar = self._scalar(value)
         if scalar is None:
             return None
-        return self._like({self._unit: scalar})
+        return self._like({self._unit: scalar.numerator}, scalar.denominator)
 
     # The reflected operators and subtraction go through ``self.__add__`` and
     # ``self.__mul__``, so wrapping those two on a subclass wraps every sum
@@ -234,16 +256,18 @@ class _TermMap:
         if other is None:
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self._terms)
+        den = lcm(self._den, other._den)
+        fx, fy = den // self._den, den // other._den
+        merged = {k: c * fx for k, c in self._terms.items()} if fx != 1 else dict(self._terms)
         for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return self._like(merged)
+            merged[key] = merged.get(key, 0) + coeff * fy
+        return self._like(merged, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self._like({k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -257,15 +281,13 @@ class _TermMap:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_compatible(other)
-            (xs, dx), (ys, dy) = _numerators(self._terms), _numerators(other._terms)
-            product = self._product(xs, ys, self._bound)
-            if xs is self._terms and ys is other._terms:
-                return self._like(product)
-            return self._like({key: Fraction(v, dx * dy) for key, v in product.items() if v})
+            product = self._product(self._terms, other._terms, self._bound)
+            return self._like(product, self._den * other._den)
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._like({k: c * scalar for k, c in self._terms.items()})
+        p = scalar.numerator
+        return self._like({k: c * p for k, c in self._terms.items()}, self._den * scalar.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -301,24 +323,23 @@ class _TermMap:
         coeffs = dict(enumerate(self._scalar(c) for c in coefficients))
         if None in coeffs.values():
             raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
-        return self._horner(*_numerators(self._terms), coeffs)
+        return self._horner(self._terms, self._den, *_numerators(coeffs))
 
-    def _horner(self, X: dict, d: int, coefficients: dict):
-        """Sum c_k x^k for x = X/d, X integer numerators with no degree-0 term.
+    def _horner(self, X: dict, d: int, C: dict, q: int):
+        """Sum c_k x^k for x = X/d and c_k = C[k]/q, X integer numerators with
+        no degree-0 term, for k = 0..K with K = min(len(C), D + 1) - 1.
 
         Horner's rule, r = c_k + x * r from the top down, keeps the partial sum
-        at c_k only up to degree D - k, as x^k raises it by at least k.  With
-        c_k = C_k/q, the integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1)
-        give A_0 / (q d^K): one division per term, none for ``int`` c_k."""
-        D, unit, K = self._bound, self._unit, min(len(coefficients), self._bound + 1) - 1
-        C, q = _numerators(coefficients)
+        at c_k only up to degree D - k, as x^k raises it by at least k.  The
+        integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1) give the result
+        A_0 / (q d^K), reduced once by :meth:`_like`; no coefficients (K = -1)
+        give zero."""
+        D, unit, K = self._bound, self._unit, min(len(C), self._bound + 1) - 1
         acc: dict = {}
         for k in range(K, -1, -1):
             acc = self._product(acc, X, D - k)
             acc[unit] = acc.get(unit, 0) + C[k] * d ** (K - k)
-        if C is coefficients:
-            return self._like(acc)
-        return self._like({key: Fraction(value, q * d**K) for key, value in acc.items() if value})
+        return self._like(acc, q * d ** max(K, 0))
 
     # -- comparison / display -------------------------------------------
 
@@ -328,6 +349,7 @@ class _TermMap:
         return (
             self.symbol_count == other.symbol_count
             and self._bound == other._bound
+            and self._den == other._den
             and self._terms == other._terms
         )
 
@@ -369,7 +391,7 @@ class GradedSeries(_TermMap):
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         terms = _monomial_terms(symbol_count, truncation_degree, terms)
-        super().__init__(symbol_count, truncation_degree, terms)
+        super().__init__(symbol_count, truncation_degree, *_numerators(terms))
 
     @property
     def truncation_degree(self) -> int:
@@ -417,11 +439,11 @@ class GradedSeries(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def coefficient(self, monomial) -> Fraction:
-        return self._terms.get(_key(monomial, self.symbol_count), Fraction(0))
+        return self._value(self._terms.get(_key(monomial, self.symbol_count), 0))
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.symbol_count, Fraction(0))
+        return self._value(self._terms.get((0,) * self.symbol_count, 0))
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.
@@ -469,7 +491,7 @@ class SymmetricSeries(_TermMap):
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         terms = _monomial_terms(symbol_count, truncation_degree, terms, dominant=True)
-        super().__init__(symbol_count, truncation_degree, terms)
+        super().__init__(symbol_count, truncation_degree, *_numerators(terms))
 
     def _product(self, xs: dict, ys: dict, bound: int) -> dict:
         """Refused, for ``*`` and substitute: the dense kernel would be wrong on orbits."""

@@ -138,7 +138,8 @@ def random_strata_lattice(rng: random.Random, max_components: int = 4):
                 if sub and sub not in family:
                     family.add(sub)
                     changed = True
-    return ids, {J: rng.randint(-5, 5) for J in family}
+    # sorted, so that one seed gives one lattice whatever the hash seed
+    return ids, {J: rng.randint(-5, 5) for J in sorted(family, key=sorted)}
 
 
 def blow_up(mults: dict, closed: dict, J: frozenset, d: int) -> tuple[dict, dict]:

@@ -1,17 +1,23 @@
 """Hypothesis properties of the univariate power helper, of Horner
 substitution, of the Chern character against its exp-per-line definition,
-of the Todd and total Chern classes against their product-per-line
-definition, of the S_n-orbit Chern character times a class of generic lines
-against the dense ones, of the strata-lattice round trip, of the fiber
-functions' refusal of corrupted strata lattices, of the conductor under
-point blow-ups, and of the conductor CLI on hostile integers."""
+of gamma^k against the top coefficient of gamma_t, of the Todd and total
+Chern classes against their product-per-line definition, of the S_n-orbit
+Chern character times a class of generic lines against the dense ones, of
+the strata-lattice round trip, of the random lattice's independence of the
+hash seed, of the fiber functions' refusal of corrupted strata lattices, of
+the conductor under point blow-ups, and of the conductor CLI on hostile
+integers."""
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +40,7 @@ from charcalc.lambda_ring import (
     KElement,
     ch,
     gamma_k,
+    gamma_t,
     symmetric_ch,
     todd,
     todd_line,
@@ -127,13 +134,30 @@ def k_elements(draw):
 def test_ch_matches_exp_per_line(x, degree):
     result = ch(x, degree)
     assert result == ch_by_exp(x, degree)
-    assert all(type(c) is Fraction for c in result._terms.values())
+    assert all(type(c) is Fraction for _, c in result.terms())
 
 
 def test_ch_of_gamma_matches_exp_per_line_at_rank_6():
     n = 6
     x = gamma_k(generic_lines(n) - n * KElement.unit(n), n - 1)
-    assert ch(x, n + 1)._terms == ch_by_exp(x, n + 1)._terms
+    assert ch(x, n + 1) == ch_by_exp(x, n + 1)
+
+
+# -- gamma operations -----------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_elements(), st.integers(min_value=0, max_value=6))
+@example(KElement.zero(2), 0)
+@example(KElement(0, {(): -2}), 3)
+def test_gamma_k_is_the_top_coefficient_of_gamma_t(x, k):
+    assert gamma_k(x, k) == gamma_t(x, k).coefficient(k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gamma_k_of_reduced_generic_lines(n):
+    x = generic_lines(n) - n * KElement.unit(n)
+    assert gamma_k(x, n - 1) == gamma_t(x, n - 1).coefficient(n - 1)
 
 
 # -- multiplicative classes --------------------------------------------------------
@@ -163,7 +187,7 @@ def test_todd_and_total_chern_match_product_per_line(x, degree):
         (total_chern(x, degree), [1, 1]),
     ):
         assert result == product_per_line(x, degree, line)
-        assert all(type(c) is Fraction for c in result._terms.values())
+        assert all(type(c) is Fraction for _, c in result.terms())
 
 
 # -- the S_n-orbit Chern character times a class of generic lines ---------------
@@ -256,6 +280,24 @@ def corrupt(family: dict, ids: list, how: str, rng: random.Random) -> dict:
     else:
         family[frozenset({rng.choice(ids), "ghost"})] = rng.randint(-5, 5)
     return family
+
+
+def test_random_lattice_ignores_the_hash_seed():
+    # a failing example is replayed from its seed in another process
+    script = (
+        "import random; from oracles import random_strata_lattice; "
+        "ids, chi = random_strata_lattice(random.Random(5)); "
+        "print(ids, sorted((sorted(J), v) for J, v in chi.items()))"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script], cwd=tests, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        ).stdout
+        for hash_seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1 and outputs != {""}
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,14 @@
 """Behaviour shared by the term maps KElement, GradedSeries and TSeries: the
 checks at their public constructors, which operands the ring operations
-take, ambient mismatches, and exact rendering."""
+take, ambient mismatches, the one canonical form of a value, and exact
+rendering."""
 
 import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcalc.series import GradedSeries, MismatchError, SymmetricSeries
 from charcalc.lambda_ring import KElement, TSeries
@@ -260,6 +263,44 @@ def test_both_are_immutable_and_unhashable():
             value.symbol_count = 3
         with pytest.raises(TypeError):
             hash(value)
+
+
+# -- canonical form: one stored form per value, whatever built it -------------------
+
+
+@st.composite
+def series_pairs(draw):
+    """Two GradedSeries over one ambient (0..3 symbols, degree 0..4), with
+    rational coefficients over unlike denominators."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    D = draw(st.integers(min_value=0, max_value=4))
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    x, y = (draw(st.dictionaries(monomial, coefficient, max_size=6)) for _ in range(2))
+    return GradedSeries(n, D, x), GradedSeries(n, D, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_series_operations_reach_the_canonical_form(pair):
+    x, y = pair
+    n, D = x.symbol_count, x.truncation_degree
+    assert (x + y) - y == x
+    assert (x * Fraction(2, 3)) * Fraction(3, 2) == x
+    assert x * GradedSeries.one(n, D) == x
+    assert GradedSeries(n, D, dict(x.terms())) == x
+    assert x * y - x * y == GradedSeries.zero(n, D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_series_coefficients_leave_as_fractions(pair):
+    for value in (*pair, pair[0] * pair[1], pair[0] + pair[1]):
+        assert all(type(c) is Fraction for _, c in value.terms())
+        for key, c in value.terms():
+            assert type(value.coefficient(key)) is Fraction and value.coefficient(key) == c
+        assert type(value.coefficient((0,) * value.symbol_count)) is Fraction
+        assert type(value.constant_term) is Fraction
 
 
 # -- rendering --------------------------------------------------------------------
