@@ -273,19 +273,19 @@ def cmd_conductor(args, model) -> int:
 # -- explain --------------------------------------------------------------
 
 
-def _stratum_key(stratum):
-    return (len(stratum.components), tuple(sorted(stratum.components)))
-
-
 def _print_derivation(d: FiberDerivation) -> None:
     fiber = d.fiber
     print(f"\nprime {fiber.prime}:")
-    print(f"  {'J':<24} {'m':>3} {'chi(T_J)':>9} {'chi_c(T*_J)':>12}")
     mult = {c.id: c.multiplicity for c in fiber.components}
-    for s in sorted(fiber.strata, key=_stratum_key):
-        label = "{" + ",".join(sorted(s.components)) + "}"
-        m = mult[next(iter(s.components))] if len(s.components) == 1 else ""
-        print(f"  {label:<24} {str(m):>3} {s.chi_closed:>9} {s.chi_open:>12}")
+    # by depth, then members; no two strata share both, so the values never compare
+    rows = sorted((len(s.components), sorted(s.components), s.chi_closed, s.chi_open)
+                  for s in fiber.strata)
+    table = [f"  {'J':<24} {'m':>3} {'chi(T_J)':>9} {'chi_c(T*_J)':>12}"]
+    for depth, members, chi_closed, chi_open in rows:
+        label = "{" + ",".join(members) + "}"
+        m = mult[members[0]] if depth == 1 else ""
+        table.append(f"  {label:<24} {str(m):>3} {chi_closed:>9} {chi_open:>12}")
+    print("\n".join(table))
     if not d.tame.ok:
         print(f"  not tame: p divides multiplicity of {', '.join(d.tame.offenders)}")
         return

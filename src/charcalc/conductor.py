@@ -17,10 +17,9 @@ return one ConductorReport over those records, and every rendering reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 
@@ -255,11 +254,10 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
         J = stratum.components
         if not J:
             raise ModelValidationError(f"{where}: stratum with empty component set")
-        unknown = J - declared
-        if unknown:
+        if not J <= declared:
             raise ModelValidationError(
                 f"{where}: stratum {sorted(J)} references undeclared components "
-                f"{sorted(unknown)}"
+                f"{sorted(J - declared)}"
             )
         if J in seen:
             raise ModelValidationError(f"{where}: duplicate stratum {sorted(J)}")
@@ -295,7 +293,8 @@ def validate_model(model: ArithmeticModel) -> ArithmeticModel:
     if len(set(primes)) != len(primes):
         raise ModelValidationError("fiber primes must be pairwise distinct")
     d = model.relative_dimension
-    return replace(model, fibers=tuple(normalize_fiber(f, d) for f in model.fibers))
+    fibers = tuple(normalize_fiber(f, d) for f in model.fibers)
+    return ArithmeticModel(d, fibers, model.generic_euler)
 
 
 # -- inclusion-exclusion over the strata lattice --------------------------
@@ -306,14 +305,22 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
     sum of sign^(|J2| - |J|) * values[J2] over the strata J2 containing J.
 
     sign = -1 turns closed characteristics into open ones and sign = +1
-    turns open ones back into closed ones.  Each J2 adds its term to all of
-    its proper subsets, which validate_fiber makes strata.
+    turns open ones back into closed ones.  The sum runs one component c at
+    a time: its pass adds sign times the running value of each stratum J2
+    that contains c to J2 - {c}, which validate_fiber makes a stratum, so
+    after the passes of components C each J holds the sum over the J2
+    containing J with J2 - J inside C.  That is one step per member of
+    each stratum, not one per subset.
     """
     out = dict(values)
-    for J2, value in values.items():
-        for size in range(1, len(J2)):
-            for J in map(frozenset, combinations(J2, size)):
-                out[J] += sign ** (len(J2) - size) * value
+    passes: dict[str, list[frozenset[str]]] = {}
+    for J2 in values:
+        if len(J2) > 1:
+            for c in J2:
+                passes.setdefault(c, []).append(J2)
+    for c, strata in passes.items():
+        for J2 in strata:
+            out[J2 - {c}] += sign * out[J2]
     return out
 
 
@@ -341,18 +348,21 @@ def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) ->
             f"{where}: mixed strata data; supply chi_closed for all strata or "
             "chi_open for all strata"
         )
+    strata = []
     for s in fiber.strata:
         J = s.components
-        if s.chi_open is not None and s.chi_open != opened[J]:
+        chi_closed, chi_open = closed[J], opened[J]
+        if s.chi_open is not None and s.chi_open != chi_open:
             raise ModelValidationError(
                 f"{where}: stratum {sorted(J)} declares chi_open={_shown(s.chi_open)} "
-                f"but inclusion-exclusion gives {_shown(opened[J])}"
+                f"but inclusion-exclusion gives {_shown(chi_open)}"
             )
-        if s.chi_closed is not None and s.chi_closed != closed[J]:
+        if s.chi_closed is not None and s.chi_closed != chi_closed:
             raise ModelValidationError(
                 f"{where}: stratum {sorted(J)} declares chi_closed={_shown(s.chi_closed)} "
-                f"but the open strata sum to {_shown(closed[J])}"
+                f"but the open strata sum to {_shown(chi_closed)}"
             )
+        strata.append(Stratum(J, chi_closed, chi_open))
     components = []
     for c in fiber.components:
         chi = opened[frozenset({c.id})]
@@ -361,12 +371,8 @@ def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) ->
                 f"{where}: component {c.id} declares chi_open={_shown(c.chi_open)} but "
                 f"its singleton stratum gives {_shown(chi)}"
             )
-        components.append(replace(c, chi_open=chi))
-    strata = tuple(
-        replace(s, chi_closed=closed[s.components], chi_open=opened[s.components])
-        for s in fiber.strata
-    )
-    return FiberModel(fiber.prime, tuple(components), strata)
+        components.append(Component(c.id, c.multiplicity, chi))
+    return FiberModel(fiber.prime, tuple(components), tuple(strata))
 
 
 def _declaring(fiber: FiberModel, side: str) -> FiberModel:

@@ -18,6 +18,14 @@ All numbers are exact integers (floats and booleans are rejected — every
 input is an Euler characteristic, a multiplicity, or a prime), unknown and
 repeated fields are errors, and the parsed model is validated and
 normalized (both characteristics on every stratum) before it is returned.
+
+A file may hold thousands of strata, so each component and stratum record
+is accepted by one check of its shape: an object with allowed fields and
+the required ones, non-empty string ids, exact integers.  Only a record
+that fails it is read again field by field, to name the first fault at its
+location (``m.json.fibers[0].strata[2].chi_closed``); no location is built
+for a record that passes.  A repeated key is named with the start of the
+object that holds it.
 """
 
 from __future__ import annotations
@@ -38,6 +46,29 @@ class ModelParseError(ValueError):
     """Malformed model file (bad JSON, wrong types, or unknown or repeated fields)."""
 
 
+_PREVIEW_CHARS = 80
+
+
+def _preview(pairs: list) -> str:
+    """The JSON object of ``pairs`` up to its first _PREVIEW_CHARS characters,
+    encoded no further than the piece that reaches them."""
+    # iterencode yields the text piece by piece; json.dumps would encode all of it
+    encode = json.JSONEncoder(ensure_ascii=False).iterencode
+
+    def pieces():
+        for i, (key, value) in enumerate(pairs):
+            yield f"{', ' if i else '{'}{json.dumps(key, ensure_ascii=False)}: "
+            yield from encode(value)
+        yield "}"
+
+    text = ""
+    for piece in pieces():
+        text += piece
+        if len(text) > _PREVIEW_CHARS:
+            return text[:_PREVIEW_CHARS] + "..."
+    return text
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's pairs as a dict, refused when a key repeats (``json``
     alone would keep the last value without a word)."""
@@ -45,7 +76,7 @@ def _unique_keys(pairs: list) -> dict:
     if len(data) < len(pairs):
         seen = set()
         repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ModelParseError(f"repeated key {repeated!r}")
+        raise ModelParseError(f"repeated key {repeated!r} in {_preview(pairs)}")
     return data
 
 
@@ -102,16 +133,56 @@ def _parse_stratum(raw, where: str) -> Stratum:
     return Stratum(components=members, **chi)
 
 
+_COMPONENT_FIELDS = frozenset({"id", "multiplicity", "chi_open"})
+_STRATUM_FIELDS = frozenset({"components", "chi_closed", "chi_open"})
+
+
+def _component(raw) -> Component | None:
+    """The component a well-formed record declares, else None."""
+    if (
+        type(raw) is dict
+        and raw.keys() <= _COMPONENT_FIELDS
+        and type(cid := raw.get("id")) is str
+        and cid
+        and type(multiplicity := raw.get("multiplicity")) is int
+        and type(raw.get("chi_open", 0)) is int
+    ):
+        return Component(cid, multiplicity, raw.get("chi_open"))
+    return None
+
+
+def _stratum(raw) -> Stratum | None:
+    """The stratum a well-formed record declares, else None."""
+    if (
+        type(raw) is dict
+        and raw.keys() <= _STRATUM_FIELDS
+        and type(ids := raw.get("components")) is list
+        and set(map(type, ids)) == {str}
+        and len(members := frozenset(ids)) == len(ids)
+        and "" not in members
+        and type(raw.get("chi_closed", 0)) is int
+        and type(raw.get("chi_open", 0)) is int
+    ):
+        return Stratum(members, raw.get("chi_closed"), raw.get("chi_open"))
+    return None
+
+
+def _parse_records(raws, where: str, quick, careful) -> tuple:
+    """Each record of the list ``raws``: ``quick`` accepts a well-formed one, and
+    ``careful`` reads any other field by field and names its first fault,
+    under its location in ``where``."""
+    return tuple(
+        quick(raw) or careful(raw, f"{where}[{i}]")
+        for i, raw in enumerate(_require_list(raws, where))
+    )
+
+
 def _parse_fiber(raw, where: str) -> FiberModel:
     data = _require_object(raw, where, {"prime", "components", "strata"})
-    components = tuple(
-        _parse_component(c, f"{where}.components[{i}]")
-        for i, c in enumerate(_require_list(data["components"], f"{where}.components"))
+    components = _parse_records(
+        data["components"], f"{where}.components", _component, _parse_component
     )
-    strata = tuple(
-        _parse_stratum(s, f"{where}.strata[{i}]")
-        for i, s in enumerate(_require_list(data["strata"], f"{where}.strata"))
-    )
+    strata = _parse_records(data["strata"], f"{where}.strata", _stratum, _parse_stratum)
     return FiberModel(
         prime=_require_int(data["prime"], f"{where}.prime"),
         components=components,

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from test_modelfile import (
     DERIVED_PAST_DIGIT_LIMIT,
     DERIVED_PAST_DIGIT_LIMIT_MESSAGE,
     HOSTILE_MODELS,
+    REPEATED_KEY_MESSAGES,
     repeated_key_text,
 )
 
@@ -421,7 +423,38 @@ def test_repeated_key_exits_2(tmp_path, capsys, options):
     path.write_text(repeated_key_text("fiber"), encoding="utf-8")
     command, *rest = options
     code, out, err = run(capsys, command, "--model", str(path), *rest)
-    assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: repeated key 'prime'\n")
+    message = REPEATED_KEY_MESSAGES["fiber"]
+    assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: {message}\n")
+
+
+def full_simplex(n: int, prime: int = 5) -> dict:
+    """n components of multiplicity 1 that all meet, chi_open = 1 on each of
+    the 2^n - 1 strata."""
+    ids = [f"C{i}" for i in range(1, n + 1)]
+    return {
+        "relative_dimension": n,
+        "fibers": [{
+            "prime": prime,
+            "components": [{"id": cid, "multiplicity": 1} for cid in ids],
+            "strata": [{"components": list(J), "chi_open": 1}
+                       for size in range(1, n + 1) for J in combinations(ids, size)],
+        }],
+    }
+
+
+def test_full_simplex_on_14_components(tmp_path, capsys):
+    # 16,383 strata: chi(X_5) = 2^14 - 1 and sum m_i chi*(T_i) = 14, so the exponent
+    # is 14 - 16383 and log|eps| = (14 + 1)/2 * -16369 log(5)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(full_simplex(14)), encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
+    elapsed = time.process_time() - start
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["conductor_factors"] == {"5": -16369}
+    assert report["log_eps_terms"] == [{"prime": 5, "coefficient": "-245535/2"}]
+    assert elapsed < 2.5  # inclusion-exclusion over all 2^|J| subsets took over 5 s
 
 
 @pytest.mark.parametrize("options", [["conductor"], ["conductor", "--output", "machine"],

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from charcalc.conductor import ModelValidationError
-from charcalc.modelfile import ModelParseError, load_model, parse_model
+from charcalc.modelfile import ModelParseError, _unique_keys, load_model, parse_model
 
 
 def i2_document():
@@ -125,6 +125,17 @@ REPEATED_KEYS = {
     "component": ('"multiplicity": 1}', '"multiplicity": 1, "multiplicity": 2}'),
     "stratum": ('"chi_closed": 2}', '"chi_closed": 2, "chi_closed": 2}'),
 }
+# The message names the object that holds the repeat, cut after 80 characters.
+REPEATED_KEY_MESSAGES = {
+    "top-level": "repeated key 'generic_euler' in {\"relative_dimension\": 1, \"generic_euler\": 0, "
+    "\"generic_euler\": 2, \"fibers\": [{\"p...",
+    "fiber": "repeated key 'prime' in {\"prime\": 5, \"prime\": 7, \"components\": "
+    "[{\"id\": \"C1\", \"multiplicity\": 1}, {\"id\": ...",
+    "component": "repeated key 'multiplicity' in "
+    "{\"id\": \"C1\", \"multiplicity\": 1, \"multiplicity\": 2}",
+    "stratum": "repeated key 'chi_closed' in {\"components\": [\"C1\"], \"chi_closed\": 2, "
+    "\"chi_closed\": 2}",
+}
 
 
 def repeated_key_text(case):
@@ -136,9 +147,29 @@ def repeated_key_text(case):
 
 @pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
 def test_repeated_key_rejected(case):
-    key = REPEATED_KEYS[case][0].split('"')[1]
-    with pytest.raises(ModelParseError, match=f"^m.json: invalid JSON: repeated key '{key}'$"):
+    with pytest.raises(ModelParseError) as info:
         parse_model(repeated_key_text(case), source="m.json")
+    assert str(info.value) == f"m.json: invalid JSON: {REPEATED_KEY_MESSAGES[case]}"
+
+
+def test_repeated_key_preview_is_bounded():
+    # the object holding the repeat has 10^5 numbers; the preview reads the first few
+
+    class Counted(list):
+        read = 0
+
+        def __iter__(self):
+            for self.read, item in enumerate(super().__iter__(), 1):
+                yield item
+
+    numbers = Counted([12345] * 10**5)
+    with pytest.raises(ModelParseError) as info:
+        _unique_keys([("a", 1), ("a", 2), ("big", numbers)])
+    assert str(info.value) == (
+        'repeated key \'a\' in {"a": 1, "a": 2, "big": '
+        "[12345, 12345, 12345, 12345, 12345, 12345, 12345, 12345,..."
+    )
+    assert numbers.read < 20
 
 
 def test_referential_integrity_enforced():
@@ -241,3 +272,173 @@ def test_mismatch_past_the_digit_limit_is_validation_error():
     text = json.dumps(DERIVED_PAST_DIGIT_LIMIT).replace(str(AT_DIGIT_LIMIT), "1" + "0" * 4300, 1)
     with pytest.raises(ModelParseError, match="invalid JSON: Exceeds the limit"):
         parse_model(text)
+
+
+# -- every refusal of the reader, by record, with its exact text ------------
+
+DROP = object()  # an edit value that deletes the field
+FIBER = ("fibers", 0)
+COMPONENT = FIBER + ("components", 0)
+STRATUM = FIBER + ("strata", 0)
+EDGE = FIBER + ("strata", 2)  # the stratum {C1, C2}
+BAD_INTS = {"true": True, "float": 1.0, "null": None}
+
+
+def edited(*edits):
+    """i2_document() with each (path, value) edit applied in turn; the empty
+    path replaces the whole document."""
+    doc = i2_document()
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        *head, last = path
+        target = doc
+        for step in head:
+            target = target[step]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+def _int_refusals(record, path, where, fields):
+    return {
+        f"{record}/{field}-{name}": (
+            [(path + (field,), value)],
+            f"{where}.{field}: expected an exact integer, got {value!r}",
+        )
+        for field in fields
+        for name, value in BAD_INTS.items()
+    }
+
+
+AT_FIBER = "m.json.fibers[0]"
+AT_COMPONENT = f"{AT_FIBER}.components[0]"
+AT_STRATUM = f"{AT_FIBER}.strata[0]"
+AT_EDGE = f"{AT_FIBER}.strata[2]"
+
+# case -> (edits of i2_document(), the exact ModelParseError text)
+REFUSALS = {
+    "model/not-object": ([((), [1])], "m.json: expected an object, got list"),
+    "model/unknown": ([(("discriminant",), 5)], "m.json: unknown fields ['discriminant']"),
+    "model/missing": ([(("fibers",), DROP)], "m.json: missing fields ['fibers']"),
+    "model/fibers-not-list": ([(("fibers",), {})], "m.json.fibers: expected a list, got dict"),
+    **_int_refusals("model", (), "m.json", ("generic_euler", "relative_dimension")),
+    "fiber/not-object": ([(FIBER, "p5")], f"{AT_FIBER}: expected an object, got str"),
+    "fiber/unknown": ([(FIBER + ("name",), "x")], f"{AT_FIBER}: unknown fields ['name']"),
+    "fiber/missing": ([(FIBER + ("strata",), DROP)], f"{AT_FIBER}: missing fields ['strata']"),
+    "fiber/components-not-list": (
+        [(FIBER + ("components",), "C1")],
+        f"{AT_FIBER}.components: expected a list, got str",
+    ),
+    "fiber/strata-not-list": (
+        [(FIBER + ("strata",), None)],
+        f"{AT_FIBER}.strata: expected a list, got NoneType",
+    ),
+    **_int_refusals("fiber", FIBER, AT_FIBER, ("prime",)),
+    "component/not-object": ([(COMPONENT, ["C1", 1])], f"{AT_COMPONENT}: expected an object, got list"),
+    "component/unknown": (
+        [(COMPONENT + ("color",), "blue"), (COMPONENT + ("chi",), 1)],
+        f"{AT_COMPONENT}: unknown fields ['chi', 'color']",
+    ),
+    "component/missing": (
+        [(COMPONENT + ("multiplicity",), DROP)],
+        f"{AT_COMPONENT}: missing fields ['multiplicity']",
+    ),
+    "component/empty": ([(COMPONENT, {})], f"{AT_COMPONENT}: missing fields ['id', 'multiplicity']"),
+    "component/id-empty": (
+        [(COMPONENT + ("id",), "")],
+        f"{AT_COMPONENT}.id: expected a non-empty string, got ''",
+    ),
+    "component/id-not-string": (
+        [(COMPONENT + ("id",), 1)],
+        f"{AT_COMPONENT}.id: expected a non-empty string, got 1",
+    ),
+    **_int_refusals("component", COMPONENT, AT_COMPONENT, ("multiplicity", "chi_open")),
+    "stratum/not-object": ([(STRATUM, 2)], f"{AT_STRATUM}: expected an object, got int"),
+    "stratum/unknown": ([(STRATUM + ("chi",), 2)], f"{AT_STRATUM}: unknown fields ['chi']"),
+    "stratum/missing": (
+        [(STRATUM + ("components",), DROP)],
+        f"{AT_STRATUM}: missing fields ['components']",
+    ),
+    "stratum/components-not-list": (
+        [(STRATUM + ("components",), "C1")],
+        f"{AT_STRATUM}.components: expected a list, got str",
+    ),
+    "stratum/id-empty": (
+        [(EDGE + ("components",), ["C1", ""])],
+        f"{AT_EDGE}.components[1]: expected a non-empty string, got ''",
+    ),
+    "stratum/id-not-string": (
+        [(EDGE + ("components",), ["C1", None])],
+        f"{AT_EDGE}.components[1]: expected a non-empty string, got None",
+    ),
+    "stratum/id-a-list": (
+        [(EDGE + ("components",), [["C1"], "C2"])],
+        f"{AT_EDGE}.components[0]: expected a non-empty string, got ['C1']",
+    ),
+    "stratum/id-repeated": (
+        [(EDGE + ("components",), ["C1", "C1"])],
+        f"{AT_EDGE}.components: repeated component id in ['C1', 'C1']",
+    ),
+    **_int_refusals("stratum", STRATUM, AT_STRATUM, ("chi_closed", "chi_open")),
+    # two faults: the one the reader meets first is named
+    "two/unknown-and-missing": (
+        [(STRATUM + ("chi",), 2), (STRATUM + ("components",), DROP)],
+        f"{AT_STRATUM}: unknown fields ['chi']",
+    ),
+    "two/id-and-multiplicity": (
+        [(COMPONENT + ("multiplicity",), 1.0), (COMPONENT + ("id",), "")],
+        f"{AT_COMPONENT}.id: expected a non-empty string, got ''",
+    ),
+    "two/multiplicity-and-chi-open": (
+        [(COMPONENT + ("chi_open",), True), (COMPONENT + ("multiplicity",), None)],
+        f"{AT_COMPONENT}.multiplicity: expected an exact integer, got None",
+    ),
+    "two/chi-closed-and-chi-open": (
+        [(STRATUM + ("chi_open",), 1.0), (STRATUM + ("chi_closed",), True)],
+        f"{AT_STRATUM}.chi_closed: expected an exact integer, got True",
+    ),
+    "two/members-and-chi": (
+        [(EDGE + ("chi_closed",), None), (EDGE + ("components",), [1, 1])],
+        f"{AT_EDGE}.components[0]: expected a non-empty string, got 1",
+    ),
+    "two/empty-and-repeated-id": (
+        [(EDGE + ("components",), ["C1", "C1", ""])],
+        f"{AT_EDGE}.components[2]: expected a non-empty string, got ''",
+    ),
+    "two/component-then-stratum": (
+        [(STRATUM + ("chi_closed",), True), (COMPONENT + ("id",), 5)],
+        f"{AT_COMPONENT}.id: expected a non-empty string, got 5",
+    ),
+    "two/later-component-then-strata-list": (
+        [(FIBER + ("strata",), "all"), (FIBER + ("components", 1, "color"), "red")],
+        f"{AT_FIBER}.components[1]: unknown fields ['color']",
+    ),
+    "two/stratum-then-prime": (
+        [(FIBER + ("prime",), True), (EDGE + ("chi_closed",), 1.0)],
+        f"{AT_EDGE}.chi_closed: expected an exact integer, got 1.0",
+    ),
+    "two/invalid-prime-then-malformed-stratum": (
+        [(FIBER + ("prime",), 4), (STRATUM + ("chi_open",), None)],
+        f"{AT_STRATUM}.chi_open: expected an exact integer, got None",
+    ),
+    "two/generic-euler-then-fiber": (
+        [(FIBER + ("prime",), None), (("generic_euler",), 0.0)],
+        "m.json.generic_euler: expected an exact integer, got 0.0",
+    ),
+    "two/stratum-then-relative-dimension": (
+        [(("relative_dimension",), True), (STRATUM + ("chi_closed",), None)],
+        f"{AT_STRATUM}.chi_closed: expected an exact integer, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_names_the_first_fault(case):
+    edits, message = REFUSALS[case]
+    with pytest.raises(ModelParseError) as info:
+        parse_model(json.dumps(edited(*edits)), source="m.json")
+    assert str(info.value) == message

@@ -28,6 +28,7 @@ from charcalc.conductor import (
     FiberModel,
     ModelValidationError,
     Stratum,
+    _superset_sums,
     bloch_degree,
     closed_strata_from_open,
     fiber_euler,
@@ -298,6 +299,20 @@ def test_random_lattice_ignores_the_hash_seed():
         for hash_seed in ("1", "2", "3")
     }
     assert len(outputs) == 1 and outputs != {""}
+
+
+def superset_sum(values: dict, J: frozenset, sign: int) -> int:
+    """sum of sign^(|J2| - |J|) * values[J2] over the strata J2 containing J."""
+    return sum(sign ** (len(J2) - len(J)) * value for J2, value in values.items() if J <= J2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), sign=st.sampled_from([-1, 1]))
+def test_superset_sums_match_their_definition(seed, sign):
+    _, values = random_strata_lattice(random.Random(seed), max_components=6)
+    sums = _superset_sums(values, sign)
+    assert sums == {J: superset_sum(values, J, sign) for J in values}
+    assert _superset_sums(sums, -sign) == values
 
 
 @settings(max_examples=80, deadline=None)
