@@ -279,6 +279,10 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
         for cid in J:
             sub = J - {cid}
             if sub and sub not in seen:
+                # name the first offender in file order, not in set order
+                J, sub = next((s.components, s.components - {c}) for s in fiber.strata
+                              if len(s.components) > 1 for c in sorted(s.components)
+                              if s.components - {c} not in seen)
                 raise ModelValidationError(
                     f"{where}: stratum {sorted(J)} is declared but its subset "
                     f"{sorted(sub)} is not"

@@ -19,6 +19,9 @@ coefficient per S_n-orbit.
 one more grading: its keys are ``(t-power, *root)`` and its products drop
 t-powers above ``t_max``, so ``lambda_t`` and ``gamma_t`` build their term
 maps directly and :meth:`TSeries.invert` is the shared substitution.
+``gamma_k`` and ``alternating_lambda_sum`` read weighted sums of the lambda^j
+off lambda_t of the nontrivial lines only: the trivial line [0] is the unit,
+so m[0] is the scalar (1 + t)^m, folded into the weights.
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -237,30 +240,39 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
     return lam._like(terms)
 
 
+def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
+    """Sum of weights[j] lambda^j(x), j = 0..t_max.  The trivial line is the
+    unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m: lambda^i(y) gets the
+    weight v_i = sum_{j >= i} weights[j] C(m, j - i), and no root meets (1 + t)^m."""
+    unit = x._unit
+    m = x._terms.get(unit, 0)
+    y = x._like({r: c for r, c in x._terms.items() if r != unit})
+    lam = lambda_t(y, t_max)  # refuses a negative t_max
+    binomials = _binomials(m, t_max)
+    v = [sum(weights[j] * binomials[j - i] for j in range(i, t_max + 1)) for i in range(t_max + 1)]
+    terms: dict[Root, int] = {}
+    for key, mult in lam._terms.items():
+        root = key[1:]
+        terms[root] = terms.get(root, 0) + v[key[0]] * mult
+    return x._like(terms)
+
+
 def gamma_k(x: KElement, k: int) -> KElement:
     """The k-th gamma operation: the t^k coefficient of gamma_t(x), read off
-    lambda_t(x) as gamma^k = sum_{j=1..k} C(k-1, j-1) lambda^j for k >= 1,
-    and gamma^0 = lambda^0 = [0], without building the rest of gamma_t."""
-    lam = lambda_t(x, k)  # refuses a negative k
+    lambda_t(x) as gamma^k = sum_{j=1..k} C(k-1, j-1) lambda^j for k >= 1, and
+    gamma^0 = lambda^0 = [0], by :func:`_lambda_sum`: no gamma_t is built, and
+    the trivial lines of x enter as a scalar in t."""
     # the weight of lambda^j; lambda^0 = [0] counts only in gamma^0
-    weights = [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)]
-    terms: dict[Root, int] = {}
-    for (j, *root), mult in lam._terms.items():
-        root = tuple(root)
-        terms[root] = terms.get(root, 0) + weights[j] * mult
-    return x._like(terms)
+    return _lambda_sum(x, k, [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)])
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:
-    """Sum of (-1)^i lambda^i(x) for i = 0..rank(x)."""
+    """Sum of (-1)^i lambda^i(x) for i = 0..rank(x), with the trivial lines
+    of x as a scalar in t (:func:`_lambda_sum`)."""
     d = x.rank
     if d < 0:
         raise ValueError(f"alternating lambda sum needs non-negative rank, got {d}")
-    terms: dict[Root, int] = {}
-    for (k, *root), mult in lambda_t(x, d)._terms.items():
-        root = tuple(root)
-        terms[root] = terms.get(root, 0) + (-1) ** k * mult
-    return x._like(terms)
+    return _lambda_sum(x, d, [(-1) ** j for j in range(d + 1)])
 
 
 # -- characteristic classes -------------------------------------------------

@@ -1,9 +1,13 @@
 """Strata inclusion-exclusion and the conductor pipeline."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,34 @@ def test_subset_closure_required():
     comps = tuple(Component(f"C{i}", 1) for i in (1, 2, 3))
     with pytest.raises(ModelValidationError):
         validate_fiber(FiberModel(3, comps, strata))
+
+
+def test_missing_subset_names_the_first_offender_under_any_hash_seed():
+    # {A,B,C} and {B,C,D} both lack their pairs: the first declared stratum and
+    # its first missing subset, in sorted order, are named whatever the set order
+    script = (
+        "from charcalc.conductor import Component, FiberModel, ModelValidationError, "
+        "Stratum, validate_fiber\n"
+        "strata = [Stratum(frozenset(c), chi_closed=2) for c in 'ABCD']\n"
+        "strata += [Stratum(frozenset(J), chi_closed=1) for J in ('ABC', 'BCD')]\n"
+        "try:\n"
+        "    components = tuple(Component(c, 1) for c in 'ABCD')\n"
+        "    validate_fiber(FiberModel(3, components, tuple(strata)))\n"
+        "except ModelValidationError as error:\n"
+        "    print(error)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        ).stdout
+        for hash_seed in ("1", "2", "5")
+    }
+    assert outputs == {
+        "fiber at p=3: stratum ['A', 'B', 'C'] is declared but its subset ['B', 'C'] is not\n"
+    }
 
 
 def stratum_without_its_subsets():

@@ -4,8 +4,9 @@ stdout, stderr and exit code.
 ``conductor`` and ``explain`` run on the sample models and a few edge-case
 models; each transcript lives in ``tests/golden/<model>.<mode>.txt``.
 ``verify`` runs the default suite, a raised ``--max-degree``, a
-``--max-degree`` below the clamp, and four refusals; each transcript lives
-in ``tests/golden/verify.<case>.txt``.  After a deliberate change to the
+``--max-degree`` below the clamp, four refusals, and rank 12 of the checks
+that read gamma^k off lambda_t; each transcript lives in
+``tests/golden/verify.<case>.txt``.  After a deliberate change to the
 output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -53,6 +54,8 @@ VERIFY_CASES = {
     "unknown-check": ["--checks", "gala,nonsense"],
     "rank-over-cap": ["--rank-max", "13"],
     "rank-min-zero": ["--rank-min", "0"],
+    "rank-12-machine": ["--checks", "gala,ch_gamma,prop_chtd", "--rank-min", "12",
+                        "--rank-max", "12", "--output", "machine"],
 }
 
 

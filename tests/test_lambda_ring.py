@@ -141,6 +141,12 @@ def test_gamma_one_is_identity_on_rank_zero():
     assert gamma_k(reduced, 1) == reduced
 
 
+@pytest.mark.parametrize("x", [KElement.line((1, 0)), KElement.line((1, 0)) - 3 * unit(2)])
+def test_gamma_k_refuses_a_negative_k(x):
+    with pytest.raises(ValueError, match="t_max must be non-negative"):
+        gamma_k(x, -1)
+
+
 def test_gamma_t_of_zero():
     assert gamma_t(KElement.zero(2), 3) == TSeries.one(2, 3)
 

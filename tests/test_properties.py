@@ -1,12 +1,13 @@
 """Hypothesis properties of the univariate power helper, of Horner
 substitution, of the Chern character against its exp-per-line definition,
-of gamma^k against the top coefficient of gamma_t, of the Todd and total
-Chern classes against their product-per-line definition, of the S_n-orbit
-Chern character times a class of generic lines against the dense ones, of
-the strata-lattice round trip, of the random lattice's independence of the
-hash seed, of the fiber functions' refusal of corrupted strata lattices, of
-the conductor under point blow-ups, and of the conductor CLI on hostile
-integers."""
+of gamma^k against the top coefficient of gamma_t and of the alternating
+lambda sum against lambda_t, with and without a trivial line, of the Todd
+and total Chern classes against their product-per-line definition, of the
+S_n-orbit Chern character times a class of generic lines against the dense
+ones, of the strata-lattice round trip, of the random lattice's
+independence of the hash seed, of the fiber functions' refusal of corrupted
+strata lattices, of the conductor under point blow-ups, and of the
+conductor CLI on hostile integers."""
 
 import io
 import json
@@ -39,16 +40,18 @@ from charcalc.conductor import (
 )
 from charcalc.lambda_ring import (
     KElement,
+    alternating_lambda_sum,
     ch,
     gamma_k,
     gamma_t,
+    lambda_t,
     symmetric_ch,
     todd,
     todd_line,
     total_chern,
 )
 from charcalc.series import GradedSeries, power_coefficients
-from charcalc.verify import generic_lines
+from charcalc.verify import generic_lines, repeated_root_lines
 
 from oracles import blow_up, exp_coefficients, random_strata_lattice
 
@@ -155,10 +158,43 @@ def test_gamma_k_is_the_top_coefficient_of_gamma_t(x, k):
     assert gamma_k(x, k) == gamma_t(x, k).coefficient(k)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@st.composite
+def with_trivial_line(draw):
+    """A :func:`k_elements` element whose trivial line [0] has a nonzero
+    multiplicity in [-8, 8]."""
+    x = draw(k_elements())
+    m = draw(st.integers(min_value=-8, max_value=8).filter(bool))
+    unit = KElement.unit(x.symbol_count)
+    return x + (m - x.multiplicity((0,) * x.symbol_count)) * unit
+
+
+@settings(max_examples=80, deadline=None)
+@given(with_trivial_line(), st.integers(min_value=0, max_value=7))
+@example(KElement(0, {(): -8}), 7)
+@example(KElement(2, {(0, 0): 8, (1, -1): -3}), 7)
+@example(KElement(3, {(0, 0, 0): -5, (1, 0, 2): 3, (0, -1, 0): 2}), 5)
+def test_trivial_line_folds_into_the_weights(x, k):
+    # the trivial line enters gamma_k and the alternating sum as (1 + t)^m on
+    # the read-off weights; the dense gamma_t and lambda_t carry it on every term
+    assert gamma_k(x, k) == gamma_t(x, k).coefficient(k)
+    d = x.rank
+    if d >= 0:
+        lam = lambda_t(x, d)
+        terms = (lam.coefficient(i) * (-1) ** i for i in range(d + 1))
+        assert alternating_lambda_sum(x) == sum(terms, KElement.zero(x.symbol_count))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
 def test_gamma_k_of_reduced_generic_lines(n):
     x = generic_lines(n) - n * KElement.unit(n)
     assert gamma_k(x, n - 1) == gamma_t(x, n - 1).coefficient(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_gamma_k_of_reduced_repeated_root_lines(n):
+    # gala's second input: n lines on n - 1 symbols, one of them doubled
+    x = repeated_root_lines(n) - n * KElement.unit(n - 1)
+    assert gamma_k(x, n) == gamma_t(x, n).coefficient(n)
 
 
 # -- multiplicative classes --------------------------------------------------------
