@@ -9,6 +9,9 @@ fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
+validate_fiber walks the lattice once: the inclusion-exclusion that derives
+the undeclared side steps from each stratum J to every J - {c}, so a
+J - {c} that is not a stratum surfaces there as the missing subset.
 validate_model validates and normalizes each fiber once; each normalized fiber
 is derived once into a FiberDerivation, the one place chi(X_p) and the localized
 Chern degree are computed.  The generic-Euler check and the conductor both
@@ -228,8 +231,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> None:
-    """Check the structural invariants of one fiber's combinatorial data."""
+def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> tuple[dict, dict]:
+    """Check the structural invariants of one fiber's combinatorial data and
+    return its (closed, open) characteristics, keyed by stratum.
+
+    Every stratum must carry chi_closed or every stratum chi_open; with
+    partially mixed data neither direction of the inclusion-exclusion can
+    run.  The other side is derived by _superset_sums, whose walk over the
+    edges J -> J - {c} of the lattice is also the subset-closure check: a
+    J - {c} that is not a stratum surfaces as the missing subset.
+    """
     where = f"fiber at p={fiber.prime}"
     if fiber.prime >= PRIME_LIMIT:
         raise ModelValidationError(
@@ -274,19 +285,29 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
     for cid in ids:
         if frozenset({cid}) not in seen:
             raise ModelValidationError(f"{where}: missing singleton stratum for {cid}")
-    # A non-empty intersection forces all of its sub-intersections non-empty.
-    for J in seen:
-        for cid in J:
-            sub = J - {cid}
-            if sub and sub not in seen:
-                # name the first offender in file order, not in set order
-                J, sub = next((s.components, s.components - {c}) for s in fiber.strata
-                              if len(s.components) > 1 for c in sorted(s.components)
-                              if s.components - {c} not in seen)
-                raise ModelValidationError(
-                    f"{where}: stratum {sorted(J)} is declared but its subset "
-                    f"{sorted(sub)} is not"
-                )
+    if all(s.chi_closed is not None for s in fiber.strata):
+        side, sign = "chi_closed", -1
+    elif all(s.chi_open is not None for s in fiber.strata):
+        side, sign = "chi_open", 1
+    else:
+        raise ModelValidationError(
+            f"{where}: mixed strata data; supply chi_closed for all strata or "
+            "chi_open for all strata"
+        )
+    given = {s.components: getattr(s, side) for s in fiber.strata}
+    try:
+        derived = _superset_sums(given, sign)
+    except KeyError:
+        # A non-empty intersection forces all of its sub-intersections
+        # non-empty; name the first offender in file order, not in set order.
+        J, sub = next((s.components, s.components - {c}) for s in fiber.strata
+                      if len(s.components) > 1 for c in sorted(s.components)
+                      if s.components - {c} not in seen)
+        raise ModelValidationError(
+            f"{where}: stratum {sorted(J)} is declared but its subset "
+            f"{sorted(sub)} is not"
+        ) from None
+    return (given, derived) if sign < 0 else (derived, given)
 
 
 def validate_model(model: ArithmeticModel) -> ArithmeticModel:
@@ -311,10 +332,11 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
     sign = -1 turns closed characteristics into open ones and sign = +1
     turns open ones back into closed ones.  The sum runs one component c at
     a time: its pass adds sign times the running value of each stratum J2
-    that contains c to J2 - {c}, which validate_fiber makes a stratum, so
-    after the passes of components C each J holds the sum over the J2
-    containing J with J2 - J inside C.  That is one step per member of
-    each stratum, not one per subset.
+    that contains c to J2 - {c}, so after the passes of components C each J
+    holds the sum over the J2 containing J with J2 - J inside C.  That is
+    one step per member of each stratum, not one per subset.  A J2 - {c}
+    that is not a key raises KeyError: validate_fiber names it as the
+    missing subset.
     """
     out = dict(values)
     passes: dict[str, list[frozenset[str]]] = {}
@@ -329,29 +351,15 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
 
 
 def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> FiberModel:
-    """Validate a fiber (see validate_fiber) and fill in both chi_closed and
-    chi_open for every stratum.
+    """Fill in both chi_closed and chi_open for every stratum from the maps
+    validate_fiber derives.
 
-    The input must carry chi_closed on all strata or chi_open on all
-    strata; partially mixed data is rejected since neither direction of
-    the inclusion-exclusion can run.  Absent strata are empty
-    intersections and contribute 0.  Idempotent; any declared value on
-    the derived side, on a stratum or a component, must agree with the
-    derived one.
+    Absent strata are empty intersections and contribute 0.  Idempotent;
+    any declared value on the derived side, on a stratum or a component,
+    must agree with the derived one.
     """
-    validate_fiber(fiber, relative_dimension)
+    closed, opened = validate_fiber(fiber, relative_dimension)
     where = f"fiber at p={fiber.prime}"
-    if all(s.chi_closed is not None for s in fiber.strata):
-        closed = {s.components: s.chi_closed for s in fiber.strata}
-        opened = _superset_sums(closed, -1)
-    elif all(s.chi_open is not None for s in fiber.strata):
-        opened = {s.components: s.chi_open for s in fiber.strata}
-        closed = _superset_sums(opened, 1)
-    else:
-        raise ModelValidationError(
-            f"{where}: mixed strata data; supply chi_closed for all strata or "
-            "chi_open for all strata"
-        )
     strata = []
     for s in fiber.strata:
         J = s.components

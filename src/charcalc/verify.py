@@ -10,8 +10,9 @@ Every class of n generic lines is symmetric in a1..an, so ``borel_serre``,
 ``ch_gamma`` and ``prop_chtd`` evaluate both sides as
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit of
 monomials: :func:`~charcalc.lambda_ring.symmetric_ch` on the left, a closed
-form on the right.  ``gala`` compares K-elements, and ``homomorphism`` runs on
-random elements that are not symmetric, so both stay dense.
+form on the right.  ``gala`` compares K-elements, gamma_k against a product of
+the lines 1 - [r] that reads no lambda_t, and ``homomorphism`` runs on random
+elements that are not symmetric, so both stay dense.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ def _differences(lhs, rhs) -> str:
     """Bounded report of where two series, or two KElements, differ: the
     number of differing terms, the lowest differing degree of a series, and
     at most DIFF_SAMPLES differing terms in the order of ``terms()``.
-    Empty when they are equal."""
+    Empty when they are equal, before any term is listed."""
+    if lhs == rhs:
+        return ""
     left, right = dict(lhs.terms()), dict(rhs.terms())
     keys = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
-    if not keys:
-        return ""
     degree = lhs._degree
     if degree is None:
         keys.sort()
@@ -92,15 +93,26 @@ def repeated_root_lines(rank: int) -> KElement:
 
 def verify_gala(x: KElement) -> CheckResult:
     """Check (-1)^d gamma^d(x - d[0]) = sum_{i=0}^{d} (-1)^i lambda^i(x)
-    for d = rank(x)."""
+    for an effective x of rank d.
+
+    The left side reads lambda_t through gamma_k.  The right side is
+    lambda_{-1}(x) = prod (1 - [r])^m over the lines m[r] of x, by KElement
+    products with no lambda_t, so the check sees a fault in either.  For a
+    virtual x the identity holds whatever lambda is, so one with a negative
+    multiplicity is refused with ValueError.
+    """
     d = x.rank
     if d < 0:
         raise ValueError(f"element must have non-negative rank, got {d}")
+    if any(m < 0 for m in x._terms.values()):
+        raise ValueError(f"element must be effective, got {x}")
     reduced = x - d * KElement.unit(x.symbol_count)
     lhs = gamma_k(reduced, d)
     if d % 2:
         lhs = -lhs
-    detail = _differences(lhs, alternating_lambda_sum(x))
+    one = KElement.unit(x.symbol_count)
+    rhs = prod((one - KElement.line(r) for r, m in x._terms.items() for _ in range(m)), start=one)
+    detail = _differences(lhs, rhs)
     return CheckResult("gala", {"rank": d}, not detail, detail)
 
 

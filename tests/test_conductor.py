@@ -239,6 +239,19 @@ def test_missing_subset_names_the_first_offender_under_any_hash_seed():
     }
 
 
+def test_mixed_sides_are_refused_before_a_missing_subset():
+    # the declared side is picked before the lattice walk that finds missing subsets
+    strata = (
+        Stratum(frozenset({"C1"}), chi_closed=2),
+        Stratum(frozenset({"C2"}), chi_open=2),
+        Stratum(frozenset({"C3"}), chi_closed=2),
+        Stratum(frozenset({"C1", "C2", "C3"}), chi_closed=1),
+    )
+    comps = tuple(Component(f"C{i}", 1) for i in (1, 2, 3))
+    with pytest.raises(ModelValidationError, match="mixed strata data"):
+        validate_fiber(FiberModel(3, comps, strata))
+
+
 def stratum_without_its_subsets():
     """One 20-component stratum over 20 singletons: it lacks most of its
     2^20 - 1 subsets."""

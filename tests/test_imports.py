@@ -8,10 +8,12 @@ as used; ``from __future__`` imports bind nothing.  An exported name must be
 read or imported by another module of the package, or be named in the
 README, so that no export serves only the tests; a public method or
 property of a package class must likewise be read by the package, named in
-the README or read by the acceptance tests."""
+the README or read by the acceptance tests.  Every absolute import names a
+module of the standard library, so the core stays stdlib-only."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,38 @@ def test_unused_imports_are_found():
         "    return comb(x, 2)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: product_of", "line 4: dominant_exponents"]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """The top-level modules of the absolute imports of ``source`` that are
+    not in the standard library; relative imports name the package itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {module}" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_non_stdlib_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from sympy.core import Symbol\n"
+        "from .series import GradedSeries\n"
+        "from fractions import Fraction\n"
+    )
+    assert non_stdlib_imports(source) == ["line 2: numpy", "line 3: sympy.core"]
 
 
 def names_read(source: str) -> set[str]:

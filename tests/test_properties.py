@@ -4,10 +4,11 @@ of gamma^k against the top coefficient of gamma_t and of the alternating
 lambda sum against lambda_t, with and without a trivial line, of the Todd
 and total Chern classes against their product-per-line definition, of the
 S_n-orbit Chern character times a class of generic lines against the dense
-ones, of the strata-lattice round trip, of the random lattice's
-independence of the hash seed, of the fiber functions' refusal of corrupted
-strata lattices, of the conductor under point blow-ups, and of the
-conductor CLI on hostile integers."""
+ones, of the strata-lattice round trip, of validate_fiber's maps against the
+normalized strata, of the random lattice's independence of the hash seed,
+of the fiber functions' refusal of corrupted strata lattices, of the
+conductor under point blow-ups, and of the conductor CLI on hostile
+integers."""
 
 import io
 import json
@@ -349,6 +350,23 @@ def test_superset_sums_match_their_definition(seed, sign):
     sums = _superset_sums(values, sign)
     assert sums == {J: superset_sum(values, J, sign) for J in values}
     assert _superset_sums(sums, -sign) == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       side=st.sampled_from(["chi_closed", "chi_open"]))
+def test_validate_fiber_returns_the_normalized_maps(seed, side):
+    # validate_fiber's (closed, open) maps are what normalize_fiber writes
+    rng = random.Random(seed)
+    ids, values = random_strata_lattice(rng, max_components=6)
+    components = tuple(Component(cid, rng.randint(1, 3)) for cid in ids)
+    strata = tuple(Stratum(J, **{side: v}) for J, v in values.items())
+    fiber = FiberModel(5, components, strata)
+    closed, opened = validate_fiber(fiber)
+    normalized = normalize_fiber(fiber).strata
+    assert closed == {s.components: s.chi_closed for s in normalized}
+    assert opened == {s.components: s.chi_open for s in normalized}
+    assert (closed if side == "chi_closed" else opened) == values
 
 
 @settings(max_examples=80, deadline=None)

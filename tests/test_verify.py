@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from charcalc import lambda_ring
 from charcalc.series import GradedSeries
 from charcalc.lambda_ring import (
     KElement,
@@ -68,6 +69,26 @@ def test_gala_both_sides_match_direct_expansion():
 def test_gala_rejects_negative_rank():
     with pytest.raises(ValueError):
         verify_gala(-KElement.unit(1))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
+    # the right side is a product of (1 - [r]), so only the left reads lambda_t
+    original = lambda_ring.lambda_t
+
+    def corrupted(x, t_max):
+        lam = original(x, t_max)
+        return lam._like({key: m * (2 if key[0] == 1 else 1) for key, m in lam._terms.items()})
+
+    monkeypatch.setattr(lambda_ring, "lambda_t", corrupted)
+    assert not verify_gala(generic_lines(n)).ok
+
+
+def test_gala_refuses_a_virtual_element():
+    # rank 1, but -[a2] makes lambda_{-1} an infinite series
+    x = KElement(2, {(1, 0): 2, (0, 1): -1})
+    with pytest.raises(ValueError, match="effective"):
+        verify_gala(x)
 
 
 # -- Borel-Serre -----------------------------------------------------------------
