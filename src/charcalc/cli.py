@@ -21,7 +21,6 @@ from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import wraps
-from itertools import accumulate
 
 from .conductor import (
     ConductorReport,
@@ -33,7 +32,7 @@ from .conductor import (
     conductor_report,
 )
 from .modelfile import ModelParseError, load_model
-from .series import dominant_exponents, render_sum
+from .series import render_sum
 from .verify import (
     CheckResult,
     generic_lines,
@@ -48,10 +47,10 @@ from .verify import (
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
 # The checks that read --max-degree: each verifier and its default degree less the rank n.
-# Past n + 1, --max-degree is bounded for the O(D^2) line series and by _root_prefixes.
+# Past n + 1, --max-degree is bounded for the O(D^2) line series and by _orbits.
 DEGREE_CHECKS = {"borel_serre": (verify_borel_serre, 0), "ch_gamma": (verify_ch_gamma, 1)}
 MAX_DEGREE_LIMIT = 64
-MAX_ROOT_PREFIXES = 10**6
+MAX_ORBITS = 300_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"raise the truncation degree of borel_serre and ch_gamma, to at most "
-        f"{MAX_DEGREE_LIMIT} and {MAX_ROOT_PREFIXES:,} root prefixes to sum",
+        f"{MAX_DEGREE_LIMIT} and {MAX_ORBITS:,} S_n-orbits of monomials",
     )
     verify.add_argument(
         "--rank-cap",
@@ -118,14 +117,16 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
     return results
 
 
-def _root_prefixes(n: int, D: int) -> int:
-    """The root prefixes symmetric_ch may sum at rank n and degree D, about 2 us each in
-    borel_serre, counted until past MAX_ROOT_PREFIXES: 2^k per orbit of k symbols, since
-    the roots of both checks' elements have entries 0 and 1 or 0 and -1."""
-    for total in accumulate(2 ** (len(e) - e.count(0)) for e in dominant_exponents(min(n, D), D)):
-        if total > MAX_ROOT_PREFIXES:
-            break
-    return total
+def _orbits(n: int, D: int) -> int:
+    """The S_n-orbits of monomials of degree at most D in n symbols, one coefficient each
+    in symmetric_ch and both checks' right sides, about 7 us each in ch_gamma at degree 64:
+    the partitions of 0..D into at most n parts, or with no part above n, by adding the
+    parts 1..min(n, D) one at a time."""
+    ways = [1] + [0] * D
+    for part in range(1, min(n, D) + 1):
+        for d in range(part, D + 1):
+            ways[d] += ways[d - part]
+    return sum(ways)
 
 
 def _verify_refusal(names, args) -> str | None:
@@ -150,8 +151,8 @@ def _verify_refusal(names, args) -> str | None:
         return None
     if D > MAX_DEGREE_LIMIT:
         return f"--max-degree {D} exceeds the limit {MAX_DEGREE_LIMIT}"
-    if D > n + 1 and _root_prefixes(n, D) > MAX_ROOT_PREFIXES:
-        return f"--max-degree {D} at --rank-max {n} means over {MAX_ROOT_PREFIXES:,} root prefixes"
+    if D > n + 1 and (orbits := _orbits(n, D)) > MAX_ORBITS:
+        return f"--max-degree {D} at --rank-max {n} means {orbits:,} orbits, over {MAX_ORBITS:,}"
     return None
 
 

@@ -11,8 +11,8 @@ class, and Todd class; the last two are exp of the first with its degree-k
 part weighted by k! (log f)_k, for f the line value (Hirzebruch), all on
 integer numerators with the weights computed once per degree.  For elements
 invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
-character times a multiplicative class of the generic lines in one sum, one
-coefficient per S_n-orbit.
+character times a multiplicative class of the generic lines with one
+coefficient, and one linear factor of a polynomial product, per S_n-orbit.
 
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
@@ -40,6 +40,7 @@ from .series import (
     MismatchError,
     Monomial,
     SymmetricSeries,
+    _coefficient,
     _key,
     _numerators,
     _TermMap,
@@ -374,21 +375,41 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     A line m[r] of x gives m prod_i g_{r_i}(a_i), g_r(l) = e^{rl} f(l) (Hirzebruch,
     *Topological Methods*, section 1), and g_r[0] = 1.  So with b! line[b] = Q_b / q
     and j! g_r[j] = H_r[j] / q, H_r[j] = sum_a C(j, a) r^a Q_{j-a}, the coefficient
-    at a dominant e with k nonzero entries is sum m prod_{i<=k} H_{r_i}[e_i] /
-    (q^k prod e_i!), summed once per k-entry root prefix; for f = 1 only the
-    prefixes with no zero entry add.  The result holds these as integer
-    numerators over q^min(n, D) D!.  An x that some adjacent transposition of
-    the symbols changes is refused with ValueError.
+    at a dominant e with k nonzero entries is sum_h M(h) prod_{i<=k} H_{h_i}[e_i] /
+    (q^k prod e_i!) over the k-entry root prefixes h, M(h) the multiplicity of the
+    roots that start with h.  For a symmetric x, M(h) depends only on the multiset
+    mu of h, so the sum is sum_mu M(mu) A(mu, e), A(mu, e) the coefficient of
+    prod_v u_v^mu_v in prod_{i<=k} sum_v u_v H_v[e_i] (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.2).
+
+    One pass over the roots groups them by S_n-orbit, which also checks that x
+    is symmetric; M(mu) is then the sum over the orbits rho that contain mu of
+    their multiplicity times the arrangements of rho - mu.  The products are
+    built along the dominant e in the order of
+    :func:`~charcalc.series.dominant_exponents`, where e less its last nonzero
+    entry comes before e: one linear factor per orbit, O(k) terms for roots with
+    two distinct entries.  For f = 1, H_0[j] = 0 for j > 0, so no mu with a zero
+    is read.  The result holds integer numerators over q^min(n, D) D!.  An x that
+    some adjacent transposition of the symbols changes is refused with ValueError.
     """
     D, n, lines = truncation_degree, x.symbol_count, x._terms
     zero = SymmetricSeries(n, D)  # refuses a negative D before the sums index by it
-    f = power_coefficients(line, 1, D)  # line, zero-padded to degree D; refuses line[0] != 1
+    f = [_coefficient(c) for c in line][:D + 1]
+    if not f or f[0] != 1:
+        raise ValueError("symmetric_ch needs a line value f with f[0] = 1")
+    f += [0] * (D + 1 - len(f))
     Q, q = _numerators({b: factorial(b) * c for b, c in enumerate(f)})
     trivial = not any(f[1:])
-    prefixes: list[dict[Root, int]] = [{} for _ in range(min(n, D) + 1)]
+    top = min(n, D)  # the most nonzero entries of a dominant e
+    orbits: dict[Root, list[int]] = {}  # dominant root: [multiplicity, roots that have it]
     for root, mult in lines.items():
-        for i in range(n - 1):
-            if root[i] != root[i + 1]:
+        orbit = orbits.setdefault(tuple(sorted(root, reverse=True)), [mult, 0])
+        orbit[1] += orbit[0] == mult
+    shapes = {rho: Counter(rho) for rho in orbits}  # entry value: how many entries have it
+    if any(seen != factorial(n) // prod(map(factorial, shapes[rho].values()))
+           for rho, (_, seen) in orbits.items()):
+        for root, mult in lines.items():  # name an adjacent transposition that changes x
+            for i in range(n - 1):
                 swapped = root[:i] + (root[i + 1], root[i]) + root[i + 2:]
                 if lines.get(swapped, 0) != mult:
                     raise ValueError(
@@ -396,19 +417,43 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
                         f"has multiplicity {mult}, {KElement._render_key(swapped)} has "
                         f"{lines.get(swapped, 0)}"
                     )
-        for k, sums in enumerate(prefixes):
-            if k and trivial and not root[k - 1]:
-                break
-            sums[root[:k]] = sums.get(root[:k], 0) + mult
-    H = {r: [sum(comb(j, a) * r**a * Q[j - a] for a in range(j + 1)) for j in range(D + 1)]
-         for r in {r for sums in prefixes for head in sums for r in head}}
+    values = sorted({v for rho in orbits for v in rho})
+    # u_v is z^(B^i) for the i-th value: a monomial of degree at most top < B is one power of z
+    shift = {v: (top + 1) ** i for i, v in enumerate(values)}
+    # M[k]: M(mu) at the k-multisets mu; the roots of an orbit rho that start with the
+    # arrangement h of mu are the arrangements of rho - mu after it
+    M: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for rho, (mult, _) in orbits.items():
+        # (monomial of mu, k): prod_v (c_v - mu_v)!, taking mu_v of the c_v entries v of rho
+        rests = {(0, 0): 1}
+        for v, c in shapes[rho].items():
+            takes = range((0 if trivial and not v else c) + 1)
+            rests = {(key + t * shift[v], k + t): rest * factorial(c - t)
+                     for (key, k), rest in rests.items() for t in takes if k + t <= top}
+        for (key, k), rest in rests.items():
+            M[k][key] = M[k].get(key, 0) + mult * (factorial(n - k) // rest)
+    H = {v: [sum(comb(j, a) * v**a * Q[j - a] for a in range(j + 1)) for j in range(D + 1)]
+         for v in values}
+    factor = [[(shift[v], H[v][a]) for v in values if H[v][a]] for a in range(D + 1)]
     factorials = [factorial(k) for k in range(D + 1)]
-    top = len(prefixes) - 1  # the most nonzero entries of a dominant e: min(n, D)
     scale = [q ** (top - k) for k in range(top + 1)]
     terms = {}
+    # path[i]: for the first i entries of the current e, prod_{j<=i} sum_v u_v H_v[e_j] at the
+    # monomials of M[i] only, as no other grows into one that M reads, and D! / prod_{j<=i} e_j!
+    path = [({0: 1}, factorials[D])]
     for e in dominant_exponents(n, D):
         k = n - e.count(0)
-        s = sum(m * prod(H[r][a] for r, a in zip(head, e)) for head, m in prefixes[k].items())
+        if k:
+            last, (before, weight) = e[k - 1], path[k - 1]
+            times: dict[int, int] = {}
+            for key, c in before.items():
+                for step, h in factor[last]:
+                    if (grown := key + step) in M[k]:
+                        times[grown] = times.get(grown, 0) + c * h
+            del path[k:]
+            path.append((times, weight // factorials[last]))
+        times, weight = path[k]
+        s = sum(m * times.get(key, 0) for key, m in M[k].items())
         if s:
-            terms[e] = s * scale[k] * (factorials[D] // prod(factorials[a] for a in e))
+            terms[e] = s * scale[k] * weight
     return zero._like(terms, q**top * factorials[D])

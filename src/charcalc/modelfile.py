@@ -30,6 +30,7 @@ object that holds it.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -224,6 +225,9 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
 
 
 def load_model(path) -> ArithmeticModel:
+    """The model in the file at ``path``, read by :func:`parse_model` with the
+    cyclic garbage collector paused: reading makes a few objects per record and
+    no cycles, so a collection during it would only walk them."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -231,4 +235,10 @@ def load_model(path) -> ArithmeticModel:
         raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ModelParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    return parse_model(text, source=str(path))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_model(text, source=str(path))
+    finally:
+        if collecting:
+            gc.enable()

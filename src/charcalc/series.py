@@ -99,16 +99,25 @@ def render_sum(texts) -> str:
 
 def dominant_exponents(symbol_count: int, degree: int):
     """Every non-increasing exponent tuple of ``symbol_count`` entries and
-    total degree at most ``degree``: one key per S_n-orbit of monomials."""
-
-    def extend(head, top, room, left):
-        if not left:
-            yield head
+    total degree at most ``degree``, in lexicographic order: one key per
+    S_n-orbit of monomials.  Lazy, as a walk may pass hundreds of thousands of
+    orbits; each tuple follows the one before it by raising its last entry that
+    can grow and clearing the entries after it."""
+    if degree < 0:
+        return
+    e, room, k = [0] * symbol_count, degree, 0  # k: the nonzero entries, which come first
+    while True:
+        yield tuple(e)
+        i = min(k, symbol_count - 1)
+        while i >= 0 and not (room and (not i or e[i] < e[i - 1])):
+            room += e[i]
+            e[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for k in range(min(top, room) + 1):
-            yield from extend(head + (k,), k, room - k, left - 1)
-
-    return extend((), degree, degree, symbol_count)
+        e[i] += 1
+        room -= 1
+        k = i + 1
 
 
 def _key(entries, symbol_count: int) -> tuple[int, ...]:

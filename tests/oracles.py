@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, lcm, prod
 
 # -- univariate exact series ------------------------------------------------
 
@@ -88,6 +88,53 @@ def alternating_product(lines) -> dict:
     for root in lines:
         acc = gr_mul(acc, gr_add(gr_unit(n), gr_scale(gr_line(root), -1)))
     return acc
+
+
+# -- classes of symmetric elements, one root prefix at a time -----------------
+
+
+def dominant_tuples(n: int, degree: int, largest: int | None = None) -> list[tuple]:
+    """Every non-increasing n-tuple of non-negative integers with sum at most
+    ``degree`` and entries at most ``largest``: one exponent tuple per S_n-orbit
+    of monomials."""
+    if n == 0:
+        return [()]
+    largest = degree if largest is None else min(largest, degree)
+    return [(a, *rest) for a in range(largest + 1)
+            for rest in dominant_tuples(n - 1, degree - a, a)]
+
+
+def prefix_sum_ch(lines: dict, n: int, degree: int, line) -> dict:
+    """ch(x) times the class of the n generic lines with value f(l) = sum_k
+    line[k] l^k on one line, for a symmetric x = {root: multiplicity}, as
+    {dominant exponent tuple: Fraction}.
+
+    A line m[r] gives m prod_i g_{r_i}(a_i), g_r(l) = e^{rl} f(l), so the
+    coefficient at a dominant e with k nonzero entries sums, over the distinct
+    k-entry prefixes h of the roots, the multiplicity of the roots starting
+    with h times prod_{i<=k} g_{h_i}[e_i]: one term per prefix and orbit.  The
+    g_r[j] j! are kept as integers over a common denominator L of f.
+    """
+    f = [Fraction(c) for c in line][: degree + 1]
+    f += [Fraction(0)] * (degree + 1 - len(f))
+    L = lcm(*(c.denominator for c in f))
+    # G[r][j] = j! g_r[j] L = sum_a C(j, a) r^a (j - a)! f[j - a] L
+    G = {
+        r: [sum(comb(j, a) * r**a * int(factorial(j - a) * f[j - a] * L) for a in range(j + 1))
+            for j in range(degree + 1)]
+        for r in {r for root in lines for r in root}
+    }
+    prefixes = [{} for _ in range(min(n, degree) + 1)]
+    for root, mult in lines.items():
+        for k, sums in enumerate(prefixes):
+            sums[root[:k]] = sums.get(root[:k], 0) + mult
+    out = {}
+    for e in dominant_tuples(n, degree):
+        k = sum(1 for a in e if a)
+        total = sum(m * prod(G[r][a] for r, a in zip(h, e)) for h, m in prefixes[k].items())
+        if total:
+            out[e] = Fraction(total, L**k * prod(factorial(a) for a in e))
+    return out
 
 
 # -- strata inclusion-exclusion ---------------------------------------------

@@ -12,10 +12,8 @@ import pytest
 from charcalc import cli
 from charcalc.cli import build_parser, main
 from charcalc.conductor import PRIME_LIMIT, conductor
-from charcalc.lambda_ring import KElement, alternating_lambda_sum, gamma_k
 from charcalc.modelfile import load_model
 from charcalc.series import dominant_exponents
-from charcalc.verify import generic_lines
 
 from test_modelfile import (
     DERIVED_PAST_DIGIT_LIMIT,
@@ -67,27 +65,13 @@ def test_verify_rank_cap_override(capsys):
     assert code == 0
 
 
-def prefix_terms(x, D: int, trivial: bool) -> int:
-    """The root-prefix terms symmetric_ch sums for x at degree D: at each dominant
-    e with k nonzero entries, one per distinct k-prefix of the roots of x, only the
-    prefixes with no zero entry when the line value is trivial."""
-    roots = dict(x.terms())
-    n = x.symbol_count
-    return sum(
-        len({r[:k] for r in roots if not trivial or all(r[:k])})
-        for k in (n - e.count(0) for e in dominant_exponents(n, D))
-    )
-
-
-def test_root_prefix_count_bounds_the_terms_symmetric_ch_sums():
-    for n in range(1, 8):
-        E = generic_lines(n)
-        borel_serre = alternating_lambda_sum(E.dual())
-        ch_gamma = gamma_k(E - n * KElement.unit(n), n - 1)
-        for D in range(13):
-            bound = cli._root_prefixes(n, D)
-            assert bound >= prefix_terms(borel_serre, D, trivial=False), (n, D)
-            assert bound >= prefix_terms(ch_gamma, D, trivial=True), (n, D)
+def test_orbit_count_is_the_keys_symmetric_ch_walks():
+    for n in range(9):
+        for D in range(17):
+            assert cli._orbits(n, D) == sum(1 for _ in dominant_exponents(n, D)), (n, D)
+    # the partitions of 0..D into at most 12 parts, past what the walk counts quickly
+    assert [cli._orbits(12, D) for D in (24, 32, 48, 64)] == [6_720, 35_616, 531_567, 4_636_059]
+    assert cli._orbits(8000, 64) == cli._orbits(64, 64)
 
 
 def no_checks(*args):
@@ -101,12 +85,12 @@ def no_checks(*args):
         (["--checks", "borel_serre", "--rank-max", "1", "--max-degree", "400"],
          "--max-degree 400 exceeds the limit 64"),
         (["--max-degree", "65"], "--max-degree 65 exceeds the limit 64"),
-        (["--checks", "gala,borel_serre", "--rank-max", "12", "--max-degree", "24"],
-         "--max-degree 24 at --rank-max 12 means over 1,000,000 root prefixes"),
-        (["--checks", "ch_gamma", "--rank-max", "12", "--max-degree", "24"],
-         "--max-degree 24 at --rank-max 12 means over 1,000,000 root prefixes"),
+        (["--checks", "gala,borel_serre", "--rank-max", "12", "--max-degree", "45"],
+         "--max-degree 45 at --rank-max 12 means 336,276 orbits, over 300,000"),
+        (["--checks", "ch_gamma", "--rank-max", "12", "--max-degree", "45"],
+         "--max-degree 45 at --rank-max 12 means 336,276 orbits, over 300,000"),
     ],
-    ids=["degree-400", "degree-65", "borel_serre-n12-D24", "ch_gamma-n12-D24"],
+    ids=["degree-400", "degree-65", "borel_serre-n12-D45", "ch_gamma-n12-D45"],
 )
 def test_verify_refuses_costly_max_degree(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "_run_checks", no_checks)
@@ -133,10 +117,11 @@ def test_verify_sizes_every_rank_at_the_largest_degree_quickly():
         answer = refusal("--rank-max", str(n), "--rank-cap", "64", "--max-degree", "64")
         assert time.process_time() - start < 1.0, n
         if answer:
-            assert answer.startswith(f"--max-degree 64 at --rank-max {n} means over")
+            orbits = f"{cli._orbits(n, 64):,} orbits"
+            assert answer == f"--max-degree 64 at --rank-max {n} means {orbits}, over 300,000"
             refused.append(n)
     # from rank 63 on, degree 64 is at most n + 1 and runs as the default does
-    assert refused == list(range(5, 63))
+    assert refused == list(range(6, 63))
     start = time.process_time()
     assert refusal("--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "64") is None
     over = refusal("--rank-max", "8000", "--rank-cap", "8000", "--max-degree", "65")
@@ -150,14 +135,16 @@ def test_verify_sizes_every_rank_at_the_largest_degree_quickly():
         ["--checks", "borel_serre,ch_gamma", "--rank-min", "8", "--rank-max", "8",
          "--max-degree", "12"],
         ["--checks", "borel_serre", "--rank-min", "12", "--rank-max", "12", "--max-degree", "16"],
+        ["--checks", "borel_serre,ch_gamma", "--rank-min", "12", "--rank-max", "12",
+         "--max-degree", "24"],
         # gala ignores --max-degree, so no degree is refused for it
         ["--checks", "gala", "--rank-max", "3", "--max-degree", "32"],
         ["--checks", "gala", "--rank-min", "7", "--rank-max", "7", "--rank-cap", "7",
          "--max-degree", "9"],
         ["--checks", "gala", "--rank-max", "3", "--max-degree", "65"],
     ],
-    ids=["borel_serre,ch_gamma-n8-D12", "borel_serre-n12-D16", "gala-n3-D32", "gala-n7-D9",
-         "gala-n3-D65"],
+    ids=["borel_serre,ch_gamma-n8-D12", "borel_serre-n12-D16", "borel_serre,ch_gamma-n12-D24",
+         "gala-n3-D32", "gala-n7-D9", "gala-n3-D65"],
 )
 def test_verify_runs_raised_degrees_the_orbits_afford(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -166,7 +153,7 @@ def test_verify_runs_raised_degrees_the_orbits_afford(capsys, argv):
 
 
 def test_verify_accepts_largest_budgets(capsys):
-    # 1 + 2 * 64 root prefixes at rank 1, the largest degree
+    # 65 orbits at rank 1, the largest degree
     code, out, err = run(capsys, "verify", "--rank-max", "1", "--max-degree", "64")
     assert (code, err) == (0, "")
     assert "PASS borel_serre max_degree=64 n=1" in out

@@ -1,5 +1,6 @@
 """Strict model-file parsing."""
 
+import gc
 import json
 
 import pytest
@@ -217,6 +218,23 @@ def test_load_model_from_disk(tmp_path):
     path.write_text(json.dumps(i2_document()), encoding="utf-8")
     model = load_model(path)
     assert model.fibers[0].prime == 5
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_model_restores_the_collector(tmp_path, collecting):
+    good, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(i2_document()), encoding="utf-8")
+    bad.write_text('{"relative_dimension": 1.5, "fibers": []}', encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        load_model(good)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ModelParseError):
+            load_model(bad)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # Files that used to escape the loader as a ValueError, RecursionError or

@@ -237,12 +237,14 @@ def dominant_part(series: GradedSeries) -> dict:
 
 
 @st.composite
-def symmetric_elements(draw, n):
-    """The orbit closure of one to three random roots: each root's
+def symmetric_elements(draw, n, entries=st.integers(-2, 2), distinct=0):
+    """The orbit closure of one to three random roots with entries from
+    ``entries``, each with at least ``distinct`` distinct entries: each root's
     multiplicity is added at every permutation of it."""
+    roots = st.lists(entries, min_size=n, max_size=n).filter(lambda r: len(set(r)) >= distinct)
     terms: dict[tuple, int] = {}
     for _ in range(draw(st.integers(1, 3))):
-        root = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        root = tuple(draw(roots))
         mult = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         for image in set(permutations(root)):
             terms[image] = terms.get(image, 0) + mult
@@ -259,6 +261,23 @@ def test_symmetric_ch_and_product_match_dense(data, n, D, line):
     for i in range(n):
         dense = dense * (1 + GradedSeries.symbol(i, n, D).substitute([0, *line[1:]]))
     assert dict(symmetric_ch(x, D, line).terms()) == dominant_part(dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(3, 5), D=st.integers(0, 5))
+def test_symmetric_ch_on_roots_with_three_entry_values_matches_dense_classes(data, n, D):
+    # the verifiers' elements have roots with two entry values; these have three or four
+    x = data.draw(symmetric_elements(n, st.sampled_from([-1, 0, 1, 2]), distinct=3))
+    E, todd_E = generic_lines(n), todd_line(D)
+    todd_dual = [c * (-1) ** k for k, c in enumerate(todd_E)]
+    ch_x = ch(x, D)
+    for line, dense in (
+        ((1,), ch_x),
+        ((1, 1), ch_x * total_chern(E, D)),
+        (todd_E, ch_x * todd(E, D)),
+        (todd_dual, ch_x * todd(E.dual(), D)),
+    ):
+        assert dict(symmetric_ch(x, D, line).terms()) == dominant_part(dense)
 
 
 # -- strata lattice ---------------------------------------------------------------

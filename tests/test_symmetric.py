@@ -20,6 +20,9 @@ from charcalc.lambda_ring import (
 from charcalc.series import GradedSeries, SymmetricSeries
 from charcalc.verify import generic_lines, verify_borel_serre, verify_ch_gamma, verify_prop_chtd
 
+from oracles import prefix_sum_ch
+
+
 def expand(series: SymmetricSeries) -> GradedSeries:
     """The dense series of an orbit series: each dominant key, permuted."""
     terms = {}
@@ -115,3 +118,21 @@ def test_symmetric_series_renders_orbits():
 def test_symmetric_checks_at_high_rank(check, n):
     result = check(n)
     assert result.ok, result.detail
+
+
+# -- the orbit product against the prefix sum it replaced ----------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orbit_product_equals_the_prefix_sum(n):
+    E = generic_lines(n)
+    top_gamma = gamma_k(E - n * KElement.unit(n), n - 1)
+    todd_E = todd_line(n)
+    inputs = [
+        (alternating_lambda_sum(E.dual()), n, todd_E),  # borel_serre
+        (top_gamma, n + 1, (1,)),  # ch_gamma
+        (top_gamma, n, [c * (-1) ** k for k, c in enumerate(todd_E)]),  # prop_chtd
+        (KElement.unit(n), n, (1, 1)),  # the total Chern class of E
+    ]
+    for x, D, line in inputs:
+        assert dict(symmetric_ch(x, D, line).terms()) == prefix_sum_ch(dict(x.terms()), n, D, line)
