@@ -46,9 +46,9 @@ from .verify import (
 
 CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
-# The checks that read --max-degree: each verifier and its default degree less the rank n.
+# The checks that read --max-degree, at default degrees n and n + 1 for the rank n.
 # Past n + 1, --max-degree is bounded for the O(D^2) line series and by _orbits.
-DEGREE_CHECKS = {"borel_serre": (verify_borel_serre, 0), "ch_gamma": (verify_ch_gamma, 1)}
+DEGREE_CHECKS = {"borel_serre", "ch_gamma"}
 MAX_DEGREE_LIMIT = 64
 MAX_ORBITS = 300_000
 
@@ -107,9 +107,10 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
                 if n >= 2:
                     result = verify_gala(repeated_root_lines(n))
                     results.append(replace(result, params={**result.params, "roots": "repeated"}))
-            elif name in DEGREE_CHECKS:
-                verify, offset = DEGREE_CHECKS[name]
-                results.append(verify(n, max(n + offset, max_degree or 0)))
+            elif name == "borel_serre":
+                results.append(verify_borel_serre(n, max(n, max_degree or 0)))
+            elif name == "ch_gamma":
+                results.append(verify_ch_gamma(n, max(n + 1, max_degree or 0)))
             elif name == "prop_chtd":
                 results.append(verify_prop_chtd(n))
             elif name == "homomorphism":
@@ -119,7 +120,7 @@ def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
 
 def _orbits(n: int, D: int) -> int:
     """The S_n-orbits of monomials of degree at most D in n symbols, one coefficient each
-    in symmetric_ch and both checks' right sides, about 7 us each in ch_gamma at degree 64:
+    in symmetric_ch and both checks' right sides, about 3 us each in either check at degree 40-64:
     the partitions of 0..D into at most n parts, or with no part above n, by adding the
     parts 1..min(n, D) one at a time."""
     ways = [1] + [0] * D
@@ -147,7 +148,7 @@ def _verify_refusal(names, args) -> str | None:
     n, D = args.rank_max, args.max_degree
     if D is not None and D < 0:
         return f"--max-degree must be non-negative, got {D}"
-    if D is None or not DEGREE_CHECKS.keys() & names:
+    if D is None or DEGREE_CHECKS.isdisjoint(names):
         return None
     if D > MAX_DEGREE_LIMIT:
         return f"--max-degree {D} exceeds the limit {MAX_DEGREE_LIMIT}"

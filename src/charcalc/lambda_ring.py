@@ -389,8 +389,9 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     :func:`~charcalc.series.dominant_exponents`, where e less its last nonzero
     entry comes before e: one linear factor per orbit, O(k) terms for roots with
     two distinct entries.  For f = 1, H_0[j] = 0 for j > 0, so no mu with a zero
-    is read.  The result holds integer numerators over q^min(n, D) D!.  An x that
-    some adjacent transposition of the symbols changes is refused with ValueError.
+    is read.  The result holds integer numerators over q^min(n, D) D!.  An x with
+    an orbit whose arrangements do not all carry the multiplicity of its first
+    root is refused with ValueError.
     """
     D, n, lines = truncation_degree, x.symbol_count, x._terms
     zero = SymmetricSeries(n, D)  # refuses a negative D before the sums index by it
@@ -406,17 +407,13 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
         orbit = orbits.setdefault(tuple(sorted(root, reverse=True)), [mult, 0])
         orbit[1] += orbit[0] == mult
     shapes = {rho: Counter(rho) for rho in orbits}  # entry value: how many entries have it
-    if any(seen != factorial(n) // prod(map(factorial, shapes[rho].values()))
-           for rho, (_, seen) in orbits.items()):
-        for root, mult in lines.items():  # name an adjacent transposition that changes x
-            for i in range(n - 1):
-                swapped = root[:i] + (root[i + 1], root[i]) + root[i + 2:]
-                if lines.get(swapped, 0) != mult:
-                    raise ValueError(
-                        f"not invariant under permuting the symbols: {KElement._render_key(root)} "
-                        f"has multiplicity {mult}, {KElement._render_key(swapped)} has "
-                        f"{lines.get(swapped, 0)}"
-                    )
+    for rho, (mult, seen) in orbits.items():
+        arrangements = factorial(n) // prod(map(factorial, shapes[rho].values()))
+        if seen != arrangements:
+            raise ValueError(
+                f"not invariant under permuting the symbols: {seen} of the {arrangements} "
+                f"arrangements of {KElement._render_key(rho)} have multiplicity {mult}"
+            )
     values = sorted({v for rho in orbits for v in rho})
     # u_v is z^(B^i) for the i-th value: a monomial of degree at most top < B is one power of z
     shift = {v: (top + 1) ** i for i, v in enumerate(values)}

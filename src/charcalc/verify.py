@@ -99,13 +99,11 @@ def verify_gala(x: KElement) -> CheckResult:
     lambda_{-1}(x) = prod (1 - [r])^m over the lines m[r] of x, by KElement
     products with no lambda_t, so the check sees a fault in either.  For a
     virtual x the identity holds whatever lambda is, so one with a negative
-    multiplicity is refused with ValueError.
+    multiplicity, as every x of negative rank has, is refused with ValueError.
     """
-    d = x.rank
-    if d < 0:
-        raise ValueError(f"element must have non-negative rank, got {d}")
     if any(m < 0 for m in x._terms.values()):
         raise ValueError(f"element must be effective, got {x}")
+    d = x.rank
     reduced = x - d * KElement.unit(x.symbol_count)
     lhs = gamma_k(reduced, d)
     if d % 2:
@@ -129,6 +127,11 @@ def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     return CheckResult("borel_serre", {"n": n, "max_degree": D}, not detail, detail)
 
 
+def _top_gamma(n: int) -> KElement:
+    """gamma^{n-1}(x - n[0]) for x a sum of n generic lines."""
+    return gamma_k(generic_lines(n) - n * KElement.unit(n), n - 1)
+
+
 def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
     """Check ch(gamma^{n-1}(x - n[0])) = sum_i prod_{j != i} (e^{a_j} - 1)
     for x a sum of n generic lines.
@@ -136,19 +139,18 @@ def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
     The term i of the right side is the monomials with a_i absent and every
     other symbol present, each a^e with coefficient 1 / prod e_j!; so the
     right side is that coefficient at each dominant e with exactly one zero
-    entry, and zero elsewhere."""
-    x = generic_lines(n)
+    entry, and zero elsewhere.  Those e are f + 1 then 0, for f dominant in
+    n - 1 symbols of degree at most D - n + 1, and the coefficients are the
+    integer numerators D! / prod e_j! over D!, as in symmetric_ch."""
+    top_gamma = _top_gamma(n)
     D = n + 1 if max_degree is None else max_degree
     if D < n - 1:
         raise ValueError(f"truncation degree must be at least {n - 1}")
-    reduced = x - n * KElement.unit(n)
-    lhs = symmetric_ch(gamma_k(reduced, n - 1), D)
-    rhs = SymmetricSeries(n, D, {
-        e: Fraction(1, prod(map(factorial, e)))
-        for e in dominant_exponents(n, D)
-        if e.count(0) == 1
-    })
-    detail = _differences(lhs, rhs)
+    factorials = [factorial(k) for k in range(D + 1)]
+    numerators = {(*(a + 1 for a in f), 0): factorials[D] // prod(factorials[a + 1] for a in f)
+                  for f in dominant_exponents(n - 1, D - n + 1)}
+    rhs = SymmetricSeries(n, D)._like(numerators, factorials[D])
+    detail = _differences(symmetric_ch(top_gamma, D), rhs)
     return CheckResult("ch_gamma", {"n": n, "max_degree": D}, not detail, detail)
 
 
@@ -162,10 +164,8 @@ def verify_prop_chtd(n: int) -> CheckResult:
     3. the degree n component equals -(n/2) c_n(x) = -(n/2) m(1^n).
     """
     D = n
-    x = generic_lines(n)
-    reduced = x - n * KElement.unit(n)
     todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(D))]
-    P = symmetric_ch(gamma_k(reduced, n - 1), D, todd_dual)
+    P = symmetric_ch(_top_gamma(n), D, todd_dual)
     c_below, c_top = (SymmetricSeries(n, D, {(1,) * k + (0,) * (n - k): 1}) for k in (n - 1, n))
     zero = SymmetricSeries(n, D)
     expected = [zero] * (n - 1) + [c_below, Fraction(-n, 2) * c_top]

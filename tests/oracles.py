@@ -137,6 +137,15 @@ def prefix_sum_ch(lines: dict, n: int, degree: int, line) -> dict:
     return out
 
 
+def ch_gamma_rhs(n: int, degree: int) -> dict:
+    """The right side of ch(gamma^{n-1}(x - n[0])) = sum_i prod_{j != i} (e^{a_j} - 1)
+    for x a sum of n generic lines, as {dominant exponent tuple: Fraction}: the term i
+    is the monomials with only a_i absent, so the coefficient is 1 / prod e_j! at each
+    dominant e with exactly one zero entry, found by filtering every orbit."""
+    return {e: Fraction(1, prod(factorial(a) for a in e))
+            for e in dominant_tuples(n, degree) if e.count(0) == 1}
+
+
 # -- strata inclusion-exclusion ---------------------------------------------
 
 

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from charcalc import verify
 from charcalc.lambda_ring import (
     KElement,
     alternating_lambda_sum,
@@ -20,7 +21,7 @@ from charcalc.lambda_ring import (
 from charcalc.series import GradedSeries, SymmetricSeries
 from charcalc.verify import generic_lines, verify_borel_serre, verify_ch_gamma, verify_prop_chtd
 
-from oracles import prefix_sum_ch
+from oracles import ch_gamma_rhs, prefix_sum_ch
 
 
 def expand(series: SymmetricSeries) -> GradedSeries:
@@ -63,14 +64,31 @@ def test_orbit_series_expand_to_dense(n):
 # -- refusals -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "terms",
-    [{(1, 0): 1}, {(1, 0): 1, (0, 1): 2}, {(1, 0, -1): 1, (0, 1, -1): 1, (-1, 1, 0): 1}],
-)
+ASYMMETRIC = [{(1, 0): 1}, {(1, 0): 1, (0, 1): 2}, {(1, 0, -1): 1, (0, 1, -1): 1, (-1, 1, 0): 1}]
+
+
+@pytest.mark.parametrize("terms", ASYMMETRIC)
 def test_symmetric_ch_refuses_asymmetric_element(terms):
     x = KElement(len(next(iter(terms))), terms)
     with pytest.raises(ValueError, match="not invariant under permuting the symbols"):
         symmetric_ch(x, 3)
+
+
+@pytest.mark.parametrize(
+    "terms, short_orbit",
+    zip(ASYMMETRIC, [
+        "1 of the 2 arrangements of [a1] have multiplicity 1",
+        "1 of the 2 arrangements of [a1] have multiplicity 1",
+        "3 of the 6 arrangements of [a1-a3] have multiplicity 1",
+    ]),
+    ids=["missing-root", "two-multiplicities", "half-an-orbit"],
+)
+def test_symmetric_ch_refusal_names_the_short_orbit(terms, short_orbit):
+    # the orbit of the first root, its arrangements counted while grouping the roots
+    x = KElement(len(next(iter(terms))), terms)
+    with pytest.raises(ValueError) as refusal:
+        symmetric_ch(x, 3)
+    assert str(refusal.value) == f"not invariant under permuting the symbols: {short_orbit}"
 
 
 def test_symmetric_ch_refuses_negative_truncation():
@@ -136,3 +154,33 @@ def test_orbit_product_equals_the_prefix_sum(n):
     ]
     for x, D, line in inputs:
         assert dict(symmetric_ch(x, D, line).terms()) == prefix_sum_ch(dict(x.terms()), n, D, line)
+
+
+# -- ch_gamma's right side as numerators against the Fraction right side it replaced
+
+
+def ch_gamma_against_the_oracle(monkeypatch, n, D):
+    """verify_ch_gamma(n, D) with its left side replaced by the oracle's right side:
+    it passes exactly when its own right side equals the oracle's."""
+    oracle = SymmetricSeries(n, D, ch_gamma_rhs(n, D))
+    monkeypatch.setattr(verify, "symmetric_ch", lambda x, degree: oracle)
+    return verify_ch_gamma(n, D)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ch_gamma_rhs_equals_the_fraction_rhs(monkeypatch, n):
+    for D in range(n - 1, n + 7):
+        result = ch_gamma_against_the_oracle(monkeypatch, n, D)
+        assert result.ok, (D, result.detail)
+
+
+def test_ch_gamma_rhs_equals_the_fraction_rhs_past_degree_40(monkeypatch):
+    result = ch_gamma_against_the_oracle(monkeypatch, 6, 41)
+    assert result.ok, result.detail
+
+
+def test_ch_gamma_against_the_oracle_sees_a_wrong_rhs(monkeypatch):
+    # the comparison above is not vacuous: a right side off at one orbit fails it
+    wrong = {**ch_gamma_rhs(3, 4), (2, 1, 0): Fraction(1, 3)}
+    monkeypatch.setattr(verify, "symmetric_ch", lambda x, degree: SymmetricSeries(3, 4, wrong))
+    assert not verify_ch_gamma(3, 4).ok

@@ -84,11 +84,16 @@ def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
     assert not verify_gala(generic_lines(n)).ok
 
 
-def test_gala_refuses_a_virtual_element():
-    # rank 1, but -[a2] makes lambda_{-1} an infinite series
-    x = KElement(2, {(1, 0): 2, (0, 1): -1})
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0): 2, (0, 1): -1}, {(1, 0): 1, (0, 1): -2}],
+    ids=["rank-1", "rank-minus-1"],
+)
+def test_gala_refuses_a_virtual_element(terms):
+    # -[a2] makes lambda_{-1} an infinite series; an x of negative rank always has
+    # a negative multiplicity, so it is refused as not effective
     with pytest.raises(ValueError, match="effective"):
-        verify_gala(x)
+        verify_gala(KElement(2, terms))
 
 
 # -- Borel-Serre -----------------------------------------------------------------
