@@ -18,7 +18,7 @@ elements that are not symmetric, so both stay dense.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
@@ -50,7 +50,8 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"check": self.check, "params": dict(self.params), "ok": self.ok,
+                "detail": self.detail}
 
 
 def _differences(lhs, rhs) -> str:

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import argparse
 import importlib
 import json
 import math
@@ -189,6 +190,17 @@ def test_verify_machine_output_round_trips(capsys):
 
     internal = [r.as_dict() for r in _run_checks(["prop_chtd"], 1, 2, None)]
     assert payload["checks"] == internal
+
+
+def test_verify_runs_a_repeated_check_once(capsys):
+    code, out, err = run(capsys, "verify", "--rank-max", "2", "--checks", " gala , gala ")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "3/3 checks passed"
+    _, once, _ = run(capsys, "verify", "--rank-max", "2", "--checks", "gala")
+    assert out == once
+    # first-seen order
+    _, out, _ = run(capsys, "verify", "--rank-max", "1", "--checks", "prop_chtd,gala,prop_chtd")
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == ["prop_chtd", "gala"]
 
 
 def test_verify_deterministic_output(capsys):
@@ -584,3 +596,42 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def count_parsers(monkeypatch):
+    """The prog of every ArgumentParser built from here on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+COMMAND_ARGVS = {
+    "verify": ["verify", "--checks", "gala", "--rank-max", "1"],
+    "conductor": ["conductor", "--model", str(MODELS / "good_reduction.json")],
+    "explain": ["explain", "--model", str(MODELS / "good_reduction.json")],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGVS)
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys, command):
+    built = count_parsers(monkeypatch)
+    assert main(COMMAND_ARGVS[command]) == 0
+    assert built == [f"charcalc {command}"]
+    # no parser is kept between calls
+    assert main(COMMAND_ARGVS[command]) == 0
+    assert built == [f"charcalc {command}"] * 2
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["verify", "--bogus"]],
+                         ids=["no-command", "unknown-command", "unknown-option"])
+def test_usage_errors_go_through_the_full_parser(monkeypatch, capsys, argv):
+    built = count_parsers(monkeypatch)
+    assert main(argv) == 2
+    assert built[-4:] == ["charcalc", "charcalc verify", "charcalc conductor", "charcalc explain"]
+    assert capsys.readouterr().err.startswith("usage: charcalc [-h]")

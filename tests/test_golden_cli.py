@@ -6,7 +6,11 @@ models; each transcript lives in ``tests/golden/<model>.<mode>.txt``.
 ``verify`` runs the default suite, a raised ``--max-degree``, a
 ``--max-degree`` below the clamp, four refusals, and rank 12 of the checks
 that read gamma^k off lambda_t; each transcript lives in
-``tests/golden/verify.<case>.txt``.  After a deliberate change to the
+``tests/golden/verify.<case>.txt``.  argparse's own help and usage errors
+(no command, top-level and per-command help, an unknown command, option or
+value, an ambiguous abbreviation, a missing ``--model`` and a stray
+argument) run at ``COLUMNS=80``; each transcript lives in
+``tests/golden/usage.<case>.txt``.  After a deliberate change to the
 output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -15,6 +19,7 @@ and review the diff.
 """
 
 import io
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -58,6 +63,23 @@ VERIFY_CASES = {
                         "--rank-max", "12", "--output", "machine"],
 }
 
+USAGE_CASES = {
+    "no-command": [],
+    "help": ["--help"],
+    "unknown-command": ["frobnicate"],
+    "verify-help": ["verify", "--help"],
+    "conductor-help": ["conductor", "--help"],
+    "explain-h": ["explain", "-h"],
+    "verify-unknown-option": ["verify", "--bogus"],
+    "verify-invalid-int": ["verify", "--rank-max", "x"],
+    "verify-ambiguous-option": ["verify", "--rank-m", "3"],
+    "conductor-no-model": ["conductor"],
+    "conductor-invalid-output": ["conductor", "--model", "m", "--output", "xml"],
+    "verify-extra-argument": ["verify", "extra"],
+}
+# argparse wraps help and usage to the terminal width, which it reads from COLUMNS.
+USAGE_COLUMNS = "80"
+
 
 def run(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -79,6 +101,10 @@ def verify_golden_path(case: str) -> Path:
     return GOLDEN / f"verify.{case}.txt"
 
 
+def usage_golden_path(case: str) -> Path:
+    return GOLDEN / f"usage.{case}.txt"
+
+
 @pytest.mark.parametrize(
     "model, mode", CASES, ids=[f"{model.stem}-{mode}" for model, mode in CASES]
 )
@@ -93,8 +119,18 @@ def test_golden_verify(case):
     assert run(["verify", *VERIFY_CASES[case]]) == expected
 
 
+@pytest.mark.parametrize("case", USAGE_CASES)
+def test_golden_usage(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
+    expected = usage_golden_path(case).read_text(encoding="utf-8")
+    assert run(USAGE_CASES[case]) == expected
+
+
 if __name__ == "__main__":
     for model, mode in CASES:
         golden_path(model, mode).write_text(transcript(model, mode), encoding="utf-8")
     for case, options in VERIFY_CASES.items():
         verify_golden_path(case).write_text(run(["verify", *options]), encoding="utf-8")
+    os.environ["COLUMNS"] = USAGE_COLUMNS
+    for case, argv in USAGE_CASES.items():
+        usage_golden_path(case).write_text(run(argv), encoding="utf-8")
