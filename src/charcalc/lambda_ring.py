@@ -38,7 +38,6 @@ from operator import itemgetter
 from .series import (
     GradedSeries,
     MismatchError,
-    Monomial,
     SymmetricSeries,
     _coefficient,
     _key,
@@ -115,16 +114,16 @@ class KElement(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def multiplicity(self, root) -> int:
-        return self._terms.get(_key(root, self.symbol_count), 0)
+        return self._nums.get(_key(root, self.symbol_count), 0)
 
     @property
     def rank(self) -> int:
         """The augmentation: sum of multiplicities."""
-        return sum(self._terms.values())
+        return sum(self._nums.values())
 
     def dual(self) -> "KElement":
         """Negate every root; multiplicities are preserved."""
-        return self._like({tuple(-e for e in r): m for r, m in self._terms.items()})
+        return self._like({tuple(-e for e in r): m for r, m in self._nums.items()})
 
     @staticmethod
     def _render_key(root: Root) -> str:
@@ -165,7 +164,7 @@ class TSeries(_TermMap):
         n = coeffs[0].symbol_count
         if any(c.symbol_count != n for c in coeffs):
             raise MismatchError("TSeries coefficients over mixed symbol counts")
-        terms = {(k, *root): m for k, c in enumerate(coeffs) for root, m in c._terms.items()}
+        terms = {(k, *root): m for k, c in enumerate(coeffs) for root, m in c._nums.items()}
         super().__init__(n, len(coeffs) - 1, terms)
 
     @classmethod
@@ -179,7 +178,7 @@ class TSeries(_TermMap):
     def coefficient(self, power: int) -> KElement:
         if not 0 <= power <= self.t_max:
             raise ValueError(f"t-power {power} out of range [0, {self.t_max}]")
-        terms = {key[1:]: m for key, m in self._terms.items() if key[0] == power}
+        terms = {key[1:]: m for key, m in self._nums.items() if key[0] == power}
         return KElement.zero(self.symbol_count)._like(terms)
 
     # bench/tracer.py wraps only methods in a class's own namespace.
@@ -219,7 +218,7 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     result = TSeries.one(x.symbol_count, t_max)
-    lines = {m: _binomials(m, t_max) for m in set(x._terms.values())}
+    lines = {m: _binomials(m, t_max) for m in set(x._nums.values())}
     for root, mult in x.terms():
         factor = {(k, *(k * e for e in root)): c for k, c in enumerate(lines[mult])}
         result = result * result._like(factor)
@@ -234,7 +233,7 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
     """
     lam = lambda_t(x, t_max)
     terms = {lam._unit: 1}  # gamma^0 = lambda^0 = [0]
-    for (k, *root), mult in lam._terms.items():
+    for (k, *root), mult in lam._nums.items():
         for j in range(k, t_max + 1) if k else ():
             key = (j, *root)
             terms[key] = terms.get(key, 0) + mult * comb(j - 1, k - 1)
@@ -246,13 +245,13 @@ def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
     unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m: lambda^i(y) gets the
     weight v_i = sum_{j >= i} weights[j] C(m, j - i), and no root meets (1 + t)^m."""
     unit = x._unit
-    m = x._terms.get(unit, 0)
-    y = x._like({r: c for r, c in x._terms.items() if r != unit})
+    m = x._nums.get(unit, 0)
+    y = x._like({r: c for r, c in x._nums.items() if r != unit})
     lam = lambda_t(y, t_max)  # refuses a negative t_max
     binomials = _binomials(m, t_max)
     v = [sum(weights[j] * binomials[j - i] for j in range(i, t_max + 1)) for i in range(t_max + 1)]
     terms: dict[Root, int] = {}
-    for key, mult in lam._terms.items():
+    for key, mult in lam._nums.items():
         root = key[1:]
         terms[root] = terms.get(root, 0) + v[key[0]] * mult
     return x._like(terms)
@@ -287,25 +286,24 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     The result holds the integer numerators S(e) D! / prod e_i! over D!, summed
     over each root's support: a step that gives a_i the exponent k out of room
     left multiplies by r_i^k C(room, k), and the room left at the end by room!.
+    The keys are built packed (:func:`~charcalc.series._pack`): that step adds
+    k (B^i + 1) to the key, B = D + 1.
     """
     D, n = truncation_degree, x.symbol_count
     zero = GradedSeries.zero(n, D)  # refuses a negative D before the sums index by it
     factorials = [factorial(k) for k in range(D + 1)]
     # steps[r][room][k] = r^k C(room, k), for each nonzero root entry r
     steps = {r: [[r**k * comb(room, k) for k in range(room + 1)] for room in range(D + 1)]
-             for r in {r for root in x._terms for r in root if r}}
-    sums: dict[Monomial, int] = {}
-    for root, mult in x._terms.items():
-        support = [i for i, c in enumerate(root) if c]
-        # (exponents of a_1 .. a_done, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
-        level, done = [((0,) * n if not support else (), mult, D)], 0
-        for i in support:
-            end = n if i == support[-1] else i + 1
-            pieces = [(0,) * (i - done) + (k,) + (0,) * (end - i - 1) for k in range(D + 1)]
-            by_room = steps[root[i]]
-            level = [(head + pieces[k], value * step, room - k)
-                     for head, value, room in level for k, step in enumerate(by_room[room])]
-            done = end
+             for r in {r for root in x._nums for r in root if r}}
+    sums: dict[int, int] = {}
+    for root, mult in x._nums.items():
+        # (key of the exponents so far, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
+        level = [(0, mult, D)]
+        for i, r in enumerate(root, 1):
+            if r:
+                shift, by_room = (D + 1) ** i + 1, steps[r]
+                level = [(key + k * shift, value * step, room - k)
+                         for key, value, room in level for k, step in enumerate(by_room[room])]
         for key, value, room in level:
             sums[key] = sums.get(key, 0) + value * factorials[room]
     return zero._like(sums, factorials[D])
@@ -326,8 +324,8 @@ def _multiplicative(chern_character: GradedSeries, line: tuple) -> GradedSeries:
     whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1, on integer numerators."""
     D = chern_character.truncation_degree
     weights, w = _log_weights(line, D)
-    X, d = chern_character._terms, chern_character._den
-    weighted = {e: c * weights[k] for e, c in X.items() if weights[k := sum(e)]}
+    X, d, degree = chern_character._nums, chern_character._den, chern_character._degree
+    weighted = {e: c * weights[k] for e, c in X.items() if weights[k := degree(e)]}
     top = factorial(D)
     exp = {k: top // factorial(k) for k in range(D + 1)}  # 1/k! over D!
     return chern_character._horner(weighted, d * w, exp, top)
@@ -393,7 +391,7 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     an orbit whose arrangements do not all carry the multiplicity of its first
     root is refused with ValueError.
     """
-    D, n, lines = truncation_degree, x.symbol_count, x._terms
+    D, n, lines = truncation_degree, x.symbol_count, x._nums
     zero = SymmetricSeries(n, D)  # refuses a negative D before the sums index by it
     f = [_coefficient(c) for c in line][:D + 1]
     if not f or f[0] != 1:

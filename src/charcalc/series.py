@@ -19,11 +19,14 @@ symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
 ``GradedSeries`` in having no product (:func:`~charcalc.lambda_ring.symmetric_ch`).
 
 ``GradedSeries``, ``SymmetricSeries``, :class:`~charcalc.lambda_ring.KElement`
-and :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by exponent
-tuples, and share their ring operations, comparison, rendering and
+and :class:`~charcalc.lambda_ring.TSeries` are all term maps, keyed by
+monomials, and share their ring operations, comparison, rendering and
 :meth:`_TermMap.substitute` through :class:`_TermMap`; :meth:`_TermMap._product`
 multiplies two integer numerator maps, except on ``SymmetricSeries``.  The one
 substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
+The others key by exponent tuples; ``GradedSeries`` packs each tuple into one
+``int``, so that its product adds integers, and gives tuples back where a term
+leaves the map.
 
 Every term map is stored as FLINT's ``fmpq_poly`` stores a polynomial: integer
 numerators over one positive denominator, kept reduced, so that the canonical
@@ -129,6 +132,12 @@ def _key(entries, symbol_count: int) -> tuple[int, ...]:
     return key
 
 
+def _pack(mono: Monomial, base: int) -> int:
+    """The ``GradedSeries`` key of a^mono in ``base`` = D + 1: the degree in
+    digit 0 and e_i in digit i + 1."""
+    return sum(mono) + sum(e * base**i for i, e in enumerate(mono, 1))
+
+
 def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=False) -> dict:
     """Validated term map of outside input: exponent tuples of the right
     length with non-negative ``int`` entries (non-increasing when
@@ -154,22 +163,23 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
 
 
 class _TermMap:
-    """Immutable map from exponent tuples to nonzero coefficients, multiplied
-    by adding exponents.  A key holds ``_lead`` leading exponents, then one
-    exponent for each of the ``symbol_count`` symbols.  The coefficient at a
-    key is ``_terms[key] / _den``: nonzero integer numerators over one positive
+    """Immutable map from monomials to nonzero coefficients, multiplied by
+    adding exponents.  A key holds ``_lead`` leading exponents, then one for
+    each of the ``symbol_count`` symbols, as a tuple or, on ``GradedSeries``,
+    packed into an ``int`` that :meth:`_exponents` unpacks.  The coefficient
+    at a key is ``_nums[key] / _den``: nonzero integer numerators over one positive
     denominator, with ``gcd(_den, *numerators) == 1`` (``_den == 1`` when empty).
 
     The ambient is the symbol count and the product bound ``_bound``: terms
     whose ``_degree`` is above it are dropped, and None means no bound.
     Subclasses validate outside input in their public ``__init__`` and
-    supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` when
-    bounded, and ``_value`` when their coefficients are ``int``; every result
-    of an operation is built by the trusted :meth:`_like`, and every product
-    of two numerator maps by :meth:`_product`.
+    supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` of a key
+    when bounded, and ``_value`` when their coefficients are ``int``; every
+    result of an operation is built by the trusted :meth:`_like`, and every
+    product of two numerator maps by :meth:`_product`.
     """
 
-    __slots__ = ("symbol_count", "_bound", "_terms", "_den")
+    __slots__ = ("symbol_count", "_bound", "_nums", "_den")
     _lead = 0
     _degree = None
 
@@ -177,7 +187,7 @@ class _TermMap:
         """Store an ambient and a reduced numerator map that are already valid for it."""
         object.__setattr__(self, "symbol_count", symbol_count)
         object.__setattr__(self, "_bound", bound)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_nums", terms)
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
@@ -210,17 +220,16 @@ class _TermMap:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
+
+    _exponents = staticmethod(lambda key: key)  # the exponent tuple of a key, as it leaves the map
 
     def terms(self):
-        """Iterate (key, coefficient) pairs in a deterministic order: by
-        degree first when the map is bounded, then by key."""
-        value = self._value
-        items = [(key, value(c)) for key, c in self._terms.items()]
-        if self._degree is None:
-            return iter(sorted(items))
-        degree = self._degree
-        return iter(sorted(items, key=lambda kv: (degree(kv[0]), kv[0])))
+        """Iterate (exponent tuple, coefficient) pairs in a deterministic
+        order: by degree first when the map is bounded, then by tuple."""
+        exponents, value, degree = self._exponents, self._value, self._degree or (lambda key: 0)
+        items = sorted((degree(k), exponents(k), value(c)) for k, c in self._nums.items())
+        return ((key, c) for _, key, c in items)
 
     def component(self, degree: int):
         """The homogeneous part of the given degree."""
@@ -230,7 +239,7 @@ class _TermMap:
             raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
         degree_of = self._degree
         return self._like(
-            {k: c for k, c in self._terms.items() if degree_of(k) == degree}, self._den
+            {k: c for k, c in self._nums.items() if degree_of(k) == degree}, self._den
         )
 
     # -- ring operations ----------------------------------------------
@@ -267,8 +276,8 @@ class _TermMap:
         self._check_compatible(other)
         den = lcm(self._den, other._den)
         fx, fy = den // self._den, den // other._den
-        merged = {k: c * fx for k, c in self._terms.items()} if fx != 1 else dict(self._terms)
-        for key, coeff in other._terms.items():
+        merged = {k: c * fx for k, c in self._nums.items()} if fx != 1 else dict(self._nums)
+        for key, coeff in other._nums.items():
             merged[key] = merged.get(key, 0) + coeff * fy
         return self._like(merged, den)
 
@@ -276,7 +285,7 @@ class _TermMap:
         return self.__add__(other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()}, self._den)
+        return self._like({k: -c for k, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -290,13 +299,13 @@ class _TermMap:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_compatible(other)
-            product = self._product(self._terms, other._terms, self._bound)
+            product = self._product(self._nums, other._nums, self._bound)
             return self._like(product, self._den * other._den)
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
         p = scalar.numerator
-        return self._like({k: c * p for k, c in self._terms.items()}, self._den * scalar.denominator)
+        return self._like({k: c * p for k, c in self._nums.items()}, self._den * scalar.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -327,12 +336,12 @@ class _TermMap:
         """Sum c_k x^k for x = self, a bounded map with no term of degree 0 (:meth:`_horner`)."""
         if self._bound is None:
             raise TypeError(f"{type(self).__name__} has no degree bound to substitute under")
-        if any(self._degree(key) == 0 for key in self._terms):
+        if any(self._degree(key) == 0 for key in self._nums):
             raise ValueError("the series must have zero constant term")
         coeffs = dict(enumerate(self._scalar(c) for c in coefficients))
         if None in coeffs.values():
             raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
-        return self._horner(self._terms, self._den, *_numerators(coeffs))
+        return self._horner(self._nums, self._den, *_numerators(coeffs))
 
     def _horner(self, X: dict, d: int, C: dict, q: int):
         """Sum c_k x^k for x = X/d and c_k = C[k]/q, X integer numerators with
@@ -359,7 +368,7 @@ class _TermMap:
             self.symbol_count == other.symbol_count
             and self._bound == other._bound
             and self._den == other._den
-            and self._terms == other._terms
+            and self._nums == other._nums
         )
 
     __hash__ = None
@@ -386,25 +395,54 @@ class GradedSeries(_TermMap):
     """Sparse polynomial in ``symbol_count`` symbols, truncated at total degree
     ``truncation_degree``.
 
-    Terms are keyed by exponent tuples.  The constructor validates its
-    input and canonicalizes: zero coefficients are dropped and monomials of
-    total degree above the truncation bound are discarded (that is what
-    truncation means for every arithmetic operation, so the constructor
-    behaves the same way).  Results of operations on valid series are built
-    by :meth:`_like`, which skips the validation.
+    Terms are keyed by exponent tuples packed into one ``int`` in base
+    B = D + 1 (:func:`_pack`): a product of monomials adds their keys, the
+    degree of a key is ``key % B`` and the constant term is key 0.  The
+    constructor validates its input and canonicalizes: zero coefficients are
+    dropped and monomials of total degree above the truncation bound are
+    discarded (that is what truncation means for every arithmetic operation,
+    so the constructor behaves the same way).  Results of operations on
+    valid series are built by :meth:`_like`, which skips the validation.
     """
 
     __slots__ = ()
     _times = "*"
-    _degree = sum
+    _unit = 0
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         terms = _monomial_terms(symbol_count, truncation_degree, terms)
-        super().__init__(symbol_count, truncation_degree, *_numerators(terms))
+        packed = {_pack(mono, truncation_degree + 1): c for mono, c in terms.items()}
+        super().__init__(symbol_count, truncation_degree, *_numerators(packed))
 
     @property
     def truncation_degree(self) -> int:
         return self._bound
+
+    @property
+    def _degree(self):
+        B = self._bound + 1
+        return lambda key: key % B
+
+    def _exponents(self, key: int) -> Monomial:
+        B = self._bound + 1
+        return tuple(key // B**i % B for i in range(1, self.symbol_count + 1))
+
+    def _product(self, xs: dict, ys: dict, bound: int) -> dict:
+        """:meth:`_TermMap._product` on packed keys, which multiply by adding:
+        no digit carries, as no term of degree above ``bound`` <= D is formed."""
+        B = self._bound + 1
+        by_degree = defaultdict(list)
+        for key, coeff in ys.items():
+            by_degree[key % B].append((key, coeff))
+        product: dict = {}
+        for key_x, coeff_x in xs.items():
+            room = bound - key_x % B
+            for degree_y, bucket in by_degree.items():
+                if degree_y <= room:
+                    for key_y, coeff_y in bucket:
+                        key = key_x + key_y
+                        product[key] = product.get(key, 0) + coeff_x * coeff_y
+        return product
 
     @staticmethod
     def _scalar(value):
@@ -448,11 +486,14 @@ class GradedSeries(_TermMap):
     # -- inspection ---------------------------------------------------
 
     def coefficient(self, monomial) -> Fraction:
-        return self._value(self._terms.get(_key(monomial, self.symbol_count), 0))
+        mono = _key(monomial, self.symbol_count)
+        if min(mono, default=0) < 0 or sum(mono) > self._bound:  # its packed key could alias a term
+            return Fraction(0)
+        return self._value(self._nums.get(_pack(mono, self._bound + 1), 0))
 
     @property
     def constant_term(self) -> Fraction:
-        return self._value(self._terms.get((0,) * self.symbol_count, 0))
+        return self._value(self._nums.get(0, 0))
 
     def invert(self) -> "GradedSeries":
         """Multiplicative inverse at the same truncation degree.

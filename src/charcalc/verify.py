@@ -63,13 +63,12 @@ def _differences(lhs, rhs) -> str:
         return ""
     left, right = dict(lhs.terms()), dict(rhs.terms())
     keys = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
-    degree = lhs._degree
-    if degree is None:
+    if lhs._bound is None:
         keys.sort()
         head = f"{len(keys)} terms differ"
-    else:
-        keys.sort(key=lambda key: (degree(key), key))
-        head = f"{len(keys)} terms differ, lowest degree {degree(keys[0])}"
+    else:  # the degree of a series' exponent tuple is its sum
+        keys.sort(key=lambda key: (sum(key), key))
+        head = f"{len(keys)} terms differ, lowest degree {sum(keys[0])}"
     labels = [lhs._render_key(key) or "1" for key in keys[:DIFF_SAMPLES]]
     samples = [f"{label}: {left.get(k, 0)} vs {right.get(k, 0)}" for label, k in zip(labels, keys)]
     return "; ".join([head, *samples])
@@ -102,7 +101,7 @@ def verify_gala(x: KElement) -> CheckResult:
     virtual x the identity holds whatever lambda is, so one with a negative
     multiplicity, as every x of negative rank has, is refused with ValueError.
     """
-    if any(m < 0 for m in x._terms.values()):
+    if any(m < 0 for m in x._nums.values()):
         raise ValueError(f"element must be effective, got {x}")
     d = x.rank
     reduced = x - d * KElement.unit(x.symbol_count)
@@ -110,7 +109,7 @@ def verify_gala(x: KElement) -> CheckResult:
     if d % 2:
         lhs = -lhs
     one = KElement.unit(x.symbol_count)
-    rhs = prod((one - KElement.line(r) for r, m in x._terms.items() for _ in range(m)), start=one)
+    rhs = prod((one - KElement.line(r) for r, m in x._nums.items() for _ in range(m)), start=one)
     detail = _differences(lhs, rhs)
     return CheckResult("gala", {"rank": d}, not detail, detail)
 

@@ -51,7 +51,7 @@ from charcalc.lambda_ring import (
     todd_line,
     total_chern,
 )
-from charcalc.series import GradedSeries, power_coefficients
+from charcalc.series import GradedSeries, power_coefficients, render_sum
 from charcalc.verify import generic_lines, repeated_root_lines
 
 from oracles import blow_up, exp_coefficients, random_strata_lattice
@@ -105,6 +105,47 @@ def test_zeroth_power_is_one(f, degree):
 def test_substitution_is_multiplicative(x, f, g):
     fg = truncated_product(f, g, x.truncation_degree)
     assert x.substitute(fg) == x.substitute(f) * x.substitute(g)
+
+
+# -- GradedSeries keys: packed inside, exponent tuples outside ---------------------
+
+
+@st.composite
+def graded_terms(draw):
+    """(n, D, terms) for n = 0..5 and D = 0..8, with exponents up to D + 2, so
+    that some monomials lie above the truncation, and some zero coefficients."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    D = draw(st.integers(min_value=0, max_value=8))
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=D + 2)] * n)
+    return n, D, draw(st.dictionaries(monomial, rationals, max_size=10))
+
+
+def render_by_tuples(terms):
+    """``str`` of a series, from a map keyed by exponent tuples."""
+    texts = []
+    for mono, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        body = "*".join(f"a{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e)
+        sign = {1: "", -1: "-"}.get(c, f"{c}*")
+        texts.append(f"{sign}{body}" if body else str(c))
+    return render_sum(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_terms())
+@example((0, 0, {(): Fraction(3)}))
+@example((5, 0, {(0,) * 5: Fraction(-1), (0, 0, 0, 0, 1): Fraction(1)}))
+@example((3, 8, {(8, 0, 0): 1, (0, 0, 8): Fraction(-1), (3, 3, 2): Fraction(2, 3), (9, 0, 0): 1}))
+def test_packed_keys_round_trip(case):
+    n, D, terms = case
+    s = GradedSeries(n, D, terms)
+    kept = {mono: c for mono, c in terms.items() if c and sum(mono) <= D}
+    assert dict(s.terms()) == kept
+    monos = [mono for mono, _ in s.terms()]
+    assert monos == sorted(kept, key=lambda mono: (sum(mono), mono))
+    assert str(s) == render_by_tuples(kept)
+    for k in range(D + 1):
+        assert dict(s.component(k).terms()) == {m: c for m, c in kept.items() if sum(m) == k}
+    assert all(s.coefficient(mono) == c for mono, c in kept.items())
 
 
 # -- Chern character ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -222,6 +223,23 @@ def test_truncation_coherence():
         assert truncate(x.invert(), d) == truncate(x, d).invert()
         positive = y - y.constant_term
         assert truncate(exp(positive), d) == exp(truncate(positive, d))
+
+
+# -- lookups ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, D", [(n, D) for n in range(4) for D in range(5)])
+def test_coefficient_reads_only_its_own_monomial(n, D):
+    """Every monomial of degree at most D is stored with its own coefficient,
+    so a lookup with an entry below 0 or above D that landed on any stored
+    term would read it."""
+    full = {m: i + 1 for i, m in enumerate(product(range(D + 1), repeat=n)) if sum(m) <= D}
+    s = GradedSeries(n, D, full)
+    for m in product(range(-2, D + 3), repeat=n):
+        assert s.coefficient(m) == full.get(m, 0), m
+    assert s.constant_term == 1
+    with pytest.raises(ValueError):
+        s.coefficient((0,) * (n + 1))
 
 
 # -- construction guards ----------------------------------------------------------

@@ -6,6 +6,7 @@ the package calls every traced function through a module attribute."""
 
 import ast
 import importlib
+from collections import Counter
 import importlib.util
 from pathlib import Path
 
@@ -60,6 +61,47 @@ def test_tracer_times_every_verifier():
     verifiers = [span for span, _, _ in TRACER.FUNCTIONS if span.startswith("verify.")]
     assert len(verifiers) == 5
     assert [span for span in verifiers if not by_name[span][0]] == []
+
+
+def test_tracer_counts_products_through_terms(monkeypatch):
+    """The product counters agree with counts taken from ``terms()``: term
+    pairs from the degree histograms of the operands, that fit under the
+    truncation, and the terms of the result."""
+    from charcalc.series import GradedSeries
+    from charcalc.verify import verify_hom_laws
+
+    tracer = TRACER.Tracer()
+    tracer.install()
+    products = []
+    traced = vars(GradedSeries)["__mul__"]
+
+    def recording(x, y):
+        result = traced(x, y)
+        products.append((x, y, result))
+        return result
+
+    monkeypatch.setattr(GradedSeries, "__mul__", recording)
+    try:
+        assert verify_hom_laws(3, cases=2).ok
+    finally:
+        monkeypatch.undo()
+        tracer.uninstall()
+
+    def degrees(series):
+        return Counter(sum(mono) for mono, _ in series.terms())
+
+    pairs = terms_out = 0
+    for x, y, result in products:
+        if isinstance(y, GradedSeries):
+            hx, hy = degrees(x), degrees(y)
+            pairs += sum(cx * cy for dx, cx in hx.items() for dy, cy in hy.items()
+                         if dx + dy <= x.truncation_degree)
+        else:
+            pairs += sum(degrees(x).values())
+        terms_out += sum(degrees(result).values())
+    assert products and pairs and terms_out
+    assert tracer.counts["series.mul.term_pairs"] == pairs
+    assert tracer.counts["series.mul.terms_out"] == terms_out
 
 
 def captured_functions(source: str) -> list[str]:

@@ -78,7 +78,7 @@ def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
 
     def corrupted(x, t_max):
         lam = original(x, t_max)
-        return lam._like({key: m * (2 if key[0] == 1 else 1) for key, m in lam._terms.items()})
+        return lam._like({key: m * (2 if key[0] == 1 else 1) for key, m in lam._nums.items()})
 
     monkeypatch.setattr(lambda_ring, "lambda_t", corrupted)
     assert not verify_gala(generic_lines(n)).ok
@@ -271,6 +271,13 @@ def test_differences_series_reports_count_degree_and_samples():
     assert _differences(GradedSeries.one(1, 2), GradedSeries.zero(1, 2)) == (
         "1 terms differ, lowest degree 0; 1: 1 vs 0"
     )
+
+
+def test_differences_sees_a_term_only_the_right_side_has():
+    assert _differences(GradedSeries.zero(1, 2), GradedSeries.one(1, 2)) == (
+        "1 terms differ, lowest degree 0; 1: 0 vs 1"
+    )
+    assert _differences(KElement.zero(2), KElement.line((1, 0))) == "1 terms differ; [a1]: 0 vs 1"
 
 
 def test_differences_bounded_to_five_samples():
