@@ -9,7 +9,8 @@ generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class; the last two are exp of the first with its degree-k
 part weighted by k! (log f)_k, for f the line value (Hirzebruch), all on
-integer numerators with the weights computed once per degree.  For elements
+integer numerators.  Those weights and the Todd line are closed forms in the
+Bernoulli numbers and factorials, computed once per degree.  For elements
 invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
 character times a multiplicative class of the generic lines with one
 coefficient, and one linear factor of a polynomial product, per S_n-orbit.
@@ -44,7 +45,6 @@ from .series import (
     _numerators,
     _TermMap,
     dominant_exponents,
-    power_coefficients,
 )
 
 Root = tuple[int, ...]
@@ -310,22 +310,51 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
 
 
 @lru_cache(maxsize=64)
-def _log_weights(line: tuple, D: int) -> tuple[tuple[int, ...], int]:
-    """Integer numerators of k! (log f)_k, k = 0..D, over one denominator, for
-    f(l) = sum_k line[k] l^k: one substitution of the log(1 + u) coefficients."""
-    u = GradedSeries(1, D, {(k,): c for k, c in enumerate(line) if k})
-    log = u.substitute([0] + [Fraction((-1) ** (k + 1), k) for k in range(1, D + 1)])
-    weights, w = _numerators({k: factorial(k) * log.coefficient((k,)) for k in range(D + 1)})
+def _bernoulli(D: int) -> tuple[Fraction, ...]:
+    """The Bernoulli numbers B_0..B_D, with B_1 = -1/2, from
+    sum_{k<=m} C(m+1, k) B_k = 0 for m >= 1."""
+    B = [Fraction(1)]
+    for m in range(1, D + 1):
+        B.append(-sum(comb(m + 1, k) * b for k, b in enumerate(B)) / (m + 1))
+    return tuple(B)
+
+
+@lru_cache(maxsize=64)
+def todd_line(truncation_degree: int) -> tuple[Fraction, ...]:
+    """Coefficients of l / (1 - e^{-l}) up to l^truncation_degree, the Todd
+    class of one line l: (-1)^k B_k / k! (Hirzebruch, *Topological Methods*,
+    section 1.5).  Multiplicities enter through the weighted ``ch`` of
+    :func:`_multiplicative`, not through powers of this series.
+    """
+    if truncation_degree < 0:
+        raise ValueError("truncation_degree must be non-negative")
+    return tuple((-1) ** k * b / factorial(k) for k, b in enumerate(_bernoulli(truncation_degree)))
+
+
+@lru_cache(maxsize=64)
+def _todd_weights(D: int) -> tuple[tuple[int, ...], int]:
+    """k! (log f)_k, k = 0..D, for f = l / (1 - e^{-l}), as integer numerators over
+    one denominator: -B_k / k for k >= 1, as (log f)' = 1/l - 1/(e^l - 1); the odd
+    ones from k = 3 on vanish with B_k."""
+    weights, w = _numerators({k: -b / k if k else 0 for k, b in enumerate(_bernoulli(D))})
     return tuple(weights.values()), w
 
 
-def _multiplicative(chern_character: GradedSeries, line: tuple) -> GradedSeries:
+@lru_cache(maxsize=64)
+def _chern_weights(D: int) -> tuple[tuple[int, ...], int]:
+    """k! (log f)_k, k = 0..D, for f = 1 + l, over the denominator 1: (-1)^(k+1) (k-1)!
+    for k >= 1, from log(1 + l) = sum (-1)^(k+1) l^k / k."""
+    return (0, *((-1) ** (k + 1) * factorial(k - 1) for k in range(1, D + 1))), 1
+
+
+def _multiplicative(chern_character: GradedSeries, weights: tuple) -> GradedSeries:
     """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
-    whose value on a line l is f(l) = sum_k line[k] l^k, line[0] = 1, on integer numerators."""
+    whose value on a line l is f(l), for the ``weights`` (numerators, denominator)
+    of f at the truncation degree of ``chern_character``, on integer numerators."""
     D = chern_character.truncation_degree
-    weights, w = _log_weights(line, D)
+    numerators, w = weights
     X, d, degree = chern_character._nums, chern_character._den, chern_character._degree
-    weighted = {e: c * weights[k] for e, c in X.items() if weights[k := degree(e)]}
+    weighted = {e: c * numerators[k] for e, c in X.items() if numerators[k := degree(e)]}
     top = factorial(D)
     exp = {k: top // factorial(k) for k in range(D + 1)}  # 1/k! over D!
     return chern_character._horner(weighted, d * w, exp, top)
@@ -333,7 +362,7 @@ def _multiplicative(chern_character: GradedSeries, line: tuple) -> GradedSeries:
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
-    return _multiplicative(ch(x, truncation_degree), (1, 1))
+    return _multiplicative(ch(x, truncation_degree), _chern_weights(truncation_degree))
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
@@ -344,22 +373,9 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
     return total_chern(x, D).component(k)
 
 
-@lru_cache(maxsize=64)
-def todd_line(truncation_degree: int) -> tuple[Fraction, ...]:
-    """Coefficients of l / (1 - e^{-l}) up to l^truncation_degree: the Todd
-    class of one line l, f(l)^(-1) for f(l) = (1 - e^{-l}) / l
-    = sum_k (-l)^k / (k+1)!.  Multiplicities enter through the weighted ``ch``
-    of :func:`_multiplicative`, not through powers of this series.
-    """
-    if truncation_degree < 0:
-        raise ValueError("truncation_degree must be non-negative")
-    f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(truncation_degree + 1)]
-    return tuple(power_coefficients(f, -1, truncation_degree))
-
-
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _multiplicative(ch(x, truncation_degree), todd_line(truncation_degree))
+    return _multiplicative(ch(x, truncation_degree), _todd_weights(truncation_degree))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

@@ -10,9 +10,9 @@ The truncation degree is part of the value, not ambient state: combining
 series with different symbol counts or truncation degrees raises
 :class:`MismatchError` instead of coercing silently.
 
-A series of one line (``e^l``, ``l/(1-e^{-l})``, ``(1+l)^m``) is a
-univariate power series, from :func:`power_coefficients`, evaluated at the
-linear form ``l`` by :meth:`GradedSeries.substitute`.
+No series of one line is built here: :mod:`~charcalc.lambda_ring` gives the
+line values ``l/(1-e^{-l})`` and ``1+l`` and their logarithms in closed form,
+from Bernoulli numbers and factorials, and weights ``ch`` by them.
 
 A :class:`SymmetricSeries` is a series invariant under permuting the
 symbols, kept as one coefficient per S_n-orbit of monomials; it differs from
@@ -68,23 +68,6 @@ def _numerators(terms: dict) -> tuple[dict, int]:
         return terms, 1
     d = reduce(lcm, (c.denominator for c in terms.values()), 1)
     return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
-
-
-def power_coefficients(f, m: int, degree: int) -> list[Fraction]:
-    """Coefficients of f(t)^m up to t^degree, for f[0] = 1 and any integer m.
-
-    Uses J. C. P. Miller's recurrence, which follows from t g' f = m t f' g
-    for g = f^m:  g_0 = 1 and  g_k = (1/k) sum_{j=1..k} ((m+1)j - k) f_j g_{k-j}.
-    Missing coefficients of f are zero, so ``[1, 1]`` is 1 + t.
-    """
-    f = [_coefficient(c) for c in f]
-    if not f or f[0] != 1:
-        raise ValueError("power_coefficients needs f[0] = 1")
-    g = [Fraction(1)]
-    for k in range(1, degree + 1):
-        js = range(1, min(k, len(f) - 1) + 1)
-        g.append(sum(((m + 1) * j - k) * f[j] * g[k - j] for j in js) / Fraction(k))
-    return g
 
 
 def render_sum(texts) -> str:
@@ -487,7 +470,8 @@ class GradedSeries(_TermMap):
 
     def coefficient(self, monomial) -> Fraction:
         mono = _key(monomial, self.symbol_count)
-        if min(mono, default=0) < 0 or sum(mono) > self._bound:  # its packed key could alias a term
+        # a non-integral, negative or over-degree entry: its packed key could alias a term
+        if any(e % 1 for e in mono) or min(mono, default=0) < 0 or sum(mono) > self._bound:
             return Fraction(0)
         return self._value(self._nums.get(_pack(mono, self._bound + 1), 0))
 

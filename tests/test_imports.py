@@ -9,7 +9,8 @@ read or imported by another module of the package, or be named in the
 README, so that no export serves only the tests; a public method or
 property of a package class must likewise be read by the package, named in
 the README or read by the acceptance tests.  Every absolute import names a
-module of the standard library, so the core stays stdlib-only."""
+module of the standard library, so the core stays stdlib-only, and the test
+oracles import no module of ``charcalc``, so they stay a second route."""
 
 import ast
 import re
@@ -62,20 +63,23 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["line 2: os", "line 3: product_of", "line 4: dominant_exponents"]
 
 
-def non_stdlib_imports(source: str) -> list[str]:
-    """The top-level modules of the absolute imports of ``source`` that are
-    not in the standard library; relative imports name the package itself."""
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each module that ``source`` imports by absolute
+    name; relative imports name the package itself."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            modules = [node.module]
-        else:
-            continue
-        found += [f"line {node.lineno}: {module}" for module in modules
-                  if module.split(".")[0] not in sys.stdlib_module_names]
+            found.append((node.lineno, node.module))
     return found
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """The top-level modules of the absolute imports of ``source`` that are
+    not in the standard library."""
+    return [f"line {line}: {module}" for line, module in absolute_imports(source)
+            if module.split(".")[0] not in sys.stdlib_module_names]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -92,6 +96,26 @@ def test_non_stdlib_imports_are_found():
         "from fractions import Fraction\n"
     )
     assert non_stdlib_imports(source) == ["line 2: numpy", "line 3: sympy.core"]
+
+
+def package_imports(source: str) -> list[str]:
+    """The modules of ``charcalc`` that ``source`` imports."""
+    return [f"line {line}: {module}" for line, module in absolute_imports(source)
+            if module.split(".")[0] == "charcalc"]
+
+
+def test_oracles_import_no_package_module():
+    oracles = Path(__file__).resolve().parent / "oracles.py"
+    assert package_imports(oracles.read_text()) == []
+
+
+def test_package_imports_are_found():
+    source = (
+        "import charcalc.series as series, math\n"
+        "from charcalc.lambda_ring import todd_line\n"
+        "from fractions import Fraction\n"
+    )
+    assert package_imports(source) == ["line 1: charcalc.series", "line 2: charcalc.lambda_ring"]
 
 
 def names_read(source: str) -> set[str]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -233,6 +234,26 @@ def test_todd_line_low_degrees():
     expected = GradedSeries(1, 2, {(k,): c for k, c in enumerate(coeffs) if c})
     assert todd(KElement.line((1,)), 2) == expected
     assert coeffs == [1, Fraction(1, 2), Fraction(1, 12)]
+
+
+def test_todd_line_matches_division_oracle():
+    for D in range(41):
+        assert todd_line(D) == tuple(todd_line_coefficients(D)), D
+
+
+@pytest.mark.parametrize("D", range(25))
+def test_todd_of_one_line_matches_division_oracle(D):
+    expected = {(k,): c for k, c in enumerate(todd_line_coefficients(D))}
+    assert todd(KElement.line((1,)), D) == GradedSeries(1, D, expected)
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_total_chern_of_a_multiple_line_is_binomial(m):
+    # (1 + a1)^m, with the generalized binomials C(m, k) = m (m - 1) ... (m - k + 1) / k!
+    for D in range(13):
+        binomials = [prod(range(m, m - k, -1)) // factorial(k) for k in range(D + 1)]
+        expected = GradedSeries(1, D, {(k,): c for k, c in enumerate(binomials)})
+        assert total_chern(KElement(1, {(1,): m}), D) == expected, D
 
 
 def test_todd_inverse_law():

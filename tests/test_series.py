@@ -231,12 +231,13 @@ def test_truncation_coherence():
 @pytest.mark.parametrize("n, D", [(n, D) for n in range(4) for D in range(5)])
 def test_coefficient_reads_only_its_own_monomial(n, D):
     """Every monomial of degree at most D is stored with its own coefficient,
-    so a lookup with an entry below 0 or above D that landed on any stored
-    term would read it."""
+    so a lookup with an entry below 0, above D or not an integer that landed
+    on any stored term would read it."""
     full = {m: i + 1 for i, m in enumerate(product(range(D + 1), repeat=n)) if sum(m) <= D}
     s = GradedSeries(n, D, full)
-    for m in product(range(-2, D + 3), repeat=n):
+    for m in product([Fraction(k, 4) for k in range(-8, 4 * D + 9)], repeat=n):
         assert s.coefficient(m) == full.get(m, 0), m
+    assert GradedSeries(2, 2, {(2, 0): 5}).coefficient((0.75, 0.5)) == 0
     assert s.constant_term == 1
     with pytest.raises(ValueError):
         s.coefficient((0,) * (n + 1))

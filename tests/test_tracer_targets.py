@@ -18,7 +18,7 @@ PACKAGE = ROOT / "src" / "charcalc"
 
 # Spans whose target was removed on purpose; their metrics read 0.
 RETIRED = {
-    "series.pow",  # GradedSeries.__pow__: powers go through power_coefficients
+    "series.pow",  # GradedSeries.__pow__: multiplicities weight ch; no series is raised to a power
     "series.exp",  # GradedSeries.exp: classes exponentiate through _TermMap._horner
 }
 
