@@ -9,6 +9,11 @@ fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
+Component and Stratum are named tuples.  validate_fiber and normalize_fiber
+read records by position, so a plain triple of the fields serves as well
+(see FiberModel); normalize_fiber builds the one record of each that a
+normalized fiber holds.
+
 validate_fiber walks the lattice once: the inclusion-exclusion that derives
 the undeclared side steps from each stratum J to every J - {c}, so a
 J - {c} that is not a stratum surfaces there as the missing subset.
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
 class ModelValidationError(ValueError):
@@ -54,15 +60,13 @@ def _shown(value: int) -> str:
         return f"~{Decimal(value):.3e}"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     multiplicity: int
     chi_open: int | None = None
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     components: frozenset[str]
     chi_closed: int | None = None
     chi_open: int | None = None
@@ -70,6 +74,15 @@ class Stratum:
 
 @dataclass(frozen=True)
 class FiberModel:
+    """One bad fiber: its prime, components and strata.
+
+    validate_fiber and normalize_fiber read each record by position, as
+    (id, multiplicity, chi_open) and (components, chi_closed, chi_open), so a
+    plain triple serves as well as a Component or Stratum: the model reader
+    hands over the triples it has checked and builds no record of its own.
+    normalize_fiber returns Component and Stratum records.
+    """
+
     prime: int
     components: tuple[Component, ...]
     strata: tuple[Stratum, ...]
@@ -249,20 +262,20 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
         )
     if not _is_prime(fiber.prime):
         raise ModelValidationError(f"{where}: {fiber.prime} is not a prime")
-    ids = [c.id for c in fiber.components]
+    ids = [cid for cid, _, _ in fiber.components]
     if not ids:
         raise ModelValidationError(f"{where}: fiber has no components")
     if len(set(ids)) != len(ids):
         raise ModelValidationError(f"{where}: duplicate component ids")
-    for c in fiber.components:
-        if c.multiplicity < 1:
+    for cid, multiplicity, _ in fiber.components:
+        if multiplicity < 1:
             raise ModelValidationError(
-                f"{where}: component {c.id} has multiplicity {c.multiplicity} < 1"
+                f"{where}: component {cid} has multiplicity {multiplicity} < 1"
             )
     declared = set(ids)
-    seen: set[frozenset[str]] = set()
-    for stratum in fiber.strata:
-        J = stratum.components
+    closed: dict[frozenset[str], int | None] = {}
+    opened: dict[frozenset[str], int | None] = {}
+    for J, chi_closed, chi_open in fiber.strata:
         if not J:
             raise ModelValidationError(f"{where}: stratum with empty component set")
         if not J <= declared:
@@ -270,10 +283,9 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
                 f"{where}: stratum {sorted(J)} references undeclared components "
                 f"{sorted(J - declared)}"
             )
-        if J in seen:
+        if J in closed:
             raise ModelValidationError(f"{where}: duplicate stratum {sorted(J)}")
-        seen.add(J)
-        if stratum.chi_closed is None and stratum.chi_open is None:
+        if chi_closed is None and chi_open is None:
             raise ModelValidationError(
                 f"{where}: stratum {sorted(J)} carries no Euler characteristic"
             )
@@ -282,27 +294,27 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
                 f"{where}: stratum {sorted(J)} has depth {len(J)} > d+1 = "
                 f"{relative_dimension + 1}, so it would have negative dimension"
             )
+        closed[J] = chi_closed
+        opened[J] = chi_open
     for cid in ids:
-        if frozenset({cid}) not in seen:
+        if frozenset({cid}) not in closed:
             raise ModelValidationError(f"{where}: missing singleton stratum for {cid}")
-    if all(s.chi_closed is not None for s in fiber.strata):
-        side, sign = "chi_closed", -1
-    elif all(s.chi_open is not None for s in fiber.strata):
-        side, sign = "chi_open", 1
+    if None not in closed.values():
+        given, sign = closed, -1
+    elif None not in opened.values():
+        given, sign = opened, 1
     else:
         raise ModelValidationError(
             f"{where}: mixed strata data; supply chi_closed for all strata or "
             "chi_open for all strata"
         )
-    given = {s.components: getattr(s, side) for s in fiber.strata}
     try:
         derived = _superset_sums(given, sign)
     except KeyError:
         # A non-empty intersection forces all of its sub-intersections
         # non-empty; name the first offender in file order, not in set order.
-        J, sub = next((s.components, s.components - {c}) for s in fiber.strata
-                      if len(s.components) > 1 for c in sorted(s.components)
-                      if s.components - {c} not in seen)
+        J, sub = next((J, J - {c}) for J, _, _ in fiber.strata
+                      if len(J) > 1 for c in sorted(J) if J - {c} not in given)
         raise ModelValidationError(
             f"{where}: stratum {sorted(J)} is declared but its subset "
             f"{sorted(sub)} is not"
@@ -361,29 +373,28 @@ def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) ->
     closed, opened = validate_fiber(fiber, relative_dimension)
     where = f"fiber at p={fiber.prime}"
     strata = []
-    for s in fiber.strata:
-        J = s.components
+    for J, declared_closed, declared_open in fiber.strata:
         chi_closed, chi_open = closed[J], opened[J]
-        if s.chi_open is not None and s.chi_open != chi_open:
+        if declared_open is not None and declared_open != chi_open:
             raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_open={_shown(s.chi_open)} "
+                f"{where}: stratum {sorted(J)} declares chi_open={_shown(declared_open)} "
                 f"but inclusion-exclusion gives {_shown(chi_open)}"
             )
-        if s.chi_closed is not None and s.chi_closed != chi_closed:
+        if declared_closed is not None and declared_closed != chi_closed:
             raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_closed={_shown(s.chi_closed)} "
+                f"{where}: stratum {sorted(J)} declares chi_closed={_shown(declared_closed)} "
                 f"but the open strata sum to {_shown(chi_closed)}"
             )
         strata.append(Stratum(J, chi_closed, chi_open))
     components = []
-    for c in fiber.components:
-        chi = opened[frozenset({c.id})]
-        if c.chi_open is not None and c.chi_open != chi:
+    for cid, multiplicity, declared in fiber.components:
+        chi = opened[frozenset({cid})]
+        if declared is not None and declared != chi:
             raise ModelValidationError(
-                f"{where}: component {c.id} declares chi_open={_shown(c.chi_open)} but "
+                f"{where}: component {cid} declares chi_open={_shown(declared)} but "
                 f"its singleton stratum gives {_shown(chi)}"
             )
-        components.append(Component(c.id, c.multiplicity, chi))
+        components.append(Component(cid, multiplicity, chi))
     return FiberModel(fiber.prime, tuple(components), tuple(strata))
 
 

@@ -21,11 +21,16 @@ normalized (both characteristics on every stratum) before it is returned.
 
 A file may hold thousands of strata, so each component and stratum record
 is accepted by one check of its shape: an object with allowed fields and
-the required ones, non-empty string ids, exact integers.  Only a record
-that fails it is read again field by field, to name the first fault at its
-location (``m.json.fibers[0].strata[2].chi_closed``); no location is built
-for a record that passes.  A repeated key is named with the start of the
-object that holds it.
+the required ones, non-empty string ids, exact integers.  A record that
+passes is handed on as the plain triple (id, multiplicity, chi_open) or
+(components, chi_closed, chi_open): validation reads records by position,
+and normalization builds the one Component or Stratum of each.  Only a
+record that fails the check is read again field by field, to name the first
+fault at its location (``m.json.fibers[0].strata[2].chi_closed``); no
+location is built for a record that passes.  A repeated key is named with
+the start of the object that holds it.  Every record of every fiber is read
+before any fiber is validated, so a malformed record is reported before
+invalid data in an earlier fiber.
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ import gc
 import json
 from pathlib import Path
 
-from .conductor import (
-    ArithmeticModel,
-    Component,
-    FiberModel,
-    Stratum,
-    validate_model,
-)
+from .conductor import ArithmeticModel, FiberModel, validate_model
 
 
 class ModelParseError(ValueError):
@@ -115,31 +114,34 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def _parse_component(raw, where: str) -> Component:
+def _parse_component(raw, where: str) -> tuple:
     data = _require_object(raw, where, {"id", "multiplicity"}, {"chi_open"})
-    return Component(
-        id=_require_str(data["id"], f"{where}.id"),
-        multiplicity=_require_int(data["multiplicity"], f"{where}.multiplicity"),
-        chi_open=_optional_int(data, "chi_open", where),
+    return (
+        _require_str(data["id"], f"{where}.id"),
+        _require_int(data["multiplicity"], f"{where}.multiplicity"),
+        _optional_int(data, "chi_open", where),
     )
 
 
-def _parse_stratum(raw, where: str) -> Stratum:
+def _parse_stratum(raw, where: str) -> tuple:
     data = _require_object(raw, where, {"components"}, {"chi_closed", "chi_open"})
     ids = _require_list(data["components"], f"{where}.components")
     members = frozenset(_require_str(v, f"{where}.components[{i}]") for i, v in enumerate(ids))
     if len(members) != len(ids):
         raise ModelParseError(f"{where}.components: repeated component id in {ids}")
-    chi = {key: _optional_int(data, key, where) for key in ("chi_closed", "chi_open")}
-    return Stratum(components=members, **chi)
+    return (
+        members,
+        _optional_int(data, "chi_closed", where),
+        _optional_int(data, "chi_open", where),
+    )
 
 
 _COMPONENT_FIELDS = frozenset({"id", "multiplicity", "chi_open"})
 _STRATUM_FIELDS = frozenset({"components", "chi_closed", "chi_open"})
 
 
-def _component(raw) -> Component | None:
-    """The component a well-formed record declares, else None."""
+def _component(raw) -> tuple | None:
+    """The (id, multiplicity, chi_open) a well-formed record declares, else None."""
     if (
         type(raw) is dict
         and raw.keys() <= _COMPONENT_FIELDS
@@ -148,12 +150,12 @@ def _component(raw) -> Component | None:
         and type(multiplicity := raw.get("multiplicity")) is int
         and type(raw.get("chi_open", 0)) is int
     ):
-        return Component(cid, multiplicity, raw.get("chi_open"))
+        return cid, multiplicity, raw.get("chi_open")
     return None
 
 
-def _stratum(raw) -> Stratum | None:
-    """The stratum a well-formed record declares, else None."""
+def _stratum(raw) -> tuple | None:
+    """The (components, chi_closed, chi_open) a well-formed record declares, else None."""
     if (
         type(raw) is dict
         and raw.keys() <= _STRATUM_FIELDS
@@ -164,7 +166,7 @@ def _stratum(raw) -> Stratum | None:
         and type(raw.get("chi_closed", 0)) is int
         and type(raw.get("chi_open", 0)) is int
     ):
-        return Stratum(members, raw.get("chi_closed"), raw.get("chi_open"))
+        return members, raw.get("chi_closed"), raw.get("chi_open")
     return None
 
 

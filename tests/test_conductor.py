@@ -1,6 +1,8 @@
 """Strata inclusion-exclusion and the conductor pipeline."""
 
+import inspect
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -32,7 +34,9 @@ from charcalc.conductor import (
     tame_check,
     _is_prime,
     validate_fiber,
+    validate_model,
 )
+from charcalc.modelfile import load_model, parse_model
 
 from oracles import open_chi_via_unions, random_strata_lattice
 
@@ -288,10 +292,23 @@ def test_large_prime_accepted_quickly():
     assert time.perf_counter() - start < 1.0
 
 
-# Carmichael 561, then strong pseudoprimes to the first 1, 4 and 9 prime
-# bases; the last one fools every prime base up to 37.
+# Carmichael 561, then the least strong pseudoprime to the first k prime bases
+# for k = 1..7, 9 and 12.  341550071728321 is also the least for k = 8, and the
+# last one fools every prime base up to 37.
 @pytest.mark.parametrize(
-    "n", [561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    "n",
+    [
+        561,
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+    ],
 )
 def test_strong_pseudoprimes_rejected(n):
     assert not _is_prime(n)
@@ -643,3 +660,130 @@ def test_consistency_messages_past_the_digit_limit():
     clash = r"p=5 gives ~1\.800e\+4300, p=7 gives ~-1\.800e\+4300"
     with pytest.raises(ConsistencyError, match=clash):
         conductor(inferred)
+
+
+# -- records and triples -------------------------------------------------------
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+MODEL_FILES = sorted(MODELS.glob("*.json"))
+
+
+def test_records_keep_their_public_behaviour():
+    def fields(record_type):
+        return [(p.name, p.default) for p in inspect.signature(record_type).parameters.values()]
+
+    required = inspect.Parameter.empty
+    assert fields(Component) == [("id", required), ("multiplicity", required), ("chi_open", None)]
+    assert fields(Stratum) == [("components", required), ("chi_closed", None), ("chi_open", None)]
+    J = frozenset({"C1"})
+    stratum, component = Stratum(J, 2), Component("C1", 1)
+    assert repr(stratum) == "Stratum(components=frozenset({'C1'}), chi_closed=2, chi_open=None)"
+    assert repr(component) == "Component(id='C1', multiplicity=1, chi_open=None)"
+    assert Stratum(components=J, chi_open=1) == Stratum(J, None, 1)
+    for record, field in ((component, "chi_open"), (stratum, "chi_open"), (stratum, "color")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    assert stratum.chi_open is None
+    assert hash(stratum) == hash(Stratum(components=J, chi_closed=2))
+    assert len({stratum, Stratum(J, 2, None), component, Component("C1", 1)}) == 2
+    # a record equals the tuple of its fields
+    assert Stratum(J, 1, 2) == (J, 1, 2)
+
+
+def as_triples(fiber):
+    """``fiber`` with each record a plain tuple of its fields."""
+    return FiberModel(
+        fiber.prime, tuple(map(tuple, fiber.components)), tuple(map(tuple, fiber.strata))
+    )
+
+
+def file_fiber(raw):
+    """The fiber a model document's fiber object declares, as it declares it."""
+    return FiberModel(
+        raw["prime"],
+        tuple(Component(c["id"], c["multiplicity"], c.get("chi_open")) for c in raw["components"]),
+        tuple(
+            Stratum(frozenset(s["components"]), s.get("chi_closed"), s.get("chi_open"))
+            for s in raw["strata"]
+        ),
+    )
+
+
+def outcome(entry, *args):
+    """What ``entry(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return entry(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_triples_read_as_records(fiber, relative_dimension=None):
+    triples = as_triples(fiber)
+    assert {type(r) for r in triples.components + triples.strata} <= {tuple}
+    for entry in (validate_fiber, normalize_fiber):
+        normalized = outcome(entry, triples, relative_dimension)
+        assert normalized == outcome(entry, fiber, relative_dimension)
+    if isinstance(normalized, FiberModel):
+        # equal to records either way, since a record equals its triple
+        assert {type(c) for c in normalized.components} == {Component}
+        assert {type(s) for s in normalized.strata} == {Stratum}
+
+
+def _open_side(fiber):
+    """``fiber`` declared by its open characteristics."""
+    multiplicities = {c.id: c.multiplicity for c in fiber.components}
+    opened = open_chi(normalize_fiber(fiber))
+    return fiber_from_chi(fiber.prime, opened, multiplicities, open_side=True)
+
+
+DOUBLE_LINE = fiber_from_chi(
+    3, {frozenset({"C1"}): 2, frozenset({"C2"}): 2, frozenset({"C1", "C2"}): 1},
+    multiplicities={"C2": 2},
+)
+RECORD_FIBERS = {
+    "cycle-2": cycle_fiber(2, 5),
+    "cycle-6": cycle_fiber(6, 7),
+    "cycle-6-open": _open_side(cycle_fiber(6, 7)),
+    "double-line": DOUBLE_LINE,
+    "double-line-open": _open_side(DOUBLE_LINE),
+    "declared-component-chi": FiberModel(
+        3, (Component("C1", 1, chi_open=2),), (Stratum(frozenset({"C1"}), chi_closed=2),)
+    ),
+    "mismatched-component-chi": FiberModel(
+        3, (Component("C1", 1, chi_open=5),), (Stratum(frozenset({"C1"}), chi_closed=2),)
+    ),
+    "mismatched-stratum-chi": FiberModel(
+        3, TWO_LINES,
+        tuple(Stratum(s.components, s.chi_closed, 99) for s in cycle_fiber(2, 3).strata),
+    ),
+    "mixed-sides": FiberModel(
+        3, TWO_LINES,
+        (Stratum(frozenset({"C1"}), chi_closed=2), Stratum(frozenset({"C2"}), chi_open=1)),
+    ),
+    **INVALID_FIBERS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_FIBERS))
+def test_fiber_functions_read_triples_as_records(case):
+    for relative_dimension in (None, 0, 1):
+        assert_triples_read_as_records(RECORD_FIBERS[case], relative_dimension)
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_model_files_read_the_same_from_triples_and_records(path):
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    d = doc["relative_dimension"]
+    fibers = tuple(map(file_fiber, doc["fibers"]))
+    for fiber in fibers:
+        assert_triples_read_as_records(fiber, d)
+    model = ArithmeticModel(d, fibers, doc.get("generic_euler"))
+    assert parse_model(text) == validate_model(model)
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_loaded_models_hold_only_records(path):
+    for fiber in load_model(path).fibers:
+        assert {type(c) for c in fiber.components} == {Component}
+        assert {type(s) for s in fiber.strata} == {Stratum}

@@ -460,3 +460,19 @@ def test_refusal_names_the_first_fault(case):
     with pytest.raises(ModelParseError) as info:
         parse_model(json.dumps(edited(*edits)), source="m.json")
     assert str(info.value) == message
+
+
+def test_a_later_malformed_record_outranks_an_earlier_invalid_fiber():
+    # every record of every fiber is read before any fiber is validated
+    doc = edited((FIBER + ("prime",), 4))
+    later = i2_document()["fibers"][0]
+    later["prime"] = 7
+    later["strata"][0]["chi_open"] = None
+    doc["fibers"].append(later)
+    with pytest.raises(ModelParseError) as info:
+        parse_model(json.dumps(doc), source="m.json")
+    assert str(info.value) == "m.json.fibers[1].strata[0].chi_open: expected an exact integer, got None"
+    del later["strata"][0]["chi_open"]
+    with pytest.raises(ModelValidationError) as info:
+        parse_model(json.dumps(doc), source="m.json")
+    assert str(info.value) == "fiber at p=4: 4 is not a prime"
