@@ -208,12 +208,15 @@ def _render_log_terms(terms) -> str:
 
 def _approx_log(terms) -> str:
     """sum c*log(p) to 12 significant digits, in floats where they hold it, else in
-    30-digit decimals; a sum that cancels far below its largest term loses digits."""
+    30-digit decimals: past the float range, or when the sum cancels to below a
+    thousandth of its largest term.  The decimals keep 12 digits of a sum that
+    cancels up to about 17 of its leading digits."""
     try:
-        value = sum(float(c) * math.log(p) for p, c in terms)
+        floats = [float(c) * math.log(p) for p, c in terms]
     except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
+        floats = [math.inf]
+    value = sum(floats)
+    if math.isfinite(value) and abs(value) >= 1e-3 * max(map(abs, floats), default=0):
         return f"{value:.12g}"
     with localcontext(Context(prec=30)):
         value = sum(c.numerator / Decimal(c.denominator) * Decimal(p).ln() for p, c in terms)

@@ -20,17 +20,20 @@ repeated fields are errors, and the parsed model is validated and
 normalized (both characteristics on every stratum) before it is returned.
 
 A file may hold thousands of strata, so each component and stratum record
-is accepted by one check of its shape: an object with allowed fields and
-the required ones, non-empty string ids, exact integers.  A record that
-passes is handed on as the plain triple (id, multiplicity, chi_open) or
-(components, chi_closed, chi_open): validation reads records by position,
-and normalization builds the one Component or Stratum of each.  Only a
-record that fails the check is read again field by field, to name the first
-fault at its location (``m.json.fibers[0].strata[2].chi_closed``); no
-location is built for a record that passes.  A repeated key is named with
-the start of the object that holds it.  Every record of every fiber is read
-before any fiber is validated, so a malformed record is reported before
-invalid data in an earlier fiber.
+is read by one loop that checks one rule at a time and stops at the first
+that fails.  The rules come in a fixed order: the record is an object, has
+no unknown fields and has its required ones; then each field in turn has
+its type (a non-empty string id, a list of distinct non-empty string ids,
+exact integers).  A missing field is looked for only once a type check
+fails, since it reads as None there, and is then named as missing rather
+than as mistyped.  Only a record that fails builds the location its refusal
+names (``m.json.fibers[0].strata[2].chi_closed``).  A record that passes is
+handed on as the plain triple (id, multiplicity, chi_open) or (components,
+chi_closed, chi_open): validation reads records by position, and
+normalization builds the one Component or Stratum of each.  A repeated key
+is named with the start of the object that holds it.  Every record of every
+fiber is read before any fiber is validated, so a malformed record is
+reported before invalid data in an earlier fiber.
 """
 
 from __future__ import annotations
@@ -80,117 +83,104 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelParseError(f"{where}: expected an exact integer, got {value!r}")
-    return value
+def _shape_fault(raw, fields: frozenset, required: frozenset) -> str | None:
+    """What keeps ``raw`` from being an object with the allowed ``fields`` and
+    the ``required`` ones, as the text that follows its location, else None."""
+    if type(raw) is not dict:
+        return f": expected an object, got {type(raw).__name__}"
+    if unknown := raw.keys() - fields:
+        return f": unknown fields {sorted(unknown)}"
+    if missing := required - raw.keys():
+        return f": missing fields {sorted(missing)}"
+    return None
 
 
-def _optional_int(data: dict, key: str, where: str) -> int | None:
-    return _require_int(data[key], f"{where}.{key}") if key in data else None
+def _int_fault(field: str, value) -> str | None:
+    if type(value) is not int:
+        return f".{field}: expected an exact integer, got {value!r}"
+    return None
 
 
-def _require_str(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ModelParseError(f"{where}: expected a non-empty string, got {value!r}")
-    return value
+def _list_fault(field: str, value) -> str | None:
+    if type(value) is not list:
+        return f".{field}: expected a list, got {type(value).__name__}"
+    return None
 
 
-def _require_object(value, where: str, required: set, optional: set = frozenset()) -> dict:
-    if not isinstance(value, dict):
-        raise ModelParseError(f"{where}: expected an object, got {type(value).__name__}")
-    unknown = set(value) - required - set(optional)
-    if unknown:
-        raise ModelParseError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = required - set(value)
-    if missing:
-        raise ModelParseError(f"{where}: missing fields {sorted(missing)}")
-    return value
+def _str_fault(field: str, value) -> str | None:
+    if type(value) is not str or not value:
+        return f".{field}: expected a non-empty string, got {value!r}"
+    return None
 
 
-def _require_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ModelParseError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _parse_component(raw, where: str) -> tuple:
-    data = _require_object(raw, where, {"id", "multiplicity"}, {"chi_open"})
-    return (
-        _require_str(data["id"], f"{where}.id"),
-        _require_int(data["multiplicity"], f"{where}.multiplicity"),
-        _optional_int(data, "chi_open", where),
-    )
-
-
-def _parse_stratum(raw, where: str) -> tuple:
-    data = _require_object(raw, where, {"components"}, {"chi_closed", "chi_open"})
-    ids = _require_list(data["components"], f"{where}.components")
-    members = frozenset(_require_str(v, f"{where}.components[{i}]") for i, v in enumerate(ids))
-    if len(members) != len(ids):
-        raise ModelParseError(f"{where}.components: repeated component id in {ids}")
-    return (
-        members,
-        _optional_int(data, "chi_closed", where),
-        _optional_int(data, "chi_open", where),
-    )
-
-
+_MODEL_FIELDS = frozenset({"relative_dimension", "fibers", "generic_euler"})
+_MODEL_REQUIRED = frozenset({"relative_dimension", "fibers"})
+_FIBER_FIELDS = frozenset({"prime", "components", "strata"})
 _COMPONENT_FIELDS = frozenset({"id", "multiplicity", "chi_open"})
+_COMPONENT_REQUIRED = frozenset({"id", "multiplicity"})
 _STRATUM_FIELDS = frozenset({"components", "chi_closed", "chi_open"})
+_STRATUM_REQUIRED = frozenset({"components"})
 
 
-def _component(raw) -> tuple | None:
-    """The (id, multiplicity, chi_open) a well-formed record declares, else None."""
-    if (
-        type(raw) is dict
-        and raw.keys() <= _COMPONENT_FIELDS
-        and type(cid := raw.get("id")) is str
-        and cid
-        and type(multiplicity := raw.get("multiplicity")) is int
-        and type(raw.get("chi_open", 0)) is int
-    ):
-        return cid, multiplicity, raw.get("chi_open")
-    return None
+def _components(raws, where: str) -> tuple:
+    """The (id, multiplicity, chi_open) of each component record of the fiber at
+    ``where``, or the refusal of the first record that breaks a rule."""
+    if fault := _list_fault("components", raws):
+        raise ModelParseError(f"{where}{fault}")
+    records = []
+    for i, raw in enumerate(raws):
+        if type(raw) is not dict or not raw.keys() <= _COMPONENT_FIELDS:
+            fault = None  # a fault of shape, named below
+        elif type(cid := raw.get("id")) is not str or not cid:
+            fault = _str_fault("id", cid)
+        elif type(multiplicity := raw.get("multiplicity")) is not int:
+            fault = _int_fault("multiplicity", multiplicity)
+        elif type(chi_open := raw.get("chi_open", 0)) is not int:
+            fault = _int_fault("chi_open", chi_open)
+        else:
+            records.append((cid, multiplicity, raw.get("chi_open")))
+            continue
+        # a missing field fails its type check, but is named as missing
+        fault = _shape_fault(raw, _COMPONENT_FIELDS, _COMPONENT_REQUIRED) or fault
+        raise ModelParseError(f"{where}.components[{i}]{fault}")
+    return tuple(records)
 
 
-def _stratum(raw) -> tuple | None:
-    """The (components, chi_closed, chi_open) a well-formed record declares, else None."""
-    if (
-        type(raw) is dict
-        and raw.keys() <= _STRATUM_FIELDS
-        and type(ids := raw.get("components")) is list
-        and set(map(type, ids)) == {str}
-        and len(members := frozenset(ids)) == len(ids)
-        and "" not in members
-        and type(raw.get("chi_closed", 0)) is int
-        and type(raw.get("chi_open", 0)) is int
-    ):
-        return members, raw.get("chi_closed"), raw.get("chi_open")
-    return None
-
-
-def _parse_records(raws, where: str, quick, careful) -> tuple:
-    """Each record of the list ``raws``: ``quick`` accepts a well-formed one, and
-    ``careful`` reads any other field by field and names its first fault,
-    under its location in ``where``."""
-    return tuple(
-        quick(raw) or careful(raw, f"{where}[{i}]")
-        for i, raw in enumerate(_require_list(raws, where))
-    )
+def _strata(raws, where: str) -> tuple:
+    """The (components, chi_closed, chi_open) of each stratum record of the fiber
+    at ``where``, or the refusal of the first record that breaks a rule."""
+    if fault := _list_fault("strata", raws):
+        raise ModelParseError(f"{where}{fault}")
+    records = []
+    for i, raw in enumerate(raws):
+        if type(raw) is not dict or not raw.keys() <= _STRATUM_FIELDS:
+            fault = None  # a fault of shape, named below
+        elif type(ids := raw.get("components")) is not list:
+            fault = _list_fault("components", ids)
+        elif not set(map(type, ids)) <= {str} or "" in (members := frozenset(ids)):
+            fault = next(f for j, v in enumerate(ids) if (f := _str_fault(f"components[{j}]", v)))
+        elif len(members) != len(ids):
+            fault = f".components: repeated component id in {ids}"
+        elif type(chi_closed := raw.get("chi_closed", 0)) is not int:
+            fault = _int_fault("chi_closed", chi_closed)
+        elif type(chi_open := raw.get("chi_open", 0)) is not int:
+            fault = _int_fault("chi_open", chi_open)
+        else:
+            records.append((members, raw.get("chi_closed"), raw.get("chi_open")))
+            continue
+        fault = _shape_fault(raw, _STRATUM_FIELDS, _STRATUM_REQUIRED) or fault
+        raise ModelParseError(f"{where}.strata[{i}]{fault}")
+    return tuple(records)
 
 
 def _parse_fiber(raw, where: str) -> FiberModel:
-    data = _require_object(raw, where, {"prime", "components", "strata"})
-    components = _parse_records(
-        data["components"], f"{where}.components", _component, _parse_component
-    )
-    strata = _parse_records(data["strata"], f"{where}.strata", _stratum, _parse_stratum)
-    return FiberModel(
-        prime=_require_int(data["prime"], f"{where}.prime"),
-        components=components,
-        strata=strata,
-    )
+    if fault := _shape_fault(raw, _FIBER_FIELDS, _FIBER_FIELDS):
+        raise ModelParseError(f"{where}{fault}")
+    components = _components(raw["components"], where)
+    strata = _strata(raw["strata"], where)
+    if fault := _int_fault("prime", raw["prime"]):
+        raise ModelParseError(f"{where}{fault}")
+    return FiberModel(prime=raw["prime"], components=components, strata=strata)
 
 
 def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
@@ -210,19 +200,17 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
         raise ModelParseError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ModelParseError(f"{source}: invalid JSON: nested too deeply") from exc
-    data = _require_object(raw, source, {"relative_dimension", "fibers"}, {"generic_euler"})
-    generic_euler = _optional_int(data, "generic_euler", source)
-    fibers = tuple(
-        _parse_fiber(f, f"{source}.fibers[{i}]")
-        for i, f in enumerate(_require_list(data["fibers"], f"{source}.fibers"))
+    fault = (
+        _shape_fault(raw, _MODEL_FIELDS, _MODEL_REQUIRED)
+        or _int_fault("generic_euler", raw.get("generic_euler", 0))
+        or _list_fault("fibers", raw["fibers"])
     )
-    model = ArithmeticModel(
-        relative_dimension=_require_int(
-            data["relative_dimension"], f"{source}.relative_dimension"
-        ),
-        fibers=fibers,
-        generic_euler=generic_euler,
-    )
+    if fault:
+        raise ModelParseError(f"{source}{fault}")
+    fibers = tuple(_parse_fiber(f, f"{source}.fibers[{i}]") for i, f in enumerate(raw["fibers"]))
+    if fault := _int_fault("relative_dimension", raw["relative_dimension"]):
+        raise ModelParseError(f"{source}{fault}")
+    model = ArithmeticModel(raw["relative_dimension"], fibers, raw.get("generic_euler"))
     return validate_model(model)
 
 

@@ -297,6 +297,38 @@ def test_conductor_approximates_log_eps_past_the_float_range(
     assert json.loads(out)["log_eps_approx"] == approx
 
 
+def test_conductor_approximates_log_eps_that_cancels(tmp_path, capsys):
+    # f_2 = 16785921 and f_3 = -10590737: the two terms, about 1.16e7 each, cancel
+    # in 14 leading digits, which leaves floats only 2 good digits of the sum
+    def fiber(prime, chi_line, chi_node):
+        return {
+            "prime": prime,
+            "components": [{"id": c, "multiplicity": 1} for c in ("A", "B")],
+            "strata": [
+                {"components": ["A"], "chi_closed": chi_line},
+                {"components": ["B"], "chi_closed": chi_line},
+                {"components": ["A", "B"], "chi_closed": chi_node},
+            ],
+        }
+
+    doc = {
+        "relative_dimension": 1,
+        "fibers": [fiber(2, -27376658, -16785921), fiber(3, 0, 10590737)],
+    }
+    path = tmp_path / "cancels.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # 16785921*log(2) - 10590737*log(3) to 60 digits:
+    # -5.23005199909252898024378947829170234018247116823999873644869e-8
+    approx = "-5.23005199909e-8"
+    code, out, err = run(capsys, "conductor", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert "log|eps(X)| = 16785921*log(2) - 10590737*log(3)  [exact]" in out
+    assert f"~= {approx}  [approximate]" in out
+    code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["log_eps_approx"] == approx
+
+
 def test_conductor_wild_model_refused(capsys):
     code, _, err = run(capsys, "conductor", "--model", str(MODELS / "wild.json"))
     assert code == 1

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from charcalc.cli import main
 from charcalc.conductor import ModelValidationError
 from charcalc.modelfile import ModelParseError, _unique_keys, load_model, parse_model
 
@@ -407,6 +408,26 @@ REFUSALS = {
         [(STRATUM + ("chi",), 2), (STRATUM + ("components",), DROP)],
         f"{AT_STRATUM}: unknown fields ['chi']",
     ),
+    "two/component-unknown-and-missing": (
+        [(COMPONENT + ("color",), "blue"), (COMPONENT + ("multiplicity",), DROP)],
+        f"{AT_COMPONENT}: unknown fields ['color']",
+    ),
+    "two/fiber-unknown-and-missing": (
+        [(FIBER + ("name",), "x"), (FIBER + ("strata",), DROP)],
+        f"{AT_FIBER}: unknown fields ['name']",
+    ),
+    "two/model-unknown-and-missing": (
+        [(("discriminant",), 5), (("fibers",), DROP)],
+        "m.json: unknown fields ['discriminant']",
+    ),
+    "two/unknown-and-components-not-list": (
+        [(STRATUM + ("chi",), 2), (STRATUM + ("components",), "C1")],
+        f"{AT_STRATUM}: unknown fields ['chi']",
+    ),
+    "two/id-a-list-and-repeated-id": (
+        [(EDGE + ("components",), [["C1"], "C1", "C1"])],
+        f"{AT_EDGE}.components[0]: expected a non-empty string, got ['C1']",
+    ),
     "two/id-and-multiplicity": (
         [(COMPONENT + ("multiplicity",), 1.0), (COMPONENT + ("id",), "")],
         f"{AT_COMPONENT}.id: expected a non-empty string, got ''",
@@ -460,6 +481,18 @@ def test_refusal_names_the_first_fault(case):
     with pytest.raises(ModelParseError) as info:
         parse_model(json.dumps(edited(*edits)), source="m.json")
     assert str(info.value) == message
+
+
+def test_stratum_of_no_components_is_refused_by_validation(tmp_path, capsys):
+    # an empty members list is well formed; the empty stratum is invalid data
+    doc = edited((EDGE + ("components",), []))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelValidationError) as info:
+        load_model(path)
+    assert str(info.value) == "fiber at p=5: stratum with empty component set"
+    assert main(["conductor", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_a_later_malformed_record_outranks_an_earlier_invalid_fiber():

@@ -6,8 +6,8 @@ product-per-line definition, of the S_n-orbit Chern character times a class
 of generic lines against the dense ones, of the strata-lattice round trip,
 of validate_fiber's maps against the normalized strata, of the random
 lattice's independence of the hash seed, of the fiber functions' refusal of
-corrupted strata lattices, of the conductor under point blow-ups, and of the
-conductor CLI on hostile integers."""
+corrupted strata lattices, of the conductor under point blow-ups, of the
+conductor CLI on hostile integers, and of the model reader on valid documents."""
 
 import io
 import json
@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,6 +38,7 @@ from charcalc.conductor import (
     normalize_fiber,
     open_strata_from_closed,
     validate_fiber,
+    validate_model,
 )
 from charcalc.lambda_ring import (
     KElement,
@@ -50,10 +52,11 @@ from charcalc.lambda_ring import (
     todd_line,
     total_chern,
 )
+from charcalc.modelfile import parse_model
 from charcalc.series import GradedSeries, render_sum
 from charcalc.verify import generic_lines, repeated_root_lines
 
-from oracles import blow_up, exp_coefficients, random_strata_lattice
+from oracles import blow_up, exp_coefficients, open_chi_via_unions, random_strata_lattice
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -553,3 +556,62 @@ def test_conductor_cli_exits_cleanly_on_hostile_integers(tmp_path_factory, doc):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main([command, "--model", str(path), *options])
         assert code == 0 if doc is PAST_DIGIT_LIMIT else code in (0, 1, 2)
+
+
+# -- the model reader on valid documents -------------------------------------------
+
+
+@st.composite
+def model_documents(draw):
+    """A valid model file's document, with the model of the same records built
+    directly as plain triples: 1..3 fibers at distinct primes, each a random
+    strata lattice with its records in random order.  A component declares
+    chi_open or not; each stratum of a fiber declares one side (the fiber's) or
+    both, consistently."""
+    fibers, documents = [], []
+    primes = st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3, unique=True)
+    for prime in draw(primes):
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        ids, closed = random_strata_lattice(random.Random(seed))
+        chi = {
+            "chi_closed": closed,
+            "chi_open": {J: open_chi_via_unions(closed, J) for J in closed},
+        }
+        side = draw(st.sampled_from(sorted(chi)))
+        components, component_records = [], []
+        for cid in draw(st.permutations(ids)):
+            multiplicity = draw(st.integers(min_value=1, max_value=4))
+            chi_open = chi["chi_open"][frozenset({cid})] if draw(st.booleans()) else None
+            components.append((cid, multiplicity, chi_open))
+            record = {"id": cid, "multiplicity": multiplicity}
+            if chi_open is not None:
+                record["chi_open"] = chi_open
+            component_records.append(record)
+        strata, stratum_records = [], []
+        for J in draw(st.permutations(sorted(closed, key=sorted))):
+            sides = sorted(chi) if draw(st.booleans()) else [side]
+            declared = {s: chi[s][J] for s in sides}
+            strata.append((J, declared.get("chi_closed"), declared.get("chi_open")))
+            stratum_records.append({"components": draw(st.permutations(sorted(J))), **declared})
+        fibers.append(FiberModel(prime, tuple(components), tuple(strata)))
+        documents.append(
+            {"prime": prime, "components": component_records, "strata": stratum_records}
+        )
+    depth = max(len(J) for fiber in fibers for J, _, _ in fiber.strata)
+    d = depth - 1 + draw(st.integers(min_value=0, max_value=2))
+    generic_euler = draw(st.none() | st.integers(min_value=-9, max_value=9))
+    document = {"relative_dimension": d, "fibers": documents}
+    if generic_euler is not None:
+        document["generic_euler"] = generic_euler
+    return document, ArithmeticModel(d, tuple(fibers), generic_euler)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_documents())
+def test_model_reader_matches_validation_of_the_declared_records(case):
+    document, model = case
+    text = json.dumps(document)
+    assert parse_model(text) == validate_model(model)
+    # and the reader hands validation exactly the declared triples
+    with mock.patch("charcalc.modelfile.validate_model", lambda read: read):
+        assert parse_model(text) == model
