@@ -28,7 +28,6 @@ from .conductor import (
     FiberDerivation,
     ModelValidationError,
     TamenessError,
-    _derive_validated,
     conductor_report,
 )
 from .modelfile import ModelParseError, load_model
@@ -208,9 +207,10 @@ def _render_log_terms(terms) -> str:
 
 def _approx_log(terms) -> str:
     """sum c*log(p) to 12 significant digits, in floats where they hold it, else in
-    30-digit decimals: past the float range, or when the sum cancels to below a
-    thousandth of its largest term.  The decimals keep 12 digits of a sum that
-    cancels up to about 17 of its leading digits."""
+    decimals: past the float range, or when the sum cancels to below a thousandth of
+    its largest term.  The decimals start at 30 digits and double until two runs give
+    the same nonzero 12 digits.  That ends: zero exponents are omitted and the logs of
+    distinct primes are linearly independent over Q, so the sum is never 0."""
     try:
         floats = [float(c) * math.log(p) for p, c in terms]
     except OverflowError:
@@ -218,9 +218,14 @@ def _approx_log(terms) -> str:
     value = sum(floats)
     if math.isfinite(value) and abs(value) >= 1e-3 * max(map(abs, floats), default=0):
         return f"{value:.12g}"
-    with localcontext(Context(prec=30)):
-        value = sum(c.numerator / Decimal(c.denominator) * Decimal(p).ln() for p, c in terms)
-    return f"{value.normalize(Context(prec=12)):g}"
+    previous, prec = None, 30
+    while True:
+        with localcontext(Context(prec=prec)):
+            value = sum(c.numerator / Decimal(c.denominator) * Decimal(p).ln() for p, c in terms)
+        shown = f"{value.normalize(Context(prec=12)):g}"
+        if shown == previous != "0":
+            return shown
+        previous, prec = shown, 2 * prec
 
 
 def _render_conductor(factors: dict[int, int]) -> str:
@@ -248,9 +253,10 @@ def _print_conductor_text(report: ConductorReport) -> None:
 
 
 def _model_command(command):
-    """Run ``command(args, model)`` on the model read from ``args.model``; a refused
-    file exits 2.  The reader keeps the int-to-str digit limit and the command runs
-    without it: each value it prints is a sum of products of at most three literals."""
+    """Run ``command(args, report)`` on the conductor_report of the model read from
+    ``args.model``, not yet checked; a refused file exits 2.  The reader keeps the
+    int-to-str digit limit and the report is derived and rendered without it: each
+    value it prints is a sum of products of at most three literals."""
 
     @wraps(command)
     def run(args) -> int:
@@ -262,7 +268,7 @@ def _model_command(command):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return command(args, model)
+            return command(args, conductor_report(model))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -270,9 +276,9 @@ def _model_command(command):
 
 
 @_model_command
-def cmd_conductor(args, model) -> int:
+def cmd_conductor(args, report) -> int:
     try:
-        report = conductor_report(model, _derive_validated(model))
+        report.checked()
     except (TamenessError, ConsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
@@ -321,13 +327,12 @@ def _print_derivation(d: FiberDerivation) -> None:
 
 
 @_model_command
-def cmd_explain(args, model) -> int:
-    fibers = _derive_validated(model)
-    print(f"relative dimension d = {model.relative_dimension}")
-    for d in fibers:
+def cmd_explain(args, report) -> int:
+    print(f"relative dimension d = {report.relative_dimension}")
+    for d in report.entries:
         _print_derivation(d)
     try:
-        report = conductor_report(model, fibers)
+        report.checked()
     except TamenessError:
         print("\ntameness failed; the conductor formula does not apply", file=sys.stderr)
         return 1

@@ -19,8 +19,9 @@ the undeclared side steps from each stratum J to every J - {c}, so a
 J - {c} that is not a stratum surfaces there as the missing subset.
 validate_model validates and normalizes each fiber once; each normalized fiber
 is derived once into a FiberDerivation, the one place chi(X_p) and the localized
-Chern degree are computed.  The generic-Euler check and the conductor both
-return one ConductorReport over those records, and every rendering reads it.
+Chern degree are computed.  conductor_report gathers a validated model's
+records into one ConductorReport, which every rendering reads, and
+ConductorReport.checked is the one place a report is refused.
 """
 
 from __future__ import annotations
@@ -154,6 +155,33 @@ class ConductorReport:
     generic_euler: int | None
     entries: tuple[FiberDerivation, ...]
     inferred: bool = False
+
+    def _agreed(self) -> ConductorReport:
+        """The report, refused if chi(X_Q) was inferred and a fiber disagrees:
+        no stated value adjudicates."""
+        if self.inferred and not self.ok:
+            clash = next(d for d in self.entries if not self.euler_holds(d))
+            raise ConsistencyError(
+                f"fibers disagree on chi(X_Q): p={self.entries[0].prime} gives "
+                f"{_shown(self.generic_euler)}, p={clash.prime} gives {_shown(clash.weighted_sum)}"
+            )
+        return self
+
+    def checked(self) -> ConductorReport:
+        """The report, refused unless every fiber is tame and the generic-Euler
+        identity holds at every prime, so that each record's exponent is the
+        Artin exponent f_p = chi(X_Q) - chi(X_p)."""
+        for d in self.entries:
+            if not d.tame.ok:
+                raise TamenessError(d.prime, d.tame.offenders)
+        if not self._agreed().ok:
+            chi_q = _shown(self.generic_euler)
+            details = "; ".join(
+                f"p={d.prime}: sum m_i*chi_open(T_i) = {_shown(d.weighted_sum)} != {chi_q} = chi(X_Q)"
+                for d in self.entries if not self.euler_holds(d)
+            )
+            raise ConsistencyError(f"generic Euler characteristic check failed: {details}")
+        return self
 
     def euler_holds(self, d: FiberDerivation) -> bool:
         """chi(X_Q) = sum m_i chi*(T_i) at the prime of the record ``d``."""
@@ -450,63 +478,24 @@ def bloch_degree(fiber: FiberModel) -> int:
     return _derive(normalize_fiber(fiber)).bloch_degree
 
 
-def _derive_validated(model: ArithmeticModel) -> tuple[FiberDerivation, ...]:
-    """The record of each fiber, in model order, of a model that
-    validate_model returned."""
-    return tuple(map(_derive, model.fibers))
-
-
-def _euler_report(model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]) -> ConductorReport:
-    """The report of the derived fibers against chi(X_Q).  When the model does not
-    state chi(X_Q) it is inferred from the first fiber, and disagreement between
-    fibers is then a hard error since no stated value adjudicates."""
-    stated = model.generic_euler
-    if stated is None and not fibers:
-        raise ConsistencyError(
-            "generic_euler is not stated and there are no fibers to infer it from"
-        )
-    expected = fibers[0].weighted_sum if stated is None else stated
-    report = ConductorReport(model.relative_dimension, expected, fibers, stated is None)
-    if report.inferred and not report.ok:
-        clash = next(d for d in fibers if not report.euler_holds(d))
-        raise ConsistencyError(
-            f"fibers disagree on chi(X_Q): p={fibers[0].prime} gives "
-            f"{_shown(expected)}, p={clash.prime} gives {_shown(clash.weighted_sum)}"
-        )
-    return report
+def conductor_report(model: ArithmeticModel) -> ConductorReport:
+    """The report of the fibers of a model that validate_model returned, in
+    model order, against chi(X_Q): the stated value, else the first fiber's,
+    else None.  Nothing is refused here; see ConductorReport.checked."""
+    entries = tuple(map(_derive, model.fibers))
+    inferred = model.generic_euler is None and bool(entries)
+    chi_q = entries[0].weighted_sum if inferred else model.generic_euler
+    return ConductorReport(model.relative_dimension, chi_q, entries, inferred)
 
 
 def generic_euler_check(model: ArithmeticModel) -> ConductorReport:
     """Check chi(X_Q) = sum m_i chi*(T_i) at every bad prime of a model; the
-    report says whether it holds (``ok``) and does not enforce it."""
-    model = validate_model(model)
-    return _euler_report(model, _derive_validated(model))
-
-
-def conductor_report(
-    model: ArithmeticModel, fibers: tuple[FiberDerivation, ...]
-) -> ConductorReport:
-    """The report of derived fibers, refused unless every fiber is tame and
-    the generic-Euler identity holds at every prime, so that each record's
-    exponent is the Artin exponent f_p = chi(X_Q) - chi(X_p)."""
-    for d in fibers:
-        if not d.tame.ok:
-            raise TamenessError(d.prime, d.tame.offenders)
-    if not fibers:
-        return ConductorReport(model.relative_dimension, model.generic_euler, ())
-    report = _euler_report(model, fibers)
-    if not report.ok:
-        chi_q = _shown(report.generic_euler)
-        details = "; ".join(
-            f"p={d.prime}: sum m_i*chi_open(T_i) = {_shown(d.weighted_sum)} != {chi_q} = chi(X_Q)"
-            for d in fibers if not report.euler_holds(d)
-        )
-        raise ConsistencyError(f"generic Euler characteristic check failed: {details}")
-    return report
+    report says whether it holds (``ok``) and does not enforce it, except that
+    fibers disagreeing on an inferred chi(X_Q) are refused."""
+    return conductor_report(validate_model(model))._agreed()
 
 
 def conductor(model: ArithmeticModel) -> ConductorReport:
     """Full pipeline: validate, normalize, check tameness and consistency,
     then report per-prime exponents, the factored conductor, and log|eps|."""
-    model = validate_model(model)
-    return conductor_report(model, _derive_validated(model))
+    return conductor_report(validate_model(model)).checked()

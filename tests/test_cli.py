@@ -211,6 +211,25 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
+def test_verify_empty_check_list_is_usage_error(capsys):
+    assert run(capsys, "verify", "--checks", ",") == (2, "", "error: --checks selected no checks\n")
+
+
+def test_verify_prints_a_failing_check_with_its_detail(capsys, monkeypatch):
+    from charcalc import verify
+    from charcalc.lambda_ring import todd_line
+
+    # Todd's degree-1 coefficient 1/2 read as 3/2
+    monkeypatch.setattr(verify, "todd_line", lambda D: [c + (k == 1) for k, c in enumerate(todd_line(D))])
+    code, out, err = run(capsys, "verify", "--checks", "gala,prop_chtd", "--rank-max", "1")
+    assert (code, err) == (1, "")
+    assert out == (
+        "PASS gala rank=1\n"
+        "FAIL prop_chtd n=1  (degree 1 component: 1 terms differ, lowest degree 1; m(1): -3/2 vs -1/2)\n"
+        "1/2 checks passed\n"
+    )
+
+
 # -- conductor ----------------------------------------------------------------
 
 
@@ -327,6 +346,45 @@ def test_conductor_approximates_log_eps_that_cancels(tmp_path, capsys):
     code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
     assert (code, err) == (0, "")
     assert json.loads(out)["log_eps_approx"] == approx
+
+
+def _cancelling_model(f2, f3):
+    """Exponents f_2 and f_3 at d = 1, so that log|eps(X)| = f_2 log 2 + f_3 log 3; chi(X_Q)
+    is inferred from the fiber at 2 and the fiber at 3 agrees with it."""
+    def fiber(prime, chi_line, chi_node):
+        return {
+            "prime": prime,
+            "components": [{"id": c, "multiplicity": 1} for c in ("A", "B")],
+            "strata": [
+                {"components": ["A"], "chi_closed": chi_line},
+                {"components": ["B"], "chi_closed": chi_line},
+                {"components": ["A", "B"], "chi_closed": chi_node},
+            ],
+        }
+
+    return {"relative_dimension": 1, "fibers": [fiber(2, f3 - f2, -f2), fiber(3, 0, -f3)]}
+
+
+@pytest.mark.parametrize(
+    "f2, f3",
+    [
+        # convergents of log 3 / log 2: the two terms cancel in 30 to 38 leading digits
+        (766512153894657, -483615324366283),
+        (206745572560704147, -130441933147714940),
+        (6724555128221608268, -4242721909926539673),
+    ],
+)
+def test_conductor_approximates_log_eps_that_cancels_past_30_digits(tmp_path, capsys, f2, f3):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        approx = mpmath.nstr(f2 * mpmath.log(2) + f3 * mpmath.log(3), 12)
+    path = tmp_path / "cancels.json"
+    path.write_text(json.dumps(_cancelling_model(f2, f3)), encoding="utf-8")
+    code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["report"]["conductor_factors"] == {"2": f2, "3": f3}
+    assert report["log_eps_approx"] == approx
 
 
 def test_conductor_wild_model_refused(capsys):

@@ -27,6 +27,7 @@ from charcalc.conductor import (
     bloch_degree,
     closed_strata_from_open,
     conductor,
+    conductor_report,
     fiber_euler,
     generic_euler_check,
     normalize_fiber,
@@ -589,6 +590,76 @@ def test_generic_euler_check_reports_a_stated_inconsistency():
     flags = {row["prime"]: row["generic_euler_ok"] for row in report.as_dict()["primes"]}
     assert flags == {5: True, 7: False}
     assert all(row["tame"] for row in report.as_dict()["primes"])
+
+
+def test_entry_points_agree_on_a_model_with_no_fibers():
+    # no fiber to infer chi(X_Q) from and none stated: the report has nothing to refuse
+    model = ArithmeticModel(1, ())
+    report = generic_euler_check(model)
+    assert report == conductor(model)
+    assert report.generic_euler is None and report.ok and not report.inferred
+
+
+WILD_FIBER = fiber_from_chi(
+    2, {frozenset({"C1"}): 2, frozenset({"C2"}): 2, frozenset({"C1", "C2"}): 2}, {"C2": 2}
+)
+SMOOTH_AT_7 = fiber_from_chi(7, {frozenset({"C1"}): 3})  # sum m_i chi*(T_i) = 3
+# case -> (model, what conductor() raises for it, the message)
+REFUSED_MODELS = {
+    "wild": (
+        ArithmeticModel(1, (WILD_FIBER,), generic_euler=0),
+        TamenessError,
+        "fiber at p=2 is not tame: p divides the multiplicity of C2",
+    ),
+    "wild-and-clashing": (
+        ArithmeticModel(1, (WILD_FIBER, SMOOTH_AT_7)),
+        TamenessError,
+        "fiber at p=2 is not tame: p divides the multiplicity of C2",
+    ),
+    "stated-inconsistent": (
+        ArithmeticModel(1, (cycle_fiber(3, 5), SMOOTH_AT_7), generic_euler=0),
+        ConsistencyError,
+        "generic Euler characteristic check failed: "
+        "p=7: sum m_i*chi_open(T_i) = 3 != 0 = chi(X_Q)",
+    ),
+    "inferred-clash": (
+        ArithmeticModel(1, (cycle_fiber(3, 5), SMOOTH_AT_7)),
+        ConsistencyError,
+        "fibers disagree on chi(X_Q): p=5 gives 0, p=7 gives 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_MODELS))
+def test_conductor_report_derives_what_checked_refuses(case):
+    model, error, message = REFUSED_MODELS[case]
+    report = conductor_report(validate_model(model))
+    assert [d.prime for d in report.entries] == [f.prime for f in model.fibers]
+    with pytest.raises(error) as refused:
+        report.checked()
+    assert str(refused.value) == message
+    with pytest.raises(error) as refused:
+        conductor(model)
+    assert str(refused.value) == message
+
+
+def test_generic_euler_check_refuses_only_an_inferred_clash():
+    assert not generic_euler_check(REFUSED_MODELS["stated-inconsistent"][0]).ok
+    assert generic_euler_check(REFUSED_MODELS["wild"][0]).ok
+    model, _, message = REFUSED_MODELS["inferred-clash"]
+    with pytest.raises(ConsistencyError) as refused:
+        generic_euler_check(model)
+    assert str(refused.value) == message
+
+
+def test_side_functions_name_the_first_stratum_without_their_side():
+    chi = {frozenset({"C1"}): 1, frozenset({"C2"}): 1, frozenset({"C1", "C2"}): 2}
+    with pytest.raises(ModelValidationError) as refused:
+        open_strata_from_closed(fiber_from_chi(5, chi, open_side=True))
+    assert str(refused.value) == "fiber at p=5: stratum ['C1'] has no chi_closed"
+    with pytest.raises(ModelValidationError) as refused:
+        closed_strata_from_open(fiber_from_chi(5, chi))
+    assert str(refused.value) == "fiber at p=5: stratum ['C1'] has no chi_open"
 
 
 def test_derivation_names_an_undeclared_component():

@@ -9,8 +9,9 @@ read or imported by another module of the package, or be named in the
 README, so that no export serves only the tests; a public method or
 property of a package class must likewise be read by the package, named in
 the README or read by the acceptance tests.  Every absolute import names a
-module of the standard library, so the core stays stdlib-only, and the test
-oracles import no module of ``charcalc``, so they stay a second route."""
+module of the standard library, so the core stays stdlib-only, the test
+oracles import no module of ``charcalc``, so they stay a second route, and
+the CLI imports no private name of the package."""
 
 import ast
 import re
@@ -116,6 +117,34 @@ def test_package_imports_are_found():
         "from fractions import Fraction\n"
     )
     assert package_imports(source) == ["line 1: charcalc.series", "line 2: charcalc.lambda_ring"]
+
+
+def private_package_imports(source: str) -> list[str]:
+    """The names starting with ``_`` that ``source`` imports from a module of
+    ``charcalc``, by relative or absolute name."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "charcalc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_only_public_names():
+    assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_private_package_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._private import public\n"
+        "from .conductor import ConductorReport, _derive\n"
+        "from charcalc.series import _TermMap\n"
+        "from os import _exit\n"
+    )
+    assert private_package_imports(source) == ["line 3: _derive", "line 4: _TermMap"]
 
 
 def names_read(source: str) -> set[str]:

@@ -495,6 +495,43 @@ def test_stratum_of_no_components_is_refused_by_validation(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+# case -> (edits of i2_document(), the exact ModelValidationError text)
+VALIDATION_REFUSALS = {
+    "no-components": ([(FIBER + ("components",), [])], "fiber at p=5: fiber has no components"),
+    "duplicate-ids": (
+        [(FIBER + ("components", 1, "id"), "C1")],
+        "fiber at p=5: duplicate component ids",
+    ),
+    "multiplicity-zero": (
+        [(COMPONENT + ("multiplicity",), 0)],
+        "fiber at p=5: component C1 has multiplicity 0 < 1",
+    ),
+    "negative-dimension": ([(("relative_dimension",), -1)], "relative_dimension must be non-negative"),
+    # the open side is declared, so the closed value on {C2} is checked: 1 + 2 = 3
+    "open-side-closed-disagrees": (
+        [(FIBER + ("strata",), [
+            {"components": ["C1"], "chi_open": 1},
+            {"components": ["C2"], "chi_open": 1, "chi_closed": 4},
+            {"components": ["C1", "C2"], "chi_open": 2},
+        ])],
+        "fiber at p=5: stratum ['C2'] declares chi_closed=4 but the open strata sum to 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_REFUSALS))
+def test_validation_refusal_names_the_fault(tmp_path, capsys, case):
+    edits, message = VALIDATION_REFUSALS[case]
+    text = json.dumps(edited(*edits))
+    with pytest.raises(ModelValidationError) as info:
+        parse_model(text, source="m.json")
+    assert str(info.value) == message
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["conductor", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_later_malformed_record_outranks_an_earlier_invalid_fiber():
     # every record of every fiber is read before any fiber is validated
     doc = edited((FIBER + ("prime",), 4))

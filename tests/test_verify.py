@@ -250,6 +250,27 @@ def test_hom_laws_builds_one_ch_per_element(monkeypatch):
     assert len(calls) <= 5
 
 
+# each law's function fed x * x for x: no law survives the square of its input
+SQUARED = {
+    "lambda_t": ("lambda_t not multiplicative", lambda f: lambda x, t: f(x * x, t)),
+    "gamma_t": ("gamma_t inverse law fails", lambda f: lambda x, t: f(x * x, t)),
+    "ch": ("ch not additive", lambda f: lambda x, D: f(x * x, D)),
+    "chern_k": ("dual sign rule fails", lambda f: lambda x, k, D: f(x * x, k, D)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARED))
+def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
+    import charcalc.verify as verify
+
+    law, squared = SQUARED[name]
+    monkeypatch.setattr(verify, name, squared(getattr(verify, name)))
+    result = verify.verify_hom_laws(2, cases=5)
+    assert not result.ok
+    assert result.detail.startswith(f"case 0: {law}")
+    assert "case 1" not in result.detail  # the sweep stops at its first failing case
+
+
 # -- failure detail -------------------------------------------------------------
 
 
