@@ -18,11 +18,15 @@ coefficient, and one linear factor of a polynomial product, per S_n-orbit.
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
 one more grading: its keys are ``(t-power, *root)`` and its products drop
-t-powers above ``t_max``, so ``lambda_t`` and ``gamma_t`` build their term
-maps directly and :meth:`TSeries.invert` is the shared substitution.
-``gamma_k`` and ``alternating_lambda_sum`` read weighted sums of the lambda^j
-off lambda_t of the nontrivial lines only: the trivial line [0] is the unit,
-so m[0] is the scalar (1 + t)^m, folded into the weights.
+t-powers above ``t_max``; :meth:`TSeries.invert` is the shared substitution.
+The lambda operations multiply no term maps: one kernel,
+:func:`_lambda_terms`, gives lambda_t on packed integer keys, on which a line
+factor (1 + t[r])^m multiplies by adding integers.  ``lambda_t`` unpacks it
+into a ``TSeries``, ``gamma_t`` substitutes s = t/(1 - t) on the packed keys,
+and ``gamma_k`` and ``alternating_lambda_sum`` fold weighted sums of the
+lambda^j of the nontrivial lines by root, unpacking only the folded roots:
+the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m, folded
+into the weights.
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -34,7 +38,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .series import (
     GradedSeries,
@@ -208,53 +212,112 @@ def _binomials(m: int, t_max: int) -> list[int]:
     return [(-1) ** k * comb(k - m - 1, k) for k in range(t_max + 1)]
 
 
+def _lambda_terms(x: KElement, t_max: int) -> tuple[int, dict[int, int]]:
+    """lambda_t(x) truncated at t^t_max on packed keys, as (B, terms).
+
+    The term c t^k [r] is keyed by k + sum_i r_i B^i: the t-power in digit 0
+    and each root entry a balanced digit in base B = 2 t_max max(1, max |e|) + 1,
+    for e the entries of the roots of x.  A kept term has k <= t_max and entries
+    at most k max |e| in size, so no digit carries, and the factor (1 + t[r])^m
+    of a line m[r] is sum_k g_k t^k [k r] (:func:`_binomials`), keyed by k s_r
+    for s_r the key of t[r]: multiplying by it adds integers.
+    """
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
+    lines = x._nums
+    B = 2 * t_max * max(1, max((abs(e) for root in lines for e in root), default=0)) + 1
+    # (k, g_k) for k >= 1 and g_k != 0; the t^0 term 1 of each factor copies terms as they are
+    factors = {m: [(k, g) for k, g in enumerate(_binomials(m, t_max)) if k and g]
+               for m in set(lines.values())}
+    powers = [B**i for i in range(1, x.symbol_count + 1)]
+    terms = {0: 1}
+    for root, mult in lines.items():
+        step = 1 + sum(map(mul, root, powers))
+        grown = dict(terms)
+        for k, g in factors[mult]:
+            room, shift = t_max - k, k * step
+            for key, c in terms.items():
+                if key % B <= room:
+                    key += shift
+                    grown[key] = grown.get(key, 0) + g * c
+        terms = grown
+    return B, terms
+
+
+def _roots(packed, B: int, n: int) -> dict[int, Root]:
+    """The root of each packed sum_i r_i B^(i-1), |r_i| <= B // 2, as a tuple of
+    its n balanced digits.  The key is split once into its low and high digits,
+    and each half is decoded once however many roots share it."""
+    h, low = B // 2, n // 2
+    cut = B**low
+    offset = sum(h * B**i for i in range(n))  # makes every digit non-negative
+
+    def digits(q: int, count: int) -> Root:
+        out = []
+        for _ in range(count):
+            q, d = divmod(q, B)
+            out.append(d - h)
+        return tuple(out)
+
+    halves = {key: divmod(key + offset, cut) for key in packed}
+    lows = {lo: digits(lo, low) for lo in {lo for _, lo in halves.values()}}
+    highs = {hi: digits(hi, n - low) for hi in {hi for hi, _ in halves.values()}}
+    return {key: lows[lo] + highs[hi] for key, (hi, lo) in halves.items()}
+
+
+def _tseries(x: KElement, t_max: int, B: int, terms: dict[int, int]) -> TSeries:
+    """The TSeries over the ambient of x of packed ``terms`` (:func:`_lambda_terms`)."""
+    roots = _roots({key // B for key in terms}, B, x.symbol_count)
+    return TSeries.one(x.symbol_count, t_max)._like(
+        {(key % B, *roots[key // B]): c for key, c in terms.items()})
+
+
 def lambda_t(x: KElement, t_max: int) -> TSeries:
     """Exterior-power generating series, truncated at t^t_max.
 
     A single line [r] has lambda_t = 1 + t[r], so m[r] has
     (1 + t[r])^m = sum_k g_k [k r] t^k with g_k the integer coefficients of
-    (1 + t)^m (:func:`_binomials`); sums extend multiplicatively.
+    (1 + t)^m (:func:`_binomials`); sums extend multiplicatively
+    (:func:`_lambda_terms`).
     """
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
-    result = TSeries.one(x.symbol_count, t_max)
-    lines = {m: _binomials(m, t_max) for m in set(x._nums.values())}
-    for root, mult in x.terms():
-        factor = {(k, *(k * e for e in root)): c for k, c in enumerate(lines[mult])}
-        result = result * result._like(factor)
-    return result
+    return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
 def gamma_t(x: KElement, t_max: int) -> TSeries:
     """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max.
 
     Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
-    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1).
+    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): on
+    the packed keys of :func:`_lambda_terms`, only digit 0 moves.
     """
-    lam = lambda_t(x, t_max)
-    terms = {lam._unit: 1}  # gamma^0 = lambda^0 = [0]
-    for (k, *root), mult in lam._nums.items():
+    B, lam = _lambda_terms(x, t_max)
+    terms = {0: 1}  # gamma^0 = lambda^0 = [0]
+    for key, mult in lam.items():
+        k = key % B
         for j in range(k, t_max + 1) if k else ():
-            key = (j, *root)
-            terms[key] = terms.get(key, 0) + mult * comb(j - 1, k - 1)
-    return lam._like(terms)
+            moved = key + j - k
+            terms[moved] = terms.get(moved, 0) + mult * comb(j - 1, k - 1)
+    return _tseries(x, t_max, B, terms)
 
 
 def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
     """Sum of weights[j] lambda^j(x), j = 0..t_max.  The trivial line is the
     unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m: lambda^i(y) gets the
-    weight v_i = sum_{j >= i} weights[j] C(m, j - i), and no root meets (1 + t)^m."""
+    weight v_i = sum_{j >= i} weights[j] C(m, j - i), and no root meets (1 + t)^m.
+    The packed terms of lambda_t(y) (:func:`_lambda_terms`) fold by root, and
+    only the folded roots are unpacked."""
     unit = x._unit
     m = x._nums.get(unit, 0)
     y = x._like({r: c for r, c in x._nums.items() if r != unit})
-    lam = lambda_t(y, t_max)  # refuses a negative t_max
+    B, lam = _lambda_terms(y, t_max)  # refuses a negative t_max
     binomials = _binomials(m, t_max)
     v = [sum(weights[j] * binomials[j - i] for j in range(i, t_max + 1)) for i in range(t_max + 1)]
-    terms: dict[Root, int] = {}
-    for key, mult in lam._nums.items():
-        root = key[1:]
-        terms[root] = terms.get(root, 0) + v[key[0]] * mult
-    return x._like(terms)
+    folded: dict[int, int] = {}
+    for key, mult in lam.items():
+        root = key // B
+        folded[root] = folded.get(root, 0) + v[key % B] * mult
+    roots = _roots(folded, B, x.symbol_count)
+    return x._like({roots[root]: c for root, c in folded.items()})
 
 
 def gamma_k(x: KElement, k: int) -> KElement:

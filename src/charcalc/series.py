@@ -26,7 +26,9 @@ multiplies two integer numerator maps, except on ``SymmetricSeries``.  The one
 substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 The others key by exponent tuples; ``GradedSeries`` packs each tuple into one
 ``int``, so that its product adds integers, and gives tuples back where a term
-leaves the map.
+leaves the map.  The lambda operations pack in the same way, with signed
+digits, in one kernel of their own (:func:`~charcalc.lambda_ring._lambda_terms`),
+and build a ``TSeries`` or ``KElement`` only from its result.
 
 Every term map is stored as FLINT's ``fmpq_poly`` stores a polynomial: integer
 numerators over one positive denominator, kept reduced, so that the canonical

@@ -90,6 +90,64 @@ def alternating_product(lines) -> dict:
     return acc
 
 
+# -- exterior powers of a sum of lines, one line factor at a time -------------
+
+
+def t_mul(x: dict, y: dict, t_max: int) -> dict:
+    """Product of two {(t-power, *root): int} maps, keeping t-powers up to t_max."""
+    out: dict = {}
+    for (i, *r1), c1 in x.items():
+        for (j, *r2), c2 in y.items():
+            if i + j <= t_max:
+                key = (i + j, *(a + b for a, b in zip(r1, r2)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def powers_of_one_plus_t(m: int, t_max: int) -> list[int]:
+    """(1 + t)^m up to t^t_max: |m| factors 1 + t, or for m < 0 the geometric
+    series 1 - t + t^2 - ..., multiplied out as truncated lists."""
+    base = [1, 1] if m >= 0 else [(-1) ** k for k in range(t_max + 1)]
+    out = [1] + [0] * t_max
+    for _ in range(abs(m)):
+        out = [sum(out[i] * base[k - i] for i in range(k + 1) if k - i < len(base))
+               for k in range(t_max + 1)]
+    return out
+
+
+def lambda_series(lines: dict, n: int, t_max: int) -> dict:
+    """lambda_t of the lines {root: multiplicity} over n symbols as
+    {(t-power, *root): int}: the product of the factors (1 + t[r])^m, the
+    factor's t^k term being [k r] times the t^k coefficient of (1 + t)^m."""
+    acc = {(0,) * (n + 1): 1}
+    for root, m in lines.items():
+        factor = {(k, *(k * e for e in root)): g
+                  for k, g in enumerate(powers_of_one_plus_t(m, t_max)) if g}
+        acc = t_mul(acc, factor, t_max)
+    return acc
+
+
+def gamma_series(lines: dict, n: int, t_max: int) -> dict:
+    """gamma_t = lambda_s at s = t / (1 - t): each term c s^k [r] with s^k
+    multiplied out from s = t + t^2 + ... up to t^t_max."""
+    s = [0] + [1] * t_max
+    powers = [[1] + [0] * t_max]
+    for _ in range(t_max):
+        last = powers[-1]
+        powers.append([sum(last[i] * s[k - i] for i in range(k + 1)) for k in range(t_max + 1)])
+    out: dict = {}
+    for (k, *root), c in lambda_series(lines, n, t_max).items():
+        for j, p in enumerate(powers[k]):
+            if p:
+                out[(j, *root)] = out.get((j, *root), 0) + c * p
+    return {key: c for key, c in out.items() if c}
+
+
+def t_coefficient(series: dict, power: int) -> dict:
+    """The t^power coefficient of a {(t-power, *root): int} map, by root."""
+    return {tuple(root): c for (k, *root), c in series.items() if k == power}
+
+
 # -- classes of symmetric elements, one root prefix at a time -----------------
 
 

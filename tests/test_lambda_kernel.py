@@ -1,0 +1,84 @@
+"""lambda_t, gamma_t, gamma_k and the alternating lambda sum against
+:mod:`oracles`, which multiplies the line factors (1 + t[r])^m as plain
+tuple-keyed maps; and the verifiers, which must reach lambda_t only through
+the packed kernel, never through a ``TSeries`` product."""
+
+import pytest
+
+from charcalc.lambda_ring import (
+    KElement,
+    TSeries,
+    alternating_lambda_sum,
+    gamma_k,
+    gamma_t,
+    lambda_t,
+)
+from charcalc.verify import (
+    generic_lines,
+    verify_borel_serre,
+    verify_ch_gamma,
+    verify_gala,
+    verify_prop_chtd,
+)
+
+from oracles import gamma_series, lambda_series, t_coefficient
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings, example = hypothesis.given, hypothesis.settings, hypothesis.example
+
+# small entries, which collide in sums, and entries up to 10^30 in size
+entries = st.one_of(st.integers(min_value=-3, max_value=3),
+                    st.integers(min_value=-(10**30), max_value=10**30))
+
+
+@st.composite
+def elements(draw):
+    """Up to four lines over 0..6 symbols with multiplicities -3..3, the
+    trivial line among them, and a t_max in 0..8."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    root = st.one_of(st.just((0,) * n), st.tuples(*[entries] * n))
+    lines = draw(st.dictionaries(root, st.integers(min_value=-3, max_value=3), max_size=4))
+    return KElement(n, lines), draw(st.integers(min_value=0, max_value=8))
+
+
+# the largest entry at the top t-power; entries of 10^30 beside the trivial line, at a
+# negative rank; the trivial line alone; no symbols; zero at t_max 0
+@example((KElement(1, {(1,): 8}), 8))
+@example((KElement(2, {(-(10**30), 10**30): -3, (0, 0): 2}), 8))
+@example((KElement(2, {(0, 0): -3}), 5))
+@example((KElement(0, {(): 3}), 4))
+@example((KElement(3, {}), 0))
+@settings(max_examples=150, deadline=None)
+@given(elements())
+def test_lambda_operations_match_the_line_factor_oracle(case):
+    x, t_max = case
+    n, lines = x.symbol_count, dict(x.terms())
+    gamma = gamma_series(lines, n, t_max)
+    assert dict(lambda_t(x, t_max).terms()) == lambda_series(lines, n, t_max)
+    assert dict(gamma_t(x, t_max).terms()) == gamma
+    assert dict(gamma_k(x, t_max).terms()) == t_coefficient(gamma, t_max)
+    if x.rank < 0:
+        with pytest.raises(ValueError):
+            alternating_lambda_sum(x)
+    else:
+        full = lambda_series(lines, n, x.rank)
+        want: dict = {}
+        for j in range(x.rank + 1):
+            for root, c in t_coefficient(full, j).items():
+                want[root] = want.get(root, 0) + (-1) ** j * c
+        assert dict(alternating_lambda_sum(x).terms()) == {r: c for r, c in want.items() if c}
+
+
+def test_no_check_multiplies_a_tseries(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a TSeries product")
+
+    monkeypatch.setattr(TSeries, "__mul__", refuse)
+    n = 6
+    assert verify_gala(generic_lines(n)).ok
+    assert verify_borel_serre(n).ok
+    assert verify_ch_gamma(n).ok
+    assert verify_prop_chtd(n).ok
+    x = generic_lines(n)
+    assert dict(lambda_t(x, n).terms()) == lambda_series(dict(x.terms()), n, n)

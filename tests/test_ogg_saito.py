@@ -14,6 +14,8 @@ outside.
 """
 
 import json
+import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,3 +144,52 @@ def test_cycle_blown_up_at_a_node(n, tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"check failed: fiber at p=2 is not tame: p divides the multiplicity of E{n}\n"
     )
+
+
+def blown_up_projective_space(d: int, steps: int, seed: int) -> tuple[dict, dict]:
+    """A smooth P^d fiber after ``steps`` blow-ups, each at a point of the open
+    stratum T*_J for a seeded choice of J among the strata so far."""
+    rng = random.Random(seed)
+    mults, closed = {"C": 1}, {frozenset({"C"}): d + 1}
+    for _ in range(steps):
+        mults, closed = blow_up(mults, closed, rng.choice(list(closed)), d)
+    return mults, closed
+
+
+def write_model(path: Path, d: int, prime: int, mults: dict, closed: dict) -> Path:
+    path.write_text(json.dumps({
+        "relative_dimension": d,
+        "generic_euler": d + 1,
+        "fibers": [{
+            "prime": prime,
+            "components": [{"id": cid, "multiplicity": m} for cid, m in mults.items()],
+            "strata": [{"components": sorted(J), "chi_closed": chi} for J, chi in closed.items()],
+        }],
+    }), encoding="utf-8")
+    return path
+
+
+# relative dimension, blow-ups, strata after them
+BLOWN_UP = [(1, 2000, 5218), (2, 1000, 4435), (3, 600, 3581)]
+
+
+@pytest.mark.parametrize("d, steps, strata", BLOWN_UP, ids=[f"d{d}" for d, _, _ in BLOWN_UP])
+def test_blown_up_projective_space_through_the_cli(d, steps, strata, tmp_path, capsys):
+    # each blow-up of a point lowers the exponent by d, from 0 on the smooth fiber
+    mults, closed = blown_up_projective_space(d, steps, seed=d)
+    assert (len(mults), len(closed)) == (steps + 1, strata)
+    path = write_model(tmp_path / "tame.json", d, 1_000_003, mults, closed)
+    assert main(["conductor", "--model", str(path), "--output", "machine"]) == 0
+    out, err = capsys.readouterr()
+    (prime,) = json.loads(out)["report"]["primes"]
+    assert err == ""
+    assert (prime["prime"], prime["tame"], prime["exponent"]) == (1_000_003, True, -steps * d)
+    # at p = 2 the refusal names each component of even multiplicity, and no other
+    wild = [cid for cid, m in mults.items() if math.gcd(m, 2) != 1]
+    assert wild
+    path = write_model(tmp_path / "wild.json", d, 2, mults, closed)
+    assert main(["conductor", "--model", str(path), "--output", "machine"]) == 1
+    out, err = capsys.readouterr()
+    head = "check failed: fiber at p=2 is not tame: p divides the multiplicity of "
+    assert out == "" and err.startswith(head) and err.endswith("\n")
+    assert sorted(err[len(head):-1].split(", ")) == sorted(wild)

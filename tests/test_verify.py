@@ -71,17 +71,29 @@ def test_gala_rejects_negative_rank():
         verify_gala(-KElement.unit(1))
 
 
+# the five checks at rank n, each of which reads lambda_t through the packed kernel
+CHECKS_AT_RANK = {
+    "gala": lambda n: verify_gala(generic_lines(n)),
+    "borel_serre": verify_borel_serre,
+    "ch_gamma": verify_ch_gamma,
+    "prop_chtd": verify_prop_chtd,
+    "homomorphism": verify_hom_laws,
+}
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
-    # the right side is a product of (1 - [r]), so only the left reads lambda_t
-    original = lambda_ring.lambda_t
+    # every lambda_t, gamma_t and lambda fold goes through the packed kernel, so
+    # doubling its t^1 terms must fail each check; gala's right side is a
+    # product of (1 - [r]) and reads no lambda_t
+    original = lambda_ring._lambda_terms
 
     def corrupted(x, t_max):
-        lam = original(x, t_max)
-        return lam._like({key: m * (2 if key[0] == 1 else 1) for key, m in lam._nums.items()})
+        B, terms = original(x, t_max)
+        return B, {key: m * (2 if key % B == 1 else 1) for key, m in terms.items()}
 
-    monkeypatch.setattr(lambda_ring, "lambda_t", corrupted)
-    assert not verify_gala(generic_lines(n)).ok
+    monkeypatch.setattr(lambda_ring, "_lambda_terms", corrupted)
+    assert [name for name, check in CHECKS_AT_RANK.items() if check(n).ok] == []
 
 
 @pytest.mark.parametrize(
