@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from functools import wraps
+from functools import cache, wraps
 
 from .conductor import (
     ConductorReport,
@@ -52,48 +52,9 @@ MAX_DEGREE_LIMIT = 64
 MAX_ORBITS = 300_000
 
 
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checks",
-        default=",".join(CHECK_NAMES),
-        help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}",
-    )
-    parser.add_argument("--rank-min", type=int, default=1)
-    parser.add_argument("--rank-max", type=int, default=4)
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help=f"raise the truncation degree of borel_serre and ch_gamma, to at most "
-        f"{MAX_DEGREE_LIMIT} and {MAX_ORBITS:,} S_n-orbits of monomials",
-    )
-    parser.add_argument(
-        "--rank-cap",
-        type=int,
-        default=DEFAULT_RANK_CAP,
-        help="override the safety cap on --rank-max",
-    )
-    parser.add_argument("--output", choices=("text", "machine"), default="text")
-
-
-def _explain_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="path to a JSON model file")
-
-
-def _conductor_arguments(parser: argparse.ArgumentParser) -> None:
-    _explain_arguments(parser)
-    parser.add_argument("--output", choices=("text", "machine"), default="text")
-
-
-# name: (help, add_arguments), in the order the top-level help lists them
-COMMANDS = {
-    "verify": ("run identity verification suites", _verify_arguments),
-    "conductor": ("run the conductor pipeline", _conductor_arguments),
-    "explain": ("print the strata table and derivation", _explain_arguments),
-}
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full ``charcalc`` parser, built at the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="charcalc",
         description=(
@@ -102,8 +63,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=summary))
+    verify = sub.add_parser("verify", help="run identity verification suites")
+    verify.add_argument(
+        "--checks",
+        default=",".join(CHECK_NAMES),
+        help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}",
+    )
+    verify.add_argument("--rank-min", type=int, default=1)
+    verify.add_argument("--rank-max", type=int, default=4)
+    verify.add_argument(
+        "--max-degree",
+        type=int,
+        default=None,
+        help=f"raise the truncation degree of borel_serre and ch_gamma, to at most "
+        f"{MAX_DEGREE_LIMIT} and {MAX_ORBITS:,} S_n-orbits of monomials",
+    )
+    verify.add_argument(
+        "--rank-cap",
+        type=int,
+        default=DEFAULT_RANK_CAP,
+        help="override the safety cap on --rank-max",
+    )
+    verify.add_argument("--output", choices=("text", "machine"), default="text")
+    conductor = sub.add_parser("conductor", help="run the conductor pipeline")
+    conductor.add_argument("--model", required=True, help="path to a JSON model file")
+    conductor.add_argument("--output", choices=("text", "machine"), default="text")
+    explain = sub.add_parser("explain", help="print the strata table and derivation")
+    explain.add_argument("--model", required=True, help="path to a JSON model file")
     return parser
 
 
@@ -357,19 +343,8 @@ def cmd_explain(args, report) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv else None
     try:
-        # Only the named command's parser is built, with the prog add_parser gives it,
-        # so its help and errors print the same.  No command, or arguments it leaves
-        # over, go through the full parser for the top-level help and errors.
-        if command in COMMANDS:
-            parser = argparse.ArgumentParser(prog=f"charcalc {command}")
-            COMMANDS[command][1](parser)
-            args, rest = parser.parse_known_args(argv[1:])
-            args.command = command
-        if command not in COMMANDS or rest:
-            args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "verify":

@@ -119,7 +119,11 @@ def verify_gala(x: KElement) -> CheckResult:
 def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
     """Check ch(sum (-1)^i lambda^i(E*)) * Td(E) = c_n(E) for E a sum of n
     generic lines, exact in every degree up to the truncation; c(E) = prod (1 + a_i),
-    so c_k(E) is the orbit sum m(1^k) and c_n(E) = a1 ... an."""
+    so c_k(E) is the orbit sum m(1^k) and c_n(E) = a1 ... an.
+
+    The left side's ch starts in degree n, so at truncation D it reads the Todd
+    line through degree D - n: td_0 alone at D = n, td_0 and td_1 at D = n + 1.
+    A wrong td_2 shows only from D = n + 2 on."""
     E = generic_lines(n)
     D = n if max_degree is None else max_degree
     if D < n:
@@ -164,6 +168,9 @@ def verify_prop_chtd(n: int) -> CheckResult:
        in the top two degrees),
     2. the degree n-1 component equals c_{n-1}(x) = m(1^{n-1}),
     3. the degree n component equals -(n/2) c_n(x) = -(n/2) m(1^n).
+
+    The ch factor starts in degree n - 1, so at truncation n the check reads the
+    Todd line only through degree 1 and cannot see a wrong td_2 or higher.
     """
     D = n
     todd_dual = [c * (-1) ** k for k, c in enumerate(todd_line(D))]

@@ -4,6 +4,9 @@ import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -708,20 +711,71 @@ COMMAND_ARGVS = {
 }
 
 
+def test_the_first_call_builds_the_full_parser(monkeypatch, capsys):
+    build_parser.cache_clear()
+    built = count_parsers(monkeypatch)
+    assert main(COMMAND_ARGVS["verify"]) == 0
+    assert built == ["charcalc", "charcalc verify", "charcalc conductor", "charcalc explain"]
+    assert main(["--help"]) == 0
+    assert len(built) == 4
+
+
 @pytest.mark.parametrize("command", COMMAND_ARGVS)
-def test_a_command_builds_only_its_own_parser(monkeypatch, capsys, command):
+def test_a_command_reuses_the_parser(monkeypatch, capsys, command):
+    build_parser()
     built = count_parsers(monkeypatch)
     assert main(COMMAND_ARGVS[command]) == 0
-    assert built == [f"charcalc {command}"]
-    # no parser is kept between calls
-    assert main(COMMAND_ARGVS[command]) == 0
-    assert built == [f"charcalc {command}"] * 2
+    assert main([command, "--help"]) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["verify", "--bogus"]],
                          ids=["no-command", "unknown-command", "unknown-option"])
-def test_usage_errors_go_through_the_full_parser(monkeypatch, capsys, argv):
+def test_usage_errors_reuse_the_full_parser(monkeypatch, capsys, argv):
+    build_parser()
     built = count_parsers(monkeypatch)
     assert main(argv) == 2
-    assert built[-4:] == ["charcalc", "charcalc verify", "charcalc conductor", "charcalc explain"]
+    assert built == []
     assert capsys.readouterr().err.startswith("usage: charcalc [-h]")
+
+
+def test_a_reused_parser_keeps_no_values(capsys):
+    # each call starts from the defaults, whatever the call before it passed
+    code, out, _ = run(capsys, "verify", "--rank-max", "3", "--max-degree", "6")
+    assert code == 0 and "PASS borel_serre max_degree=6 n=3" in out
+    code, out, _ = run(capsys, "verify", "--rank-max", "3")
+    assert code == 0 and "PASS borel_serre max_degree=3 n=3" in out
+    model = str(MODELS / "elliptic_i3.json")
+    code, out, _ = run(capsys, "conductor", "--model", model, "--output", "machine")
+    assert code == 0 and json.loads(out)["command"] == "conductor"
+    code, out, _ = run(capsys, "conductor", "--model", model)
+    assert code == 0 and out.startswith("relative dimension d = 1\n")
+
+
+def test_a_reused_parser_wraps_help_to_the_current_width(monkeypatch, capsys):
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        helps.append(out)
+    narrow, wide = helps
+    assert narrow != wide
+    assert max(map(len, narrow.splitlines())) <= 80 < max(map(len, wide.splitlines()))
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["charcalc", "verify", "--checks", "gala", "--rank-max", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith("3/3 checks passed\n")
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "charcalc.cli", "verify", "--checks", "gala", "--rank-max", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith("3/3 checks passed\n")
