@@ -246,8 +246,10 @@ def _lambda_terms(x: KElement, t_max: int) -> tuple[int, dict[int, int]]:
 
 def _roots(packed, B: int, n: int) -> dict[int, Root]:
     """The root of each packed sum_i r_i B^(i-1), |r_i| <= B // 2, as a tuple of
-    its n balanced digits.  The key is split once into its low and high digits,
-    and each half is decoded once however many roots share it."""
+    its n balanced digits, in one pass over the keys: each key is split by one
+    divmod into its low and high digits, a half is decoded the first time it is
+    met and kept for every later root that shares it, and the root is the two
+    halves joined."""
     h, low = B // 2, n // 2
     cut = B**low
     offset = sum(h * B**i for i in range(n))  # makes every digit non-negative
@@ -259,17 +261,29 @@ def _roots(packed, B: int, n: int) -> dict[int, Root]:
             out.append(d - h)
         return tuple(out)
 
-    halves = {key: divmod(key + offset, cut) for key in packed}
-    lows = {lo: digits(lo, low) for lo in {lo for _, lo in halves.values()}}
-    highs = {hi: digits(hi, n - low) for hi in {hi for hi, _ in halves.values()}}
-    return {key: lows[lo] + highs[hi] for key, (hi, lo) in halves.items()}
+    lows: dict[int, Root] = {}
+    highs: dict[int, Root] = {}
+    roots = {}
+    for key in packed:
+        hi, lo = divmod(key + offset, cut)
+        first = lows.get(lo)
+        if first is None:
+            first = lows[lo] = digits(lo, low)
+        second = highs.get(hi)
+        if second is None:
+            second = highs[hi] = digits(hi, n - low)
+        roots[key] = first + second
+    return roots
 
 
 def _tseries(x: KElement, t_max: int, B: int, terms: dict[int, int]) -> TSeries:
-    """The TSeries over the ambient of x of packed ``terms`` (:func:`_lambda_terms`)."""
+    """The TSeries over the ambient of x of packed ``terms`` (:func:`_lambda_terms`),
+    built by :meth:`_like` on an empty TSeries of that ambient, which is made
+    without the validating constructor."""
     roots = _roots({key // B for key in terms}, B, x.symbol_count)
-    return TSeries.one(x.symbol_count, t_max)._like(
-        {(key % B, *roots[key // B]): c for key, c in terms.items()})
+    ambient = object.__new__(TSeries)
+    _TermMap.__init__(ambient, x.symbol_count, t_max, {})
+    return ambient._like({(key % B, *roots[key // B]): c for key, c in terms.items()})
 
 
 def lambda_t(x: KElement, t_max: int) -> TSeries:
@@ -355,8 +369,9 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     D, n = truncation_degree, x.symbol_count
     zero = GradedSeries.zero(n, D)  # refuses a negative D before the sums index by it
     factorials = [factorial(k) for k in range(D + 1)]
-    # steps[r][room][k] = r^k C(room, k), for each nonzero root entry r
-    steps = {r: [[r**k * comb(room, k) for k in range(room + 1)] for room in range(D + 1)]
+    # steps[r][room]: (k, r^k C(room, k), room - k) for k = 0..room, for each nonzero root entry r
+    steps = {r: [[(k, r**k * comb(room, k), room - k) for k in range(room + 1)]
+                 for room in range(D + 1)]
              for r in {r for root in x._nums for r in root if r}}
     sums: dict[int, int] = {}
     for root, mult in x._nums.items():
@@ -365,8 +380,8 @@ def ch(x: KElement, truncation_degree: int) -> GradedSeries:
         for i, r in enumerate(root, 1):
             if r:
                 shift, by_room = (D + 1) ** i + 1, steps[r]
-                level = [(key + k * shift, value * step, room - k)
-                         for key, value, room in level for k, step in enumerate(by_room[room])]
+                level = [(key + k * shift, value * step, left)
+                         for key, value, room in level for k, step, left in by_room[room]]
         for key, value, room in level:
             sums[key] = sums.get(key, 0) + value * factorials[room]
     return zero._like(sums, factorials[D])
@@ -413,14 +428,13 @@ def _chern_weights(D: int) -> tuple[tuple[int, ...], int]:
 def _multiplicative(chern_character: GradedSeries, weights: tuple) -> GradedSeries:
     """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
     whose value on a line l is f(l), for the ``weights`` (numerators, denominator)
-    of f at the truncation degree of ``chern_character``, on integer numerators."""
-    D = chern_character.truncation_degree
+    of f at the truncation degree of ``chern_character``, on integer numerators.
+    The weights vanish at k = 0, so the weighted ch has no constant term, and
+    :meth:`~charcalc.series.GradedSeries._exp` takes it by the graded recurrence."""
     numerators, w = weights
     X, d, degree = chern_character._nums, chern_character._den, chern_character._degree
     weighted = {e: c * numerators[k] for e, c in X.items() if numerators[k := degree(e)]}
-    top = factorial(D)
-    exp = {k: top // factorial(k) for k in range(D + 1)}  # 1/k! over D!
-    return chern_character._horner(weighted, d * w, exp, top)
+    return chern_character._exp(weighted, d * w)
 
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:

@@ -35,8 +35,9 @@ numerators over one positive denominator, kept reduced, so that the canonical
 form is unique and the whole class layer runs on integers.  ``KElement`` and
 ``TSeries`` always have denominator 1.  A ``Fraction`` is made only where a
 coefficient leaves the map: :meth:`_TermMap.terms`, ``str`` and the lookups of
-``GradedSeries``.  The one Horner loop, :meth:`_TermMap._horner`, takes and
-gives such numerator maps.
+``GradedSeries``.  The Horner loop of substitution, :meth:`_TermMap._horner`,
+and the exp of the classes, :meth:`GradedSeries._exp`, take and give such
+numerator maps.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ class _TermMap:
     supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` of a key
     when bounded, and ``_value`` when their coefficients are ``int``; every
     result of an operation is built by the trusted :meth:`_like`, and every
-    product of two numerator maps by :meth:`_product`.
+    product of two numerator maps by :meth:`_product`, except in
+    :meth:`GradedSeries._exp`, whose pairs each land in one known degree.
     """
 
     __slots__ = ("symbol_count", "_bound", "_nums", "_den")
@@ -428,6 +430,42 @@ class GradedSeries(_TermMap):
                         key = key_x + key_y
                         product[key] = product.get(key, 0) + coeff_x * coeff_y
         return product
+
+    def _exp(self, X: dict, d: int) -> "GradedSeries":
+        """exp(x) for x = X/d, X integer numerators with no degree-0 term, by the
+        graded recurrence k Y_k = sum_{j=1..k} j X_j Y_(k-j) for Y = exp(x)
+        (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).
+
+        With P_k = k! d^k Y_k, P_0 = 1 and P_k = sum_j j (k-1)!/(k-j)! d^(j-1)
+        X_j P_(k-j): every pair formed lands in degree exactly k <= D, so none is
+        dropped.  The result is sum_k P_k (D!/k!) d^(D-k) over D! d^D, reduced
+        once by :meth:`_like`."""
+        B = self._bound + 1
+        parts: list[list] = [[] for _ in range(B)]  # X_j as (key, numerator) pairs
+        for key, c in X.items():
+            parts[key % B].append((key, c))
+        P = [{0: 1}]
+        for k in range(1, B):
+            level: dict = {}
+            scale = 1  # (k-1)!/(k-j)! d^(j-1), from j = 1
+            for j in range(1, k + 1):
+                if parts[j] and P[k - j]:
+                    below = P[k - j].items()
+                    for key_x, coeff_x in parts[j]:
+                        c = j * scale * coeff_x
+                        for key_y, coeff_y in below:
+                            key = key_x + key_y
+                            level[key] = level.get(key, 0) + c * coeff_y
+                scale *= (k - j) * d
+            P.append(level)
+        out: dict = {}
+        weight = 1  # D!/k! d^(D-k), from k = D; D! d^D at k = 0
+        for k in range(B - 1, -1, -1):
+            for key, c in P[k].items():
+                out[key] = c * weight
+            if k:
+                weight *= k * d
+        return self._like(out, weight)
 
     @staticmethod
     def _scalar(value):

@@ -205,13 +205,14 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     D = t_max = 3
     # Todd and c are functions of ch, as in todd and total_chern
     td, c = _todd_weights(D), _chern_weights(D)
+    one = TSeries.one(n, t_max)
     failures = []
     for case in range(cases):
         x = random_k_element(rng, n)
         y = random_k_element(rng, n)
         if lambda_t(x + y, t_max) != lambda_t(x, t_max) * lambda_t(y, t_max):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
-        if gamma_t(x, t_max) * gamma_t(-x, t_max) != TSeries.one(n, t_max):
+        if gamma_t(x, t_max) * gamma_t(-x, t_max) != one:
             failures.append(f"case {case}: gamma_t inverse law fails on {x}")
         ch_x, ch_y, ch_sum = ch(x, D), ch(y, D), ch(x + y, D)
         if ch_sum != ch_x + ch_y:

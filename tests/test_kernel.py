@@ -4,14 +4,16 @@ substitution built on it that keeps every degree up to the bound.  Results
 must agree exactly, with ``Fraction`` coefficients for series and ``int``
 (never ``bool``) for ``KElement`` and ``TSeries``.  ``KElement`` has no
 degree bound, so only its product is checked here; its refusal to
-substitute is in ``tests/test_term_maps.py``."""
+substitute is in ``tests/test_term_maps.py``.  The exp of the classes, by the
+graded recurrence, is checked against the Horner loop of ``substitute``."""
 
 from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 
 import pytest
 
-from charcalc.lambda_ring import KElement, TSeries
+from charcalc.lambda_ring import KElement, TSeries, _multiplicative
 from charcalc.series import GradedSeries
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -148,3 +150,33 @@ def test_tseries_substitute_matches_reference(pair, coefficients):
     want = reference_substitute(dict(x.terms()), coefficients, unit, itemgetter(0), x.t_max)
     assert dict(result.terms()) == want
     assert_ints(result)
+
+
+@st.composite
+def weighted_series(draw):
+    """A series with a non-unit denominator, and a weight table (numerators,
+    denominator) whose numerators are 0 at degree 0 and at random other degrees."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    D = draw(st.integers(min_value=0, max_value=10))
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    s = GradedSeries(n, D, draw(st.dictionaries(monomial, rationals, max_size=8)))
+    hypothesis.assume(s._den != 1)
+    weight = st.one_of(st.just(0), st.integers(min_value=-40, max_value=40))
+    numerators = (0, *draw(st.lists(weight, min_size=D, max_size=D)))
+    return s, (numerators, draw(st.integers(min_value=1, max_value=12)))
+
+
+# one symbol at degree 6 with every weight nonzero; the Todd weights at D = 3
+@example((GradedSeries(1, 6, {(1,): Fraction(1, 6), (3,): Fraction(-5, 2)}),
+          ((0, 1, -2, 3, -4, 5, -6), 7)))
+@example((GradedSeries(2, 3, {(1, 0): Fraction(3, 2), (1, 1): Fraction(-1, 6)}),
+          ((0, 6, -1, 0), 12)))
+@settings(max_examples=100, deadline=None)
+@given(weighted_series())
+def test_multiplicative_exp_matches_horner(case):
+    s, (numerators, w) = case
+    D = s.truncation_degree
+    weighted = sum((s.component(k) * Fraction(c, w) for k, c in enumerate(numerators)),
+                   GradedSeries.zero(s.symbol_count, D))
+    want = weighted.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
+    assert _multiplicative(s, (numerators, w)) == want

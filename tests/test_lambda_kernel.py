@@ -42,21 +42,32 @@ def elements(draw):
     return KElement(n, lines), draw(st.integers(min_value=0, max_value=8))
 
 
+def oracle_tseries(series: dict, n: int, t_max: int) -> TSeries:
+    """The oracle's {(t-power, *root): int} map through the public constructor."""
+    return TSeries([KElement(n, t_coefficient(series, k)) for k in range(t_max + 1)])
+
+
 # the largest entry at the top t-power; entries of 10^30 beside the trivial line, at a
-# negative rank; the trivial line alone; no symbols; zero at t_max 0
+# negative rank; the trivial line alone; no symbols; zero at t_max 0; one symbol, whose
+# packed roots have an empty low half; seven symbols, split 3 + 4 into halves
 @example((KElement(1, {(1,): 8}), 8))
 @example((KElement(2, {(-(10**30), 10**30): -3, (0, 0): 2}), 8))
 @example((KElement(2, {(0, 0): -3}), 5))
 @example((KElement(0, {(): 3}), 4))
 @example((KElement(3, {}), 0))
+@example((KElement(1, {(-2,): 3, (5,): -1, (0,): 2}), 5))
+@example((KElement(7, {(1, -1, 0, 2, 0, -3, 1): 2, (0, 0, 0, 1, -1, 1, 0): -1}), 4))
 @settings(max_examples=150, deadline=None)
 @given(elements())
 def test_lambda_operations_match_the_line_factor_oracle(case):
     x, t_max = case
     n, lines = x.symbol_count, dict(x.terms())
-    gamma = gamma_series(lines, n, t_max)
-    assert dict(lambda_t(x, t_max).terms()) == lambda_series(lines, n, t_max)
+    lam, gamma = lambda_series(lines, n, t_max), gamma_series(lines, n, t_max)
+    assert dict(lambda_t(x, t_max).terms()) == lam
     assert dict(gamma_t(x, t_max).terms()) == gamma
+    # == also compares the ambient: symbol_count, t_max and the denominator
+    assert lambda_t(x, t_max) == oracle_tseries(lam, n, t_max)
+    assert gamma_t(x, t_max) == oracle_tseries(gamma, n, t_max)
     assert dict(gamma_k(x, t_max).terms()) == t_coefficient(gamma, t_max)
     if x.rank < 0:
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "charcalc"
 # Spans whose target was removed on purpose; their metrics read 0.
 RETIRED = {
     "series.pow",  # GradedSeries.__pow__: multiplicities weight ch; no series is raised to a power
-    "series.exp",  # GradedSeries.exp: classes exponentiate through _TermMap._horner
+    "series.exp",  # GradedSeries.exp: classes exponentiate through the private GradedSeries._exp
 }
 
 
