@@ -14,9 +14,11 @@ read records by position, so a plain triple of the fields serves as well
 (see FiberModel); normalize_fiber builds the one record of each that a
 normalized fiber holds.
 
-validate_fiber walks the lattice once: the inclusion-exclusion that derives
-the undeclared side steps from each stratum J to every J - {c}, so a
-J - {c} that is not a stratum surfaces there as the missing subset.
+validate_fiber is the one place a fiber's data is refused, a declared value
+that disagrees with the derived one included; normalize_fiber only assembles
+the records from its maps.  It walks the lattice once: the inclusion-exclusion
+that derives the undeclared side steps from each stratum J to every J - {c},
+so a J - {c} that is not a stratum surfaces there as the missing subset.
 validate_model validates and normalizes each fiber once; each normalized fiber
 is derived once into a FiberDerivation, the one place chi(X_p) and the localized
 Chern degree are computed.  conductor_report gathers a validated model's
@@ -273,14 +275,17 @@ def _is_prime(n: int) -> bool:
 
 
 def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> tuple[dict, dict]:
-    """Check the structural invariants of one fiber's combinatorial data and
-    return its (closed, open) characteristics, keyed by stratum.
+    """Check one fiber's combinatorial data and return its (closed, open)
+    characteristics, keyed by stratum in file order: the one place a fiber is
+    refused.
 
     Every stratum must carry chi_closed or every stratum chi_open; with
     partially mixed data neither direction of the inclusion-exclusion can
     run.  The other side is derived by _superset_sums, whose walk over the
     edges J -> J - {c} of the lattice is also the subset-closure check: a
-    J - {c} that is not a stratum surfaces as the missing subset.
+    J - {c} that is not a stratum surfaces as the missing subset.  Any value
+    declared on the derived side, on a stratum in file order and then on a
+    component, must agree with the derived one.
     """
     where = f"fiber at p={fiber.prime}"
     if fiber.prime >= PRIME_LIMIT:
@@ -328,9 +333,9 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
         if frozenset({cid}) not in closed:
             raise ModelValidationError(f"{where}: missing singleton stratum for {cid}")
     if None not in closed.values():
-        given, sign = closed, -1
+        given, stated, sign, side, how = closed, opened, -1, "chi_open", "inclusion-exclusion gives"
     elif None not in opened.values():
-        given, sign = opened, 1
+        given, stated, sign, side, how = opened, closed, 1, "chi_closed", "the open strata sum to"
     else:
         raise ModelValidationError(
             f"{where}: mixed strata data; supply chi_closed for all strata or "
@@ -347,7 +352,23 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
             f"{where}: stratum {sorted(J)} is declared but its subset "
             f"{sorted(sub)} is not"
         ) from None
-    return (given, derived) if sign < 0 else (derived, given)
+    # The given side holds its own declarations, so only a value stated on the
+    # derived side can disagree; derived copies given, so it runs in file order.
+    for J, chi in derived.items():
+        if stated[J] is not None and stated[J] != chi:
+            raise ModelValidationError(
+                f"{where}: stratum {sorted(J)} declares {side}={_shown(stated[J])} "
+                f"but {how} {_shown(chi)}"
+            )
+    closed, opened = (given, derived) if sign < 0 else (derived, given)
+    for cid, _, declared in fiber.components:
+        chi = opened[frozenset({cid})]
+        if declared is not None and declared != chi:
+            raise ModelValidationError(
+                f"{where}: component {cid} declares chi_open={_shown(declared)} but "
+                f"its singleton stratum gives {_shown(chi)}"
+            )
+    return closed, opened
 
 
 def validate_model(model: ArithmeticModel) -> ArithmeticModel:
@@ -391,39 +412,19 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
 
 
 def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> FiberModel:
-    """Fill in both chi_closed and chi_open for every stratum from the maps
-    validate_fiber derives.
+    """The fiber with both chi_closed and chi_open on every stratum and chi_open
+    on every component, read from the maps validate_fiber returns.
 
-    Absent strata are empty intersections and contribute 0.  Idempotent;
-    any declared value on the derived side, on a stratum or a component,
-    must agree with the derived one.
+    validate_fiber refuses the data, declared values that disagree with the
+    derived ones among it; this only assembles the records.  Absent strata are
+    empty intersections and contribute 0.  Idempotent.
     """
     closed, opened = validate_fiber(fiber, relative_dimension)
-    where = f"fiber at p={fiber.prime}"
-    strata = []
-    for J, declared_closed, declared_open in fiber.strata:
-        chi_closed, chi_open = closed[J], opened[J]
-        if declared_open is not None and declared_open != chi_open:
-            raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_open={_shown(declared_open)} "
-                f"but inclusion-exclusion gives {_shown(chi_open)}"
-            )
-        if declared_closed is not None and declared_closed != chi_closed:
-            raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares chi_closed={_shown(declared_closed)} "
-                f"but the open strata sum to {_shown(chi_closed)}"
-            )
-        strata.append(Stratum(J, chi_closed, chi_open))
-    components = []
-    for cid, multiplicity, declared in fiber.components:
-        chi = opened[frozenset({cid})]
-        if declared is not None and declared != chi:
-            raise ModelValidationError(
-                f"{where}: component {cid} declares chi_open={_shown(declared)} but "
-                f"its singleton stratum gives {_shown(chi)}"
-            )
-        components.append(Component(cid, multiplicity, chi))
-    return FiberModel(fiber.prime, tuple(components), tuple(strata))
+    return FiberModel(
+        fiber.prime,
+        tuple(Component(cid, m, opened[frozenset({cid})]) for cid, m, _ in fiber.components),
+        tuple(Stratum(J, closed[J], opened[J]) for J, _, _ in fiber.strata),
+    )
 
 
 def _declaring(fiber: FiberModel, side: str) -> FiberModel:

@@ -35,9 +35,9 @@ numerators over one positive denominator, kept reduced, so that the canonical
 form is unique and the whole class layer runs on integers.  ``KElement`` and
 ``TSeries`` always have denominator 1.  A ``Fraction`` is made only where a
 coefficient leaves the map: :meth:`_TermMap.terms`, ``str`` and the lookups of
-``GradedSeries``.  The Horner loop of substitution, :meth:`_TermMap._horner`,
-and the exp of the classes, :meth:`GradedSeries._exp`, take and give such
-numerator maps.
+``GradedSeries``.  The Horner loop of substitution, :meth:`_TermMap.substitute`,
+and the exp of the classes, :meth:`GradedSeries._exp`, run on such numerator
+maps.
 """
 
 from __future__ import annotations
@@ -320,7 +320,14 @@ class _TermMap:
         return product
 
     def substitute(self, coefficients):
-        """Sum c_k x^k for x = self, a bounded map with no term of degree 0 (:meth:`_horner`)."""
+        """Sum c_k x^k for x = self, a bounded map with no term of degree 0, and
+        c_k the k-th coefficient, for k = 0..K with K = min(len(coefficients), D + 1) - 1.
+
+        Horner's rule, r = c_k + x * r from the top down, keeps the partial sum
+        at c_k only up to degree D - k, as x^k raises it by at least k.  With
+        x = X/d and c_k = C_k/q over integer numerators, the integer sums
+        A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1) give the result A_0 / (q d^K),
+        reduced once by :meth:`_like`; no coefficients (K = -1) give zero."""
         if self._bound is None:
             raise TypeError(f"{type(self).__name__} has no degree bound to substitute under")
         if any(self._degree(key) == 0 for key in self._nums):
@@ -328,18 +335,9 @@ class _TermMap:
         coeffs = dict(enumerate(self._scalar(c) for c in coefficients))
         if None in coeffs.values():
             raise TypeError(f"{type(self).__name__} substitution needs scalar coefficients")
-        return self._horner(self._nums, self._den, *_numerators(coeffs))
-
-    def _horner(self, X: dict, d: int, C: dict, q: int):
-        """Sum c_k x^k for x = X/d and c_k = C[k]/q, X integer numerators with
-        no degree-0 term, for k = 0..K with K = min(len(C), D + 1) - 1.
-
-        Horner's rule, r = c_k + x * r from the top down, keeps the partial sum
-        at c_k only up to degree D - k, as x^k raises it by at least k.  The
-        integer sums A_K = C_K, A_k = C_k d^(K-k) + X A_(k+1) give the result
-        A_0 / (q d^K), reduced once by :meth:`_like`; no coefficients (K = -1)
-        give zero."""
-        D, unit, K = self._bound, self._unit, min(len(C), self._bound + 1) - 1
+        C, q = _numerators(coeffs)
+        X, d, D, unit = self._nums, self._den, self._bound, self._unit
+        K = min(len(C), D + 1) - 1
         acc: dict = {}
         for k in range(K, -1, -1):
             acc = self._product(acc, X, D - k)

@@ -1,5 +1,6 @@
 """Strata inclusion-exclusion and the conductor pipeline."""
 
+import ast
 import inspect
 import itertools
 import json
@@ -704,6 +705,44 @@ def test_fiber_functions_refuse_invalid_fibers(entry, case):
     with pytest.raises(ModelValidationError):
         entry(INVALID_FIBERS[case])
     assert time.process_time() - start < 0.5
+
+
+def model_refusers(source: str) -> set[str]:
+    """The functions of ``source`` whose own bodies raise ModelValidationError."""
+    refusers = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "ModelValidationError":
+                refusers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return refusers
+
+
+def test_a_fiber_is_refused_only_where_it_is_validated():
+    # normalize_fiber only assembles records; every check on fiber or model
+    # data lives in validate_fiber, validate_model or the side wrappers' _declaring
+    source = inspect.getsource(sys.modules[ModelValidationError.__module__])
+    assert model_refusers(source) <= {"validate_fiber", "validate_model", "_declaring"}
+
+
+def test_model_refusers_are_found():
+    source = (
+        "def assemble(fiber):\n"
+        "    def inner():\n"
+        "        raise ModelValidationError('inner')\n"
+        "    if fiber is None:\n"
+        "        raise ModelValidationError\n"
+        "    raise ValueError('other')\n"
+        "raise ModelValidationError('module')\n"
+    )
+    assert model_refusers(source) == {"assemble", "inner", None}
 
 
 def test_log_eps_halves_for_even_dimension():

@@ -291,6 +291,11 @@ def test_todd_line_refuses_negative_truncation():
         todd_line(-1)
 
 
+def test_chern_k_refuses_a_truncation_below_k():
+    with pytest.raises(ValueError, match="truncation degree must be at least k"):
+        chern_k(KElement.line((1, 0)), 3, 2)
+
+
 # -- alternating exterior sum -------------------------------------------------------
 
 

@@ -20,6 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcalc.cli import main
 from charcalc.conductor import (
@@ -29,10 +31,12 @@ from charcalc.conductor import (
     Stratum,
     TamenessError,
     conductor,
+    fiber_euler,
+    normalize_fiber,
 )
 from charcalc.modelfile import load_model
 
-from oracles import blow_up
+from oracles import blow_up, random_strata_lattice
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -193,3 +197,31 @@ def test_blown_up_projective_space_through_the_cli(d, steps, strata, tmp_path, c
     head = "check failed: fiber at p=2 is not tame: p divides the multiplicity of "
     assert out == "" and err.startswith(head) and err.endswith("\n")
     assert sorted(err[len(head):-1].split(", ")) == sorted(wild)
+
+
+def fiber_of(prime: int, mults: dict, closed: dict) -> FiberModel:
+    components = tuple(Component(cid, m) for cid, m in mults.items())
+    return FiberModel(prime, components, tuple(Stratum(J, chi_closed=v) for J, v in closed.items()))
+
+
+def weighted_sum_and_exponent(fiber: FiberModel, d: int) -> tuple[int, int]:
+    """sum m_i chi*(T_i) and the exponent, sum m_i chi*(T_i) - chi(X_p), of
+    the fiber as normalize_fiber derives it at relative dimension d."""
+    normalized = normalize_fiber(fiber, d)
+    weighted = sum(c.multiplicity * c.chi_open for c in normalized.components)
+    return weighted, weighted - fiber_euler(normalized)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+def test_blowing_up_a_point_lowers_the_exponent_by_d(d, seed):
+    # in every relative dimension, on any subset-closed lattice of depth at
+    # most d + 1: chi(X_Q) is kept and chi(X_p) rises by d, the P^d that
+    # replaces the point less the point
+    rng = random.Random(seed)
+    ids, closed = random_strata_lattice(rng, max_components=d + 1)
+    mults = {cid: rng.randint(1, 4) for cid in ids}
+    blown_mults, blown_closed = blow_up(mults, closed, rng.choice(list(closed)), d)
+    weighted, exponent = weighted_sum_and_exponent(fiber_of(1_000_003, mults, closed), d)
+    blown = weighted_sum_and_exponent(fiber_of(1_000_003, blown_mults, blown_closed), d)
+    assert blown == (weighted, exponent - d)

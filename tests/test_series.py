@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from charcalc.series import GradedSeries, MismatchError
+from charcalc.series import GradedSeries, MismatchError, dominant_exponents
 from charcalc.lambda_ring import KElement, todd
 
 from oracles import exp_coefficients, todd_line_coefficients
@@ -256,6 +256,11 @@ def test_bad_monomials_rejected():
         GradedSeries(2, 2, {(1,): 1})
     with pytest.raises(ValueError):
         GradedSeries(1, 2, {(-1,): 1})
+
+
+def test_dominant_exponents_of_negative_degree_are_none():
+    assert list(dominant_exponents(3, -1)) == []
+    assert list(dominant_exponents(3, 0)) == [(0, 0, 0)]
 
 
 def test_immutability():

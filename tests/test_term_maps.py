@@ -76,6 +76,21 @@ def test_constructors_refuse_bool_in_keys(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KElement.sum_of_lines([]), "sum_of_lines needs at least one root"),
+        (lambda: GradedSeries(-1, 2), "symbol_count must be non-negative"),
+        (lambda: GradedSeries.symbol(2, 2, 3), "symbol index 2 out of range for 2 symbols"),
+    ],
+    ids=["no-lines", "negative-symbols", "symbol-index"],
+)
+def test_constructors_refuse_out_of_range_arguments(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_lookups_refuse_keys_of_the_wrong_length():
     series, element = GradedSeries.symbol(0, 2, 2), KElement.line((1, 0))
     assert series.coefficient((1, 0)) == 1 and series.coefficient((0, 1)) == 0

@@ -283,6 +283,22 @@ def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
     assert "case 1" not in result.detail  # the sweep stops at its first failing case
 
 
+def test_hom_laws_report_a_ch_that_is_additive_but_not_multiplicative(monkeypatch):
+    import charcalc.verify as verify
+
+    # adding the degree-2 part keeps ch additive and breaks its products
+    monkeypatch.setattr(verify, "ch", lambda x, D: ch(x, D) + ch(x, D).component(2))
+    result = verify.verify_hom_laws(2)
+    assert not result.ok
+    assert "ch not multiplicative" in result.detail
+    assert "ch not additive" not in result.detail
+
+
+def test_repeated_root_lines_refuses_rank_below_two():
+    with pytest.raises(ValueError, match="a repeated root needs rank at least 2"):
+        repeated_root_lines(1)
+
+
 # -- failure detail -------------------------------------------------------------
 
 
