@@ -22,11 +22,14 @@ t-powers above ``t_max``; :meth:`TSeries.invert` is the shared substitution.
 The lambda operations multiply no term maps: one kernel,
 :func:`_lambda_terms`, gives lambda_t on packed integer keys, on which a line
 factor (1 + t[r])^m multiplies by adding integers.  ``lambda_t`` unpacks it
-into a ``TSeries``, ``gamma_t`` substitutes s = t/(1 - t) on the packed keys,
-and ``gamma_k`` and ``alternating_lambda_sum`` fold weighted sums of the
-lambda^j of the nontrivial lines by root, unpacking only the folded roots:
-the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m, folded
-into the weights.
+into a ``TSeries``, ``gamma_t`` unpacks :func:`_gamma_terms`, which
+substitutes s = t/(1 - t) on the packed keys, and ``gamma_k`` and
+``alternating_lambda_sum`` fold weighted sums of the lambda^j of the
+nontrivial lines by root, unpacking only the folded roots: the trivial line
+[0] is the unit, so m[0] is the scalar (1 + t)^m, folded into the weights.
+The lambda_t and gamma_t laws of ``homomorphism`` unpack nothing: they pack
+their elements at one shared base and multiply the packed terms by
+:func:`~charcalc.series._packed_product`.
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -212,20 +215,28 @@ def _binomials(m: int, t_max: int) -> list[int]:
     return [(-1) ** k * comb(k - m - 1, k) for k in range(t_max + 1)]
 
 
-def _lambda_terms(x: KElement, t_max: int) -> tuple[int, dict[int, int]]:
-    """lambda_t(x) truncated at t^t_max on packed keys, as (B, terms).
+def _lambda_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int, int]]:
+    """lambda_t(x) truncated at t^t_max on packed keys, as (B, terms); cancelled
+    terms may stay as zeros.
 
     The term c t^k [r] is keyed by k + sum_i r_i B^i: the t-power in digit 0
-    and each root entry a balanced digit in base B = 2 t_max max(1, max |e|) + 1,
-    for e the entries of the roots of x.  A kept term has k <= t_max and entries
-    at most k max |e| in size, so no digit carries, and the factor (1 + t[r])^m
-    of a line m[r] is sum_k g_k t^k [k r] (:func:`_binomials`), keyed by k s_r
-    for s_r the key of t[r]: multiplying by it adds integers.
+    and each root entry a balanced digit in base B = max(``base``, B_x), for
+    x's own base B_x = 2 t_max max(1, max |e|) + 1 and e the entries of the
+    roots of x.  A kept term has k <= t_max and entries at most k max |e| in
+    size, so no digit carries, and the factor (1 + t[r])^m of a line m[r] is
+    sum_k g_k t^k [k r] (:func:`_binomials`), keyed by k s_r for s_r the key of
+    t[r]: multiplying by it adds integers.
+
+    Packed at one base B no smaller than their own, two elements' terms
+    multiply by :func:`~charcalc.series._packed_product` with bound t_max: a
+    kept product term has t-power at most t_max and entries at most
+    t_max max |e| <= B // 2 in size, so again no digit carries, and packed
+    equality, zeros dropped, is equality of the ``TSeries``.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     lines = x._nums
-    B = 2 * t_max * max(1, max((abs(e) for root in lines for e in root), default=0)) + 1
+    B = max(base, 2 * t_max * max(1, max((abs(e) for root in lines for e in root), default=0)) + 1)
     # (k, g_k) for k >= 1 and g_k != 0; the t^0 term 1 of each factor copies terms as they are
     factors = {m: [(k, g) for k, g in enumerate(_binomials(m, t_max)) if k and g]
                for m in set(lines.values())}
@@ -297,21 +308,28 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
-def gamma_t(x: KElement, t_max: int) -> TSeries:
-    """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max.
+def _gamma_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int, int]]:
+    """gamma_t(x) on the packed keys of :func:`_lambda_terms` at the same base,
+    as (B, terms).
 
     Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
-    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): on
-    the packed keys of :func:`_lambda_terms`, only digit 0 moves.
+    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): only
+    digit 0 moves, and a term's entries stay at most its t-power times max |e|.
     """
-    B, lam = _lambda_terms(x, t_max)
+    B, lam = _lambda_terms(x, t_max, base)
     terms = {0: 1}  # gamma^0 = lambda^0 = [0]
     for key, mult in lam.items():
         k = key % B
         for j in range(k, t_max + 1) if k else ():
             moved = key + j - k
             terms[moved] = terms.get(moved, 0) + mult * comb(j - 1, k - 1)
-    return _tseries(x, t_max, B, terms)
+    return B, terms
+
+
+def gamma_t(x: KElement, t_max: int) -> TSeries:
+    """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max
+    (:func:`_gamma_terms`)."""
+    return _tseries(x, t_max, *_gamma_terms(x, t_max))
 
 
 def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:

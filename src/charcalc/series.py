@@ -25,10 +25,12 @@ monomials, and share their ring operations, comparison, rendering and
 multiplies two integer numerator maps, except on ``SymmetricSeries``.  The one
 substitution also inverts both bounded maps, ``GradedSeries`` and ``TSeries``.
 The others key by exponent tuples; ``GradedSeries`` packs each tuple into one
-``int``, so that its product adds integers, and gives tuples back where a term
-leaves the map.  The lambda operations pack in the same way, with signed
-digits, in one kernel of their own (:func:`~charcalc.lambda_ring._lambda_terms`),
-and build a ``TSeries`` or ``KElement`` only from its result.
+``int`` and gives tuples back where a term leaves the map, and its product
+is :func:`_packed_product`, which adds integers.  The lambda operations pack
+in the same way, with signed digits, in one kernel of their own
+(:func:`~charcalc.lambda_ring._lambda_terms`), and build a ``TSeries`` or
+``KElement`` only from its result; the lambda laws of ``homomorphism``
+multiply those packed terms by the same :func:`_packed_product`.
 
 Every term map is stored as FLINT's ``fmpq_poly`` stores a polynomial: integer
 numerators over one positive denominator, kept reduced, so that the canonical
@@ -146,6 +148,27 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
         if value:
             canonical[mono] = value
     return canonical
+
+
+def _packed_product(xs: dict, ys: dict, B: int, bound: int) -> dict:
+    """Integer numerators of the product of two numerator maps on packed keys,
+    whose degree is ``key % B`` and which multiply by adding; zero sums may
+    stay.  ``ys`` is grouped by degree, and no pair of degree above ``bound``
+    is formed.  The keys of ``GradedSeries`` (:func:`_pack`) and the balanced
+    lambda keys of :func:`~charcalc.lambda_ring._lambda_terms` are both such
+    keys; the caller keeps ``bound`` low enough that no digit carries."""
+    by_degree = defaultdict(list)
+    for key, coeff in ys.items():
+        by_degree[key % B].append((key, coeff))
+    product: dict = {}
+    for key_x, coeff_x in xs.items():
+        room = bound - key_x % B
+        for degree_y, bucket in by_degree.items():
+            if degree_y <= room:
+                for key_y, coeff_y in bucket:
+                    key = key_x + key_y
+                    product[key] = product.get(key, 0) + coeff_x * coeff_y
+    return product
 
 
 class _TermMap:
@@ -413,21 +436,9 @@ class GradedSeries(_TermMap):
         return tuple(key // B**i % B for i in range(1, self.symbol_count + 1))
 
     def _product(self, xs: dict, ys: dict, bound: int) -> dict:
-        """:meth:`_TermMap._product` on packed keys, which multiply by adding:
+        """:meth:`_TermMap._product` on packed keys (:func:`_packed_product`):
         no digit carries, as no term of degree above ``bound`` <= D is formed."""
-        B = self._bound + 1
-        by_degree = defaultdict(list)
-        for key, coeff in ys.items():
-            by_degree[key % B].append((key, coeff))
-        product: dict = {}
-        for key_x, coeff_x in xs.items():
-            room = bound - key_x % B
-            for degree_y, bucket in by_degree.items():
-                if degree_y <= room:
-                    for key_y, coeff_y in bucket:
-                        key = key_x + key_y
-                        product[key] = product.get(key, 0) + coeff_x * coeff_y
-        return product
+        return _packed_product(xs, ys, self._bound + 1, bound)
 
     def _exp(self, X: dict, d: int) -> "GradedSeries":
         """exp(x) for x = X/d, X integer numerators with no degree-0 term, by the

@@ -136,6 +136,16 @@ def test_cli_imports_only_public_names():
     assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
 
 
+def test_verify_reads_lambda_only_through_the_packed_kernel():
+    # no check builds or multiplies a TSeries: each reads lambda_t and gamma_t
+    # through the packed kernel, and names neither them nor the unpacking
+    source = (PACKAGE / "verify.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = imported | attributes_read(source)
+    assert read & {"TSeries", "lambda_t", "gamma_t", "_tseries"} == set()
+
+
 def test_private_package_imports_are_found():
     source = (
         "from __future__ import annotations\n"

@@ -1,23 +1,30 @@
 """lambda_t, gamma_t, gamma_k and the alternating lambda sum against
 :mod:`oracles`, which multiplies the line factors (1 + t[r])^m as plain
-tuple-keyed maps; and the verifiers, which must reach lambda_t only through
+tuple-keyed maps; the packed products of the lambda and gamma kernels against
+``TSeries`` products; and the verifiers, which must reach lambda_t only through
 the packed kernel, never through a ``TSeries`` product."""
 
 import pytest
 
+import charcalc.lambda_ring as lambda_ring
 from charcalc.lambda_ring import (
     KElement,
     TSeries,
+    _gamma_terms,
+    _lambda_terms,
+    _tseries,
     alternating_lambda_sum,
     gamma_k,
     gamma_t,
     lambda_t,
 )
+from charcalc.series import _packed_product
 from charcalc.verify import (
     generic_lines,
     verify_borel_serre,
     verify_ch_gamma,
     verify_gala,
+    verify_hom_laws,
     verify_prop_chtd,
 )
 
@@ -93,3 +100,45 @@ def test_no_check_multiplies_a_tseries(monkeypatch):
     assert verify_prop_chtd(n).ok
     x = generic_lines(n)
     assert dict(lambda_t(x, n).terms()) == lambda_series(dict(x.terms()), n, n)
+
+
+def test_homomorphism_builds_no_tseries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a TSeries built")
+
+    monkeypatch.setattr(TSeries, "__mul__", refuse)
+    monkeypatch.setattr(lambda_ring, "_tseries", refuse)
+    for n in range(1, 7):
+        assert verify_hom_laws(n).ok
+
+
+@st.composite
+def pairs(draw):
+    """x and y over 1..4 symbols, each up to four lines with root entries in -3..3
+    and multiplicities -3..3, the trivial line among them, and a t_max in 0..4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    root = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(min_value=-3, max_value=3)] * n))
+    lines = st.dictionaries(root, st.integers(min_value=-3, max_value=3), max_size=4)
+    t_max = st.integers(min_value=0, max_value=4)
+    return KElement(n, draw(lines)), KElement(n, draw(lines)), draw(t_max)
+
+
+# y's own base above x's; x + y cancels y's largest entry; the trivial line alone beside
+# a negative multiplicity; t_max 0
+@example((KElement(2, {(1, 0): 2}), KElement(2, {(0, 3): -1, (1, -1): 1}), 3))
+@example((KElement(1, {(3,): 1, (1,): -2}), KElement(1, {(3,): -1}), 4))
+@example((KElement(2, {(0, 0): -2}), KElement(2, {(-2, 1): -3}), 2))
+@example((KElement(1, {(2,): 1}), KElement(1, {(0,): 3}), 0))
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_packed_laws_match_the_tseries_laws(case):
+    # x, y and x + y packed at the largest of their own bases multiply, and unpack,
+    # as their TSeries do; the laws of homomorphism compare such packed maps
+    x, y, t_max = case
+    for packed, series in ((_lambda_terms, lambda_t), (_gamma_terms, gamma_t)):
+        B = max(packed(z, t_max)[0] for z in (x, y, x + y))
+        (Bx, px), (By, py), (Bs, psum) = (packed(z, t_max, B) for z in (x, y, x + y))
+        assert Bx == By == Bs == B
+        product = _packed_product(px, py, B, t_max)
+        assert _tseries(x, t_max, B, product) == series(x, t_max) * series(y, t_max)
+        assert _tseries(x, t_max, B, psum) == series(x + y, t_max)

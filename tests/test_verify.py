@@ -88,8 +88,8 @@ def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
     # product of (1 - [r]) and reads no lambda_t
     original = lambda_ring._lambda_terms
 
-    def corrupted(x, t_max):
-        B, terms = original(x, t_max)
+    def corrupted(x, t_max, base=0):
+        B, terms = original(x, t_max, base)
         return B, {key: m * (2 if key % B == 1 else 1) for key, m in terms.items()}
 
     monkeypatch.setattr(lambda_ring, "_lambda_terms", corrupted)
@@ -262,12 +262,15 @@ def test_hom_laws_builds_one_ch_per_element(monkeypatch):
     assert len(calls) <= 5
 
 
-# each law's function fed x * x for x: no law survives the square of its input
+# each law's function, by the name verify calls it under, fed x * x for x: no
+# law survives the square of its input; the lambda_t law passes the packed
+# kernel a shared base, which the wrapper forwards
 SQUARED = {
-    "lambda_t": ("lambda_t not multiplicative", lambda f: lambda x, t: f(x * x, t)),
-    "gamma_t": ("gamma_t inverse law fails", lambda f: lambda x, t: f(x * x, t)),
-    "ch": ("ch not additive", lambda f: lambda x, D: f(x * x, D)),
-    "chern_k": ("dual sign rule fails", lambda f: lambda x, k, D: f(x * x, k, D)),
+    "lambda_t": ("_lambda_terms", "lambda_t not multiplicative",
+                 lambda f: lambda x, t, *base: f(x * x, t, *base)),
+    "gamma_t": ("_gamma_terms", "gamma_t inverse law fails", lambda f: lambda x, t: f(x * x, t)),
+    "ch": ("ch", "ch not additive", lambda f: lambda x, D: f(x * x, D)),
+    "chern_k": ("chern_k", "dual sign rule fails", lambda f: lambda x, k, D: f(x * x, k, D)),
 }
 
 
@@ -275,8 +278,8 @@ SQUARED = {
 def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
     import charcalc.verify as verify
 
-    law, squared = SQUARED[name]
-    monkeypatch.setattr(verify, name, squared(getattr(verify, name)))
+    target, law, squared = SQUARED[name]
+    monkeypatch.setattr(verify, target, squared(getattr(verify, target)))
     result = verify.verify_hom_laws(2, cases=5)
     assert not result.ok
     assert result.detail.startswith(f"case 0: {law}")
