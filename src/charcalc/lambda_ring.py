@@ -25,11 +25,12 @@ factor (1 + t[r])^m multiplies by adding integers.  ``lambda_t`` unpacks it
 into a ``TSeries``, ``gamma_t`` unpacks :func:`_gamma_terms`, which
 substitutes s = t/(1 - t) on the packed keys, and ``gamma_k`` and
 ``alternating_lambda_sum`` fold weighted sums of the lambda^j of the
-nontrivial lines by root, unpacking only the folded roots: the trivial line
-[0] is the unit, so m[0] is the scalar (1 + t)^m, folded into the weights.
-The lambda_t and gamma_t laws of ``homomorphism`` unpack nothing: they pack
-their elements at one shared base and multiply the packed terms by
-:func:`~charcalc.series._packed_product`.
+nontrivial lines by root (:func:`_lambda_fold`), unpacking only the folded
+roots: the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m,
+folded into the weights.  ``gala`` compares the folded roots without
+unpacking them.  The lambda_t and gamma_t laws of ``homomorphism`` unpack
+nothing: they pack their elements at one shared base and multiply the packed
+terms by :func:`~charcalc.series._packed_product`.
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -332,12 +333,14 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_gamma_terms(x, t_max))
 
 
-def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
-    """Sum of weights[j] lambda^j(x), j = 0..t_max.  The trivial line is the
-    unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m: lambda^i(y) gets the
-    weight v_i = sum_{j >= i} weights[j] C(m, j - i), and no root meets (1 + t)^m.
-    The packed terms of lambda_t(y) (:func:`_lambda_terms`) fold by root, and
-    only the folded roots are unpacked."""
+def _lambda_fold(x: KElement, t_max: int, weights: list[int]) -> tuple[int, dict[int, int]]:
+    """Sum of weights[j] lambda^j(x), j = 0..t_max, on packed roots, as (B, folded):
+    the packed terms of lambda_t (:func:`_lambda_terms`) folded by their root key
+    key // B, sum_i r_i B^(i-1), to its weighted sum; zero sums may stay.  The
+    trivial line is the unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m:
+    lambda^i(y) gets the weight v_i = sum_{j >= i} weights[j] C(m, j - i), and
+    no root meets (1 + t)^m.  B is the base of y, so every folded entry is at
+    most t_max max |e| <= B // 2 in size."""
     unit = x._unit
     m = x._nums.get(unit, 0)
     y = x._like({r: c for r, c in x._nums.items() if r != unit})
@@ -348,17 +351,34 @@ def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
     for key, mult in lam.items():
         root = key // B
         folded[root] = folded.get(root, 0) + v[key % B] * mult
+    return B, folded
+
+
+def _kelement(x: KElement, B: int, folded: dict[int, int]) -> KElement:
+    """The KElement over the ambient of x of the packed roots ``folded``
+    (:func:`_lambda_fold`), unpacked by :func:`_roots`."""
     roots = _roots(folded, B, x.symbol_count)
     return x._like({roots[root]: c for root, c in folded.items()})
 
 
+def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
+    """Sum of weights[j] lambda^j(x), j = 0..t_max: :func:`_lambda_fold`, of
+    which only the folded roots are unpacked."""
+    return _kelement(x, *_lambda_fold(x, t_max, weights))
+
+
+def _gamma_weights(k: int) -> list[int]:
+    """The weights of lambda^0..lambda^k in gamma^k: gamma^k = sum_{j=1..k}
+    C(k-1, j-1) lambda^j for k >= 1, and gamma^0 = lambda^0 = [0], so
+    lambda^0 counts only in gamma^0."""
+    return [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)]
+
+
 def gamma_k(x: KElement, k: int) -> KElement:
     """The k-th gamma operation: the t^k coefficient of gamma_t(x), read off
-    lambda_t(x) as gamma^k = sum_{j=1..k} C(k-1, j-1) lambda^j for k >= 1, and
-    gamma^0 = lambda^0 = [0], by :func:`_lambda_sum`: no gamma_t is built, and
-    the trivial lines of x enter as a scalar in t."""
-    # the weight of lambda^j; lambda^0 = [0] counts only in gamma^0
-    return _lambda_sum(x, k, [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)])
+    lambda_t(x) by :func:`_gamma_weights` and :func:`_lambda_sum`: no gamma_t
+    is built, and the trivial lines of x enter as a scalar in t."""
+    return _lambda_sum(x, k, _gamma_weights(k))
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:

@@ -10,11 +10,13 @@ Every class of n generic lines is symmetric in a1..an, so ``borel_serre``,
 ``ch_gamma`` and ``prop_chtd`` evaluate both sides as
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit of
 monomials: :func:`~charcalc.lambda_ring.symmetric_ch` on the left, a closed
-form on the right.  ``gala`` compares K-elements, gamma_k against a product of
-the lines 1 - [r] that reads no lambda_t, and ``homomorphism`` runs on random
-elements that are not symmetric, so both stay dense.  No check multiplies a
-``TSeries``: the lambda_t and gamma_t laws of ``homomorphism`` multiply the
-packed terms of the lambda kernel.
+form on the right.  ``gala`` compares packed roots of the lambda kernel: the
+fold of lambda_t that gamma_k unpacks against a packed product of the lines
+1 - [r] that reads no lambda_t; it unpacks them into K-elements only to report
+a difference.  ``homomorphism`` runs on random elements that are not
+symmetric, so it stays dense.  No check multiplies a ``TSeries``: the lambda_t
+and gamma_t laws of ``homomorphism`` multiply the packed terms of the lambda
+kernel.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
+from operator import mul
 
 from .lambda_ring import (
     KElement,
     _chern_weights,
     _gamma_terms,
+    _gamma_weights,
+    _kelement,
+    _lambda_fold,
     _lambda_terms,
     _multiplicative,
     _todd_weights,
@@ -98,22 +104,33 @@ def verify_gala(x: KElement) -> CheckResult:
     """Check (-1)^d gamma^d(x - d[0]) = sum_{i=0}^{d} (-1)^i lambda^i(x)
     for an effective x of rank d.
 
-    The left side reads lambda_t through gamma_k.  The right side is
-    lambda_{-1}(x) = prod (1 - [r])^m over the lines m[r] of x, by KElement
-    products with no lambda_t, so the check sees a fault in either.  For a
-    virtual x the identity holds whatever lambda is, so one with a negative
-    multiplicity, as every x of negative rank has, is refused with ValueError.
+    Both sides are built on the packed roots of the lambda kernel at one base
+    B.  The left side is the fold of lambda_t that gamma_k unpacks
+    (:func:`_lambda_fold`), its weights times (-1)^d.  The right side is
+    lambda_{-1}(x) = prod (1 - [r])^m over the lines m[r] of x, multiplied by
+    :func:`_packed_product` with no lambda_t, so the check sees a fault in
+    either; each line's key is B times its packed root, and an entry of the
+    product is at most d max |e| <= B // 2 in size, so no digit carries.  The
+    maps are compared with zeros dropped, and unpacked into KElements only to
+    report a difference.  For a virtual x the identity holds whatever lambda
+    is, so one with a negative multiplicity, as every x of negative rank has,
+    is refused with ValueError.
     """
     if any(m < 0 for m in x._nums.values()):
         raise ValueError(f"element must be effective, got {x}")
-    d = x.rank
-    reduced = x - d * KElement.unit(x.symbol_count)
-    lhs = gamma_k(reduced, d)
-    if d % 2:
-        lhs = -lhs
-    one = KElement.unit(x.symbol_count)
-    rhs = prod((one - KElement.line(r) for r, m in x._nums.items() for _ in range(m)), start=one)
-    detail = _differences(lhs, rhs)
+    d, n = x.rank, x.symbol_count
+    sign = -1 if d % 2 else 1
+    B, lhs = _lambda_fold(x - d, d, [sign * w for w in _gamma_weights(d)])  # d is d[0]
+    powers = [B**i for i in range(1, n + 1)]
+    rhs = {0: 1}
+    for root, m in x._nums.items():
+        step = sum(map(mul, root, powers))
+        factor: dict[int, int] = {}  # (1 - [r])^m; every term of a trivial line r lands on key 0
+        for k in range(m + 1):
+            factor[k * step] = factor.get(k * step, 0) + (-1) ** k * comb(m, k)
+        rhs = _packed_product(factor, rhs, B, 0)  # groups the larger map once
+    lhs, rhs = _nonzero(lhs), {key // B: c for key, c in rhs.items() if c}
+    detail = "" if lhs == rhs else _differences(_kelement(x, B, lhs), _kelement(x, B, rhs))
     return CheckResult("gala", {"rank": d}, not detail, detail)
 
 

@@ -1,7 +1,8 @@
 """Hypothesis properties of Horner substitution, of the Chern character
 against its exp-per-line definition, of gamma^k against the top coefficient
 of gamma_t and of the alternating lambda sum against lambda_t, with and
-without a trivial line, of the Todd and total Chern classes against their
+without a trivial line, of both sides of gala against the alternating
+product of the lines, of the Todd and total Chern classes against their
 product-per-line definition, of the S_n-orbit Chern character times a class
 of generic lines against the dense ones, of the strata-lattice round trip,
 of validate_fiber's maps against the normalized strata, of the random
@@ -54,9 +55,9 @@ from charcalc.lambda_ring import (
 )
 from charcalc.modelfile import parse_model
 from charcalc.series import GradedSeries, render_sum
-from charcalc.verify import generic_lines, repeated_root_lines
+from charcalc.verify import CheckResult, generic_lines, repeated_root_lines, verify_gala
 
-from oracles import blow_up, exp_coefficients, open_chi_via_unions, random_strata_lattice
+from oracles import alternating_product, blow_up, exp_coefficients, open_chi_via_unions, random_strata_lattice
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -222,6 +223,31 @@ def test_gamma_k_of_reduced_repeated_root_lines(n):
     # gala's second input: n lines on n - 1 symbols, one of them doubled
     x = repeated_root_lines(n) - n * KElement.unit(n - 1)
     assert gamma_k(x, n) == gamma_t(x, n).coefficient(n)
+
+
+@st.composite
+def effective_roots(draw):
+    """One to six roots over 0..4 symbols, entries in [-3, 3] (the all-zero
+    root included), repeats allowed: the lines of an effective element."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    root = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)
+    return draw(st.lists(root, min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(effective_roots())
+@example([()])
+@example([(0,), (1,)])
+@example([(0, 0), (0, 0)])
+@example([(1, -1), (1, -1), (1, -1), (-2, 3)])
+def test_gala_sides_match_the_alternating_product(roots):
+    # the left side equals prod (1 - [r]) here, and gala's packed right side
+    # equals its left side: a factor (1 - [0]) must read 0
+    x = KElement.sum_of_lines(roots)
+    d = len(roots)
+    lhs = (-1) ** d * gamma_k(x - d * KElement.unit(x.symbol_count), d)
+    assert dict(lhs.terms()) == alternating_product(roots)
+    assert verify_gala(x) == CheckResult("gala", {"rank": d}, True, "")
 
 
 # -- multiplicative classes --------------------------------------------------------

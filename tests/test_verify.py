@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from charcalc import lambda_ring
-from charcalc.series import GradedSeries
+from charcalc import lambda_ring, verify
+from charcalc.series import GradedSeries, _TermMap
 from charcalc.lambda_ring import (
     KElement,
     alternating_lambda_sum,
@@ -81,11 +81,9 @@ CHECKS_AT_RANK = {
 }
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
-    # every lambda_t, gamma_t and lambda fold goes through the packed kernel, so
-    # doubling its t^1 terms must fail each check; gala's right side is a
-    # product of (1 - [r]) and reads no lambda_t
+def doubled_t1(monkeypatch):
+    """The lambda kernel with its t^1 terms doubled; the dense right side of
+    gala is left as it is."""
     original = lambda_ring._lambda_terms
 
     def corrupted(x, t_max, base=0):
@@ -93,6 +91,15 @@ def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
         return B, {key: m * (2 if key % B == 1 else 1) for key, m in terms.items()}
 
     monkeypatch.setattr(lambda_ring, "_lambda_terms", corrupted)
+    return lambda x, product: product
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gala_sees_a_corrupted_lambda_t(n, monkeypatch):
+    # every lambda_t, gamma_t and lambda fold goes through the packed kernel, so
+    # doubling its t^1 terms must fail each check; gala's right side is a
+    # product of (1 - [r]) and reads no lambda_t
+    doubled_t1(monkeypatch)
     assert [name for name, check in CHECKS_AT_RANK.items() if check(n).ok] == []
 
 
@@ -106,6 +113,79 @@ def test_gala_refuses_a_virtual_element(terms):
     # a negative multiplicity, so it is refused as not effective
     with pytest.raises(ValueError, match="effective"):
         verify_gala(KElement(2, terms))
+
+
+def test_gala_passes_with_no_tuple_keyed_product_and_no_unpack(monkeypatch):
+    # both sides stay packed; only a failing check unpacks roots into KElements
+    def refuse(*args):
+        raise AssertionError("a tuple-keyed product or an unpack")
+
+    monkeypatch.setattr(_TermMap, "_product", refuse)
+    monkeypatch.setattr(lambda_ring, "_roots", refuse)
+    for x in [*map(generic_lines, range(1, 11)), *map(repeated_root_lines, range(2, 11))]:
+        assert verify_gala(x).ok
+
+
+# rank 0, zero symbols, trivial lines (the right side is 0), a root of
+# multiplicity 3, and negative root entries
+GALA_EDGES = {
+    "rank-0": KElement.zero(2),
+    "no-symbols-rank-0": KElement.zero(0),
+    "no-symbols": KElement(0, {(): 2}),
+    "trivial-and-a1": KElement(1, {(0,): 1, (1,): 1}),
+    "trivial-twice": KElement(1, {(0,): 2}),
+    "triple-root": KElement(2, {(1, 0): 3, (0, 1): 1}),
+    "negative-entries": KElement(2, {(-1, 2): 1, (1, -1): 2}),
+    "negative-entries-3": KElement(3, {(-2, 0, 1): 1, (0, -1, -1): 1, (0, 0, -1): 1}),
+}
+
+
+@pytest.mark.parametrize("x", GALA_EDGES.values(), ids=GALA_EDGES)
+def test_gala_edge_inputs(x):
+    assert verify_gala(x) == verify.CheckResult("gala", {"rank": x.rank}, True, "")
+
+
+def gala_inputs():
+    """Generic and repeated elements, which every mutant below fails, then
+    random effective elements and the edge inputs."""
+    rng = random.Random(37)
+    randoms = [KElement.sum_of_lines(random_effective_lines(rng, rank, force_repeat=repeat))
+               for rank in range(1, 6) for repeat in (False, True)]
+    failing = [*map(generic_lines, range(1, 7)), *map(repeated_root_lines, range(2, 7))]
+    return failing, [*randoms, *GALA_EDGES.values()]
+
+
+def dropped_unit(monkeypatch):
+    """gala's right side with the term of [0] dropped from every packed product,
+    and the same drop after each line's factor of the dense product."""
+    original = verify._packed_product
+
+    def corrupted(*args):
+        product = original(*args)
+        product.pop(0, None)
+        return product
+
+    monkeypatch.setattr(verify, "_packed_product", corrupted)
+    return lambda x, product: product - product.multiplicity((0,) * x.symbol_count)
+
+
+@pytest.mark.parametrize("mutant", [doubled_t1, dropped_unit])
+def test_gala_failure_details_are_those_of_the_unpacked_sides(mutant, monkeypatch):
+    # the detail of a failing gala is _differences of the two KElements that the
+    # packed sides stand for, built here by gamma_k and tuple-keyed products
+    after_line = mutant(monkeypatch)
+    failing, others = gala_inputs()
+    for x in failing + others:
+        d, one = x.rank, KElement.unit(x.symbol_count)
+        lhs = (-1) ** d * gamma_k(x - d * one, d)
+        rhs = one
+        for root, m in x._nums.items():
+            for _ in range(m):
+                rhs = rhs * (one - KElement.line(root))
+            rhs = after_line(x, rhs)
+        detail = _differences(lhs, rhs)
+        assert verify_gala(x) == verify.CheckResult("gala", {"rank": d}, not detail, detail)
+        assert detail or x not in failing
 
 
 # -- Borel-Serre -----------------------------------------------------------------
@@ -245,9 +325,6 @@ def test_hom_laws_refuses_vacuous_input():
 
 
 def test_hom_laws_builds_one_ch_per_element(monkeypatch):
-    import charcalc.lambda_ring as lambda_ring
-    import charcalc.verify as verify
-
     calls = []
     original = lambda_ring.ch
 
@@ -276,8 +353,6 @@ SQUARED = {
 
 @pytest.mark.parametrize("name", sorted(SQUARED))
 def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
-    import charcalc.verify as verify
-
     target, law, squared = SQUARED[name]
     monkeypatch.setattr(verify, target, squared(getattr(verify, target)))
     result = verify.verify_hom_laws(2, cases=5)
@@ -287,8 +362,6 @@ def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
 
 
 def test_hom_laws_report_a_ch_that_is_additive_but_not_multiplicative(monkeypatch):
-    import charcalc.verify as verify
-
     # adding the degree-2 part keeps ch additive and breaks its products
     monkeypatch.setattr(verify, "ch", lambda x, D: ch(x, D) + ch(x, D).component(2))
     result = verify.verify_hom_laws(2)
@@ -351,8 +424,6 @@ def test_differences_k_elements():
 
 
 def test_failing_verifiers_report_bounded_detail(monkeypatch):
-    import charcalc.verify as verify
-
     # total Chern's line coefficients in place of Todd's break both Todd
     # identities; the details count S_n-orbits, not monomials
     monkeypatch.setattr(verify, "todd_line", lambda degree: [1, 1])
