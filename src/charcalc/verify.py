@@ -119,8 +119,7 @@ def verify_gala(x: KElement) -> CheckResult:
     if any(m < 0 for m in x._nums.values()):
         raise ValueError(f"element must be effective, got {x}")
     d, n = x.rank, x.symbol_count
-    sign = -1 if d % 2 else 1
-    B, lhs = _lambda_fold(x - d, d, [sign * w for w in _gamma_weights(d)])  # d is d[0]
+    B, lhs = _lambda_fold(x - d, d, [(-1) ** d * w for w in _gamma_weights(d)])  # d is d[0]
     powers = [B**i for i in range(1, n + 1)]
     rhs = {0: 1}
     for root, m in x._nums.items():

@@ -57,7 +57,13 @@ from charcalc.modelfile import parse_model
 from charcalc.series import GradedSeries, render_sum
 from charcalc.verify import CheckResult, generic_lines, repeated_root_lines, verify_gala
 
-from oracles import alternating_product, blow_up, exp_coefficients, open_chi_via_unions, random_strata_lattice
+from oracles import (
+    alternating_product,
+    blow_up,
+    exp_coefficients,
+    open_chi_via_unions,
+    random_strata_lattice,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
