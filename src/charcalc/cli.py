@@ -7,6 +7,10 @@ Three subcommands:
 * ``explain``   — print the strata table and the conductor derivation,
                   line by line, for a model file.
 
+The checks of ``verify`` are declared in one table, :data:`charcalc.verify.CHECKS`:
+its names, order and default degrees give the ``--checks`` default and help, the
+``--max-degree`` help, the dispatch and the degree refusal here.
+
 Exit codes: 0 all checks pass, 1 a check failed (including tameness and
 consistency refusals), 2 usage, parse, or validation errors.
 """
@@ -17,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cache, wraps
@@ -32,22 +35,10 @@ from .conductor import (
 )
 from .modelfile import ModelParseError, load_model
 from .series import render_sum
-from .verify import (
-    CheckResult,
-    generic_lines,
-    repeated_root_lines,
-    verify_borel_serre,
-    verify_ch_gamma,
-    verify_gala,
-    verify_hom_laws,
-    verify_prop_chtd,
-)
+from .verify import CHECKS
 
-CHECK_NAMES = ("gala", "borel_serre", "ch_gamma", "prop_chtd", "homomorphism")
 DEFAULT_RANK_CAP = 12
-# The checks that read --max-degree, at default degrees n and n + 1 for the rank n.
-# Past n + 1, --max-degree is bounded for the O(D^2) line series and by _orbits.
-DEGREE_CHECKS = {"borel_serre", "ch_gamma"}
+# --max-degree is bounded for the O(D^2) line series, and past every default degree by _orbits.
 MAX_DEGREE_LIMIT = 64
 MAX_ORBITS = 300_000
 
@@ -63,11 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    degree_checks = [name for name, (_, default) in CHECKS.items() if default]
     verify = sub.add_parser("verify", help="run identity verification suites")
     verify.add_argument(
         "--checks",
-        default=",".join(CHECK_NAMES),
-        help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}",
+        default=",".join(CHECKS),
+        help=f"comma-separated subset of {{{','.join(CHECKS)}}}",
     )
     verify.add_argument("--rank-min", type=int, default=1)
     verify.add_argument("--rank-max", type=int, default=4)
@@ -75,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help=f"raise the truncation degree of borel_serre and ch_gamma, to at most "
+        help=f"raise the truncation degree of {' and '.join(degree_checks)}, to at most "
         f"{MAX_DEGREE_LIMIT} and {MAX_ORBITS:,} S_n-orbits of monomials",
     )
     verify.add_argument(
@@ -97,22 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
-    results: list[CheckResult] = []
+    """The results of the checks ``names`` at each rank, a degree check at the larger of
+    its default degree and ``max_degree``."""
+    results = []
     for n in range(rank_min, rank_max + 1):
         for name in names:
-            if name == "gala":
-                results.append(verify_gala(generic_lines(n)))
-                if n >= 2:
-                    result = verify_gala(repeated_root_lines(n))
-                    results.append(replace(result, params={**result.params, "roots": "repeated"}))
-            elif name == "borel_serre":
-                results.append(verify_borel_serre(n, max(n, max_degree or 0)))
-            elif name == "ch_gamma":
-                results.append(verify_ch_gamma(n, max(n + 1, max_degree or 0)))
-            elif name == "prop_chtd":
-                results.append(verify_prop_chtd(n))
-            elif name == "homomorphism":
-                results.append(verify_hom_laws(n))
+            run, default = CHECKS[name]
+            degree = None if default is None else max(default(n), max_degree or 0)
+            results += run(n, degree)
     return results
 
 
@@ -130,9 +114,9 @@ def _orbits(n: int, D: int) -> int:
 
 def _verify_refusal(names, args) -> str | None:
     """Why ``verify`` refuses these arguments, or None if it runs them."""
-    unknown = [c for c in names if c not in CHECK_NAMES]
+    unknown = [c for c in names if c not in CHECKS]
     if unknown:
-        return f"unknown checks {unknown}; choose from {list(CHECK_NAMES)}"
+        return f"unknown checks {unknown}; choose from {list(CHECKS)}"
     if not names:
         return "--checks selected no checks"
     if not 1 <= args.rank_min <= args.rank_max:
@@ -146,11 +130,13 @@ def _verify_refusal(names, args) -> str | None:
     n, D = args.rank_max, args.max_degree
     if D is not None and D < 0:
         return f"--max-degree must be non-negative, got {D}"
-    if D is None or DEGREE_CHECKS.isdisjoint(names):
+    if D is None or all(CHECKS[c][1] is None for c in names):
         return None
     if D > MAX_DEGREE_LIMIT:
         return f"--max-degree {D} exceeds the limit {MAX_DEGREE_LIMIT}"
-    if D > n + 1 and (orbits := _orbits(n, D)) > MAX_ORBITS:
+    # up to the largest default degree, D costs no more than a default run
+    top = max(default(n) for _, default in CHECKS.values() if default)
+    if D > top and (orbits := _orbits(n, D)) > MAX_ORBITS:
         return f"--max-degree {D} at --rank-max {n} means {orbits:,} orbits, over {MAX_ORBITS:,}"
     return None
 

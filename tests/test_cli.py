@@ -18,6 +18,7 @@ from charcalc.cli import build_parser, main
 from charcalc.conductor import PRIME_LIMIT, conductor
 from charcalc.modelfile import load_model
 from charcalc.series import dominant_exponents
+from charcalc.verify import CHECKS, CheckResult
 
 from test_modelfile import (
     DERIVED_PAST_DIGIT_LIMIT,
@@ -110,7 +111,7 @@ def test_verify_refuses_max_degree_with_a_huge_term_count(capsys, monkeypatch):
 
 
 def refusal(*argv):
-    return cli._verify_refusal(list(cli.CHECK_NAMES), build_parser().parse_args(["verify", *argv]))
+    return cli._verify_refusal(list(CHECKS), build_parser().parse_args(["verify", *argv]))
 
 
 def test_verify_sizes_every_rank_at_the_largest_degree_quickly():
@@ -165,12 +166,45 @@ def test_verify_accepts_largest_budgets(capsys):
 
 
 def test_verify_accepts_clamping_max_degree_at_rank_8(capsys):
-    # --max-degree 0 keeps every default degree, so it runs what the plain
-    # command runs; it used to be sized as a dense series at degree 9
-    argv = ["verify", "--checks", "gala", "--rank-min", "8", "--rank-max", "8"]
-    code, out, err = run(capsys, *argv, "--max-degree", "0")
-    assert (code, err) == (0, "")
-    assert out == run(capsys, *argv)[1]
+    # a --max-degree from 0 up to a check's default degree keeps that default, so it
+    # runs what the plain command runs; a check that reads no degree runs the plain
+    # command at any degree (gala at 0 used to be sized as a dense series at degree 9)
+    for name, (_, default) in CHECKS.items():
+        argv = ["verify", "--checks", name, "--rank-min", "8", "--rank-max", "8"]
+        plain = run(capsys, *argv)
+        assert (plain[0], plain[2]) == (0, ""), name
+        for D in range(default(8) + 1) if default else [0, 6]:
+            assert run(capsys, *argv, "--max-degree", str(D)) == plain, (name, D)
+
+
+def test_verify_takes_its_checks_from_the_table(monkeypatch, capsys):
+    # a table in another order, with one more check that reads the degree: the
+    # --checks default and help, the unknown-check message, the checks named by the
+    # --max-degree help, the dispatch and the degree clamp all follow it
+    def extra(n, D):
+        return [CheckResult("extra", {"n": n, "max_degree": D}, True)]
+
+    table = {"extra": (extra, lambda n: n), **dict(reversed(CHECKS.items()))}
+    monkeypatch.setattr(cli, "CHECKS", table)
+    monkeypatch.setenv("COLUMNS", "300")
+    build_parser.cache_clear()
+    try:
+        assert build_parser().parse_args(["verify"]).checks == ",".join(table)
+        _, out, _ = run(capsys, "verify", "--help")
+        assert f"comma-separated subset of {{{','.join(table)}}}\n" in out
+        degree_checks = " and ".join(name for name, (_, default) in table.items() if default)
+        assert degree_checks == "extra and ch_gamma and borel_serre"
+        assert f"raise the truncation degree of {degree_checks}, to at most 64" in out
+        message = f"error: unknown checks ['nonsense']; choose from {list(table)}\n"
+        assert run(capsys, "verify", "--checks", "nonsense") == (2, "", message)
+        argv = ["verify", "--checks", "extra", "--rank-max", "3"]
+        # each rank at the larger of its default degree n and --max-degree 2
+        lines = [f"PASS extra max_degree={D} n={n}\n" for n, D in [(1, 2), (2, 2), (3, 3)]]
+        expected = "".join(lines)
+        assert run(capsys, *argv, "--max-degree", "2") == (0, expected + "3/3 checks passed\n", "")
+        assert run(capsys, *argv, "--max-degree", "65")[0] == 2
+    finally:
+        build_parser.cache_clear()
 
 
 def test_verify_bad_range(capsys):

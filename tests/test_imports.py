@@ -11,7 +11,8 @@ property of a package class must likewise be read by the package, named in
 the README or read by the acceptance tests.  Every absolute import names a
 module of the standard library, so the core stays stdlib-only, the test
 oracles import no module of ``charcalc``, so they stay a second route, and
-the CLI imports no private name of the package."""
+the CLI imports no private name of the package and reads no verifier: it
+runs each check through the table of checks in ``verify``."""
 
 import ast
 import re
@@ -134,6 +135,15 @@ def private_package_imports(source: str) -> list[str]:
 
 def test_cli_imports_only_public_names():
     assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_cli_reads_no_verifier():
+    # the CLI dispatches through verify.CHECKS, so naming a verifier or its
+    # input lines would start a second list of checks
+    source = (PACKAGE / "cli.py").read_text()
+    read = names_read(source) | attributes_read(source)
+    assert sorted(name for name in read if name.startswith("verify_")
+                  or name in {"generic_lines", "repeated_root_lines"}) == []
 
 
 def test_verify_reads_lambda_only_through_the_packed_kernel():
