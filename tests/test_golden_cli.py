@@ -38,6 +38,9 @@ MODELS = [
     GOLDEN / "models" / "chi_open_declared.json",
     GOLDEN / "models" / "depth3_dim2.json",
     GOLDEN / "models" / "inconsistent.json",
+    GOLDEN / "models" / "cycle_i40_closed.json",
+    GOLDEN / "models" / "sphere_v20_open.json",
+    GOLDEN / "models" / "wide_edges.json",
 ]
 
 MODES = {
