@@ -273,15 +273,16 @@ def cmd_conductor(args, report) -> int:
 def _print_derivation(d: FiberDerivation) -> None:
     fiber = d.fiber
     print(f"\nprime {fiber.prime}:")
-    mult = {c.id: c.multiplicity for c in fiber.components}
-    # by depth, then members; no two strata share both, so the values never compare
-    rows = sorted((len(s.components), sorted(s.components), s.chi_closed, s.chi_open)
-                  for s in fiber.strata)
+    mult = {cid: str(m) for cid, m, _ in fiber.components}
+    # by depth, then members: strata of one depth have as many members, so these flat
+    # tuples sort as (depth, members) would, and no two strata share both
+    rows = sorted((len(J), *sorted(J), closed, opened) for J, closed, opened in fiber.strata)
     table = [f"  {'J':<24} {'m':>3} {'chi(T_J)':>9} {'chi_c(T*_J)':>12}"]
-    for depth, members, chi_closed, chi_open in rows:
-        label = "{" + ",".join(members) + "}"
-        m = mult[members[0]] if depth == 1 else ""
-        table.append(f"  {label:<24} {str(m):>3} {chi_closed:>9} {chi_open:>12}")
+    table += [
+        "  %-24s %3s %9d %12d"
+        % ("{" + ",".join(members) + "}", mult[members[0]] if depth == 1 else "", closed, opened)
+        for depth, *members, closed, opened in rows
+    ]
     print("\n".join(table))
     if not d.tame.ok:
         print(f"  not tame: p divides multiplicity of {', '.join(d.tame.offenders)}")

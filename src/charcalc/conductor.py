@@ -19,6 +19,10 @@ that disagrees with the derived one included; normalize_fiber only assembles
 the records from its maps.  It walks the lattice once: the inclusion-exclusion
 that derives the undeclared side steps from each stratum J to every J - {c},
 so a J - {c} that is not a stratum surfaces there as the missing subset.
+Each stratum record is then touched once more on each side: validate_fiber
+walks the values stated on the derived side in file order and looks up the
+derived value only where one is stated, and normalize_fiber zips the closed
+and open maps, which both hold the strata in file order, into its records.
 validate_model validates and normalizes each fiber once; each normalized fiber
 is derived once into a FiberDerivation, the one place chi(X_p) and the localized
 Chern degree are computed.  conductor_report gathers a validated model's
@@ -353,12 +357,13 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
             f"{sorted(sub)} is not"
         ) from None
     # The given side holds its own declarations, so only a value stated on the
-    # derived side can disagree; derived copies given, so it runs in file order.
-    for J, chi in derived.items():
-        if stated[J] is not None and stated[J] != chi:
+    # derived side can disagree; stated was filled in file order, and derived is
+    # read only where a value is stated.
+    for J, chi in stated.items():
+        if chi is not None and chi != derived[J]:
             raise ModelValidationError(
-                f"{where}: stratum {sorted(J)} declares {side}={_shown(stated[J])} "
-                f"but {how} {_shown(chi)}"
+                f"{where}: stratum {sorted(J)} declares {side}={_shown(chi)} "
+                f"but {how} {_shown(derived[J])}"
             )
     closed, opened = (given, derived) if sign < 0 else (derived, given)
     for cid, _, declared in fiber.components:
@@ -406,8 +411,9 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
             for c in J2:
                 passes.setdefault(c, []).append(J2)
     for c, strata in passes.items():
+        drop = {c}
         for J2 in strata:
-            out[J2 - {c}] += sign * out[J2]
+            out[J2 - drop] += sign * out[J2]
     return out
 
 
@@ -423,7 +429,8 @@ def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) ->
     return FiberModel(
         fiber.prime,
         tuple(Component(cid, m, opened[frozenset({cid})]) for cid, m, _ in fiber.components),
-        tuple(Stratum(J, closed[J], opened[J]) for J, _, _ in fiber.strata),
+        # both maps hold the strata in file order
+        tuple(map(Stratum, closed, closed.values(), opened.values())),
     )
 
 

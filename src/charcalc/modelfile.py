@@ -24,16 +24,18 @@ is read by one loop that checks one rule at a time and stops at the first
 that fails.  The rules come in a fixed order: the record is an object, has
 no unknown fields and has its required ones; then each field in turn has
 its type (a non-empty string id, a list of distinct non-empty string ids,
-exact integers).  A missing field is looked for only once a type check
-fails, since it reads as None there, and is then named as missing rather
-than as mistyped.  Only a record that fails builds the location its refusal
-names (``m.json.fibers[0].strata[2].chi_closed``).  A record that passes is
-handed on as the plain triple (id, multiplicity, chi_open) or (components,
-chi_closed, chi_open): validation reads records by position, and
-normalization builds the one Component or Stratum of each.  A repeated key
-is named with the start of the object that holds it.  Every record of every
-fiber is read before any fiber is validated, so a malformed record is
-reported before invalid data in an earlier fiber.
+exact integers).  Each field is read once, and the value its type check
+passes is the one handed on.  An absent field reads as None and fails its
+type check; only then is its key looked for.  An absent optional field
+passes as None, an explicit null does not, and a missing required field is
+named as missing rather than as mistyped.  Only a record that fails builds
+the location its refusal names (``m.json.fibers[0].strata[2].chi_closed``).
+A record that passes is handed on as the plain triple (id, multiplicity,
+chi_open) or (components, chi_closed, chi_open): validation reads records by
+position, and normalization builds the one Component or Stratum of each.  A
+repeated key is named with the start of the object that holds it.  Every
+record of every fiber is read before any fiber is validated, so a malformed
+record is reported before invalid data in an earlier fiber.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ _COMPONENT_FIELDS = frozenset({"id", "multiplicity", "chi_open"})
 _COMPONENT_REQUIRED = frozenset({"id", "multiplicity"})
 _STRATUM_FIELDS = frozenset({"components", "chi_closed", "chi_open"})
 _STRATUM_REQUIRED = frozenset({"components"})
+_STR_TYPES = frozenset({str})
 
 
 def _components(raws, where: str) -> tuple:
@@ -135,10 +138,10 @@ def _components(raws, where: str) -> tuple:
             fault = _str_fault("id", cid)
         elif type(multiplicity := raw.get("multiplicity")) is not int:
             fault = _int_fault("multiplicity", multiplicity)
-        elif type(chi_open := raw.get("chi_open", 0)) is not int:
+        elif type(chi_open := raw.get("chi_open")) is not int and "chi_open" in raw:
             fault = _int_fault("chi_open", chi_open)
         else:
-            records.append((cid, multiplicity, raw.get("chi_open")))
+            records.append((cid, multiplicity, chi_open))
             continue
         # a missing field fails its type check, but is named as missing
         fault = _shape_fault(raw, _COMPONENT_FIELDS, _COMPONENT_REQUIRED) or fault
@@ -157,16 +160,16 @@ def _strata(raws, where: str) -> tuple:
             fault = None  # a fault of shape, named below
         elif type(ids := raw.get("components")) is not list:
             fault = _list_fault("components", ids)
-        elif not set(map(type, ids)) <= {str} or "" in (members := frozenset(ids)):
+        elif not _STR_TYPES.issuperset(map(type, ids)) or "" in (members := frozenset(ids)):
             fault = next(f for j, v in enumerate(ids) if (f := _str_fault(f"components[{j}]", v)))
         elif len(members) != len(ids):
             fault = f".components: repeated component id in {ids}"
-        elif type(chi_closed := raw.get("chi_closed", 0)) is not int:
+        elif type(chi_closed := raw.get("chi_closed")) is not int and "chi_closed" in raw:
             fault = _int_fault("chi_closed", chi_closed)
-        elif type(chi_open := raw.get("chi_open", 0)) is not int:
+        elif type(chi_open := raw.get("chi_open")) is not int and "chi_open" in raw:
             fault = _int_fault("chi_open", chi_open)
         else:
-            records.append((members, raw.get("chi_closed"), raw.get("chi_open")))
+            records.append((members, chi_closed, chi_open))
             continue
         fault = _shape_fault(raw, _STRATUM_FIELDS, _STRATUM_REQUIRED) or fault
         raise ModelParseError(f"{where}.strata[{i}]{fault}")

@@ -568,18 +568,31 @@ def full_simplex(n: int, prime: int = 5) -> dict:
     }
 
 
-def test_full_simplex_on_14_components(tmp_path, capsys):
+@pytest.mark.parametrize("options", [["conductor", "--output", "machine"], ["explain"]],
+                         ids=lambda options: options[0])
+def test_full_simplex_on_14_components(tmp_path, capsys, options):
     # 16,383 strata: chi(X_5) = 2^14 - 1 and sum m_i chi*(T_i) = 14, so the exponent
     # is 14 - 16383 and log|eps| = (14 + 1)/2 * -16369 log(5)
     path = tmp_path / "simplex.json"
     path.write_text(json.dumps(full_simplex(14)), encoding="utf-8")
+    command, *rest = options
     start = time.process_time()
-    code, out, err = run(capsys, "conductor", "--model", str(path), "--output", "machine")
+    code, out, err = run(capsys, command, "--model", str(path), *rest)
     elapsed = time.process_time() - start
     assert (code, err) == (0, "")
-    report = json.loads(out)["report"]
-    assert report["conductor_factors"] == {"5": -16369}
-    assert report["log_eps_terms"] == [{"prime": 5, "coefficient": "-245535/2"}]
+    if command == "conductor":
+        report = json.loads(out)["report"]
+        assert report["conductor_factors"] == {"5": -16369}
+        assert report["log_eps_terms"] == [{"prime": 5, "coefficient": "-245535/2"}]
+    else:
+        # the table prints every stratum, by depth and then members, with chi(T_J) = 2^(14 - |J|)
+        lines = out.splitlines()
+        rows = [line.split() for line in lines if line.startswith("  {")]
+        assert len(rows) == 16383
+        assert rows[0] == ["{C1}", "1", "8192", "1"]
+        assert rows[-1] == ["{" + ",".join(sorted(f"C{i}" for i in range(1, 15))) + "}", "1", "1"]
+        assert "A(X) = 5^-16369" in lines
+        assert lines[-1].endswith(" = -245535/2*log(5)")
     assert elapsed < 2.5  # inclusion-exclusion over all 2^|J| subsets took over 5 s
 
 

@@ -341,6 +341,56 @@ def test_component_chi_open_cross_checked():
         open_strata_from_closed(fiber)
 
 
+DERIVED_SIDE = {"chi_closed": ("chi_open", "inclusion-exclusion gives"),
+                "chi_open": ("chi_closed", "the open strata sum to")}
+
+
+def stated_on_one_side(fiber, given, wrong=()):
+    """The strata of a normalized fiber with only ``given`` stated, and the
+    derived side stated one too high on the strata at the positions ``wrong``."""
+    side, _ = DERIVED_SIDE[given]
+    return tuple(
+        Stratum(s.components, **{given: getattr(s, given)},
+                **({side: getattr(s, side) + 1} if k in wrong else {}))
+        for k, s in enumerate(fiber.strata)
+    )
+
+
+@pytest.mark.parametrize("given", DERIVED_SIDE)
+def test_derived_side_refusal_names_the_first_disagreement_in_file_order(given):
+    side, how = DERIVED_SIDE[given]
+    cycle = normalize_fiber(cycle_fiber(6, 7))
+    strata = list(cycle.strata)
+    random.Random(3).shuffle(strata)
+    shuffled = FiberModel(7, cycle.components, tuple(strata))
+    for first, second in [(0, 11), (3, 4), (5, 10), (9, 2)]:
+        fiber = FiberModel(7, cycle.components, stated_on_one_side(shuffled, given, {first, second}))
+        s = strata[min(first, second)]
+        with pytest.raises(ModelValidationError) as refusal:
+            validate_fiber(fiber)
+        assert str(refusal.value) == (
+            f"fiber at p=7: stratum {sorted(s.components)} declares "
+            f"{side}={getattr(s, side) + 1} but {how} {getattr(s, side)}"
+        )
+
+
+@pytest.mark.parametrize("given", DERIVED_SIDE)
+def test_a_component_disagreement_is_named_only_when_every_stratum_agrees(given):
+    cycle = normalize_fiber(cycle_fiber(4, 5))
+    components = tuple(Component(cid, m, chi + 1 if cid == "C3" else None)
+                       for cid, m, chi in cycle.components)
+    fiber = FiberModel(5, components, stated_on_one_side(cycle, given))
+    with pytest.raises(ModelValidationError) as refusal:
+        validate_fiber(fiber)
+    assert str(refusal.value) == (
+        "fiber at p=5: component C3 declares chi_open=1 but its singleton stratum gives 0"
+    )
+    last = len(cycle.strata) - 1
+    fiber = FiberModel(5, components, stated_on_one_side(cycle, given, {last}))
+    with pytest.raises(ModelValidationError, match=r"^fiber at p=5: stratum \[.*\] declares "):
+        validate_fiber(fiber)
+
+
 # -- fiber Euler characteristic ----------------------------------------------------
 
 

@@ -5,10 +5,11 @@ without a trivial line, of both sides of gala against the alternating
 product of the lines, of the Todd and total Chern classes against their
 product-per-line definition, of the S_n-orbit Chern character times a class
 of generic lines against the dense ones, of the strata-lattice round trip,
-of validate_fiber's maps against the normalized strata, of the random
-lattice's independence of the hash seed, of the fiber functions' refusal of
-corrupted strata lattices, of the conductor under point blow-ups, of the
-conductor CLI on hostile integers, and of the model reader on valid documents."""
+of validate_fiber's maps against the normalized strata and of their file
+order, of the random lattice's independence of the hash seed, of the fiber
+functions' refusal of corrupted strata lattices, of the conductor under point
+blow-ups, of the conductor CLI on hostile integers, and of the model reader on
+valid documents."""
 
 import io
 import json
@@ -436,16 +437,21 @@ def test_superset_sums_match_their_definition(seed, sign):
 @given(seed=st.integers(min_value=0, max_value=2**32),
        side=st.sampled_from(["chi_closed", "chi_open"]))
 def test_validate_fiber_returns_the_normalized_maps(seed, side):
-    # validate_fiber's (closed, open) maps are what normalize_fiber writes
+    # validate_fiber's (closed, open) maps are what normalize_fiber writes; it zips
+    # them, so both must list the strata in file order
     rng = random.Random(seed)
     ids, values = random_strata_lattice(rng, max_components=6)
     components = tuple(Component(cid, rng.randint(1, 3)) for cid in ids)
-    strata = tuple(Stratum(J, **{side: v}) for J, v in values.items())
-    fiber = FiberModel(5, components, strata)
+    order = list(values)
+    rng.shuffle(order)
+    fiber = FiberModel(5, components, tuple(Stratum(J, **{side: values[J]}) for J in order))
     closed, opened = validate_fiber(fiber)
-    normalized = normalize_fiber(fiber).strata
-    assert closed == {s.components: s.chi_closed for s in normalized}
-    assert opened == {s.components: s.chi_open for s in normalized}
+    assert list(closed) == list(opened) == order
+    normalized = normalize_fiber(fiber)
+    assert normalized.strata == tuple(Stratum(J, closed[J], opened[J]) for J in order)
+    assert normalized.components == tuple(
+        Component(cid, m, opened[frozenset({cid})]) for cid, m, _ in components
+    )
     assert (closed if side == "chi_closed" else opened) == values
 
 
