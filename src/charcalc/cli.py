@@ -200,10 +200,9 @@ def _approx_log(terms) -> str:
         previous, prec = shown, 2 * prec
 
 
-def _render_conductor(factors: dict[int, int]) -> str:
-    if not factors:
-        return "1"
-    return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
+def _render_conductor(factors) -> str:
+    """A(X) from the report's factors, which are by prime; 1 when there are none."""
+    return " * ".join(f"{p}^{e}" for p, e in factors.items()) or "1"
 
 
 def _print_conductor_text(report: ConductorReport) -> None:

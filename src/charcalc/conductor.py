@@ -9,20 +9,19 @@ fiber Euler characteristic, the per-prime degree of the localized top Chern
 class, the conductor exponents, and log|eps| — is exact integer and
 rational arithmetic on those numbers.
 
-Component and Stratum are named tuples.  validate_fiber and normalize_fiber
-read records by position, so a plain triple of the fields serves as well
-(see FiberModel); normalize_fiber builds the one record of each that a
-normalized fiber holds.
+Component and Stratum are named tuples.  The fiber functions read records by
+position, so a plain triple of the fields serves as well (see FiberModel).
 
 validate_fiber is the one place a fiber's data is refused, a declared value
-that disagrees with the derived one included; normalize_fiber only assembles
-the records from its maps.  It walks the lattice once: the inclusion-exclusion
-that derives the undeclared side steps from each stratum J to every J - {c},
-so a J - {c} that is not a stratum surfaces there as the missing subset.
-Each stratum record is then touched once more on each side: validate_fiber
-walks the values stated on the derived side in file order and looks up the
-derived value only where one is stated, and normalize_fiber zips the closed
-and open maps, which both hold the strata in file order, into its records.
+that disagrees with the derived one included, and it returns the fiber it has
+checked in normal form: Component records carrying chi*(T_i) and Stratum
+records carrying both sides, in file order.  normalize_fiber is the library
+name of that normal form.  Validation walks the lattice once: the
+inclusion-exclusion that derives the undeclared side steps from each stratum J
+to every J - {c}, so a J - {c} that is not a stratum surfaces there as the
+missing subset.  Each stratum record is then touched once more: the values
+stated on the derived side are read in file order, and the derived value is
+looked up only where one is stated.
 validate_model validates and normalizes each fiber once; each normalized fiber
 is derived once into a FiberDerivation, the one place chi(X_p) and the localized
 Chern degree are computed.  conductor_report gathers a validated model's
@@ -32,10 +31,11 @@ ConductorReport.checked is the one place a report is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -83,11 +83,11 @@ class Stratum(NamedTuple):
 class FiberModel:
     """One bad fiber: its prime, components and strata.
 
-    validate_fiber and normalize_fiber read each record by position, as
+    The fiber functions read each record by position, as
     (id, multiplicity, chi_open) and (components, chi_closed, chi_open), so a
     plain triple serves as well as a Component or Stratum: the model reader
     hands over the triples it has checked and builds no record of its own.
-    normalize_fiber returns Component and Stratum records.
+    validate_fiber returns Component and Stratum records.
     """
 
     prime: int
@@ -104,9 +104,11 @@ class ArithmeticModel:
 
 @dataclass(frozen=True)
 class TameReport:
-    prime: int
-    ok: bool
-    offenders: tuple[str, ...] = ()
+    offenders: tuple[str, ...]  # the components whose multiplicity p divides
+
+    @property
+    def ok(self) -> bool:
+        return not self.offenders
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,25 @@ class FiberDerivation:
 @dataclass(frozen=True)
 class ConductorReport:
     """The fibers' records in model order against chi(X_Q), stated or ``inferred``
-    from the first fiber, and None for a model with no fibers that states none."""
+    from the first fiber, and None for a model with no fibers that states none.
+
+    ``primes`` holds the same records by prime, and ``conductor_factors`` the
+    factored A(X), prime -> exponent by prime with zero exponents omitted, as a
+    read-only mapping; both are computed once, at construction.
+    """
 
     relative_dimension: int
     generic_euler: int | None
     entries: tuple[FiberDerivation, ...]
     inferred: bool = False
+    primes: tuple[FiberDerivation, ...] = field(init=False, repr=False, compare=False)
+    conductor_factors: MappingProxyType[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        primes = tuple(sorted(self.entries, key=lambda d: d.prime))
+        factors = MappingProxyType({d.prime: d.exponent for d in primes if d.exponent})
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "conductor_factors", factors)
 
     def _agreed(self) -> ConductorReport:
         """The report, refused if chi(X_Q) was inferred and a fiber disagrees:
@@ -196,15 +211,6 @@ class ConductorReport:
     @property
     def ok(self) -> bool:
         return all(map(self.euler_holds, self.entries))
-
-    @property
-    def primes(self) -> tuple[FiberDerivation, ...]:
-        return tuple(sorted(self.entries, key=lambda d: d.prime))
-
-    @property
-    def conductor_factors(self) -> dict[int, int]:
-        """Factored A(X): prime -> exponent, by prime, zero exponents omitted."""
-        return {d.prime: d.exponent for d in self.primes if d.exponent}
 
     @property
     def log_conductor_terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -278,10 +284,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> tuple[dict, dict]:
-    """Check one fiber's combinatorial data and return its (closed, open)
-    characteristics, keyed by stratum in file order: the one place a fiber is
-    refused.
+def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> FiberModel:
+    """Check one fiber's combinatorial data and return it normalized: the one
+    place a fiber is refused.  Each component gets chi_open, its singleton's
+    chi*(T_i), and each stratum both characteristics, in file order.
 
     Every stratum must carry chi_closed or every stratum chi_open; with
     partially mixed data neither direction of the inclusion-exclusion can
@@ -333,8 +339,9 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
             )
         closed[J] = chi_closed
         opened[J] = chi_open
-    for cid in ids:
-        if frozenset({cid}) not in closed:
+    singletons = [frozenset({cid}) for cid in ids]
+    for cid, key in zip(ids, singletons):
+        if key not in closed:
             raise ModelValidationError(f"{where}: missing singleton stratum for {cid}")
     if None not in closed.values():
         given, stated, sign, side, how = closed, opened, -1, "chi_open", "inclusion-exclusion gives"
@@ -366,14 +373,18 @@ def validate_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> 
                 f"but {how} {_shown(derived[J])}"
             )
     closed, opened = (given, derived) if sign < 0 else (derived, given)
-    for cid, _, declared in fiber.components:
-        chi = opened[frozenset({cid})]
+    components = []
+    for (cid, multiplicity, declared), key in zip(fiber.components, singletons):
+        chi = opened[key]
         if declared is not None and declared != chi:
             raise ModelValidationError(
                 f"{where}: component {cid} declares chi_open={_shown(declared)} but "
                 f"its singleton stratum gives {_shown(chi)}"
             )
-    return closed, opened
+        components.append(Component(cid, multiplicity, chi))
+    # closed and opened both hold the strata in file order
+    strata = tuple(map(Stratum, closed, closed.values(), opened.values()))
+    return FiberModel(fiber.prime, tuple(components), strata)
 
 
 def validate_model(model: ArithmeticModel) -> ArithmeticModel:
@@ -419,28 +430,22 @@ def _superset_sums(values: dict[frozenset[str], int], sign: int) -> dict[frozens
 
 def normalize_fiber(fiber: FiberModel, relative_dimension: int | None = None) -> FiberModel:
     """The fiber with both chi_closed and chi_open on every stratum and chi_open
-    on every component, read from the maps validate_fiber returns.
+    on every component, as validate_fiber returns it.
 
     validate_fiber refuses the data, declared values that disagree with the
-    derived ones among it; this only assembles the records.  Absent strata are
-    empty intersections and contribute 0.  Idempotent.
+    derived ones among it.  Absent strata are empty intersections and
+    contribute 0.  Idempotent.
     """
-    closed, opened = validate_fiber(fiber, relative_dimension)
-    return FiberModel(
-        fiber.prime,
-        tuple(Component(cid, m, opened[frozenset({cid})]) for cid, m, _ in fiber.components),
-        # both maps hold the strata in file order
-        tuple(map(Stratum, closed, closed.values(), opened.values())),
-    )
+    return validate_fiber(fiber, relative_dimension)
 
 
 def _declaring(fiber: FiberModel, side: str) -> FiberModel:
     """Require the characteristic ``side`` on every stratum."""
-    missing = [s for s in fiber.strata if getattr(s, side) is None]
+    position = Stratum._fields.index(side)
+    missing = [s[0] for s in fiber.strata if s[position] is None]
     if missing:
         raise ModelValidationError(
-            f"fiber at p={fiber.prime}: stratum "
-            f"{sorted(missing[0].components)} has no {side}"
+            f"fiber at p={fiber.prime}: stratum {sorted(missing[0])} has no {side}"
         )
     return fiber
 
@@ -459,21 +464,20 @@ def closed_strata_from_open(fiber: FiberModel) -> FiberModel:
 # -- numerical pipeline ---------------------------------------------------
 
 
-def tame_check(fiber: FiberModel) -> TameReport:
-    """Every multiplicity must be prime to the residue characteristic."""
-    offenders = tuple(
-        c.id for c in fiber.components if gcd(c.multiplicity, fiber.prime) != 1
-    )
-    return TameReport(fiber.prime, not offenders, offenders)
-
-
 def _derive(fiber: FiberModel) -> FiberDerivation:
     """The record of a fiber that normalize_fiber returned, whose components
     carry chi*(T_i).  Tameness is recorded, not enforced."""
     singles = sum((c.multiplicity - 1) * c.chi_open for c in fiber.components)
     weighted = sum(c.multiplicity * c.chi_open for c in fiber.components)
     deep = sum(s.chi_open for s in fiber.strata if len(s.components) > 1)
-    return FiberDerivation(fiber, tame_check(fiber), singles, weighted, deep)
+    offenders = tuple(c.id for c in fiber.components if gcd(c.multiplicity, fiber.prime) != 1)
+    return FiberDerivation(fiber, TameReport(offenders), singles, weighted, deep)
+
+
+def tame_check(fiber: FiberModel) -> TameReport:
+    """Every multiplicity must be prime to the residue characteristic
+    (FiberDerivation.tame)."""
+    return _derive(normalize_fiber(fiber)).tame
 
 
 def fiber_euler(fiber: FiberModel) -> int:

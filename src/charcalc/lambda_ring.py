@@ -309,15 +309,15 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
-def _gamma_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int, int]]:
-    """gamma_t(x) on the packed keys of :func:`_lambda_terms` at the same base,
+def _gamma_terms(x: KElement, t_max: int) -> tuple[int, dict[int, int]]:
+    """gamma_t(x) on the packed keys of :func:`_lambda_terms` at x's own base,
     as (B, terms).
 
     Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
     m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): only
     digit 0 moves, and a term's entries stay at most its t-power times max |e|.
     """
-    B, lam = _lambda_terms(x, t_max, base)
+    B, lam = _lambda_terms(x, t_max)
     terms = {0: 1}  # gamma^0 = lambda^0 = [0]
     for key, mult in lam.items():
         k = key % B

@@ -32,7 +32,7 @@ named as missing rather than as mistyped.  Only a record that fails builds
 the location its refusal names (``m.json.fibers[0].strata[2].chi_closed``).
 A record that passes is handed on as the plain triple (id, multiplicity,
 chi_open) or (components, chi_closed, chi_open): validation reads records by
-position, and normalization builds the one Component or Stratum of each.  A
+position and returns the one Component or Stratum of each.  A
 repeated key is named with the start of the object that holds it.  Every
 record of every fiber is read before any fiber is validated, so a malformed
 record is reported before invalid data in an earlier fiber.

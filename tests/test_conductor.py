@@ -633,6 +633,17 @@ def test_report_primes_are_its_records_by_prime():
     assert report.conductor_factors == {5: -4, 7: -2, 11: -3}
 
 
+def test_report_orders_its_records_once():
+    model = ArithmeticModel(1, (cycle_fiber(3, 11), cycle_fiber(4, 5)), generic_euler=0)
+    report = conductor(model)
+    assert report.primes is report.primes
+    assert report.conductor_factors is report.conductor_factors
+    with pytest.raises(TypeError):
+        report.conductor_factors[5] = 0
+    assert report.conductor_factors == {5: -4, 11: -3}
+    assert report == conductor(model)
+
+
 def test_generic_euler_check_reports_a_stated_inconsistency():
     # the one-component fiber at 7 has sum m_i chi*(T_i) = 3, not the stated 0
     good, bad = cycle_fiber(3, 5), fiber_from_chi(7, {frozenset({"C1"}): 3})
@@ -741,12 +752,13 @@ INVALID_FIBERS = {
     ),
     "stratum-without-subsets": stratum_without_its_subsets(),
     "composite-prime": fiber_from_chi(6, {frozenset({"C1"}): 2}),
+    "no-strata": FiberModel(5, TWO_LINES, ()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_FIBERS))
 @pytest.mark.parametrize(
-    "entry", [normalize_fiber, open_strata_from_closed, fiber_euler, bloch_degree],
+    "entry", [normalize_fiber, open_strata_from_closed, fiber_euler, bloch_degree, tame_check],
     ids=lambda f: f.__name__,
 )
 def test_fiber_functions_refuse_invalid_fibers(entry, case):
@@ -755,6 +767,21 @@ def test_fiber_functions_refuse_invalid_fibers(entry, case):
     with pytest.raises(ModelValidationError):
         entry(INVALID_FIBERS[case])
     assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("side", ["closed", "open"])
+def test_validation_builds_each_singleton_key_once(monkeypatch, side):
+    module = sys.modules[validate_fiber.__module__]
+    built = []
+
+    def counted(members):
+        built.append(frozenset(members))
+        return built[-1]
+
+    fiber = cycle_fiber(6, 7) if side == "closed" else _open_side(cycle_fiber(6, 7))
+    monkeypatch.setattr(module, "frozenset", counted, raising=False)
+    validate_model(ArithmeticModel(1, (fiber,)))
+    assert sorted(built, key=sorted) == [frozenset({c.id}) for c in fiber.components]
 
 
 def model_refusers(source: str) -> set[str]:
@@ -776,8 +803,8 @@ def model_refusers(source: str) -> set[str]:
 
 
 def test_a_fiber_is_refused_only_where_it_is_validated():
-    # normalize_fiber only assembles records; every check on fiber or model
-    # data lives in validate_fiber, validate_model or the side wrappers' _declaring
+    # every check on fiber or model data lives in validate_fiber, validate_model
+    # or the side wrappers' _declaring
     source = inspect.getsource(sys.modules[ModelValidationError.__module__])
     assert model_refusers(source) <= {"validate_fiber", "validate_model", "_declaring"}
 
@@ -880,6 +907,9 @@ def outcome(entry, *args):
 def assert_triples_read_as_records(fiber, relative_dimension=None):
     triples = as_triples(fiber)
     assert {type(r) for r in triples.components + triples.strata} <= {tuple}
+    for entry in (tame_check, fiber_euler, bloch_degree,
+                  open_strata_from_closed, closed_strata_from_open):
+        assert outcome(entry, triples) == outcome(entry, fiber)
     for entry in (validate_fiber, normalize_fiber):
         normalized = outcome(entry, triples, relative_dimension)
         assert normalized == outcome(entry, fiber, relative_dimension)

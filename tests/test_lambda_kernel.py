@@ -133,12 +133,17 @@ def pairs(draw):
 @given(pairs())
 def test_packed_laws_match_the_tseries_laws(case):
     # x, y and x + y packed at the largest of their own bases multiply, and unpack,
-    # as their TSeries do; the laws of homomorphism compare such packed maps
+    # as their TSeries do; gamma_t packs z at its own base, which -z shares.  The
+    # laws of homomorphism compare such packed maps
     x, y, t_max = case
-    for packed, series in ((_lambda_terms, lambda_t), (_gamma_terms, gamma_t)):
-        B = max(packed(z, t_max)[0] for z in (x, y, x + y))
-        (Bx, px), (By, py), (Bs, psum) = (packed(z, t_max, B) for z in (x, y, x + y))
-        assert Bx == By == Bs == B
-        product = _packed_product(px, py, B, t_max)
-        assert _tseries(x, t_max, B, product) == series(x, t_max) * series(y, t_max)
-        assert _tseries(x, t_max, B, psum) == series(x + y, t_max)
+    B = max(_lambda_terms(z, t_max)[0] for z in (x, y, x + y))
+    (Bx, px), (By, py), (Bs, psum) = (_lambda_terms(z, t_max, B) for z in (x, y, x + y))
+    assert Bx == By == Bs == B
+    product = _packed_product(px, py, B, t_max)
+    assert _tseries(x, t_max, B, product) == lambda_t(x, t_max) * lambda_t(y, t_max)
+    assert _tseries(x, t_max, B, psum) == lambda_t(x + y, t_max)
+    for z in (x, y, x + y):
+        (B, gz), (Bn, gn) = _gamma_terms(z, t_max), _gamma_terms(-z, t_max)
+        assert Bn == B
+        product = _packed_product(gz, gn, B, t_max)
+        assert _tseries(z, t_max, B, product) == gamma_t(z, t_max) * gamma_t(-z, t_max)

@@ -5,7 +5,7 @@ without a trivial line, of both sides of gala against the alternating
 product of the lines, of the Todd and total Chern classes against their
 product-per-line definition, of the S_n-orbit Chern character times a class
 of generic lines against the dense ones, of the strata-lattice round trip,
-of validate_fiber's maps against the normalized strata and of their file
+of the fiber validate_fiber returns against direct superset sums and the file
 order, of the random lattice's independence of the hash seed, of the fiber
 functions' refusal of corrupted strata lattices, of the conductor under point
 blow-ups, of the conductor CLI on hostile integers, and of the model reader on
@@ -39,6 +39,7 @@ from charcalc.conductor import (
     generic_euler_check,
     normalize_fiber,
     open_strata_from_closed,
+    tame_check,
     validate_fiber,
     validate_model,
 )
@@ -436,23 +437,30 @@ def test_superset_sums_match_their_definition(seed, sign):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32),
        side=st.sampled_from(["chi_closed", "chi_open"]))
-def test_validate_fiber_returns_the_normalized_maps(seed, side):
-    # validate_fiber's (closed, open) maps are what normalize_fiber writes; it zips
-    # them, so both must list the strata in file order
+def test_validate_fiber_returns_the_normalized_fiber(seed, side):
+    # the strata keep the file order, the declared side is kept as declared, the
+    # other side is its inclusion-exclusion, and each component carries chi*(T_i)
     rng = random.Random(seed)
     ids, values = random_strata_lattice(rng, max_components=6)
     components = tuple(Component(cid, rng.randint(1, 3)) for cid in ids)
     order = list(values)
     rng.shuffle(order)
     fiber = FiberModel(5, components, tuple(Stratum(J, **{side: values[J]}) for J in order))
-    closed, opened = validate_fiber(fiber)
-    assert list(closed) == list(opened) == order
-    normalized = normalize_fiber(fiber)
-    assert normalized.strata == tuple(Stratum(J, closed[J], opened[J]) for J in order)
+    normalized = validate_fiber(fiber)
+    assert normalized == normalize_fiber(fiber)
+    assert normalized.prime == fiber.prime
+    assert [s.components for s in normalized.strata] == order
+    declared = {s.components: getattr(s, side) for s in normalized.strata}
+    other = "chi_open" if side == "chi_closed" else "chi_closed"
+    derived = {s.components: getattr(s, other) for s in normalized.strata}
+    assert declared == values
+    sign = -1 if side == "chi_closed" else 1
+    assert derived == {J: superset_sum(values, J, sign) for J in order}
+    opened = {s.components: s.chi_open for s in normalized.strata}
     assert normalized.components == tuple(
         Component(cid, m, opened[frozenset({cid})]) for cid, m, _ in components
     )
-    assert (closed if side == "chi_closed" else opened) == values
+    assert {type(r) for r in normalized.components + normalized.strata} == {Component, Stratum}
 
 
 @settings(max_examples=80, deadline=None)
@@ -467,7 +475,7 @@ def test_fiber_functions_refuse_corrupted_lattices(seed, how, side):
         return FiberModel(5, components, tuple(Stratum(J, **{side: v}) for J, v in chi.items()))
 
     convert = open_strata_from_closed if side == "chi_closed" else closed_strata_from_open
-    entries = (validate_fiber, normalize_fiber, convert, fiber_euler, bloch_degree)
+    entries = (validate_fiber, normalize_fiber, convert, fiber_euler, bloch_degree, tame_check)
     for entry in entries:  # the uncorrupted lattice is accepted
         entry(fiber(family))
     corrupted = fiber(corrupt(family, ids, how, rng))
