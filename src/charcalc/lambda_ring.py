@@ -8,9 +8,12 @@ ring multiplication adds roots).  On top of that live the exterior-power
 generating series lambda_t and gamma_t (as :class:`TSeries`), and the maps
 into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class; the last two are exp of the first with its degree-k
-part weighted by k! (log f)_k, for f the line value (Hirzebruch), all on
-integer numerators.  Those weights and the Todd line are closed forms in the
-Bernoulli numbers and factorials, computed once per degree.  For elements
+part weighted by k! (log f)_k, for f the line value (Hirzebruch).  Two kernels
+compute them on integer numerators over one denominator, on the packed keys of
+``GradedSeries``, and build no series: :func:`_ch_terms` for ch, and
+:func:`_exp_terms` for the weighted exp; each class wraps its kernels' result
+into a ``GradedSeries`` once.  Those weights and the Todd line are closed forms
+in the Bernoulli numbers and factorials, computed once per degree.  For elements
 invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
 character times a multiplicative class of the generic lines with one
 coefficient, and one linear factor of a polynomial product, per S_n-orbit.
@@ -51,6 +54,7 @@ from .series import (
     _coefficient,
     _key,
     _numerators,
+    _size,
     _TermMap,
     dominant_exponents,
 )
@@ -71,8 +75,7 @@ class KElement(_TermMap):
     _times = ""
 
     def __init__(self, symbol_count: int, terms=None):
-        if symbol_count < 0:
-            raise ValueError("symbol_count must be non-negative")
+        _size(symbol_count, "symbol_count")
         canonical: dict[Root, int] = {}
         for root, mult in (terms or {}).items():
             root = _key(root, symbol_count)
@@ -177,7 +180,8 @@ class TSeries(_TermMap):
 
     @classmethod
     def one(cls, symbol_count: int, t_max: int) -> "TSeries":
-        return cls([KElement.unit(symbol_count)] + [KElement.zero(symbol_count)] * t_max)
+        zeros = [KElement.zero(symbol_count)] * _size(t_max, "t_max")
+        return cls([KElement.unit(symbol_count)] + zeros)
 
     @property
     def t_max(self) -> int:
@@ -234,8 +238,7 @@ def _lambda_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int
     t_max max |e| <= B // 2 in size, so again no digit carries, and packed
     equality, zeros dropped, is equality of the ``TSeries``.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
+    _size(t_max, "t_max")
     lines = x._nums
     B = max(base, 2 * t_max * max(1, max((abs(e) for root in lines for e in root), default=0)) + 1)
     # (k, g_k) for k >= 1 and g_k != 0; the t^0 term 1 of each factor copies terms as they are
@@ -393,36 +396,60 @@ def alternating_lambda_sum(x: KElement) -> KElement:
 # -- characteristic classes -------------------------------------------------
 
 
-def ch(x: KElement, truncation_degree: int) -> GradedSeries:
-    """Chern character: additive, with ch([r]) = exp(c1(r)).
+@lru_cache(maxsize=64)
+def _factorials(D: int) -> tuple[int, ...]:
+    """0!, 1!, ..., D!."""
+    return tuple(factorial(k) for k in range(D + 1))
+
+
+@lru_cache(maxsize=256)
+def _ch_steps(r: int, D: int) -> tuple:
+    """The steps of :func:`_ch_terms` for a root entry r at degree D: for each room
+    left, 0..D, the (k, r^k C(room, k), room - k) for k = 0..room."""
+    return tuple(tuple((k, r**k * comb(room, k), room - k) for k in range(room + 1))
+                 for room in range(D + 1))
+
+
+def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
+    """The ch kernel: ch(x) up to degree D as (numerators, denominator), on the
+    keys of :func:`~charcalc.series._pack` at base B = D + 1; zero sums may stay.
 
     ch = sum_k psi^k / k! over Adams operations, so the coefficient of a^e is
     S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x.
-    The result holds the integer numerators S(e) D! / prod e_i! over D!, summed
-    over each root's support: a step that gives a_i the exponent k out of room
-    left multiplies by r_i^k C(room, k), and the room left at the end by room!.
-    The keys are built packed (:func:`~charcalc.series._pack`): that step adds
-    k (B^i + 1) to the key, B = D + 1.
+    The numerators are S(e) D! / prod e_i! over D!, summed over each root's
+    support: a step that gives a_i the exponent k out of room left multiplies by
+    r_i^k C(room, k) (:func:`_ch_steps`) and adds k (B^i + 1) to the key, and the
+    room left at the end multiplies by room!.  A negative or non-``int`` D is
+    refused before the sums index by it.
     """
-    D, n = truncation_degree, x.symbol_count
-    zero = GradedSeries.zero(n, D)  # refuses a negative D before the sums index by it
-    factorials = [factorial(k) for k in range(D + 1)]
-    # steps[r][room]: (k, r^k C(room, k), room - k) for k = 0..room, for each nonzero root entry r
-    steps = {r: [[(k, r**k * comb(room, k), room - k) for k in range(room + 1)]
-                 for room in range(D + 1)]
-             for r in {r for root in x._nums for r in root if r}}
+    factorials = _factorials(_size(D, "truncation_degree"))
+    B = D + 1
     sums: dict[int, int] = {}
     for root, mult in x._nums.items():
         # (key of the exponents so far, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
         level = [(0, mult, D)]
         for i, r in enumerate(root, 1):
             if r:
-                shift, by_room = (D + 1) ** i + 1, steps[r]
+                shift, by_room = B**i + 1, _ch_steps(r, D)
                 level = [(key + k * shift, value * step, left)
                          for key, value, room in level for k, step, left in by_room[room]]
         for key, value, room in level:
             sums[key] = sums.get(key, 0) + value * factorials[room]
-    return zero._like(sums, factorials[D])
+    return sums, factorials[D]
+
+
+def _graded(x: KElement, D: int, terms: dict[int, int], den: int) -> GradedSeries:
+    """The GradedSeries over the symbols of x, truncated at D, of a kernel's
+    ``terms`` over ``den``, built by :meth:`_like` on an empty series of that
+    ambient, which is made without the validating constructor."""
+    ambient = object.__new__(GradedSeries)
+    _TermMap.__init__(ambient, x.symbol_count, D, {})
+    return ambient._like(terms, den)
+
+
+def ch(x: KElement, truncation_degree: int) -> GradedSeries:
+    """Chern character: additive, with ch([r]) = exp(c1(r)) (:func:`_ch_terms`)."""
+    return _graded(x, truncation_degree, *_ch_terms(x, truncation_degree))
 
 
 @lru_cache(maxsize=64)
@@ -435,15 +462,14 @@ def _bernoulli(D: int) -> tuple[Fraction, ...]:
     return tuple(B)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a bool D is refused, not read from the entry of 1
 def todd_line(truncation_degree: int) -> tuple[Fraction, ...]:
     """Coefficients of l / (1 - e^{-l}) up to l^truncation_degree, the Todd
     class of one line l: (-1)^k B_k / k! (Hirzebruch, *Topological Methods*,
     section 1.5).  Multiplicities enter through the weighted ``ch`` of
-    :func:`_multiplicative`, not through powers of this series.
+    :func:`_exp_terms`, not through powers of this series.
     """
-    if truncation_degree < 0:
-        raise ValueError("truncation_degree must be non-negative")
+    _size(truncation_degree, "truncation_degree")
     return tuple((-1) ** k * b / factorial(k) for k, b in enumerate(_bernoulli(truncation_degree)))
 
 
@@ -463,34 +489,83 @@ def _chern_weights(D: int) -> tuple[tuple[int, ...], int]:
     return (0, *((-1) ** (k + 1) * factorial(k - 1) for k in range(1, D + 1))), 1
 
 
-def _multiplicative(chern_character: GradedSeries, weights: tuple) -> GradedSeries:
-    """exp of ch(x) with degree-k terms weighted by k! (log f)_k: the class of x
-    whose value on a line l is f(l), for the ``weights`` (numerators, denominator)
-    of f at the truncation degree of ``chern_character``, on integer numerators.
-    The weights vanish at k = 0, so the weighted ch has no constant term, and
-    :meth:`~charcalc.series.GradedSeries._exp` takes it by the graded recurrence."""
+def _exp_terms(X: dict[int, int], d: int, weights: tuple, D: int) -> tuple[dict[int, int], int]:
+    """The exp kernel: the class whose value on a line l is f(l), for the
+    ``weights`` (numerators, w) of f at degree D, of the Chern character X / d,
+    on the keys of :func:`~charcalc.series._pack` at base B = D + 1, as
+    (numerators, denominator); zero sums may stay.
+
+    It is exp(x) for x = ch with its degree-k terms weighted by k! (log f)_k,
+    that is Z / d' with Z_k = numerators[k] X_k and d' = d w; the weights vanish
+    at k = 0, so x has no constant term.  The graded recurrence
+    k Y_k = sum_{j=1..k} j x_j Y_(k-j) for Y = exp(x) (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.2) runs on P_k = k! d'^k Y_k: P_0 = 1 and
+    P_k = sum_j j (k-1)!/(k-j)! d'^(j-1) Z_j P_(k-j), and every pair formed lands
+    in degree exactly k <= D, so none is dropped.  The result is
+    sum_k P_k (D!/k!) d'^(D-k) over D! d'^D.
+    """
     numerators, w = weights
-    X, d, degree = chern_character._nums, chern_character._den, chern_character._degree
-    weighted = {e: c * numerators[k] for e, c in X.items() if numerators[k := degree(e)]}
-    return chern_character._exp(weighted, d * w)
+    B, d = D + 1, d * w
+    parts: list[list] = [[] for _ in range(B)]  # Z_j as (key, numerator) pairs
+    for key, c in X.items():
+        if c and numerators[k := key % B]:
+            parts[k].append((key, c * numerators[k]))
+    P = [{0: 1}]
+    for k in range(1, B):
+        level: dict = {}
+        scale = 1  # (k-1)!/(k-j)! d'^(j-1), from j = 1
+        for j in range(1, k + 1):
+            if parts[j] and P[k - j]:
+                below = P[k - j].items()
+                for key_x, coeff_x in parts[j]:
+                    c = j * scale * coeff_x
+                    for key_y, coeff_y in below:
+                        key = key_x + key_y
+                        level[key] = level.get(key, 0) + c * coeff_y
+            scale *= (k - j) * d
+        P.append(level)
+    out: dict = {}
+    weight = 1  # D!/k! d'^(D-k), from k = D; D! d'^D at k = 0
+    for k in range(B - 1, -1, -1):
+        for key, c in P[k].items():
+            out[key] = c * weight
+        if k:
+            weight *= k * d
+    return out, weight
+
+
+def _multiplicative(chern_character: GradedSeries, weights: tuple) -> GradedSeries:
+    """The class of the ``weights`` (:func:`_exp_terms`) of the Chern character
+    ``chern_character``, at its truncation degree."""
+    X, d = chern_character._nums, chern_character._den
+    return chern_character._like(*_exp_terms(X, d, weights, chern_character._bound))
+
+
+def _class_terms(x: KElement, D: int, weights_of) -> tuple[dict[int, int], int]:
+    """The class of x up to degree D whose weights are ``weights_of(D)``:
+    :func:`_exp_terms` of :func:`_ch_terms`, which refuses a bad D first."""
+    X, d = _ch_terms(x, D)
+    return _exp_terms(X, d, weights_of(D), D)
 
 
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
-    return _multiplicative(ch(x, truncation_degree), _chern_weights(truncation_degree))
+    return _graded(x, truncation_degree, *_class_terms(x, truncation_degree, _chern_weights))
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
     """The degree-k Chern class, as a homogeneous series."""
-    D = k if truncation_degree is None else truncation_degree
+    _size(k, "k")
+    D = k if truncation_degree is None else _size(truncation_degree, "truncation_degree")
     if D < k:
         raise ValueError("truncation degree must be at least k")
-    return total_chern(x, D).component(k)
+    terms, den = _class_terms(x, D, _chern_weights)
+    return _graded(x, D, {key: c for key, c in terms.items() if key % (D + 1) == k}, den)
 
 
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _multiplicative(ch(x, truncation_degree), _todd_weights(truncation_degree))
+    return _graded(x, truncation_degree, *_class_terms(x, truncation_degree, _todd_weights))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

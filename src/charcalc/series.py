@@ -38,8 +38,12 @@ form is unique and the whole class layer runs on integers.  ``KElement`` and
 ``TSeries`` always have denominator 1.  A ``Fraction`` is made only where a
 coefficient leaves the map: :meth:`_TermMap.terms`, ``str`` and the lookups of
 ``GradedSeries``.  The Horner loop of substitution, :meth:`_TermMap.substitute`,
-and the exp of the classes, :meth:`GradedSeries._exp`, run on such numerator
-maps.
+runs on such numerator maps.  So do the class kernels of
+:mod:`~charcalc.lambda_ring`, which build no series: the Chern character,
+:func:`~charcalc.lambda_ring._ch_terms`, and the exp of the classes by the graded
+recurrence, :func:`~charcalc.lambda_ring._exp_terms`, both on the keys of
+:func:`_pack`.  The classes wrap their result into a ``GradedSeries`` once, and
+the class laws of ``homomorphism`` multiply them by :func:`_packed_product`.
 """
 
 from __future__ import annotations
@@ -64,6 +68,17 @@ def _coefficient(value) -> Fraction:
     if not isinstance(value, Rational) or isinstance(value, bool):
         raise TypeError(f"coefficient must be an integer or Fraction, got {value!r}")
     return Fraction(value)
+
+
+def _size(value, name: str) -> int:
+    """``value`` as a symbol count, truncation degree or t-power bound: an
+    ``int`` that is not a ``bool`` (TypeError otherwise), and non-negative
+    (ValueError otherwise)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return value
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:
@@ -131,10 +146,8 @@ def _monomial_terms(symbol_count: int, truncation_degree: int, terms, dominant=F
     length with non-negative ``int`` entries (non-increasing when
     ``dominant``) and exact coefficients.  Zero coefficients and terms above
     the truncation degree are dropped."""
-    if symbol_count < 0:
-        raise ValueError("symbol_count must be non-negative")
-    if truncation_degree < 0:
-        raise ValueError("truncation_degree must be non-negative")
+    _size(symbol_count, "symbol_count")
+    _size(truncation_degree, "truncation_degree")
     canonical: dict[Monomial, Fraction] = {}
     for mono, coeff in (terms or {}).items():
         mono = _key(mono, symbol_count)
@@ -185,8 +198,7 @@ class _TermMap:
     supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` of a key
     when bounded, and ``_value`` when their coefficients are ``int``; every
     result of an operation is built by the trusted :meth:`_like`, and every
-    product of two numerator maps by :meth:`_product`, except in
-    :meth:`GradedSeries._exp`, whose pairs each land in one known degree.
+    product of two numerator maps by :meth:`_product`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_nums", "_den")
@@ -207,9 +219,11 @@ class _TermMap:
         """Trusted constructor over this ambient for the coefficients
         ``terms[key] / den``: integer numerators whose keys are already valid
         for it, over a positive ``den``.  Zero numerators are dropped and the
-        common gcd is divided out, so the result is canonical; ``terms`` is
-        not kept."""
-        terms = {k: c for k, c in terms.items() if c}
+        common gcd is divided out, so the result is canonical.  The map is
+        copied only to do either, so the result may keep ``terms`` itself: a
+        caller hands over a map that it no longer changes."""
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
@@ -440,42 +454,6 @@ class GradedSeries(_TermMap):
         no digit carries, as no term of degree above ``bound`` <= D is formed."""
         return _packed_product(xs, ys, self._bound + 1, bound)
 
-    def _exp(self, X: dict, d: int) -> "GradedSeries":
-        """exp(x) for x = X/d, X integer numerators with no degree-0 term, by the
-        graded recurrence k Y_k = sum_{j=1..k} j X_j Y_(k-j) for Y = exp(x)
-        (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).
-
-        With P_k = k! d^k Y_k, P_0 = 1 and P_k = sum_j j (k-1)!/(k-j)! d^(j-1)
-        X_j P_(k-j): every pair formed lands in degree exactly k <= D, so none is
-        dropped.  The result is sum_k P_k (D!/k!) d^(D-k) over D! d^D, reduced
-        once by :meth:`_like`."""
-        B = self._bound + 1
-        parts: list[list] = [[] for _ in range(B)]  # X_j as (key, numerator) pairs
-        for key, c in X.items():
-            parts[key % B].append((key, c))
-        P = [{0: 1}]
-        for k in range(1, B):
-            level: dict = {}
-            scale = 1  # (k-1)!/(k-j)! d^(j-1), from j = 1
-            for j in range(1, k + 1):
-                if parts[j] and P[k - j]:
-                    below = P[k - j].items()
-                    for key_x, coeff_x in parts[j]:
-                        c = j * scale * coeff_x
-                        for key_y, coeff_y in below:
-                            key = key_x + key_y
-                            level[key] = level.get(key, 0) + c * coeff_y
-                scale *= (k - j) * d
-            P.append(level)
-        out: dict = {}
-        weight = 1  # D!/k! d^(D-k), from k = D; D! d^D at k = 0
-        for k in range(B - 1, -1, -1):
-            for key, c in P[k].items():
-                out[key] = c * weight
-            if k:
-                weight *= k * d
-        return self._like(out, weight)
-
     @staticmethod
     def _scalar(value):
         return Fraction(value) if isinstance(value, Rational) and type(value) is not bool else None
@@ -503,7 +481,7 @@ class GradedSeries(_TermMap):
     @classmethod
     def symbol(cls, index: int, symbol_count: int, truncation_degree: int) -> "GradedSeries":
         """The degree-1 symbol ``a_{index+1}``."""
-        if not 0 <= index < symbol_count:
+        if not 0 <= index < _size(symbol_count, "symbol_count"):
             raise ValueError(f"symbol index {index} out of range for {symbol_count} symbols")
         return cls.linear_form([int(i == index) for i in range(symbol_count)], truncation_degree)
 

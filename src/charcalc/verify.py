@@ -14,9 +14,12 @@ form on the right.  ``gala`` compares packed roots of the lambda kernel: the
 fold of lambda_t that gamma_k unpacks against a packed product of the lines
 1 - [r] that reads no lambda_t; it unpacks them into K-elements only to report
 a difference.  ``homomorphism`` runs on random elements that are not
-symmetric, so it stays dense.  No check multiplies a ``TSeries``: the lambda_t
-and gamma_t laws of ``homomorphism`` multiply the packed terms of the lambda
-kernel.
+symmetric, and all its laws run on packed maps: the lambda_t and gamma_t laws
+on the packed terms of the lambda kernel, the class laws on the numerator maps
+of the ch and exp kernels (:func:`~charcalc.lambda_ring._ch_terms`,
+:func:`~charcalc.lambda_ring._exp_terms`), each multiplied by
+:func:`~charcalc.series._packed_product`.  No check multiplies a ``TSeries``,
+and ``homomorphism`` builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -33,17 +36,17 @@ from operator import mul
 
 from .lambda_ring import (
     KElement,
+    _ch_terms,
     _chern_weights,
+    _class_terms,
+    _exp_terms,
     _gamma_terms,
     _gamma_weights,
     _kelement,
     _lambda_fold,
     _lambda_terms,
-    _multiplicative,
     _todd_weights,
     alternating_lambda_sum,
-    ch,
-    chern_k,
     gamma_k,
     symmetric_ch,
     todd_line,
@@ -220,15 +223,49 @@ def _nonzero(terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c}
 
 
+# A series of the class laws is a kernel's (numerators, denominator) on packed keys.
+
+
+def _same(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> bool:
+    """Whether two series are equal: each side's numerators times the other
+    side's denominator, zeros dropped."""
+    (xs, d), (ys, e) = lhs, rhs
+    return {k: c * e for k, c in xs.items() if c} == {k: c * d for k, c in ys.items() if c}
+
+
+def _series_sum(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> tuple[dict, int]:
+    """The sum of two series, over the product of their denominators."""
+    (xs, d), (ys, e) = lhs, rhs
+    total = {k: c * e for k, c in xs.items()}
+    for k, c in ys.items():
+        total[k] = total.get(k, 0) + c * d
+    return total, d * e
+
+
+def _component(series: tuple[dict, int], k: int, D: int) -> tuple[dict, int]:
+    """The degree-k part of a series truncated at D."""
+    terms, den = series
+    return {key: c for key, c in terms.items() if key % (D + 1) == k}, den
+
+
+def _series_product(lhs: tuple[dict, int], rhs: tuple[dict, int], D: int) -> tuple[dict, int]:
+    """The product of two series truncated at D (:func:`_packed_product`)."""
+    return _packed_product(lhs[0], rhs[0], D + 1, D), lhs[1] * rhs[1]
+
+
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     """Randomized exact check of the structural laws: lambda_t and Todd
     multiplicativity, the Chern-character ring homomorphism, the gamma
     inverse law, and the Chern-class dual sign rule, at truncation degree
     and t-power 3.
 
-    The lambda_t and gamma_t laws compare packed terms (:func:`_lambda_terms`,
-    :func:`_gamma_terms`) at one base, multiplied by :func:`_packed_product`;
-    packed equality is equality of the ``TSeries``, none of which is built.
+    Every law runs on packed maps, multiplied by :func:`_packed_product`.  The
+    lambda_t and gamma_t laws compare packed terms (:func:`_lambda_terms`,
+    :func:`_gamma_terms`) at one base; packed equality is equality of the
+    ``TSeries``, none of which is built.  The ch, Todd and dual sign laws compare
+    the numerator maps of the ch and exp kernels (:func:`_ch_terms`,
+    :func:`_exp_terms`) over their denominators (:func:`_same`); no
+    ``GradedSeries`` is built.
 
     Some faults pass these laws.  Todd multiplicativity and the dual sign rule
     hold for any weight table once ch is additive, since both are functions of
@@ -256,16 +293,19 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         B, gam_x = _gamma_terms(x, t_max)  # -x has the roots of x, so the same base
         if _nonzero(_packed_product(gam_x, _gamma_terms(-x, t_max)[1], B, t_max)) != {0: 1}:
             failures.append(f"case {case}: gamma_t inverse law fails on {x}")
-        ch_x, ch_y, ch_sum = ch(x, D), ch(y, D), ch(x + y, D)
-        if ch_sum != ch_x + ch_y:
+        ch_x, ch_y, ch_sum = _ch_terms(x, D), _ch_terms(y, D), _ch_terms(x + y, D)
+        if not _same(ch_sum, _series_sum(ch_x, ch_y)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")
-        if ch(x * y, D) != ch_x * ch_y:
+        if not _same(_ch_terms(x * y, D), _series_product(ch_x, ch_y, D)):
             failures.append(f"case {case}: ch not multiplicative on {x}, {y}")
-        if _multiplicative(ch_sum, td) != _multiplicative(ch_x, td) * _multiplicative(ch_y, td):
+        td_x, td_y = _exp_terms(*ch_x, td, D), _exp_terms(*ch_y, td, D)
+        if not _same(_exp_terms(*ch_sum, td, D), _series_product(td_x, td_y, D)):
             failures.append(f"case {case}: Todd not multiplicative on {x}, {y}")
         k = rng.randint(0, D)
         sign = -1 if k % 2 else 1
-        if chern_k(x.dual(), k, D) != sign * _multiplicative(ch_x, c).component(k):
+        dual_k = _component(_class_terms(x.dual(), D, _chern_weights), k, D)
+        c_k, den = _component(_exp_terms(*ch_x, c, D), k, D)
+        if not _same(dual_k, (c_k, sign * den)):  # (-1)^k c_k(x), the sign on the denominator
             failures.append(f"case {case}: dual sign rule fails at k={k} on {x}")
         if failures:
             break

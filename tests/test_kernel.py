@@ -5,7 +5,9 @@ must agree exactly, with ``Fraction`` coefficients for series and ``int``
 (never ``bool``) for ``KElement`` and ``TSeries``.  ``KElement`` has no
 degree bound, so only its product is checked here; its refusal to
 substitute is in ``tests/test_term_maps.py``.  The exp of the classes, by the
-graded recurrence, is checked against the Horner loop of ``substitute``."""
+graded recurrence, is checked against the Horner loop of ``substitute``, and
+the class kernels that ``homomorphism`` compares in packed form against the
+classes and their own comparison against series equality."""
 
 from fractions import Fraction
 from math import factorial
@@ -13,8 +15,18 @@ from operator import itemgetter
 
 import pytest
 
-from charcalc.lambda_ring import KElement, TSeries, _multiplicative
-from charcalc.series import GradedSeries
+from charcalc.lambda_ring import (
+    KElement,
+    TSeries,
+    _ch_terms,
+    _chern_weights,
+    _exp_terms,
+    _multiplicative,
+    _todd_weights,
+    ch,
+)
+from charcalc.series import GradedSeries, _pack
+from charcalc.verify import _same, _series_product
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -180,3 +192,41 @@ def test_multiplicative_exp_matches_horner(case):
                    GradedSeries.zero(s.symbol_count, D))
     want = weighted.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
     assert _multiplicative(s, (numerators, w)) == want
+
+
+@st.composite
+def class_cases(draw):
+    """x and y over 0..4 symbols, each up to three lines with root entries -2..2,
+    the trivial line among them, and multiplicities -2..2, negative ones among
+    them; and a degree D in 0..6."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    root = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(min_value=-2, max_value=2)] * n))
+    lines = st.dictionaries(root, st.integers(min_value=-2, max_value=2), max_size=3)
+    return KElement(n, draw(lines)), KElement(n, draw(lines)), draw(st.integers(min_value=0, max_value=6))
+
+
+def packed_values(terms: dict, den: int) -> dict:
+    return {key: Fraction(c, den) for key, c in terms.items() if c}
+
+
+def packed_series(series: GradedSeries) -> dict:
+    return {_pack(mono, series.truncation_degree + 1): c for mono, c in series.terms()}
+
+
+# ch(2[a1]) = 2 ch([a1]): at D = 2 its numerators over 2! are those of ch([a1])
+# ch([0]) over 2! 2!, so the comparison must cross-multiply to call them unequal
+@example((KElement(1, {(1,): 2}), KElement(1, {(1,): 1}), 2))
+# equal classes from different elements: ch(x) = ch(y) at D = 0 for equal ranks
+@example((KElement(2, {(1, -1): -2, (0, 0): 1}), KElement(2, {(2, 2): -1}), 0))
+@settings(max_examples=150, deadline=None)
+@given(class_cases())
+def test_class_kernels_match_the_classes(case):
+    x, y, D = case
+    X, d = _ch_terms(x, D)
+    assert packed_values(X, d) == packed_series(ch(x, D))
+    for weights in (_todd_weights(D), _chern_weights(D)):
+        assert packed_values(*_exp_terms(X, d, weights, D)) == packed_series(
+            _multiplicative(ch(x, D), weights))
+    # the comparison of the laws: y's kernel times that of the unit, over d^2
+    unit = _ch_terms(KElement.unit(x.symbol_count), D)
+    assert _same((X, d), _series_product(_ch_terms(y, D), unit, D)) is (ch(x, D) == ch(y, D))

@@ -2,7 +2,8 @@
 :mod:`oracles`, which multiplies the line factors (1 + t[r])^m as plain
 tuple-keyed maps; the packed products of the lambda and gamma kernels against
 ``TSeries`` products; and the verifiers, which must reach lambda_t only through
-the packed kernel, never through a ``TSeries`` product."""
+the packed kernel, never through a ``TSeries`` product, and whose
+``homomorphism`` laws build no ``GradedSeries``."""
 
 import pytest
 
@@ -18,7 +19,7 @@ from charcalc.lambda_ring import (
     gamma_t,
     lambda_t,
 )
-from charcalc.series import _packed_product
+from charcalc.series import GradedSeries, _packed_product
 from charcalc.verify import (
     generic_lines,
     verify_borel_serre,
@@ -108,6 +109,17 @@ def test_homomorphism_builds_no_tseries(monkeypatch):
 
     monkeypatch.setattr(TSeries, "__mul__", refuse)
     monkeypatch.setattr(lambda_ring, "_tseries", refuse)
+    for n in range(1, 7):
+        assert verify_hom_laws(n).ok
+
+
+def test_homomorphism_builds_no_graded_series(monkeypatch):
+    # the class laws compare the numerator maps of the ch and exp kernels
+    def refuse(*args):
+        raise AssertionError("a GradedSeries built")
+
+    for name in ("__init__", "_like", "__mul__"):
+        monkeypatch.setattr(GradedSeries, name, refuse)
     for n in range(1, 7):
         assert verify_hom_laws(n).ok
 

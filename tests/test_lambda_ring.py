@@ -291,6 +291,13 @@ def test_todd_line_refuses_negative_truncation():
         todd_line(-1)
 
 
+@pytest.mark.parametrize("truncation_degree", [None, 3])
+def test_chern_k_names_k_in_its_refusal_of_a_negative_k(truncation_degree):
+    with pytest.raises(ValueError) as refused:
+        chern_k(KElement.line((1, 0)), -1, truncation_degree)
+    assert str(refused.value) == "k must be non-negative"
+
+
 def test_chern_k_refuses_a_truncation_below_k():
     with pytest.raises(ValueError, match="truncation degree must be at least k"):
         chern_k(KElement.line((1, 0)), 3, 2)

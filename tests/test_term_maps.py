@@ -11,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcalc.series import GradedSeries, MismatchError, SymmetricSeries
-from charcalc.lambda_ring import KElement, TSeries
+from charcalc.lambda_ring import (
+    KElement,
+    TSeries,
+    ch,
+    chern_k,
+    gamma_t,
+    lambda_t,
+    symmetric_ch,
+    todd,
+    todd_line,
+    total_chern,
+)
 
 OPS = [operator.add, operator.sub, operator.mul]
 
@@ -89,6 +100,38 @@ def test_constructors_refuse_out_of_range_arguments(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+LINE = KElement.line((1,))
+
+# A bool is an int and a float may be integral, but neither is a size: every
+# symbol count, truncation degree and t-power bound is an int.
+SIZES = {
+    "series-degree-bool": lambda: GradedSeries(1, True, {(1,): 1}),
+    "series-symbols-bool": lambda: GradedSeries(True, 2, {(1,): 1}),
+    "series-degree-float": lambda: GradedSeries(1, 2.0, {(1,): 1}),
+    "series-symbols-float": lambda: GradedSeries(1.0, 2, {(1,): 1}),
+    "series-symbol": lambda: GradedSeries.symbol(0, True, 2),
+    "symmetric-degree-bool": lambda: SymmetricSeries(1, True),
+    "kelement-symbols-bool": lambda: KElement(True, {(1,): 1}),
+    "tseries-one-t-max-bool": lambda: TSeries.one(1, True),
+    "ch-bool": lambda: ch(LINE, True),
+    "ch-float": lambda: ch(LINE, 2.0),
+    "todd-bool": lambda: todd(LINE, True),
+    "total-chern-bool": lambda: total_chern(LINE, True),
+    "chern-k-bool": lambda: chern_k(LINE, True),
+    "chern-k-degree-bool": lambda: chern_k(LINE, 1, True),
+    "lambda-t-bool": lambda: lambda_t(LINE, True),
+    "gamma-t-float": lambda: gamma_t(LINE, 2.0),
+    "todd-line-bool": lambda: todd_line(True),
+    "symmetric-ch-bool": lambda: symmetric_ch(LINE, True),
+}
+
+
+@pytest.mark.parametrize("name", list(SIZES))
+def test_sizes_refuse_bool_and_float(name):
+    with pytest.raises(TypeError, match="must be an int, got"):
+        SIZES[name]()
 
 
 def test_lookups_refuse_keys_of_the_wrong_length():
