@@ -1,7 +1,10 @@
 """Identity verifiers, checked against independently expanded oracles."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -338,6 +341,45 @@ def test_hom_laws_builds_one_ch_per_element(monkeypatch):
     assert verify.verify_hom_laws(3, cases=1).ok
     # x, y, x + y, x * y and x*: Todd and c are derived from those
     assert len(calls) == 5
+
+
+def hom_laws_draws(monkeypatch, n, seed):
+    """The draws of ``verify_hom_laws(n, 20, seed)``, one [x, y, k] per case, with
+    x and y as strings: every randint outside ``random_k_element`` is a k."""
+    draws, drawing, original = [], [], verify.random_k_element
+
+    class Recorded(random.Random):
+        def randint(self, a, b):
+            value = super().randint(a, b)
+            if not drawing:
+                draws[-1].append(value)
+            return value
+
+    def element(rng, n):
+        drawing.append(True)
+        x = original(rng, n)
+        drawing.pop()
+        if not draws or len(draws[-1]) == 3:
+            draws.append([])
+        draws[-1].append(str(x))
+        return x
+
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=Recorded))
+    monkeypatch.setattr(verify, "random_k_element", element)
+    assert verify.verify_hom_laws(n, 20, seed).ok
+    return draws
+
+
+# the draws of verify_hom_laws, written once from the code before its laws shared
+# their series; a change to a law must leave every draw, and its order, as it is
+HOM_LAWS_DRAWS = Path(__file__).parent / "hom_laws_draws.json"
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_hom_laws_keep_their_draws(monkeypatch, n, seed):
+    pinned = json.loads(HOM_LAWS_DRAWS.read_text())[f"n={n} seed={seed}"]
+    assert hom_laws_draws(monkeypatch, n, seed) == pinned
 
 
 # each law's function, by the name verify calls it under, fed x * x for x: no
