@@ -26,7 +26,7 @@ The lambda operations multiply no term maps: one kernel,
 :func:`_lambda_terms`, gives lambda_t on packed integer keys, on which a line
 factor (1 + t[r])^m multiplies by adding integers.  ``lambda_t`` unpacks it
 into a ``TSeries``, ``gamma_t`` unpacks :func:`_gamma_terms`, which
-substitutes s = t/(1 - t) on the packed keys, and ``gamma_k`` and
+substitutes s = t/(1 - t) on those packed terms, and ``gamma_k`` and
 ``alternating_lambda_sum`` fold weighted sums of the lambda^j of the
 nontrivial lines by root (:func:`_lambda_fold`), unpacking only the folded
 roots: the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m,
@@ -52,6 +52,7 @@ from .series import (
     MismatchError,
     SymmetricSeries,
     _coefficient,
+    _index,
     _key,
     _numerators,
     _size,
@@ -188,8 +189,7 @@ class TSeries(_TermMap):
         return self._bound
 
     def coefficient(self, power: int) -> KElement:
-        if not 0 <= power <= self.t_max:
-            raise ValueError(f"t-power {power} out of range [0, {self.t_max}]")
+        _index(power, self.t_max, "t-power")
         terms = {key[1:]: m for key, m in self._nums.items() if key[0] == power}
         return KElement.zero(self.symbol_count)._like(terms)
 
@@ -212,12 +212,13 @@ class TSeries(_TermMap):
 # -- lambda and gamma operations ------------------------------------------
 
 
-def _binomials(m: int, t_max: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _binomials(m: int, t_max: int) -> tuple[int, ...]:
     """The coefficients of (1 + t)^m up to t^t_max, for any integer m: the
     generalized binomials C(m, k), which are (-1)^k C(k - m - 1, k) when m < 0."""
     if m >= 0:
-        return [comb(m, k) for k in range(t_max + 1)]
-    return [(-1) ** k * comb(k - m - 1, k) for k in range(t_max + 1)]
+        return tuple(comb(m, k) for k in range(t_max + 1))
+    return tuple((-1) ** k * comb(k - m - 1, k) for k in range(t_max + 1))
 
 
 def _lambda_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int, int]]:
@@ -312,28 +313,28 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
-def _gamma_terms(x: KElement, t_max: int) -> tuple[int, dict[int, int]]:
-    """gamma_t(x) on the packed keys of :func:`_lambda_terms` at x's own base,
-    as (B, terms).
+def _gamma_terms(B: int, lam: dict[int, int], t_max: int) -> dict[int, int]:
+    """gamma_t on packed keys, from the packed terms ``lam`` of lambda_t truncated
+    at t^t_max at base B (:func:`_lambda_terms`), at that base.
 
     Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
     m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): only
     digit 0 moves, and a term's entries stay at most its t-power times max |e|.
     """
-    B, lam = _lambda_terms(x, t_max)
     terms = {0: 1}  # gamma^0 = lambda^0 = [0]
     for key, mult in lam.items():
         k = key % B
         for j in range(k, t_max + 1) if k else ():
             moved = key + j - k
             terms[moved] = terms.get(moved, 0) + mult * comb(j - 1, k - 1)
-    return B, terms
+    return terms
 
 
 def gamma_t(x: KElement, t_max: int) -> TSeries:
     """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max
     (:func:`_gamma_terms`)."""
-    return _tseries(x, t_max, *_gamma_terms(x, t_max))
+    B, lam = _lambda_terms(x, t_max)
+    return _tseries(x, t_max, B, _gamma_terms(B, lam, t_max))
 
 
 def _lambda_fold(x: KElement, t_max: int, weights: list[int]) -> tuple[int, dict[int, int]]:
@@ -381,7 +382,7 @@ def gamma_k(x: KElement, k: int) -> KElement:
     """The k-th gamma operation: the t^k coefficient of gamma_t(x), read off
     lambda_t(x) by :func:`_gamma_weights` and :func:`_lambda_sum`: no gamma_t
     is built, and the trivial lines of x enter as a scalar in t."""
-    return _lambda_sum(x, k, _gamma_weights(k))
+    return _lambda_sum(x, _size(k, "k"), _gamma_weights(k))
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:
@@ -424,13 +425,14 @@ def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
     """
     factorials = _factorials(_size(D, "truncation_degree"))
     B = D + 1
+    shifts = [B**i + 1 for i in range(1, x.symbol_count + 1)]
     sums: dict[int, int] = {}
     for root, mult in x._nums.items():
         # (key of the exponents so far, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
         level = [(0, mult, D)]
-        for i, r in enumerate(root, 1):
+        for r, shift in zip(root, shifts):
             if r:
-                shift, by_room = B**i + 1, _ch_steps(r, D)
+                by_room = _ch_steps(r, D)
                 level = [(key + k * shift, value * step, left)
                          for key, value, room in level for k, step, left in by_room[room]]
         for key, value, room in level:

@@ -81,6 +81,17 @@ def _size(value, name: str) -> int:
     return value
 
 
+def _index(value, bound: int, name: str) -> int:
+    """``value`` as a degree or t-power of a map bounded by ``bound``: an ``int``
+    that is not a ``bool`` (TypeError otherwise), in [0, ``bound``] (ValueError
+    otherwise)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if not 0 <= value <= bound:
+        raise ValueError(f"{name} {value} out of range [0, {bound}]")
+    return value
+
+
 def _numerators(terms: dict) -> tuple[dict, int]:
     """Integer numerators of ``terms`` over the lcm of its denominators, which
     is reduced for reduced ``Fraction`` values; an ``int`` map as is, over 1."""
@@ -259,8 +270,7 @@ class _TermMap:
         """The homogeneous part of the given degree."""
         if self._bound is None:
             raise TypeError(f"{type(self).__name__} has no degree bound to take components under")
-        if not 0 <= degree <= self._bound:
-            raise ValueError(f"degree {degree} out of range [0, {self._bound}]")
+        _index(degree, self._bound, "degree")
         degree_of = self._degree
         return self._like(
             {k: c for k, c in self._nums.items() if degree_of(k) == degree}, self._den

@@ -228,18 +228,22 @@ def _nonzero(terms: dict) -> dict:
 
 def _same(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> bool:
     """Whether two series are equal: each side's numerators times the other
-    side's denominator, zeros dropped."""
+    side's denominator, zeros dropped; over one denominator, the numerators."""
     (xs, d), (ys, e) = lhs, rhs
+    if d == e:
+        return _nonzero(xs) == _nonzero(ys)
     return {k: c * e for k, c in xs.items() if c} == {k: c * d for k, c in ys.items() if c}
 
 
 def _series_sum(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> tuple[dict, int]:
-    """The sum of two series, over the product of their denominators."""
+    """The sum of two series, over the product of their denominators or, when
+    they share one, over that denominator."""
     (xs, d), (ys, e) = lhs, rhs
-    total = {k: c * e for k, c in xs.items()}
+    f, g = (1, 1) if d == e else (e, d)  # what xs and ys are multiplied by
+    total = {k: c * f for k, c in xs.items()}
     for k, c in ys.items():
-        total[k] = total.get(k, 0) + c * d
-    return total, d * e
+        total[k] = total.get(k, 0) + c * g
+    return total, d * f
 
 
 def _component(series: tuple[dict, int], k: int, D: int) -> tuple[dict, int]:
@@ -259,13 +263,20 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     inverse law, and the Chern-class dual sign rule, at truncation degree
     and t-power 3.
 
-    Every law runs on packed maps, multiplied by :func:`_packed_product`.  The
-    lambda_t and gamma_t laws compare packed terms (:func:`_lambda_terms`,
-    :func:`_gamma_terms`) at one base; packed equality is equality of the
-    ``TSeries``, none of which is built.  The ch, Todd and dual sign laws compare
-    the numerator maps of the ch and exp kernels (:func:`_ch_terms`,
-    :func:`_exp_terms`) over their denominators (:func:`_same`); no
-    ``GradedSeries`` is built.
+    Every law runs on packed maps, multiplied by :func:`_packed_product`, and
+    each series a case reads is built once.  The lambda_t and gamma_t laws
+    compare packed terms at one base B, the larger of x's and y's own, which
+    those of x + y and -x do not exceed: the lambda kernel
+    (:func:`_lambda_terms`) packs x, y, x + y and -x at B, and
+    gamma_t(x) and gamma_t(-x) are read off the lambda_t terms of x and -x
+    (:func:`_gamma_terms`), so a case runs four lambda kernels.  Packed equality
+    is equality of the ``TSeries``, none of which is built.  The ch and Todd laws
+    compare the numerator maps of the ch and exp kernels (:func:`_ch_terms`,
+    :func:`_exp_terms`) of x, y, x + y and x y over their denominators
+    (:func:`_same`).  The dual sign rule runs at truncation k, the degree it
+    reads: truncating at any degree from k on leaves the degree-k part as it
+    is.  It compares c_k(x*), of :func:`_class_terms`, with c_k(x), of the exp
+    kernel of ch(x) at k.  No ``GradedSeries`` is built.
 
     Some faults pass these laws.  Todd multiplicativity and the dual sign rule
     hold for any weight table once ch is additive, since both are functions of
@@ -277,23 +288,24 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         raise ValueError("need at least one case")
     rng = random.Random(seed)
     D = t_max = 3
-    # Todd and c are functions of ch, as in todd and total_chern
-    td, c = _todd_weights(D), _chern_weights(D)
+    td = _todd_weights(D)  # Todd is a function of ch, as in todd
     failures = []
     for case in range(cases):
         x = random_k_element(rng, n)
         y = random_k_element(rng, n)
+        x_plus_y = x + y
         Bx, lam_x = _lambda_terms(x, t_max)
         B, lam_y = _lambda_terms(y, t_max, Bx)
-        if B > Bx:  # x, y and x + y share the larger base, y's own
+        if B > Bx:  # x, y, x + y and -x share the larger base, y's own
             lam_x = _lambda_terms(x, t_max, B)[1]
         product = _packed_product(lam_x, lam_y, B, t_max)
-        if _nonzero(_lambda_terms(x + y, t_max, B)[1]) != _nonzero(product):
+        if _nonzero(_lambda_terms(x_plus_y, t_max, B)[1]) != _nonzero(product):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
-        B, gam_x = _gamma_terms(x, t_max)  # -x has the roots of x, so the same base
-        if _nonzero(_packed_product(gam_x, _gamma_terms(-x, t_max)[1], B, t_max)) != {0: 1}:
+        gam_x = _gamma_terms(B, lam_x, t_max)
+        gam_minus_x = _gamma_terms(B, _lambda_terms(-x, t_max, B)[1], t_max)
+        if _nonzero(_packed_product(gam_x, gam_minus_x, B, t_max)) != {0: 1}:
             failures.append(f"case {case}: gamma_t inverse law fails on {x}")
-        ch_x, ch_y, ch_sum = _ch_terms(x, D), _ch_terms(y, D), _ch_terms(x + y, D)
+        ch_x, ch_y, ch_sum = _ch_terms(x, D), _ch_terms(y, D), _ch_terms(x_plus_y, D)
         if not _same(ch_sum, _series_sum(ch_x, ch_y)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")
         if not _same(_ch_terms(x * y, D), _series_product(ch_x, ch_y, D)):
@@ -303,8 +315,10 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
             failures.append(f"case {case}: Todd not multiplicative on {x}, {y}")
         k = rng.randint(0, D)
         sign = -1 if k % 2 else 1
-        dual_k = _component(_class_terms(x.dual(), D, _chern_weights), k, D)
-        c_k, den = _component(_exp_terms(*ch_x, c, D), k, D)
+        # c is a function of ch, as in total_chern; c(x) reads no _class_terms, so a
+        # fault there shows on the x* side alone
+        dual_k = _component(_class_terms(x.dual(), k, _chern_weights), k, k)
+        c_k, den = _component(_exp_terms(*_ch_terms(x, k), _chern_weights(k), k), k, k)
         if not _same(dual_k, (c_k, sign * den)):  # (-1)^k c_k(x), the sign on the denominator
             failures.append(f"case {case}: dual sign rule fails at k={k} on {x}")
         if failures:

@@ -145,8 +145,8 @@ def pairs(draw):
 @given(pairs())
 def test_packed_laws_match_the_tseries_laws(case):
     # x, y and x + y packed at the largest of their own bases multiply, and unpack,
-    # as their TSeries do; gamma_t packs z at its own base, which -z shares.  The
-    # laws of homomorphism compare such packed maps
+    # as their TSeries do; gamma_t read off the lambda_t terms of z and -z packed at
+    # that base does too.  The laws of homomorphism compare such packed maps
     x, y, t_max = case
     B = max(_lambda_terms(z, t_max)[0] for z in (x, y, x + y))
     (Bx, px), (By, py), (Bs, psum) = (_lambda_terms(z, t_max, B) for z in (x, y, x + y))
@@ -155,7 +155,9 @@ def test_packed_laws_match_the_tseries_laws(case):
     assert _tseries(x, t_max, B, product) == lambda_t(x, t_max) * lambda_t(y, t_max)
     assert _tseries(x, t_max, B, psum) == lambda_t(x + y, t_max)
     for z in (x, y, x + y):
-        (B, gz), (Bn, gn) = _gamma_terms(z, t_max), _gamma_terms(-z, t_max)
-        assert Bn == B
+        (Bz, lz), (Bn, ln) = _lambda_terms(z, t_max, B), _lambda_terms(-z, t_max, B)
+        assert Bz == Bn == B
+        gz, gn = _gamma_terms(B, lz, t_max), _gamma_terms(B, ln, t_max)
+        assert _tseries(z, t_max, B, gz) == gamma_t(z, t_max)
         product = _packed_product(gz, gn, B, t_max)
         assert _tseries(z, t_max, B, product) == gamma_t(z, t_max) * gamma_t(-z, t_max)

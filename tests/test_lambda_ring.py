@@ -144,8 +144,16 @@ def test_gamma_one_is_identity_on_rank_zero():
 
 @pytest.mark.parametrize("x", [KElement.line((1, 0)), KElement.line((1, 0)) - 3 * unit(2)])
 def test_gamma_k_refuses_a_negative_k(x):
-    with pytest.raises(ValueError, match="t_max must be non-negative"):
+    with pytest.raises(ValueError) as refused:
         gamma_k(x, -1)
+    assert str(refused.value) == "k must be non-negative"
+
+
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_gamma_k_names_k_in_its_refusal_of_a_non_int_k(k):
+    with pytest.raises(TypeError) as refused:
+        gamma_k(KElement.line((1, 0)), k)
+    assert str(refused.value) == f"k must be an int, got {k!r}"
 
 
 def test_gamma_t_of_zero():

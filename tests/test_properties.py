@@ -3,7 +3,8 @@ against its exp-per-line definition, of gamma^k against the top coefficient
 of gamma_t and of the alternating lambda sum against lambda_t, with and
 without a trivial line, of both sides of gala against the alternating
 product of the lines, of the Todd and total Chern classes against their
-product-per-line definition, of the S_n-orbit Chern character times a class
+product-per-line definition, of the degree-k part of those classes against
+the same classes truncated at k, of the S_n-orbit Chern character times a class
 of generic lines against the dense ones, of the strata-lattice round trip,
 of the fiber validate_fiber returns against direct superset sums and the file
 order, of the random lattice's independence of the hash seed, of the fiber
@@ -45,6 +46,10 @@ from charcalc.conductor import (
 )
 from charcalc.lambda_ring import (
     KElement,
+    _chern_weights,
+    _class_terms,
+    _graded,
+    _todd_weights,
     alternating_lambda_sum,
     ch,
     gamma_k,
@@ -289,6 +294,26 @@ def test_todd_and_total_chern_match_product_per_line(x, degree):
     ):
         assert result == product_per_line(x, degree, line)
         assert all(type(c) is Fraction for _, c in result.terms())
+
+
+def degree_part(x, D, k, weights_of):
+    """The degree-k part of the class of x at truncation D of the weights
+    ``weights_of`` (:func:`_class_terms`), as a map from exponent tuples."""
+    return dict(_graded(x, D, *_class_terms(x, D, weights_of)).component(k).terms())
+
+
+# the dual sign rule of homomorphism reads c_k at truncation k
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(k_elements(), with_trivial_line()), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=5))
+@example(KElement.zero(1), 0, 0)
+@example(KElement(1, {(0,): 3, (-3,): -1}), 3, 3)
+@example(KElement(2, {(0, 0): -2, (1, -1): -3, (2, 0): 1}), 2, 5)
+@example(KElement(3, {(0, 0, 0): 1, (1, 0, -1): -2}), 0, 5)
+def test_class_degree_parts_do_not_depend_on_the_truncation(x, k, D):
+    k, D = sorted((k, D))
+    for weights_of in (_chern_weights, _todd_weights):
+        assert degree_part(x, D, k, weights_of) == degree_part(x, k, k, weights_of)
 
 
 # -- the S_n-orbit Chern character times a class of generic lines ---------------

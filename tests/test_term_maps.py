@@ -146,6 +146,35 @@ def test_lookups_refuse_keys_of_the_wrong_length():
         element.multiplicity((1,))
 
 
+SERIES = GradedSeries(1, 3, {(1,): 1, (2,): 5})
+
+# A degree or t-power is an int in range: a bool is not read as 0 or 1, and a
+# float is refused rather than matching no key.
+LOOKUPS = {
+    "component-bool": (lambda: SERIES.component(True), TypeError, "degree must be an int, got True"),
+    "component-float": (lambda: SERIES.component(1.5), TypeError, "degree must be an int, got 1.5"),
+    "component-symmetric-bool": (lambda: SymmetricSeries(1, 2).component(False), TypeError,
+                                 "degree must be an int, got False"),
+    "component-above": (lambda: SERIES.component(4), ValueError, "degree 4 out of range [0, 3]"),
+    "component-negative": (lambda: SERIES.component(-1), ValueError,
+                           "degree -1 out of range [0, 3]"),
+    "coefficient-bool": (lambda: lambda_t(LINE, 2).coefficient(True), TypeError,
+                         "t-power must be an int, got True"),
+    "coefficient-float": (lambda: lambda_t(LINE, 2).coefficient(1.0), TypeError,
+                          "t-power must be an int, got 1.0"),
+    "coefficient-above": (lambda: lambda_t(LINE, 2).coefficient(3), ValueError,
+                          "t-power 3 out of range [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOKUPS))
+def test_lookups_refuse_bool_float_and_out_of_range_degrees(name):
+    lookup, error, message = LOOKUPS[name]
+    with pytest.raises(error) as refused:
+        lookup()
+    assert str(refused.value) == message
+
+
 def test_kelement_has_no_components():
     with pytest.raises(TypeError, match="KElement has no degree bound"):
         KElement.line((1,)).component(0)

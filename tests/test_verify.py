@@ -86,8 +86,8 @@ CHECKS_AT_RANK = {
 
 
 def doubled_t1(monkeypatch):
-    """The lambda kernel with its t^1 terms doubled; the dense right side of
-    gala is left as it is."""
+    """The lambda kernel with its t^1 terms doubled, under both names it is
+    called by; the dense right side of gala is left as it is."""
     original = lambda_ring._lambda_terms
 
     def corrupted(x, t_max, base=0):
@@ -95,6 +95,7 @@ def doubled_t1(monkeypatch):
         return B, {key: m * (2 if key % B == 1 else 1) for key, m in terms.items()}
 
     monkeypatch.setattr(lambda_ring, "_lambda_terms", corrupted)
+    monkeypatch.setattr(verify, "_lambda_terms", corrupted)
     return lambda x, product: product
 
 
@@ -328,19 +329,44 @@ def test_hom_laws_refuses_vacuous_input():
         verify_hom_laws(3, cases=0)
 
 
+def first_case(n):
+    """The x, y and k of case 0 of ``verify_hom_laws(n, seed=0)``."""
+    rng = random.Random(0)
+    x, y = verify.random_k_element(rng, n), verify.random_k_element(rng, n)
+    return x, y, rng.randint(0, 3)
+
+
 def test_hom_laws_builds_one_ch_per_element(monkeypatch):
     calls = []
     original = lambda_ring._ch_terms
 
     def counted(x, truncation_degree):
-        calls.append(x)
+        calls.append((x, truncation_degree))
         return original(x, truncation_degree)
 
     monkeypatch.setattr(lambda_ring, "_ch_terms", counted)
     monkeypatch.setattr(verify, "_ch_terms", counted)
     assert verify.verify_hom_laws(3, cases=1).ok
-    # x, y, x + y, x * y and x*: Todd and c are derived from those
-    assert len(calls) == 5
+    # one ch per element and degree: x, y, x + y and x * y at D = 3, from which
+    # Todd is derived, then the dual sign rule's x* and x at the degree k it reads
+    x, y, k = first_case(3)
+    assert calls == [(x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), k), (x, k)]
+
+
+def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
+    calls = []
+    original = lambda_ring._lambda_terms
+
+    def counted(x, t_max, base=0):
+        calls.append(x)
+        return original(x, t_max, base)
+
+    monkeypatch.setattr(lambda_ring, "_lambda_terms", counted)
+    monkeypatch.setattr(verify, "_lambda_terms", counted)
+    assert verify.verify_hom_laws(3, cases=1).ok
+    # gamma_t(x) is read off the lambda_t terms of x, packed for the lambda law
+    x, y, _ = first_case(3)
+    assert calls == [x, y, x + y, -x]
 
 
 def hom_laws_draws(monkeypatch, n, seed):
@@ -382,13 +408,15 @@ def test_hom_laws_keep_their_draws(monkeypatch, n, seed):
     assert hom_laws_draws(monkeypatch, n, seed) == pinned
 
 
-# each law's function, by the name verify calls it under, fed x * x for x: no
-# law survives the square of its input; the lambda_t law passes the packed
-# kernel a shared base, which the wrapper forwards
+# each law's function, by the name verify calls it under, fed x * x for x, or,
+# for gamma_t, which reads the packed lambda_t terms of x, those terms doubled:
+# no law survives such an input; the lambda_t law passes the packed kernel a
+# shared base, which the wrapper forwards
 SQUARED = {
     "lambda_t": ("_lambda_terms", "lambda_t not multiplicative",
                  lambda f: lambda x, t, *base: f(x * x, t, *base)),
-    "gamma_t": ("_gamma_terms", "gamma_t inverse law fails", lambda f: lambda x, t: f(x * x, t)),
+    "gamma_t": ("_gamma_terms", "gamma_t inverse law fails",
+                lambda f: lambda B, lam, t: f(B, {key: 2 * c for key, c in lam.items()}, t)),
     "ch": ("_ch_terms", "ch not additive", lambda f: lambda x, D: f(x * x, D)),
     "chern_k": ("_class_terms", "dual sign rule fails",
                 lambda f: lambda x, D, weights_of: f(x * x, D, weights_of)),

@@ -6,7 +6,10 @@ is switched to one side's modules before each of its runs, so a statement
 that imports from ``charcalc`` gets that side.  The sides run in alternating
 order, pair after pair, so that a slow spell of the host lands on both.  The
 output is the median of the paired ratios (change over base), the pairs the
-change won, and each side's fastest run.
+change won, each side's fastest run, the base's quartiles and the drop of the
+median run, and whether the change meets the rule a claimed gain is held to:
+faster in at least 9 of every 10 pairs, and a median drop above the
+interquartile range (IQR) of the base's runs.
 
 This sizes a change before it is benchmarked; a claim of a gain comes from
 ``bench/run.py``.  Run from anywhere, for example with the parent commit
@@ -101,7 +104,22 @@ def main(argv=None) -> int:
     print(f"median ratio {statistics.median(ratios):.3f}  (change / base, {args.pairs} pairs)")
     print(f"change faster in {wins} of {args.pairs} pairs")
     print(f"fastest run: base {min(base_s):.4f} s, change {min(change_s):.4f} s")
+    q1, q2, q3 = quartiles(base_s)
+    drop = q2 - statistics.median(change_s)
+    print(f"base quartiles {q1:.4f} {q2:.4f} {q3:.4f} s (IQR {q3 - q1:.4f} s); "
+          f"median drop {drop:.4f} s")
+    met = 10 * wins >= 9 * args.pairs and drop > q3 - q1
+    print(f"claim rule (faster in at least 9 of 10 pairs, median drop above the base IQR): "
+          f"{'met' if met else 'not met'}")
     return 0
+
+
+def quartiles(runs: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile of ``runs``."""
+    if len(runs) < 2:
+        return runs[0], runs[0], runs[0]
+    q1, q2, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return q1, q2, q3
 
 
 if __name__ == "__main__":
