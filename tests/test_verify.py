@@ -329,14 +329,16 @@ def test_hom_laws_refuses_vacuous_input():
         verify_hom_laws(3, cases=0)
 
 
-def first_case(n):
-    """The x, y and k of case 0 of ``verify_hom_laws(n, seed=0)``."""
-    rng = random.Random(0)
+def first_case(n, seed=0):
+    """The x, y and k of case 0 of ``verify_hom_laws(n, seed=seed)``."""
+    rng = random.Random(seed)
     x, y = verify.random_k_element(rng, n), verify.random_k_element(rng, n)
     return x, y, rng.randint(0, 3)
 
 
-def test_hom_laws_builds_one_ch_per_element(monkeypatch):
+def hom_laws_ch_calls(monkeypatch, seed):
+    """The (element, degree) calls of the ch kernel in case 0 of
+    ``verify_hom_laws(3, seed=seed)``."""
     calls = []
     original = lambda_ring._ch_terms
 
@@ -346,11 +348,24 @@ def test_hom_laws_builds_one_ch_per_element(monkeypatch):
 
     monkeypatch.setattr(lambda_ring, "_ch_terms", counted)
     monkeypatch.setattr(verify, "_ch_terms", counted)
-    assert verify.verify_hom_laws(3, cases=1).ok
+    assert verify.verify_hom_laws(3, cases=1, seed=seed).ok
+    return calls
+
+
+def test_hom_laws_builds_one_ch_per_element(monkeypatch):
     # one ch per element and degree: x, y, x + y and x * y at D = 3, from which
     # Todd is derived, then the dual sign rule's x* and x at the degree k it reads
     x, y, k = first_case(3)
-    assert calls == [(x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), k), (x, k)]
+    assert k == 2
+    assert hom_laws_ch_calls(monkeypatch, 0) == [
+        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), k), (x, k)]
+
+
+def test_hom_laws_dual_rule_at_degree_three_reads_the_ch_already_built(monkeypatch):
+    x, y, k = first_case(3, seed=1)
+    assert k == 3
+    assert hom_laws_ch_calls(monkeypatch, 1) == [
+        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), 3)]
 
 
 def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
