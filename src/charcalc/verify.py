@@ -263,8 +263,8 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     and t-power 3.
 
     Every law runs on packed maps, multiplied by :func:`_packed_product`, and
-    each series a case reads is built once, at each truncation it is read at.  The lambda_t and gamma_t laws
-    compare packed terms at one base B, the larger of x's and y's own, which
+    each series a case reads is built once at each truncation it is read at.
+    The lambda_t and gamma_t laws compare packed terms at one base B, the larger of x's and y's own, which
     those of x + y and -x do not exceed: the lambda kernel
     (:func:`_lambda_terms`) packs x, y, x + y and -x at B, and
     gamma_t(x) and gamma_t(-x) are read off the lambda_t terms of x and -x
