@@ -536,13 +536,6 @@ def _exp_terms(X: dict[int, int], d: int, weights: tuple, D: int) -> tuple[dict[
     return out, weight
 
 
-def _multiplicative(chern_character: GradedSeries, weights: tuple) -> GradedSeries:
-    """The class of the ``weights`` (:func:`_exp_terms`) of the Chern character
-    ``chern_character``, at its truncation degree."""
-    X, d = chern_character._nums, chern_character._den
-    return chern_character._like(*_exp_terms(X, d, weights, chern_character._bound))
-
-
 def _class_terms(x: KElement, D: int, weights_of) -> tuple[dict[int, int], int]:
     """The class of x up to degree D whose weights are ``weights_of(D)``:
     :func:`_exp_terms` of :func:`_ch_terms`, which refuses a bad D first."""

@@ -15,11 +15,12 @@ fold of lambda_t that gamma_k unpacks against a packed product of the lines
 1 - [r] that reads no lambda_t; it unpacks them into K-elements only to report
 a difference.  ``homomorphism`` runs on random elements that are not
 symmetric, and all its laws run on packed maps: the lambda_t and gamma_t laws
-on the packed terms of the lambda kernel, the class laws on the numerator maps
-of the ch and exp kernels (:func:`~charcalc.lambda_ring._ch_terms`,
-:func:`~charcalc.lambda_ring._exp_terms`), each multiplied by
-:func:`~charcalc.series._packed_product`.  No check multiplies a ``TSeries``,
-and ``homomorphism`` builds no ``GradedSeries``.
+on the packed terms of the lambda kernel, the ch laws on the numerator maps of
+the ch kernel (:func:`~charcalc.lambda_ring._ch_terms`), each multiplied by
+:func:`~charcalc.series._packed_product`, and its line laws on the Todd and
+Chern classes of one line and of its negative
+(:func:`~charcalc.lambda_ring._class_terms`), against closed forms.  No check
+multiplies a ``TSeries``, and ``homomorphism`` builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -39,7 +40,6 @@ from .lambda_ring import (
     _ch_terms,
     _chern_weights,
     _class_terms,
-    _exp_terms,
     _gamma_terms,
     _gamma_weights,
     _kelement,
@@ -51,7 +51,7 @@ from .lambda_ring import (
     symmetric_ch,
     todd_line,
 )
-from .series import SymmetricSeries, _packed_product, dominant_exponents
+from .series import SymmetricSeries, _numerators, _packed_product, dominant_exponents
 
 DIFF_SAMPLES = 5
 
@@ -209,7 +209,11 @@ def verify_prop_chtd(n: int) -> CheckResult:
 
 def random_k_element(rng: random.Random, n: int) -> KElement:
     """Small random group-ring element for property checks: one to three
-    random lines, each with multiplicity in {-2, -1, 1, 2}."""
+    random lines, each drawn with multiplicity in {-2, -1, 1, 2}.  A root
+    drawn more than once adds up its multiplicities, so a line can have any
+    multiplicity from -6 to 6, or cancel out.  Root entries are -1..1, so the
+    lambda kernel packs every element drawn, and the sums and negatives of
+    such elements, at base 2 t_max + 1 (:func:`_lambda_terms`)."""
     terms: dict[tuple, int] = {}
     for _ in range(rng.randint(1, 3)):
         root = tuple(rng.randint(-1, 1) for _ in range(n))
@@ -245,59 +249,70 @@ def _series_sum(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> tuple[dict, int
     return total, d
 
 
-def _component(series: tuple[dict, int], k: int, D: int) -> tuple[dict, int]:
-    """The degree-k part of a series truncated at D."""
-    terms, den = series
-    return {key: c for key, c in terms.items() if key % (D + 1) == k}, den
-
-
 def _series_product(lhs: tuple[dict, int], rhs: tuple[dict, int], D: int) -> tuple[dict, int]:
     """The product of two series truncated at D (:func:`_packed_product`)."""
     return _packed_product(lhs[0], rhs[0], D + 1, D), lhs[1] * rhs[1]
 
 
+def _line_laws(n: int, D: int) -> list[str]:
+    """The failures of the line laws up to degree D, for l the class of the last
+    symbol a_n: Td([a_n]) = todd_line(D), c([a_n]) = 1 + l,
+    Td(-[a_n]) = (1 - e^-l)/l = sum (-1)^k l^k/(k+1)! and
+    c(-[a_n]) = 1/(1 + l) = sum (-l)^k, each class from :func:`_class_terms`.
+
+    On -[a_n] both classes are nonzero in every degree, so the laws read each
+    weight and each degree of the exp kernel.  The key of l^k is k + k B^n at
+    base B = D + 1 (:func:`_ch_terms`): from n = 2 on, key // B is not the
+    degree k, as it is for a1, so a kernel that reads one for the other fails."""
+    line = KElement.line((0,) * (n - 1) + (1,))
+    step, top = (D + 1) ** n + 1, factorial(D + 1)  # the key of l, and (D + 1)!
+    laws = [
+        ("Td", line, _todd_weights, "l/(1 - e^-l)",
+         _numerators({k * step: c for k, c in enumerate(todd_line(D))})),
+        ("c", line, _chern_weights, "1 + l", ({0: 1, step: 1}, 1)),
+        ("Td", -line, _todd_weights, "(1 - e^-l)/l",
+         ({k * step: (-1) ** k * top // factorial(k + 1) for k in range(D + 1)}, top)),
+        ("c", -line, _chern_weights, "1/(1 + l)", ({k * step: (-1) ** k for k in range(D + 1)}, 1)),
+    ]
+    return [f"line law fails: {name}({x}) != {form} for l = a{n}"
+            for name, x, weights_of, form, want in laws
+            if not _same(_class_terms(x, D, weights_of), want)]
+
+
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
-    """Randomized exact check of the structural laws: lambda_t and Todd
-    multiplicativity, the Chern-character ring homomorphism, the gamma
-    inverse law, and the Chern-class dual sign rule, at truncation degree
-    and t-power 3.
+    """Randomized exact check of the structural laws, lambda_t
+    multiplicativity, the gamma inverse law and the Chern-character ring
+    homomorphism, at truncation degree and t-power 3, then of the line laws
+    of the Todd and Chern classes.
 
     Every law runs on packed maps, multiplied by :func:`_packed_product`, and
-    each series a case reads is built once at each truncation it is read at.
-    The lambda_t and gamma_t laws compare packed terms at one base B, the larger of x's and y's own, which
-    those of x + y and -x do not exceed: the lambda kernel
-    (:func:`_lambda_terms`) packs x, y, x + y and -x at B, and
-    gamma_t(x) and gamma_t(-x) are read off the lambda_t terms of x and -x
-    (:func:`_gamma_terms`), so a case runs four lambda kernels.  Packed equality
-    is equality of the ``TSeries``, none of which is built.  The ch and Todd laws
-    compare the numerator maps of the ch and exp kernels (:func:`_ch_terms`,
-    :func:`_exp_terms`) of x, y, x + y and x y over their denominators
-    (:func:`_same`).  The dual sign rule runs at truncation k, the degree it
-    reads: truncating at any degree from k on leaves the degree-k part as it
-    is.  It compares c_k(x*), of :func:`_class_terms`, with c_k(x), of the exp
-    kernel of ch(x) at k, which for k = 3 is the ch(x) of the class laws.  No
-    ``GradedSeries`` is built.
+    each series a case reads is built once.  The lambda_t and gamma_t laws
+    compare packed terms at one base B, that of x: the lambda kernel
+    (:func:`_lambda_terms`) packs every element :func:`random_k_element` draws,
+    and their sums and negatives, at 2 t_max + 1, so it packs x, y, x + y and
+    -x at B.  gamma_t(x) and gamma_t(-x) are read off the lambda_t terms of x
+    and -x (:func:`_gamma_terms`), so a case runs four lambda kernels.  Packed
+    equality is equality of the ``TSeries``, none of which is built.  The ch
+    laws compare the numerator maps of the ch kernel (:func:`_ch_terms`) of x,
+    y, x + y and x y over their denominators (:func:`_same`).  After the
+    cases, the line laws (:func:`_line_laws`) compare Td and c of [a_n] and of
+    -[a_n] with closed forms, so a wrong Todd or Chern weight, Bernoulli
+    number or exp kernel fails them.  No ``GradedSeries`` is built.
 
-    Some faults pass these laws.  Todd multiplicativity and the dual sign rule
-    hold for any weight table once ch is additive, since both are functions of
-    ch and ch_k(x*) = (-1)^k ch_k(x); so a wrong Todd or Chern class passes.
     The lambda_t and gamma_t laws hold for every multiplicative lambda_t; so a
     lambda that is another ring map, such as one that doubles every root,
-    passes.  ``gala`` sees the latter."""
+    passes.  ``gala`` sees it."""
     if cases < 1:
         raise ValueError("need at least one case")
     rng = random.Random(seed)
     D = t_max = 3
-    td = _todd_weights(D)  # Todd is a function of ch, as in todd
     failures = []
     for case in range(cases):
         x = random_k_element(rng, n)
         y = random_k_element(rng, n)
         x_plus_y = x + y
-        Bx, lam_x = _lambda_terms(x, t_max)
-        B, lam_y = _lambda_terms(y, t_max, Bx)
-        if B > Bx:  # x, y, x + y and -x share the larger base, y's own
-            lam_x = _lambda_terms(x, t_max, B)[1]
+        B, lam_x = _lambda_terms(x, t_max)  # 2 t_max + 1, which y, x + y and -x share
+        lam_y = _lambda_terms(y, t_max, B)[1]
         product = _packed_product(lam_x, lam_y, B, t_max)
         if _nonzero(_lambda_terms(x_plus_y, t_max, B)[1]) != _nonzero(product):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
@@ -305,25 +320,14 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         gam_minus_x = _gamma_terms(B, _lambda_terms(-x, t_max, B)[1], t_max)
         if _nonzero(_packed_product(gam_x, gam_minus_x, B, t_max)) != {0: 1}:
             failures.append(f"case {case}: gamma_t inverse law fails on {x}")
-        ch_x, ch_y, ch_sum = _ch_terms(x, D), _ch_terms(y, D), _ch_terms(x_plus_y, D)
-        if not _same(ch_sum, _series_sum(ch_x, ch_y)):
+        ch_x, ch_y = _ch_terms(x, D), _ch_terms(y, D)
+        if not _same(_ch_terms(x_plus_y, D), _series_sum(ch_x, ch_y)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")
         if not _same(_ch_terms(x * y, D), _series_product(ch_x, ch_y, D)):
             failures.append(f"case {case}: ch not multiplicative on {x}, {y}")
-        td_x, td_y = _exp_terms(*ch_x, td, D), _exp_terms(*ch_y, td, D)
-        if not _same(_exp_terms(*ch_sum, td, D), _series_product(td_x, td_y, D)):
-            failures.append(f"case {case}: Todd not multiplicative on {x}, {y}")
-        k = rng.randint(0, D)
-        sign = -1 if k % 2 else 1
-        # c is a function of ch, as in total_chern; c(x) reads no _class_terms, so a
-        # fault there shows on the x* side alone
-        dual_k = _component(_class_terms(x.dual(), k, _chern_weights), k, k)
-        ch_x_k = ch_x if k == D else _ch_terms(x, k)
-        c_k, den = _component(_exp_terms(*ch_x_k, _chern_weights(k), k), k, k)
-        if not _same(dual_k, (c_k, sign * den)):  # (-1)^k c_k(x), the sign on the denominator
-            failures.append(f"case {case}: dual sign rule fails at k={k} on {x}")
         if failures:
             break
+    failures += _line_laws(n, D)
     return CheckResult(
         "homomorphism",
         {"n": n, "max_degree": D, "cases": cases},

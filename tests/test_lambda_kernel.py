@@ -114,7 +114,8 @@ def test_homomorphism_builds_no_tseries(monkeypatch):
 
 
 def test_homomorphism_builds_no_graded_series(monkeypatch):
-    # the class laws compare the numerator maps of the ch and exp kernels
+    # the ch laws compare numerator maps of the ch kernel, the line laws those of
+    # the class kernel
     def refuse(*args):
         raise AssertionError("a GradedSeries built")
 

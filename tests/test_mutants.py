@@ -1,0 +1,30 @@
+"""The mutation sampler ``tools/mutants.py`` on one small target."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from charcalc import lambda_ring, verify
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = sys.modules["mutants"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mutants)
+
+
+def test_the_line_laws_kill_a_chern_weight_mutant():
+    # (-1)^(k+1) read as (+1)^(k+1) gives the weights of f = 1/(1 - l) in place
+    # of 1 + l: the line laws on c see it, and the laws on random elements hold
+    # for any weight table
+    original = lambda_ring._chern_weights
+    outcomes = mutants.sample(["lambda_ring._chern_weights"])
+    assert lambda_ring._chern_weights is original is verify._chern_weights
+    flipped = [o for o in outcomes if o.change == "-1 -> +1"]
+    assert len(flipped) == 1
+    assert flipped[0].checks == ["homomorphism"]
+    assert flipped[0].laws == ["line law fails: c([a_n]) != 1 + l for l = a_n",
+                               "line law fails: c(-[a_n]) != 1/(1 + l) for l = a_n"]
+    # the equivalent survivors: an unread weight at degree 0, a sign of the same
+    # parity, and a weight past the truncation
+    assert [o.change for o in outcomes if not o.killed] == [
+        "0 -> 1", "0 -> -1", "k + 1 -> k - 1", "D + 1 -> D + 2"]

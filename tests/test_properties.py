@@ -302,7 +302,7 @@ def degree_part(x, D, k, weights_of):
     return dict(_graded(x, D, *_class_terms(x, D, weights_of)).component(k).terms())
 
 
-# the dual sign rule of homomorphism reads c_k at truncation k
+# chern_k reads c_k at any truncation from k on
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(k_elements(), with_trivial_line()), st.integers(min_value=0, max_value=5),
        st.integers(min_value=0, max_value=5))

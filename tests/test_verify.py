@@ -1,7 +1,9 @@
 """Identity verifiers, checked against independently expanded oracles."""
 
+import inspect
 import json
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from charcalc import lambda_ring, verify
+from charcalc.cli import main
 from charcalc.series import GradedSeries, _TermMap
 from charcalc.lambda_ring import (
     KElement,
@@ -330,15 +333,14 @@ def test_hom_laws_refuses_vacuous_input():
 
 
 def first_case(n, seed=0):
-    """The x, y and k of case 0 of ``verify_hom_laws(n, seed=seed)``."""
+    """The x and y of case 0 of ``verify_hom_laws(n, seed=seed)``."""
     rng = random.Random(seed)
-    x, y = verify.random_k_element(rng, n), verify.random_k_element(rng, n)
-    return x, y, rng.randint(0, 3)
+    return verify.random_k_element(rng, n), verify.random_k_element(rng, n)
 
 
 def hom_laws_ch_calls(monkeypatch, seed):
-    """The (element, degree) calls of the ch kernel in case 0 of
-    ``verify_hom_laws(3, seed=seed)``."""
+    """The (element, degree) calls of the ch kernel in
+    ``verify_hom_laws(3, cases=1, seed=seed)``."""
     calls = []
     original = lambda_ring._ch_terms
 
@@ -353,19 +355,12 @@ def hom_laws_ch_calls(monkeypatch, seed):
 
 
 def test_hom_laws_builds_one_ch_per_element(monkeypatch):
-    # one ch per element and degree: x, y, x + y and x * y at D = 3, from which
-    # Todd is derived, then the dual sign rule's x* and x at the degree k it reads
-    x, y, k = first_case(3)
-    assert k == 2
+    # one ch per element of the case: x, y, x + y and x * y at D = 3; then each
+    # line law reads the class kernel of its line, [a3] twice and -[a3] twice
+    x, y = first_case(3)
+    line = KElement.line((0, 0, 1))
     assert hom_laws_ch_calls(monkeypatch, 0) == [
-        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), k), (x, k)]
-
-
-def test_hom_laws_dual_rule_at_degree_three_reads_the_ch_already_built(monkeypatch):
-    x, y, k = first_case(3, seed=1)
-    assert k == 3
-    assert hom_laws_ch_calls(monkeypatch, 1) == [
-        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (x.dual(), 3)]
+        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (line, 3), (line, 3), (-line, 3), (-line, 3)]
 
 
 def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
@@ -380,13 +375,13 @@ def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
     monkeypatch.setattr(verify, "_lambda_terms", counted)
     assert verify.verify_hom_laws(3, cases=1).ok
     # gamma_t(x) is read off the lambda_t terms of x, packed for the lambda law
-    x, y, _ = first_case(3)
+    x, y = first_case(3)
     assert calls == [x, y, x + y, -x]
 
 
 def hom_laws_draws(monkeypatch, n, seed):
-    """The draws of ``verify_hom_laws(n, 20, seed)``, one [x, y, k] per case, with
-    x and y as strings: every randint outside ``random_k_element`` is a k."""
+    """The draws of ``verify_hom_laws(n, 20, seed)``, one [x, y] per case, as
+    strings; a randint outside ``random_k_element`` is recorded in its case too."""
     draws, drawing, original = [], [], verify.random_k_element
 
     class Recorded(random.Random):
@@ -400,7 +395,7 @@ def hom_laws_draws(monkeypatch, n, seed):
         drawing.append(True)
         x = original(rng, n)
         drawing.pop()
-        if not draws or len(draws[-1]) == 3:
+        if not draws or len(draws[-1]) == 2:
             draws.append([])
         draws[-1].append(str(x))
         return x
@@ -411,8 +406,8 @@ def hom_laws_draws(monkeypatch, n, seed):
     return draws
 
 
-# the draws of verify_hom_laws, written once from the code before its laws shared
-# their series; a change to a law must leave every draw, and its order, as it is
+# the draws of verify_hom_laws, one [x, y] per case; a change to a law must
+# leave every draw, and its order, as it is
 HOM_LAWS_DRAWS = Path(__file__).parent / "hom_laws_draws.json"
 
 
@@ -423,29 +418,115 @@ def test_hom_laws_keep_their_draws(monkeypatch, n, seed):
     assert hom_laws_draws(monkeypatch, n, seed) == pinned
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_hom_laws_draws_pack_at_the_lambda_laws_base(n, seed):
+    # the lambda laws pack y, x + y and -x at the base of x; every pinned draw
+    # has 2 t_max + 1 = 7 as its own base, so a wider draw fails here
+    pinned = json.loads(HOM_LAWS_DRAWS.read_text())[f"n={n} seed={seed}"]
+    rng = random.Random(seed)
+    for case in pinned:
+        x, y = verify.random_k_element(rng, n), verify.random_k_element(rng, n)
+        assert [str(x), str(y)] == case
+        assert [lambda_ring._lambda_terms(e, 3)[0] for e in (x, y, x + y, -x)] == [7] * 4
+
+
 # each law's function, by the name verify calls it under, fed x * x for x, or,
-# for gamma_t, which reads the packed lambda_t terms of x, those terms doubled:
-# no law survives such an input; the lambda_t law passes the packed kernel a
-# shared base, which the wrapper forwards
+# for gamma_t, which reads the packed lambda_t terms of x, those terms doubled,
+# with the start of the detail it fails with; the lambda_t law passes the packed
+# kernel a shared base, which the wrapper forwards.  The case laws stop at case
+# 0; the class kernel is read by the line laws alone, after the cases, on [a2]
 SQUARED = {
-    "lambda_t": ("_lambda_terms", "lambda_t not multiplicative",
+    "lambda_t": ("_lambda_terms", "case 0: lambda_t not multiplicative",
                  lambda f: lambda x, t, *base: f(x * x, t, *base)),
-    "gamma_t": ("_gamma_terms", "gamma_t inverse law fails",
+    "gamma_t": ("_gamma_terms", "case 0: gamma_t inverse law fails",
                 lambda f: lambda B, lam, t: f(B, {key: 2 * c for key, c in lam.items()}, t)),
-    "ch": ("_ch_terms", "ch not additive", lambda f: lambda x, D: f(x * x, D)),
-    "chern_k": ("_class_terms", "dual sign rule fails",
+    "ch": ("_ch_terms", "case 0: ch not additive", lambda f: lambda x, D: f(x * x, D)),
+    "chern_k": ("_class_terms", "line law fails: Td([a2]) != l/(1 - e^-l) for l = a2",
                 lambda f: lambda x, D, weights_of: f(x * x, D, weights_of)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SQUARED))
 def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
-    target, law, squared = SQUARED[name]
+    target, start, squared = SQUARED[name]
     monkeypatch.setattr(verify, target, squared(getattr(verify, target)))
     result = verify.verify_hom_laws(2, cases=5)
     assert not result.ok
-    assert result.detail.startswith(f"case 0: {law}")
+    assert result.detail.startswith(start)
     assert "case 1" not in result.detail  # the sweep stops at its first failing case
+
+
+def scaled(weights_of):
+    """A class's weights with the degree-k one times k + 1."""
+    def mutant(D):
+        numerators, w = weights_of(D)
+        return tuple((k + 1) * c for k, c in enumerate(numerators)), w
+    return mutant
+
+
+def rewritten(function, old, new):
+    """``function`` compiled from its source with ``new`` in place of ``old``,
+    against its module's globals; a cached function gets a cache of its own."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), inspect.unwrap(function).__globals__, namespace)
+    return namespace[function.__name__]
+
+
+# faults in the classes that the symmetric checks miss at their default
+# degrees: each is bound under every module name it is read by
+CLASS_MUTANTS = {
+    "todd-weights-times-k+1": lambda: ("_todd_weights", scaled(lambda_ring._todd_weights)),
+    "chern-weights-times-k+1": lambda: ("_chern_weights", scaled(lambda_ring._chern_weights)),
+    "bernoulli-comb-m+2": lambda: (
+        "_bernoulli", rewritten(lambda_ring._bernoulli, "comb(m + 1, k)", "comb(m + 2, k)")),
+    "exp-output-from-degree-D-1": lambda: (
+        "_exp_terms",
+        rewritten(lambda_ring._exp_terms, "range(B - 1, -1, -1)", "range(B - 2, -1, -1)")),
+}
+
+
+@pytest.fixture
+def class_caches():
+    """The cached Bernoulli numbers, Todd line and class weights, cleared before
+    and after the test, so that no value of a mutant outlives it."""
+    cached = [lambda_ring._bernoulli, lambda_ring.todd_line, lambda_ring._todd_weights,
+              lambda_ring._chern_weights]
+    for f in cached:
+        f.cache_clear()
+    yield
+    for f in cached:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("name", CLASS_MUTANTS)
+def test_homomorphism_sees_a_wrong_class(name, monkeypatch, capsys, class_caches):
+    attribute, mutant = CLASS_MUTANTS[name]()
+    for module in (lambda_ring, verify):
+        if hasattr(module, attribute):
+            monkeypatch.setattr(module, attribute, mutant)
+    assert main(["verify", "--checks", "homomorphism", "--rank-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL homomorphism") == 4
+    assert "line law fails" in out
+
+
+def test_gala_sees_a_lambda_that_doubles_every_root(monkeypatch, capsys):
+    # lambda_t of x with every root doubled is another ring map, so the lambda_t
+    # and gamma_t laws of homomorphism hold on it; gala's right side reads no
+    # lambda_t and sees it
+    original = lambda_ring._lambda_terms
+
+    def doubled(x, t_max, base=0):
+        return original(x._like({tuple(2 * e for e in r): m for r, m in x._nums.items()}),
+                        t_max, base)
+
+    monkeypatch.setattr(lambda_ring, "_lambda_terms", doubled)
+    monkeypatch.setattr(verify, "_lambda_terms", doubled)
+    assert main(["verify", "--checks", "gala", "--rank-max", "4"]) == 1
+    assert "PASS gala" not in capsys.readouterr().out
 
 
 def test_hom_laws_report_a_ch_that_is_additive_but_not_multiplicative(monkeypatch):

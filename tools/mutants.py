@@ -1,0 +1,270 @@
+"""Make operator-swap and +-1-constant mutants of named functions and run
+``charcalc verify`` on each, in this process.
+
+A target is a qualified name under the ``charcalc`` package, such as
+``lambda_ring._exp_terms`` or ``lambda_ring.KElement.dual``.  Each site of its
+body gives mutants:
+
+- a binary, unary, augmented or comparison operator swapped by ``SWAPS``
+  (``+`` and ``-``, ``*`` and ``//``, ``%`` to ``//``, ``<`` and ``<=``, ...);
+- an integer constant moved by +1 and by -1.
+
+A mutant is the target's source with one site changed, compiled against the
+globals of the target's module.  It is bound in place of every attribute of a
+``charcalc`` module or class that holds the target, so each caller reads it,
+and the original is bound back after the run.  Every ``lru_cache`` of the
+package is cleared before and after, so no value that one mutant computed is
+read by another.
+
+Each mutant runs ``charcalc verify --rank-max 4 --output machine``.  It is
+killed when verify exits non-zero, raises or runs past ``TIMEOUT`` seconds.
+The report gives each mutant's file and line, its change, and the checks that
+failed, with the ``homomorphism`` laws that failed; then the count and the
+survivors.
+
+Run from anywhere, for example::
+
+    python tools/mutants.py lambda_ring._exp_terms lambda_ring.KElement.dual
+
+Known equivalent survivors in ``lambda_ring``, which no check can kill:
+
+- ``_exp_terms``: ``weight = 1`` -> ``2`` scales the numerators and the
+  denominator alike;
+- ``_ch_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a shift that ``zip``
+  never reaches;
+- ``_todd_weights`` and ``_chern_weights``: a nonzero weight at degree 0,
+  which the exp kernel never reads;
+- ``_chern_weights``: ``(-1) ** (k + 1)`` -> ``(-1) ** (k - 1)``, the same
+  sign, and ``D + 1`` -> ``D + 2``, a weight past the truncation.
+
+Stdlib only.  A method that calls ``super()`` with no arguments cannot be
+compiled outside its class and is refused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import re
+import signal
+import sys
+import textwrap
+from dataclasses import dataclass, field
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+SWAPS = {
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
+    ast.Div: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
+    ast.USub: ast.UAdd, ast.UAdd: ast.USub,
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+}
+VERIFY = ["verify", "--rank-max", "4", "--output", "machine"]
+TIMEOUT = 30  # seconds a mutant may run, ten times or more what verify takes
+SHOWN = 40  # the longest expression shown around a constant
+
+
+class Timeout(Exception):
+    """A mutant ran past the time limit."""
+
+
+@dataclass
+class Outcome:
+    """One mutant: where it is, what it changed, and what failed on it."""
+
+    where: str
+    change: str
+    checks: list[str] = field(default_factory=list)
+    laws: list[str] = field(default_factory=list)
+    error: str = ""
+
+    @property
+    def killed(self) -> bool:
+        return bool(self.checks or self.error)
+
+    def __str__(self) -> str:
+        if self.error:
+            verdict = f"killed: {self.error}"
+        elif self.checks:
+            verdict = "killed: " + ", ".join(self.checks)
+            if self.laws:
+                verdict += " [" + "; ".join(self.laws) + "]"
+        else:
+            verdict = "SURVIVED"
+        return f"{self.where}  {self.change}  {verdict}"
+
+
+def resolve(name: str):
+    """(module, attribute, raw object) of a qualified name; the module is the
+    longest prefix that imports, with ``charcalc.`` added when missing."""
+    name = name if name.startswith("charcalc.") else f"charcalc.{name}"
+    parts = name.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        owner = module
+        for part in parts[cut:-1]:
+            owner = getattr(owner, part)
+        return module, parts[-1], vars(owner)[parts[-1]]
+    raise ValueError(f"no module in {name}")
+
+
+def _sites(tree: ast.AST) -> list[tuple[ast.AST, str, ast.AST]]:
+    """The mutable sites of a function's body in ``ast.walk`` order, as (node,
+    kind, shown): kind ``op`` for an operator, ``ops<i>`` for comparison i, and
+    ``+1`` and ``-1`` for an integer constant, shown with the expression around
+    it when that is short; decorators and the docstring are skipped."""
+    function = tree.body[0]
+    body = function.body[1:] if ast.get_docstring(function) is not None else function.body
+    nodes = [node for statement in body for node in ast.walk(statement)]
+    parents = {child: node for node in nodes for child in ast.iter_child_nodes(node)}
+    sites = []
+    for node in nodes:
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            sites.append((node, "op", node))
+        elif isinstance(node, ast.Compare):
+            sites += [(node, f"ops{i}", node) for i, op in enumerate(node.ops) if type(op) in SWAPS]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, int)
+              and not isinstance(node.value, bool)):
+            parent = parents[node]
+            shown = parent if len(ast.unparse(parent)) <= SHOWN else node
+            sites += [(node, step, shown) for step in ("+1", "-1")]
+    return sites
+
+
+def _mutate(node: ast.AST, kind: str) -> None:
+    if kind == "op":
+        node.op = SWAPS[type(node.op)]()
+    elif kind.startswith("ops"):
+        i = int(kind[3:])
+        node.ops[i] = SWAPS[type(node.ops[i])]()
+    else:
+        node.value += int(kind)
+
+
+def mutants(name: str):
+    """Yield (where, change, mutant object) for every site of the target."""
+    module, attribute, raw = resolve(name)
+    function = inspect.unwrap(getattr(raw, "__func__", raw))
+    lines, first = inspect.getsourcelines(function)
+    source = textwrap.dedent("".join(lines))
+    if "super()" in source:
+        raise ValueError(f"{name} calls super() and cannot be compiled outside its class")
+    path = inspect.getsourcefile(function)
+    for index in range(len(_sites(ast.parse(source)))):
+        tree = ast.parse(source)
+        ast.increment_lineno(tree, first - 1)
+        node, kind, shown = _sites(tree)[index]
+        before = ast.unparse(shown)
+        _mutate(node, kind)
+        namespace: dict = {}
+        exec(compile(tree, path, "exec"), vars(module), namespace)
+        where = f"{Path(path).name}:{node.lineno}"
+        yield where, f"{before} -> {ast.unparse(shown)}", namespace[attribute]
+
+
+def _namespaces():
+    """Every charcalc module and every class defined in one."""
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "charcalc" or n.startswith("charcalc."))]
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
+    return modules + classes
+
+
+def _clear_caches() -> None:
+    for space in _namespaces():
+        for value in list(vars(space).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@contextlib.contextmanager
+def bound(raw, mutant):
+    """Bind ``mutant`` in place of every charcalc attribute that holds ``raw``."""
+    bindings = [(space, key) for space in _namespaces()
+                for key, value in list(vars(space).items()) if value is raw]
+    _clear_caches()
+    try:
+        for space, key in bindings:
+            setattr(space, key, mutant)
+        yield
+    finally:
+        for space, key in bindings:
+            setattr(space, key, raw)
+        _clear_caches()
+
+
+def _on_alarm(signum, frame):
+    raise Timeout
+
+
+def run_verify() -> tuple[list[str], list[str], str]:
+    """(failed checks, failed homomorphism laws, error) of one verify run; a law
+    is a failure with its case number and element dropped and each symbol a_i
+    written a_n."""
+    from charcalc.cli import main
+
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(TIMEOUT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(VERIFY)
+    except Timeout:
+        return [], [], f"timeout after {TIMEOUT} s"
+    except Exception as exc:  # a mutant may raise anything; that kills it
+        return [], [], f"{type(exc).__name__}: {exc}"[:120]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if code not in (0, 1):
+        return [], [], f"exit {code}"
+    failed = [c for c in json.loads(out.getvalue())["checks"] if not c["ok"]]
+    checks = list(dict.fromkeys(c["check"] for c in failed))
+    laws = [re.sub(r"\ba\d+\b", "a_n", re.sub(r"^case \d+: ", "", law).split(" on ")[0])
+            for c in failed if c["check"] == "homomorphism" for law in c["detail"].split("; ")]
+    return checks, list(dict.fromkeys(laws)), ""
+
+
+def sample(targets: list[str]) -> list[Outcome]:
+    """The outcome of every mutant of every target, after an unmutated run
+    of verify that must pass."""
+    checks, _, error = run_verify()
+    if checks or error:
+        raise RuntimeError(f"verify fails unmutated: {checks or error}")
+    outcomes = []
+    for name in targets:
+        raw = resolve(name)[2]
+        for where, change, mutant in mutants(name):
+            with bound(raw, mutant):
+                outcomes.append(Outcome(where, change, *run_verify()))
+    return outcomes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("targets", nargs="+", help="qualified names, e.g. lambda_ring._exp_terms")
+    outcomes = sample(parser.parse_args(argv).targets)
+    for outcome in outcomes:
+        print(outcome)
+    survivors = [o for o in outcomes if not o.killed]
+    print(f"{len(outcomes)} mutants, {len(outcomes) - len(survivors)} killed, "
+          f"{len(survivors)} survived")
+    for outcome in survivors:
+        print(f"  survivor {outcome.where}  {outcome.change}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
