@@ -32,8 +32,9 @@ nontrivial lines by root (:func:`_lambda_fold`), unpacking only the folded
 roots: the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m,
 folded into the weights.  ``gala`` compares the folded roots without
 unpacking them.  The lambda_t and gamma_t laws of ``homomorphism`` unpack
-nothing: they pack their elements at one shared base and multiply the packed
-terms by :func:`~charcalc.series._packed_product`.
+nothing: they pack their elements at one shared base, multiply packed terms by
+:func:`~charcalc.series._packed_product`, and fold them by root
+(:func:`_fold_roots`).
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -340,7 +341,7 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
 def _lambda_fold(x: KElement, t_max: int, weights: list[int]) -> tuple[int, dict[int, int]]:
     """Sum of weights[j] lambda^j(x), j = 0..t_max, on packed roots, as (B, folded):
     the packed terms of lambda_t (:func:`_lambda_terms`) folded by their root key
-    key // B, sum_i r_i B^(i-1), to its weighted sum; zero sums may stay.  The
+    key // B, sum_i r_i B^(i-1), to its weighted sum (:func:`_fold_roots`).  The
     trivial line is the unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m:
     lambda^i(y) gets the weight v_i = sum_{j >= i} weights[j] C(m, j - i), and
     no root meets (1 + t)^m.  B is the base of y, so every folded entry is at
@@ -351,11 +352,18 @@ def _lambda_fold(x: KElement, t_max: int, weights: list[int]) -> tuple[int, dict
     B, lam = _lambda_terms(y, t_max)  # refuses a negative t_max
     binomials = _binomials(m, t_max)
     v = [sum(weights[j] * binomials[j - i] for j in range(i, t_max + 1)) for i in range(t_max + 1)]
+    return B, _fold_roots(B, lam, v)
+
+
+def _fold_roots(B: int, lam: dict[int, int], v: list[int]) -> dict[int, int]:
+    """The packed lambda_t terms ``lam`` at base B (:func:`_lambda_terms`) folded
+    by their root key key // B to sum_j v[j] lambda^j, for the t-power j in
+    digit 0; zero sums may stay."""
     folded: dict[int, int] = {}
     for key, mult in lam.items():
         root = key // B
         folded[root] = folded.get(root, 0) + v[key % B] * mult
-    return B, folded
+    return folded
 
 
 def _kelement(x: KElement, B: int, folded: dict[int, int]) -> KElement:

@@ -14,10 +14,12 @@ form on the right.  ``gala`` compares packed roots of the lambda kernel: the
 fold of lambda_t that gamma_k unpacks against a packed product of the lines
 1 - [r] that reads no lambda_t; it unpacks them into K-elements only to report
 a difference.  ``homomorphism`` runs on random elements that are not
-symmetric, and all its laws run on packed maps: the lambda_t and gamma_t laws
-on the packed terms of the lambda kernel, the ch laws on the numerator maps of
-the ch kernel (:func:`~charcalc.lambda_ring._ch_terms`), each multiplied by
-:func:`~charcalc.series._packed_product`, and its line laws on the Todd and
+symmetric, and all its laws run on packed maps: the lambda_t law on the packed
+terms of the lambda kernel and the ch laws on the numerator maps of the ch
+kernel (:func:`~charcalc.lambda_ring._ch_terms`), with products by
+:func:`~charcalc.series._packed_product`; the gamma_t law on two routes from
+the packed lambda_t terms, the substitution s = t/(1 - t) against the fold by
+the gamma^k weights that gamma_k takes; and its line laws on the Todd and
 Chern classes of one line and of its negative
 (:func:`~charcalc.lambda_ring._class_terms`), against closed forms.  No check
 multiplies a ``TSeries``, and ``homomorphism`` builds no ``GradedSeries``.
@@ -40,6 +42,7 @@ from .lambda_ring import (
     _ch_terms,
     _chern_weights,
     _class_terms,
+    _fold_roots,
     _gamma_terms,
     _gamma_weights,
     _kelement,
@@ -211,15 +214,17 @@ def random_k_element(rng: random.Random, n: int) -> KElement:
     """Small random group-ring element for property checks: one to three
     random lines, each drawn with multiplicity in {-2, -1, 1, 2}.  A root
     drawn more than once adds up its multiplicities, so a line can have any
-    multiplicity from -6 to 6, or cancel out.  Root entries are -1..1, so the
-    lambda kernel packs every element drawn, and the sums and negatives of
-    such elements, at base 2 t_max + 1 (:func:`_lambda_terms`)."""
+    multiplicity from -6 to 6, or cancel out.  Root entries are -1..1, drawn
+    as randrange(3) - 1, which reads the stream as randint(-1, 1) does; so the
+    lambda kernel packs every element drawn, and the sums of such elements, at
+    base 2 t_max + 1 (:func:`_lambda_terms`).  The entries are valid by
+    construction, so the element is built by the trusted ``_like``."""
     terms: dict[tuple, int] = {}
     for _ in range(rng.randint(1, 3)):
-        root = tuple(rng.randint(-1, 1) for _ in range(n))
+        root = tuple(rng.randrange(3) - 1 for _ in range(n))
         mult = rng.choice([-2, -1, 1, 2])
         terms[root] = terms.get(root, 0) + mult
-    return KElement(n, terms)
+    return KElement.zero(n)._like(terms)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -281,23 +286,28 @@ def _line_laws(n: int, D: int) -> list[str]:
 
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     """Randomized exact check of the structural laws, lambda_t
-    multiplicativity, the gamma inverse law and the Chern-character ring
-    homomorphism, at truncation degree and t-power 3, then of the line laws
-    of the Todd and Chern classes.
+    multiplicativity, gamma_t as the fold of lambda_t and the Chern-character
+    ring homomorphism, at truncation degree and t-power 3, then of the line
+    laws of the Todd and Chern classes.
 
-    Every law runs on packed maps, multiplied by :func:`_packed_product`, and
-    each series a case reads is built once.  The lambda_t and gamma_t laws
+    Every law runs on packed maps, with products by :func:`_packed_product`,
+    and each series a case reads is built once.  The lambda_t and gamma_t laws
     compare packed terms at one base B, that of x: the lambda kernel
     (:func:`_lambda_terms`) packs every element :func:`random_k_element` draws,
-    and their sums and negatives, at 2 t_max + 1, so it packs x, y, x + y and
-    -x at B.  gamma_t(x) and gamma_t(-x) are read off the lambda_t terms of x
-    and -x (:func:`_gamma_terms`), so a case runs four lambda kernels.  Packed
-    equality is equality of the ``TSeries``, none of which is built.  The ch
-    laws compare the numerator maps of the ch kernel (:func:`_ch_terms`) of x,
-    y, x + y and x y over their denominators (:func:`_same`).  After the
-    cases, the line laws (:func:`_line_laws`) compare Td and c of [a_n] and of
-    -[a_n] with closed forms, so a wrong Todd or Chern weight, Bernoulli
-    number or exp kernel fails them.  No ``GradedSeries`` is built.
+    and their sums, at 2 t_max + 1, so it packs x, y and x + y at B, and a
+    case runs three lambda kernels and two packed products.  The gamma_t law
+    reads gamma_t(x) off the lambda_t terms of x by two routes: the
+    substitution s = t/(1 - t) (:func:`_gamma_terms`), and the fold of each
+    root's lambda^j by the weights of gamma^k (:func:`_gamma_weights`,
+    :func:`_fold_roots`) to the key root B + k, the route of gamma_k and gala.
+    It compares the whole maps, t^0 through t^t_max, so a wrong constant term
+    fails it, and so does a term past t_max.  Packed equality is equality of
+    the ``TSeries``, none of which is built.  The ch laws compare the
+    numerator maps of the ch kernel (:func:`_ch_terms`) of x, y, x + y and
+    x y over their denominators (:func:`_same`).  After the cases, the line
+    laws (:func:`_line_laws`) compare Td and c of [a_n] and of -[a_n] with
+    closed forms, so a wrong Todd or Chern weight, Bernoulli number or exp
+    kernel fails them.  No ``GradedSeries`` is built.
 
     The lambda_t and gamma_t laws hold for every multiplicative lambda_t; so a
     lambda that is another ring map, such as one that doubles every root,
@@ -306,20 +316,22 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         raise ValueError("need at least one case")
     rng = random.Random(seed)
     D = t_max = 3
+    # the weights of lambda^0..lambda^t_max in gamma^k, row k for k = 0..t_max
+    gamma_weights = [_gamma_weights(k) + [0] * (t_max - k) for k in range(t_max + 1)]
     failures = []
     for case in range(cases):
         x = random_k_element(rng, n)
         y = random_k_element(rng, n)
         x_plus_y = x + y
-        B, lam_x = _lambda_terms(x, t_max)  # 2 t_max + 1, which y, x + y and -x share
+        B, lam_x = _lambda_terms(x, t_max)  # 2 t_max + 1, which y and x + y share
         lam_y = _lambda_terms(y, t_max, B)[1]
         product = _packed_product(lam_x, lam_y, B, t_max)
         if _nonzero(_lambda_terms(x_plus_y, t_max, B)[1]) != _nonzero(product):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
-        gam_x = _gamma_terms(B, lam_x, t_max)
-        gam_minus_x = _gamma_terms(B, _lambda_terms(-x, t_max, B)[1], t_max)
-        if _nonzero(_packed_product(gam_x, gam_minus_x, B, t_max)) != {0: 1}:
-            failures.append(f"case {case}: gamma_t inverse law fails on {x}")
+        folded = {root * B + k: c for k, v in enumerate(gamma_weights)
+                  for root, c in _fold_roots(B, lam_x, v).items() if c}
+        if _nonzero(_gamma_terms(B, lam_x, t_max)) != folded:
+            failures.append(f"case {case}: gamma_t not the fold of lambda_t on {x}")
         ch_x, ch_y = _ch_terms(x, D), _ch_terms(y, D)
         if not _same(_ch_terms(x_plus_y, D), _series_sum(ch_x, ch_y)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")

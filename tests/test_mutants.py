@@ -1,10 +1,13 @@
 """The mutation sampler ``tools/mutants.py`` on one small target."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
-from charcalc import lambda_ring, verify
+import pytest
+
+from charcalc import cli, lambda_ring, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
@@ -28,3 +31,17 @@ def test_the_line_laws_kill_a_chern_weight_mutant():
     # parity, and a weight past the truncation
     assert [o.change for o in outcomes if not o.killed] == [
         "0 -> 1", "0 -> -1", "k + 1 -> k - 1", "D + 1 -> D + 2"]
+
+
+@pytest.mark.parametrize("options, rank", (([], "4"), (["--rank-max", "2"], "2")))
+def test_rank_max_is_the_rank_each_run_of_verify_reaches(options, rank, monkeypatch, capsys):
+    ranks, original = [], cli.main
+
+    def recorded(argv):
+        ranks.append(argv[argv.index("--rank-max") + 1])
+        return original(argv)
+
+    monkeypatch.setattr(cli, "main", recorded)
+    assert mutants.main([*options, "lambda_ring._gamma_weights"]) == 0
+    count = int(re.search(r"^(\d+) mutants, ", capsys.readouterr().out, re.MULTILINE).group(1))
+    assert ranks == [rank] * (1 + count)  # the unmutated run, then one per mutant

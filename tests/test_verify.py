@@ -363,7 +363,7 @@ def test_hom_laws_builds_one_ch_per_element(monkeypatch):
         (x, 3), (y, 3), (x + y, 3), (x * y, 3), (line, 3), (line, 3), (-line, 3), (-line, 3)]
 
 
-def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
+def test_hom_laws_run_three_lambda_kernels_per_case(monkeypatch):
     calls = []
     original = lambda_ring._lambda_terms
 
@@ -374,22 +374,38 @@ def test_hom_laws_run_four_lambda_kernels_per_case(monkeypatch):
     monkeypatch.setattr(lambda_ring, "_lambda_terms", counted)
     monkeypatch.setattr(verify, "_lambda_terms", counted)
     assert verify.verify_hom_laws(3, cases=1).ok
-    # gamma_t(x) is read off the lambda_t terms of x, packed for the lambda law
+    # both routes to gamma_t(x) read the lambda_t terms of x, packed for the
+    # lambda law
     x, y = first_case(3)
-    assert calls == [x, y, x + y, -x]
+    assert calls == [x, y, x + y]
 
 
 def hom_laws_draws(monkeypatch, n, seed):
     """The draws of ``verify_hom_laws(n, 20, seed)``, one [x, y] per case, as
-    strings; a randint outside ``random_k_element`` is recorded in its case too."""
+    strings; a randint, randrange or choice outside ``random_k_element`` is
+    recorded in its case too, once, though randint calls randrange."""
     draws, drawing, original = [], [], verify.random_k_element
 
     class Recorded(random.Random):
-        def randint(self, a, b):
-            value = super().randint(a, b)
-            if not drawing:
+        def _recorded(self, draw, *args):
+            outside = not drawing
+            drawing.append(True)
+            try:
+                value = draw(*args)
+            finally:
+                drawing.pop()
+            if outside:
                 draws[-1].append(value)
             return value
+
+        def randint(self, a, b):
+            return self._recorded(super().randint, a, b)
+
+        def randrange(self, *args):
+            return self._recorded(super().randrange, *args)
+
+        def choice(self, seq):
+            return self._recorded(super().choice, seq)
 
     def element(rng, n):
         drawing.append(True)
@@ -404,6 +420,18 @@ def hom_laws_draws(monkeypatch, n, seed):
     monkeypatch.setattr(verify, "random_k_element", element)
     assert verify.verify_hom_laws(n, 20, seed).ok
     return draws
+
+
+@pytest.mark.parametrize("draw", ("rng.randint(0, 1)", "rng.randrange(2)", "rng.choice([0, 1])"))
+def test_hom_laws_draws_record_an_extra_draw(monkeypatch, draw):
+    # a law that draws is recorded after the x and y of its case, once
+    extra = rewritten(verify.verify_hom_laws, "x_plus_y = x + y", f"x_plus_y = x + y; {draw}")
+    monkeypatch.setattr(verify, "verify_hom_laws", extra)
+    first = json.loads(HOM_LAWS_DRAWS.read_text())["n=2 seed=0"][0]
+    case = hom_laws_draws(monkeypatch, 2, 0)[0]
+    assert case[:2] == first
+    assert case[2] in (0, 1)
+    assert isinstance(case[3], str)
 
 
 # the draws of verify_hom_laws, one [x, y] per case; a change to a law must
@@ -421,14 +449,14 @@ def test_hom_laws_keep_their_draws(monkeypatch, n, seed):
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("seed", (0, 1))
 def test_hom_laws_draws_pack_at_the_lambda_laws_base(n, seed):
-    # the lambda laws pack y, x + y and -x at the base of x; every pinned draw
-    # has 2 t_max + 1 = 7 as its own base, so a wider draw fails here
+    # the lambda laws pack y and x + y at the base of x; every pinned draw has
+    # 2 t_max + 1 = 7 as its own base, so a wider draw fails here
     pinned = json.loads(HOM_LAWS_DRAWS.read_text())[f"n={n} seed={seed}"]
     rng = random.Random(seed)
     for case in pinned:
         x, y = verify.random_k_element(rng, n), verify.random_k_element(rng, n)
         assert [str(x), str(y)] == case
-        assert [lambda_ring._lambda_terms(e, 3)[0] for e in (x, y, x + y, -x)] == [7] * 4
+        assert [lambda_ring._lambda_terms(e, 3)[0] for e in (x, y, x + y)] == [7] * 3
 
 
 # each law's function, by the name verify calls it under, fed x * x for x, or,
@@ -439,7 +467,7 @@ def test_hom_laws_draws_pack_at_the_lambda_laws_base(n, seed):
 SQUARED = {
     "lambda_t": ("_lambda_terms", "case 0: lambda_t not multiplicative",
                  lambda f: lambda x, t, *base: f(x * x, t, *base)),
-    "gamma_t": ("_gamma_terms", "case 0: gamma_t inverse law fails",
+    "gamma_t": ("_gamma_terms", "case 0: gamma_t not the fold of lambda_t",
                 lambda f: lambda B, lam, t: f(B, {key: 2 * c for key, c in lam.items()}, t)),
     "ch": ("_ch_terms", "case 0: ch not additive", lambda f: lambda x, D: f(x * x, D)),
     "chern_k": ("_class_terms", "line law fails: Td([a2]) != l/(1 - e^-l) for l = a2",
@@ -511,6 +539,27 @@ def test_homomorphism_sees_a_wrong_class(name, monkeypatch, capsys, class_caches
     out = capsys.readouterr().out
     assert out.count("FAIL homomorphism") == 4
     assert "line law fails" in out
+
+
+# faults of gamma_t that keep gamma_t(x) gamma_t(-x) = 1: the first two
+# substitute another series than s = t/(1 - t) into lambda_s, and the last
+# writes terms at t^(t_max + 1), which a product truncated at t_max drops
+GAMMA_MUTANTS = {
+    "moved-down": ("key + j - k", "key - j - k"),
+    "s-to-t-cubed": ("comb(j - 1, k - 1)", "comb(j - 1, k + 1)"),
+    "past-t_max": ("range(k, t_max + 1)", "range(k, t_max + 2)"),
+}
+
+
+@pytest.mark.parametrize("name", GAMMA_MUTANTS)
+def test_homomorphism_sees_a_wrong_gamma_t(name, monkeypatch, capsys):
+    mutant = rewritten(lambda_ring._gamma_terms, *GAMMA_MUTANTS[name])
+    for module in (lambda_ring, verify):
+        monkeypatch.setattr(module, "_gamma_terms", mutant)
+    assert main(["verify", "--checks", "homomorphism", "--rank-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS homomorphism" not in out
+    assert "gamma_t not the fold of lambda_t" in out
 
 
 def test_gala_sees_a_lambda_that_doubles_every_root(monkeypatch, capsys):

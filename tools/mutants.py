@@ -16,8 +16,9 @@ and the original is bound back after the run.  Every ``lru_cache`` of the
 package is cleared before and after, so no value that one mutant computed is
 read by another.
 
-Each mutant runs ``charcalc verify --rank-max 4 --output machine``.  It is
-killed when verify exits non-zero, raises or runs past ``TIMEOUT`` seconds.
+Each mutant runs ``charcalc verify --rank-max R --output machine``, with R
+from ``--rank-max`` (default 4).  It is killed when verify exits non-zero,
+raises or runs past ``TIMEOUT`` seconds.
 The report gives each mutant's file and line, its change, and the checks that
 failed, with the ``homomorphism`` laws that failed; then the count and the
 survivors.
@@ -25,6 +26,7 @@ survivors.
 Run from anywhere, for example::
 
     python tools/mutants.py lambda_ring._exp_terms lambda_ring.KElement.dual
+    python tools/mutants.py --rank-max 6 lambda_ring._gamma_terms
 
 Known equivalent survivors in ``lambda_ring``, which no check can kill:
 
@@ -35,7 +37,21 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
 - ``_todd_weights`` and ``_chern_weights``: a nonzero weight at degree 0,
   which the exp kernel never reads;
 - ``_chern_weights``: ``(-1) ** (k + 1)`` -> ``(-1) ** (k - 1)``, the same
-  sign, and ``D + 1`` -> ``D + 2``, a weight past the truncation.
+  sign, and ``D + 1`` -> ``D + 2``, a weight past the truncation;
+- ``_lambda_terms``: at the base line, ``1 -> 2`` in either place and
+  ``2 * t_max -> 3 * t_max`` pack at a wider base, on which no digit carries
+  either, and ``default=0`` -> ``1`` or ``-1`` is read only for an element
+  with no lines, where ``max(1, ...)`` gives 1 all the same;
+- ``_lambda_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a power that
+  ``zip`` never reaches;
+- ``_lambda_fold``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` for i adds
+  a weight v_(t_max + 1), an empty sum, that no t-power reads.
+
+One survivor in ``lambda_ring`` is a real fault that no element of the CLI
+reaches: ``_lambda_terms``' ``2 * t_max * max(...)`` -> ``2 * t_max // max(...)``
+packs at too narrow a base once a root entry has size 2 or more, so digits
+carry; every root entry of verify is -1..1.  Tier-1 kills it, in 14 tests,
+such as ``tests/test_sympy_oracle.py::test_lambda_t_of_a_multiple_is_a_generalized_binomial``.
 
 Stdlib only.  A method that calls ``super()`` with no arguments cannot be
 compiled outside its class and is refused.
@@ -67,7 +83,7 @@ SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
-VERIFY = ["verify", "--rank-max", "4", "--output", "machine"]
+RANK_MAX = 4  # the default highest rank verify runs each mutant at
 TIMEOUT = 30  # seconds a mutant may run, ten times or more what verify takes
 SHOWN = 40  # the longest expression shown around a constant
 
@@ -209,10 +225,10 @@ def _on_alarm(signum, frame):
     raise Timeout
 
 
-def run_verify() -> tuple[list[str], list[str], str]:
-    """(failed checks, failed homomorphism laws, error) of one verify run; a law
-    is a failure with its case number and element dropped and each symbol a_i
-    written a_n."""
+def run_verify(rank_max: int = RANK_MAX) -> tuple[list[str], list[str], str]:
+    """(failed checks, failed homomorphism laws, error) of one verify run up to
+    rank ``rank_max``; a law is a failure with its case number and element
+    dropped and each symbol a_i written a_n."""
     from charcalc.cli import main
 
     out = io.StringIO()
@@ -220,7 +236,7 @@ def run_verify() -> tuple[list[str], list[str], str]:
     signal.alarm(TIMEOUT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(VERIFY)
+            code = main(["verify", "--rank-max", str(rank_max), "--output", "machine"])
     except Timeout:
         return [], [], f"timeout after {TIMEOUT} s"
     except Exception as exc:  # a mutant may raise anything; that kills it
@@ -237,10 +253,10 @@ def run_verify() -> tuple[list[str], list[str], str]:
     return checks, list(dict.fromkeys(laws)), ""
 
 
-def sample(targets: list[str]) -> list[Outcome]:
-    """The outcome of every mutant of every target, after an unmutated run
-    of verify that must pass."""
-    checks, _, error = run_verify()
+def sample(targets: list[str], rank_max: int = RANK_MAX) -> list[Outcome]:
+    """The outcome of every mutant of every target, verified up to rank
+    ``rank_max``, after an unmutated run of verify that must pass."""
+    checks, _, error = run_verify(rank_max)
     if checks or error:
         raise RuntimeError(f"verify fails unmutated: {checks or error}")
     outcomes = []
@@ -248,14 +264,17 @@ def sample(targets: list[str]) -> list[Outcome]:
         raw = resolve(name)[2]
         for where, change, mutant in mutants(name):
             with bound(raw, mutant):
-                outcomes.append(Outcome(where, change, *run_verify()))
+                outcomes.append(Outcome(where, change, *run_verify(rank_max)))
     return outcomes
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", help="qualified names, e.g. lambda_ring._exp_terms")
-    outcomes = sample(parser.parse_args(argv).targets)
+    parser.add_argument("--rank-max", type=int, default=RANK_MAX,
+                        help=f"highest rank verify runs each mutant at (default {RANK_MAX})")
+    args = parser.parse_args(argv)
+    outcomes = sample(args.targets, args.rank_max)
     for outcome in outcomes:
         print(outcome)
     survivors = [o for o in outcomes if not o.killed]
