@@ -412,10 +412,13 @@ def _factorials(D: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _ch_steps(r: int, D: int) -> tuple:
-    """The steps of :func:`_ch_terms` for a root entry r at degree D: for each room
-    left, 0..D, the (k, r^k C(room, k), room - k) for k = 0..room."""
-    return tuple(tuple((k, r**k * comb(room, k), room - k) for k in range(room + 1))
+def _ch_steps(r: int, shift: int, D: int, last: bool) -> tuple:
+    """Per room left, 0..D, the steps of :func:`_ch_terms` for a root entry r: (k shift,
+    r^k C(room, k), room - k) for k = 0..room, or (k shift, r^k room!/k!) if ``last``."""
+    if last:
+        return tuple(tuple((k * shift, r**k * factorial(room) // factorial(k))
+                           for k in range(room + 1)) for room in range(D + 1))
+    return tuple(tuple((k * shift, r**k * comb(room, k), room - k) for k in range(room + 1))
                  for room in range(D + 1))
 
 
@@ -426,25 +429,26 @@ def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
     ch = sum_k psi^k / k! over Adams operations, so the coefficient of a^e is
     S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x.
     The numerators are S(e) D! / prod e_i! over D!, summed over each root's
-    support: a step that gives a_i the exponent k out of room left multiplies by
-    r_i^k C(room, k) (:func:`_ch_steps`) and adds k (B^i + 1) to the key, and the
-    room left at the end multiplies by room!.  A negative or non-``int`` D is
-    refused before the sums index by it.
+    nonzero entries: a step that gives a_i the exponent k out of room left multiplies
+    by r_i^k C(room, k) and adds k (B^i + 1) to the key (:func:`_ch_steps`); the last
+    entry's steps also multiply by (room - k)! and go straight into the sums.  A
+    trivial line m[0] adds m D! at key 0.  A negative or non-``int`` D is refused first.
     """
     factorials = _factorials(_size(D, "truncation_degree"))
-    B = D + 1
-    shifts = [B**i + 1 for i in range(1, x.symbol_count + 1)]
-    sums: dict[int, int] = {}
+    shifts = [(D + 1) ** i + 1 for i in range(1, x.symbol_count + 1)]
+    sums = {0: x._nums.get(x._unit, 0) * factorials[D]}
     for root, mult in x._nums.items():
-        # (key of the exponents so far, mult * prod r_i^e_i * D! / (prod e_i! room!), room)
-        level = [(0, mult, D)]
-        for r, shift in zip(root, shifts):
-            if r:
-                by_room = _ch_steps(r, D)
-                level = [(key + k * shift, value * step, left)
+        if entries := [(r, shift) for r, shift in zip(root, shifts) if r]:
+            level = [(0, mult, D)]  # (key so far, mult prod r_i^e_i D!/(prod e_i! room!), room)
+            for r, shift in entries[:-1]:
+                by_room = _ch_steps(r, shift, D, False)
+                level = [(key + k, value * step, left)
                          for key, value, room in level for k, step, left in by_room[room]]
-        for key, value, room in level:
-            sums[key] = sums.get(key, 0) + value * factorials[room]
+            closing = _ch_steps(*entries[-1], D, True)
+            for key, value, room in level:
+                for k, step in closing[room]:
+                    k += key
+                    sums[k] = sums.get(k, 0) + value * step
     return sums, factorials[D]
 
 

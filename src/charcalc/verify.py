@@ -18,11 +18,11 @@ symmetric, and all its laws run on packed maps: the lambda_t law on the packed
 terms of the lambda kernel and the ch laws on the numerator maps of the ch
 kernel (:func:`~charcalc.lambda_ring._ch_terms`), with products by
 :func:`~charcalc.series._packed_product`; the gamma_t law on two routes from
-the packed lambda_t terms, the substitution s = t/(1 - t) against the fold by
-the gamma^k weights that gamma_k takes; and its line laws on the Todd and
-Chern classes of one line and of its negative
-(:func:`~charcalc.lambda_ring._class_terms`), against closed forms.  No check
-multiplies a ``TSeries``, and ``homomorphism`` builds no ``GradedSeries``.
+the packed lambda_t terms; and its line laws on the Todd and Chern classes of
+one line and of its negative, the exp kernel of each line's ch, against closed
+forms.  Each law subtracts one side from the other, freshly built, in one pass
+(:func:`_same`).  No check multiplies a ``TSeries``, and ``homomorphism``
+builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -41,7 +41,7 @@ from .lambda_ring import (
     KElement,
     _ch_terms,
     _chern_weights,
-    _class_terms,
+    _exp_terms,
     _fold_roots,
     _gamma_terms,
     _gamma_weights,
@@ -235,35 +235,29 @@ def _nonzero(terms: dict) -> dict:
 # A series of the class laws is a kernel's (numerators, denominator) on packed keys.
 
 
-def _same(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> bool:
-    """Whether two series are equal: each side's numerators times the other
-    side's denominator, zeros dropped; over one denominator, the numerators."""
-    (xs, d), (ys, e) = lhs, rhs
+def _same(lhs: tuple[dict, int], *rhs: tuple[dict, int]) -> bool:
+    """Whether the series ``lhs`` is the sum of the series ``rhs``, over one denominator: their
+    numerators, cross-multiplied if it is not lhs's, are subtracted from lhs's, which must be a
+    map that nothing else reads, and none may be left."""
+    (xs, d), e = lhs, rhs[0][1]
     if d == e:
-        return _nonzero(xs) == _nonzero(ys)
-    return {k: c * e for k, c in xs.items() if c} == {k: c * d for k, c in ys.items() if c}
-
-
-def _series_sum(lhs: tuple[dict, int], rhs: tuple[dict, int]) -> tuple[dict, int]:
-    """The sum of two series over one denominator, the sum of their numerators.
-    Both must share it, as every ch at one degree D is over D! (:func:`_ch_terms`)."""
-    (xs, d), (ys, _) = lhs, rhs
-    total = dict(xs)
-    for k, c in ys.items():
-        total[k] = total.get(k, 0) + c
-    return total, d
-
-
-def _series_product(lhs: tuple[dict, int], rhs: tuple[dict, int], D: int) -> tuple[dict, int]:
-    """The product of two series truncated at D (:func:`_packed_product`)."""
-    return _packed_product(lhs[0], rhs[0], D + 1, D), lhs[1] * rhs[1]
+        d = 1
+    else:
+        for key in xs:
+            xs[key] *= e
+    for ys, _ in rhs:
+        for key, c in ys.items():
+            xs[key] = xs.get(key, 0) - c * d
+    return not any(xs.values())
 
 
 def _line_laws(n: int, D: int) -> list[str]:
     """The failures of the line laws up to degree D, for l the class of the last
     symbol a_n: Td([a_n]) = todd_line(D), c([a_n]) = 1 + l,
     Td(-[a_n]) = (1 - e^-l)/l = sum (-1)^k l^k/(k+1)! and
-    c(-[a_n]) = 1/(1 + l) = sum (-l)^k, each class from :func:`_class_terms`.
+    c(-[a_n]) = 1/(1 + l) = sum (-l)^k.  The ch of each line is built once
+    (:func:`_ch_terms`), and each class of it is the exp kernel
+    (:func:`_exp_terms`) of that ch with the class's weights.
 
     On -[a_n] both classes are nonzero in every degree, so the laws read each
     weight and each degree of the exp kernel.  The key of l^k is k + k B^n at
@@ -271,17 +265,19 @@ def _line_laws(n: int, D: int) -> list[str]:
     degree k, as it is for a1, so a kernel that reads one for the other fails."""
     line = KElement.line((0,) * (n - 1) + (1,))
     step, top = (D + 1) ** n + 1, factorial(D + 1)  # the key of l, and (D + 1)!
+    plus, minus = _ch_terms(line, D), _ch_terms(-line, D)
     laws = [
-        ("Td", line, _todd_weights, "l/(1 - e^-l)",
+        ("Td", line, plus, _todd_weights, "l/(1 - e^-l)",
          _numerators({k * step: c for k, c in enumerate(todd_line(D))})),
-        ("c", line, _chern_weights, "1 + l", ({0: 1, step: 1}, 1)),
-        ("Td", -line, _todd_weights, "(1 - e^-l)/l",
+        ("c", line, plus, _chern_weights, "1 + l", ({0: 1, step: 1}, 1)),
+        ("Td", -line, minus, _todd_weights, "(1 - e^-l)/l",
          ({k * step: (-1) ** k * top // factorial(k + 1) for k in range(D + 1)}, top)),
-        ("c", -line, _chern_weights, "1/(1 + l)", ({k * step: (-1) ** k for k in range(D + 1)}, 1)),
+        ("c", -line, minus, _chern_weights, "1/(1 + l)",
+         ({k * step: (-1) ** k for k in range(D + 1)}, 1)),
     ]
     return [f"line law fails: {name}({x}) != {form} for l = a{n}"
-            for name, x, weights_of, form, want in laws
-            if not _same(_class_terms(x, D, weights_of), want)]
+            for name, x, (X, d), weights_of, form, want in laws
+            if not _same(_exp_terms(X, d, weights_of(D), D), want)]
 
 
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
@@ -299,15 +295,15 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     reads gamma_t(x) off the lambda_t terms of x by two routes: the
     substitution s = t/(1 - t) (:func:`_gamma_terms`), and the fold of each
     root's lambda^j by the weights of gamma^k (:func:`_gamma_weights`,
-    :func:`_fold_roots`) to the key root B + k, the route of gamma_k and gala.
-    It compares the whole maps, t^0 through t^t_max, so a wrong constant term
-    fails it, and so does a term past t_max.  Packed equality is equality of
-    the ``TSeries``, none of which is built.  The ch laws compare the
-    numerator maps of the ch kernel (:func:`_ch_terms`) of x, y, x + y and
-    x y over their denominators (:func:`_same`).  After the cases, the line
-    laws (:func:`_line_laws`) compare Td and c of [a_n] and of -[a_n] with
+    :func:`_fold_roots`) to the key root B + k, the route of gamma_k and gala;
+    from t^0 through t^t_max, so a wrong constant term or a term past t_max fails.
+    The ch laws read the ch kernel (:func:`_ch_terms`) of x, y, x + y and x y.
+    Each law is one cancellation pass (:func:`_same`): the other side's
+    numerators, cross-multiplied when the denominators differ, are subtracted
+    from the freshly built side, and no term may be left.  After the cases, the
+    line laws (:func:`_line_laws`) compare Td and c of [a_n] and of -[a_n] with
     closed forms, so a wrong Todd or Chern weight, Bernoulli number or exp
-    kernel fails them.  No ``GradedSeries`` is built.
+    kernel fails them.  No ``TSeries`` or ``GradedSeries`` is built.
 
     The lambda_t and gamma_t laws hold for every multiplicative lambda_t; so a
     lambda that is another ring map, such as one that doubles every root,
@@ -325,17 +321,17 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         x_plus_y = x + y
         B, lam_x = _lambda_terms(x, t_max)  # 2 t_max + 1, which y and x + y share
         lam_y = _lambda_terms(y, t_max, B)[1]
-        product = _packed_product(lam_x, lam_y, B, t_max)
-        if _nonzero(_lambda_terms(x_plus_y, t_max, B)[1]) != _nonzero(product):
+        product = (_packed_product(lam_x, lam_y, B, t_max), 1)
+        if not _same((_lambda_terms(x_plus_y, t_max, B)[1], 1), product):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
         folded = {root * B + k: c for k, v in enumerate(gamma_weights)
-                  for root, c in _fold_roots(B, lam_x, v).items() if c}
-        if _nonzero(_gamma_terms(B, lam_x, t_max)) != folded:
+                  for root, c in _fold_roots(B, lam_x, v).items()}
+        if not _same((_gamma_terms(B, lam_x, t_max), 1), (folded, 1)):
             failures.append(f"case {case}: gamma_t not the fold of lambda_t on {x}")
-        ch_x, ch_y = _ch_terms(x, D), _ch_terms(y, D)
-        if not _same(_ch_terms(x_plus_y, D), _series_sum(ch_x, ch_y)):
+        (ch_x, d), (ch_y, _) = _ch_terms(x, D), _ch_terms(y, D)  # both over D!
+        if not _same(_ch_terms(x_plus_y, D), (ch_x, d), (ch_y, d)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")
-        if not _same(_ch_terms(x * y, D), _series_product(ch_x, ch_y, D)):
+        if not _same(_ch_terms(x * y, D), (_packed_product(ch_x, ch_y, D + 1, D), d * d)):
             failures.append(f"case {case}: ch not multiplicative on {x}, {y}")
         if failures:
             break

@@ -24,8 +24,8 @@ from charcalc.lambda_ring import (
     _todd_weights,
     ch,
 )
-from charcalc.series import GradedSeries, _pack
-from charcalc.verify import _same, _series_product
+from charcalc.series import GradedSeries, _pack, _packed_product
+from charcalc.verify import _same
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -212,6 +212,22 @@ def packed_series(series: GradedSeries) -> dict:
     return {_pack(mono, series.truncation_degree + 1): c for mono, c in series.terms()}
 
 
+# _same subtracts the right side from the left: a zero that only one side holds
+# cancels, a nonzero key that only one side holds does not, and unequal
+# denominators are cross-multiplied; a sum of right sides is subtracted whole
+@pytest.mark.parametrize("lhs, rhs, same", [
+    (({1: 3, 4: 0}, 2), [({1: 3}, 2)], True),
+    (({1: 3}, 2), [({1: 3, 4: 0}, 2)], True),
+    (({1: 3, 4: 1}, 2), [({1: 3}, 2)], False),
+    (({1: 3}, 2), [({1: 3, 4: 1}, 2)], False),
+    (({1: 1, 4: 0}, 2), [({1: 2}, 4)], True),
+    (({1: 1}, 2), [({1: 1}, 4)], False),
+    (({1: 3}, 2), [({1: 1}, 2), ({1: 2, 4: 0}, 2)], True),
+])
+def test_same_cancels_the_right_side_from_the_left(lhs, rhs, same):
+    assert _same(lhs, *rhs) is same
+
+
 # ch(2[a1]) = 2 ch([a1]): at D = 2 its numerators over 2! are those of ch([a1])
 # ch([0]) over 2! 2!, so the comparison must cross-multiply to call them unequal
 @example((KElement(1, {(1,): 2}), KElement(1, {(1,): 1}), 2))
@@ -228,6 +244,7 @@ def test_class_kernels_match_the_classes(case):
     for weights in (_todd_weights(D), _chern_weights(D)):
         assert packed_values(*_exp_terms(X, d, weights, D)) == packed_series(
             reduced._like(*_exp_terms(reduced._nums, reduced._den, weights, D)))
-    # the comparison of the laws: y's kernel times that of the unit, over d^2
-    unit = _ch_terms(KElement.unit(x.symbol_count), D)
-    assert _same((X, d), _series_product(_ch_terms(y, D), unit, D)) is (ch(x, D) == ch(y, D))
+    # the comparison of the laws: y's kernel times that of the unit, over d^2;
+    # it overwrites X, which is read no more
+    (Y, e), (unit, u) = _ch_terms(y, D), _ch_terms(KElement.unit(x.symbol_count), D)
+    assert _same((X, d), (_packed_product(Y, unit, D + 1, D), e * u)) is (ch(x, D) == ch(y, D))

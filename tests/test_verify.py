@@ -355,12 +355,12 @@ def hom_laws_ch_calls(monkeypatch, seed):
 
 
 def test_hom_laws_builds_one_ch_per_element(monkeypatch):
-    # one ch per element of the case: x, y, x + y and x * y at D = 3; then each
-    # line law reads the class kernel of its line, [a3] twice and -[a3] twice
+    # one ch per element of the case: x, y, x + y and x * y at D = 3; then one
+    # per line of the line laws, [a3] and -[a3], each read by both of its classes
     x, y = first_case(3)
     line = KElement.line((0, 0, 1))
     assert hom_laws_ch_calls(monkeypatch, 0) == [
-        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (line, 3), (line, 3), (-line, 3), (-line, 3)]
+        (x, 3), (y, 3), (x + y, 3), (x * y, 3), (line, 3), (-line, 3)]
 
 
 def test_hom_laws_run_three_lambda_kernels_per_case(monkeypatch):
@@ -463,15 +463,16 @@ def test_hom_laws_draws_pack_at_the_lambda_laws_base(n, seed):
 # for gamma_t, which reads the packed lambda_t terms of x, those terms doubled,
 # with the start of the detail it fails with; the lambda_t law passes the packed
 # kernel a shared base, which the wrapper forwards.  The case laws stop at case
-# 0; the class kernel is read by the line laws alone, after the cases, on [a2]
+# 0; the exp kernel is read by the line laws alone, after the cases, on [a2],
+# and is fed twice its ch, that of 2[a2]
 SQUARED = {
     "lambda_t": ("_lambda_terms", "case 0: lambda_t not multiplicative",
                  lambda f: lambda x, t, *base: f(x * x, t, *base)),
     "gamma_t": ("_gamma_terms", "case 0: gamma_t not the fold of lambda_t",
                 lambda f: lambda B, lam, t: f(B, {key: 2 * c for key, c in lam.items()}, t)),
     "ch": ("_ch_terms", "case 0: ch not additive", lambda f: lambda x, D: f(x * x, D)),
-    "chern_k": ("_class_terms", "line law fails: Td([a2]) != l/(1 - e^-l) for l = a2",
-                lambda f: lambda x, D, weights_of: f(x * x, D, weights_of)),
+    "chern_k": ("_exp_terms", "line law fails: Td([a2]) != l/(1 - e^-l) for l = a2",
+                lambda f: lambda X, d, *rest: f({key: 2 * c for key, c in X.items()}, d, *rest)),
 }
 
 

@@ -34,6 +34,11 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   denominator alike;
 - ``_ch_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a shift that ``zip``
   never reaches;
+- ``_ch_steps``: ``range(D + 1)`` -> ``range(D + 2)`` in either branch adds
+  the steps for a room of D + 1, which no root has; in the steps that are not
+  last, ``range(room + 1)`` -> ``range(room + 2)`` adds a step k = room + 1,
+  whose C(room, k) is 0, so all it adds are zero terms, which the kernel may
+  keep; ``_factorials``: ``D + 1`` -> ``D + 2``, a table longer than any read;
 - ``_todd_weights`` and ``_chern_weights``: a nonzero weight at degree 0,
   which the exp kernel never reads;
 - ``_chern_weights``: ``(-1) ** (k + 1)`` -> ``(-1) ** (k - 1)``, the same
@@ -46,6 +51,23 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   ``zip`` never reaches;
 - ``_lambda_fold``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` for i adds
   a weight v_(t_max + 1), an empty sum, that no t-power reads.
+
+Known equivalent survivors in ``verify``:
+
+- ``_same``: ``rhs[0]`` -> ``rhs[-1]`` takes the denominator of the last
+  right side for that of the first, and every caller's right sides share one;
+- ``_line_laws``: ``factorial(D + 1)`` -> ``D + 2`` scales the numerators and
+  the denominator of the closed form (1 - e^-l)/l alike, and
+  ``range(D + 1)`` -> ``D + 2`` in that form adds the term of degree D + 1,
+  whose numerator (D + 1)! // (D + 2)! is 0;
+- ``verify_hom_laws``: ``t_max - k`` -> ``t_max + k`` pads the rows of gamma
+  weights past t_max, where no t-power reads.
+
+Three more survivors of ``verify_hom_laws`` change what it reports but not
+whether verify passes: ``D = t_max = 3`` -> ``4`` or ``2`` checks the same
+laws, which hold at every degree, at another one, and ``cases < 1`` ->
+``<= 1``, ``< 2`` or ``< 0`` moves the refusal of a case count, where verify
+always asks for 20.  Tier-1 kills each of them, in ``tests/test_verify.py``.
 
 One survivor in ``lambda_ring`` is a real fault that no element of the CLI
 reaches: ``_lambda_terms``' ``2 * t_max * max(...)`` -> ``2 * t_max // max(...)``
