@@ -12,8 +12,10 @@ part weighted by k! (log f)_k, for f the line value (Hirzebruch).  Two kernels
 compute them on integer numerators over one denominator, on the packed keys of
 ``GradedSeries``, and build no series: :func:`_ch_terms` for ch, and
 :func:`_exp_terms` for the weighted exp; each class wraps its kernels' result
-into a ``GradedSeries`` once.  Those weights and the Todd line are closed forms
-in the Bernoulli numbers and factorials, computed once per degree.  For elements
+into a ``GradedSeries`` once.  A class is named by its line value alone,
+1 + l or the Todd line, a closed form in the Bernoulli numbers: one reader,
+:func:`_line_value`, takes it, and one function, :func:`_line_weights`, gives
+its weights by (log f)' = f'/f, once per line value and degree.  For elements
 invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
 character times a multiplicative class of the generic lines with one
 coefficient, and one linear factor of a polynomial product, per S_n-orbit.
@@ -481,44 +483,53 @@ def todd_line(truncation_degree: int) -> tuple[Fraction, ...]:
     """Coefficients of l / (1 - e^{-l}) up to l^truncation_degree, the Todd
     class of one line l: (-1)^k B_k / k! (Hirzebruch, *Topological Methods*,
     section 1.5).  Multiplicities enter through the weighted ``ch`` of
-    :func:`_exp_terms`, not through powers of this series.
+    :func:`_exp_terms`, which reads this series as its line value, not through
+    powers of it.
     """
     _size(truncation_degree, "truncation_degree")
     return tuple((-1) ** k * b / factorial(k) for k, b in enumerate(_bernoulli(truncation_degree)))
 
 
+def _line_value(line, D: int) -> list:
+    """The line value f(l) = sum_k line[k] l^k as its exact coefficients f_0..f_D,
+    cut or padded with zeros to D + 1; refused with ValueError unless f_0 = 1."""
+    f = [_coefficient(c) for c in line][:D + 1]
+    if not f or f[0] != 1:
+        raise ValueError("a class needs a line value f with f[0] = 1")
+    return f + [0] * (D + 1 - len(f))
+
+
 @lru_cache(maxsize=64)
-def _todd_weights(D: int) -> tuple[tuple[int, ...], int]:
-    """k! (log f)_k, k = 0..D, for f = l / (1 - e^{-l}), as integer numerators over
-    one denominator: -B_k / k for k >= 1, as (log f)' = 1/l - 1/(e^l - 1); the odd
-    ones from k = 3 on vanish with B_k."""
-    weights, w = _numerators({k: -b / k if k else 0 for k, b in enumerate(_bernoulli(D))})
+def _line_weights(line: tuple, D: int) -> tuple[tuple[int, ...], int]:
+    """k! (log f)_k, k = 0..D, for the line value f of ``line`` (:func:`_line_value`),
+    as integer numerators over one denominator.  With g = log f, g_0 = 0 as
+    f_0 = 1, and (log f)' = f'/f, that is f g' = f', gives
+    k g_k = k f_k - sum_{j<k} j g_j f_(k-j)."""
+    f = _line_value(line, D)
+    g = [0]
+    for k in range(1, D + 1):
+        g.append(f[k] - Fraction(sum(j * g[j] * f[k - j] for j in range(1, k)), k))
+    weights, w = _numerators({k: factorial(k) * c for k, c in enumerate(g)})
     return tuple(weights.values()), w
 
 
-@lru_cache(maxsize=64)
-def _chern_weights(D: int) -> tuple[tuple[int, ...], int]:
-    """k! (log f)_k, k = 0..D, for f = 1 + l, over the denominator 1: (-1)^(k+1) (k-1)!
-    for k >= 1, from log(1 + l) = sum (-1)^(k+1) l^k / k."""
-    return (0, *((-1) ** (k + 1) * factorial(k - 1) for k in range(1, D + 1))), 1
-
-
-def _exp_terms(X: dict[int, int], d: int, weights: tuple, D: int) -> tuple[dict[int, int], int]:
-    """The exp kernel: the class whose value on a line l is f(l), for the
-    ``weights`` (numerators, w) of f at degree D, of the Chern character X / d,
-    on the keys of :func:`~charcalc.series._pack` at base B = D + 1, as
-    (numerators, denominator); zero sums may stay.
+def _exp_terms(X: dict[int, int], d: int, line: tuple, D: int) -> tuple[dict[int, int], int]:
+    """The exp kernel: the class whose value on a line l is f(l), for the line
+    value ``line`` of f, of the Chern character X / d, on the keys of
+    :func:`~charcalc.series._pack` at base B = D + 1, as (numerators,
+    denominator); zero sums may stay.
 
     It is exp(x) for x = ch with its degree-k terms weighted by k! (log f)_k,
-    that is Z / d' with Z_k = numerators[k] X_k and d' = d w; the weights vanish
-    at k = 0, so x has no constant term.  The graded recurrence
+    that is Z / d' with Z_k = numerators[k] X_k and d' = d w, for the weights
+    (numerators, w) of :func:`_line_weights`; they vanish at k = 0, so x has no
+    constant term.  The graded recurrence
     k Y_k = sum_{j=1..k} j x_j Y_(k-j) for Y = exp(x) (Macdonald, *Symmetric
     Functions and Hall Polynomials*, I.2) runs on P_k = k! d'^k Y_k: P_0 = 1 and
     P_k = sum_j j (k-1)!/(k-j)! d'^(j-1) Z_j P_(k-j), and every pair formed lands
     in degree exactly k <= D, so none is dropped.  The result is
     sum_k P_k (D!/k!) d'^(D-k) over D! d'^D.
     """
-    numerators, w = weights
+    numerators, w = _line_weights(line, D)
     B, d = D + 1, d * w
     parts: list[list] = [[] for _ in range(B)]  # Z_j as (key, numerator) pairs
     for key, c in X.items():
@@ -548,16 +559,10 @@ def _exp_terms(X: dict[int, int], d: int, weights: tuple, D: int) -> tuple[dict[
     return out, weight
 
 
-def _class_terms(x: KElement, D: int, weights_of) -> tuple[dict[int, int], int]:
-    """The class of x up to degree D whose weights are ``weights_of(D)``:
-    :func:`_exp_terms` of :func:`_ch_terms`, which refuses a bad D first."""
-    X, d = _ch_terms(x, D)
-    return _exp_terms(X, d, weights_of(D), D)
-
-
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
-    """Total Chern class: product of (1 + c1(r))^mult over the lines of x."""
-    return _graded(x, truncation_degree, *_class_terms(x, truncation_degree, _chern_weights))
+    """Total Chern class: multiplicative, with line value 1 + l."""
+    D = truncation_degree
+    return _graded(x, D, *_exp_terms(*_ch_terms(x, D), (1, 1), D))
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
@@ -566,13 +571,13 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
     D = k if truncation_degree is None else _size(truncation_degree, "truncation_degree")
     if D < k:
         raise ValueError("truncation degree must be at least k")
-    terms, den = _class_terms(x, D, _chern_weights)
-    return _graded(x, D, {key: c for key, c in terms.items() if key % (D + 1) == k}, den)
+    return total_chern(x, D).component(k)
 
 
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
-    return _graded(x, truncation_degree, *_class_terms(x, truncation_degree, _todd_weights))
+    D = truncation_degree
+    return _graded(x, D, *_exp_terms(*_ch_terms(x, D), todd_line(D), D))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------
@@ -602,14 +607,12 @@ def symmetric_ch(x: KElement, truncation_degree: int, line=(1,)) -> SymmetricSer
     two distinct entries.  For f = 1, H_0[j] = 0 for j > 0, so no mu with a zero
     is read.  The result holds integer numerators over q^min(n, D) D!.  An x with
     an orbit whose arrangements do not all carry the multiplicity of its first
-    root is refused with ValueError.
+    root is refused with ValueError, as is a line value with line[0] != 1
+    (:func:`_line_value`).
     """
     D, n, lines = truncation_degree, x.symbol_count, x._nums
     zero = SymmetricSeries(n, D)  # refuses a negative D before the sums index by it
-    f = [_coefficient(c) for c in line][:D + 1]
-    if not f or f[0] != 1:
-        raise ValueError("symmetric_ch needs a line value f with f[0] = 1")
-    f += [0] * (D + 1 - len(f))
+    f = _line_value(line, D)
     Q, q = _numerators({b: factorial(b) * c for b, c in enumerate(f)})
     trivial = not any(f[1:])
     top = min(n, D)  # the most nonzero entries of a dominant e

@@ -10,9 +10,10 @@ The truncation degree is part of the value, not ambient state: combining
 series with different symbol counts or truncation degrees raises
 :class:`MismatchError` instead of coercing silently.
 
-No series of one line is built here: :mod:`~charcalc.lambda_ring` gives the
-line values ``l/(1-e^{-l})`` and ``1+l`` and their logarithms in closed form,
-from Bernoulli numbers and factorials, and weights ``ch`` by them.
+No series of one line is built here: :mod:`~charcalc.lambda_ring` names each
+class by its line value, ``l/(1-e^{-l})`` from the Bernoulli numbers or
+``1+l``, reads the coefficients of its logarithm off it by
+(log f)' = f'/f, and weights ``ch`` by them.
 
 A :class:`SymmetricSeries` is a series invariant under permuting the
 symbols, kept as one coefficient per S_n-orbit of monomials; it differs from

@@ -19,10 +19,10 @@ terms of the lambda kernel and the ch laws on the numerator maps of the ch
 kernel (:func:`~charcalc.lambda_ring._ch_terms`), with products by
 :func:`~charcalc.series._packed_product`; the gamma_t law on two routes from
 the packed lambda_t terms; and its line laws on the Todd and Chern classes of
-one line and of its negative, the exp kernel of each line's ch, against closed
-forms.  Each law subtracts one side from the other, freshly built, in one pass
-(:func:`_same`).  No check multiplies a ``TSeries``, and ``homomorphism``
-builds no ``GradedSeries``.
+one line and of its negative, the exp kernel of each line's ch, against the
+class's line value and a closed form of its inverse.  Each law subtracts one
+side from the other, freshly built, in one pass (:func:`_same`).  No check
+multiplies a ``TSeries``, and ``homomorphism`` builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -40,7 +40,6 @@ from operator import mul
 from .lambda_ring import (
     KElement,
     _ch_terms,
-    _chern_weights,
     _exp_terms,
     _fold_roots,
     _gamma_terms,
@@ -48,7 +47,6 @@ from .lambda_ring import (
     _kelement,
     _lambda_fold,
     _lambda_terms,
-    _todd_weights,
     alternating_lambda_sum,
     gamma_k,
     symmetric_ch,
@@ -253,11 +251,12 @@ def _same(lhs: tuple[dict, int], *rhs: tuple[dict, int]) -> bool:
 
 def _line_laws(n: int, D: int) -> list[str]:
     """The failures of the line laws up to degree D, for l the class of the last
-    symbol a_n: Td([a_n]) = todd_line(D), c([a_n]) = 1 + l,
+    symbol a_n: each class, named by its line value f, is f on [a_n] and 1/f on
+    -[a_n], so Td([a_n]) = todd_line(D), c([a_n]) = 1 + l,
     Td(-[a_n]) = (1 - e^-l)/l = sum (-1)^k l^k/(k+1)! and
     c(-[a_n]) = 1/(1 + l) = sum (-l)^k.  The ch of each line is built once
     (:func:`_ch_terms`), and each class of it is the exp kernel
-    (:func:`_exp_terms`) of that ch with the class's weights.
+    (:func:`_exp_terms`) of that ch with the class's line value.
 
     On -[a_n] both classes are nonzero in every degree, so the laws read each
     weight and each degree of the exp kernel.  The key of l^k is k + k B^n at
@@ -265,19 +264,19 @@ def _line_laws(n: int, D: int) -> list[str]:
     degree k, as it is for a1, so a kernel that reads one for the other fails."""
     line = KElement.line((0,) * (n - 1) + (1,))
     step, top = (D + 1) ** n + 1, factorial(D + 1)  # the key of l, and (D + 1)!
-    plus, minus = _ch_terms(line, D), _ch_terms(-line, D)
-    laws = [
-        ("Td", line, plus, _todd_weights, "l/(1 - e^-l)",
-         _numerators({k * step: c for k, c in enumerate(todd_line(D))})),
-        ("c", line, plus, _chern_weights, "1 + l", ({0: 1, step: 1}, 1)),
-        ("Td", -line, minus, _todd_weights, "(1 - e^-l)/l",
+    classes = [  # name, f and 1/f as text, f, and 1/f as numerators over a denominator
+        ("Td", ("l/(1 - e^-l)", "(1 - e^-l)/l"), todd_line(D),
          ({k * step: (-1) ** k * top // factorial(k + 1) for k in range(D + 1)}, top)),
-        ("c", -line, minus, _chern_weights, "1/(1 + l)",
-         ({k * step: (-1) ** k for k in range(D + 1)}, 1)),
+        ("c", ("1 + l", "1/(1 + l)"), (1, 1), ({k * step: (-1) ** k for k in range(D + 1)}, 1)),
     ]
-    return [f"line law fails: {name}({x}) != {form} for l = a{n}"
-            for name, x, (X, d), weights_of, form, want in laws
-            if not _same(_exp_terms(X, d, weights_of(D), D), want)]
+    failures = []
+    for negative, x in enumerate((line, -line)):
+        X, d = _ch_terms(x, D)
+        for name, forms, f, inverse in classes:
+            want = inverse if negative else _numerators({k * step: c for k, c in enumerate(f)})
+            if not _same(_exp_terms(X, d, f, D), want):
+                failures.append(f"line law fails: {name}({x}) != {forms[negative]} for l = a{n}")
+    return failures
 
 
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
@@ -302,8 +301,9 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     numerators, cross-multiplied when the denominators differ, are subtracted
     from the freshly built side, and no term may be left.  After the cases, the
     line laws (:func:`_line_laws`) compare Td and c of [a_n] and of -[a_n] with
-    closed forms, so a wrong Todd or Chern weight, Bernoulli number or exp
-    kernel fails them.  No ``TSeries`` or ``GradedSeries`` is built.
+    their line values and closed forms of their inverses, so a wrong weight or
+    exp kernel fails them, and a wrong Bernoulli number fails the laws on
+    -[a_n].  No ``TSeries`` or ``GradedSeries`` is built.
 
     The lambda_t and gamma_t laws hold for every multiplicative lambda_t; so a
     lambda that is another ring map, such as one that doubles every root,

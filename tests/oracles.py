@@ -41,6 +41,21 @@ def todd_line_coefficients(degree: int) -> list[Fraction]:
     return q
 
 
+def todd_log_weights(degree: int) -> list[Fraction]:
+    """k! (log f)_k for the Todd line f = a / (1 - e^{-a}): 0, then -B_k/k, as
+    (log f)' = 1/a - 1/(e^a - 1), with the Bernoulli numbers B_k = (-1)^k k! q_k
+    read off the division of :func:`todd_line_coefficients`."""
+    q = todd_line_coefficients(degree)
+    return [Fraction(0)] + [-(-1) ** k * factorial(k) * q[k] / k for k in range(1, degree + 1)]
+
+
+def chern_log_weights(degree: int) -> list[Fraction]:
+    """k! (log f)_k for f = 1 + a: 0, then (-1)^(k+1) (k-1)!, from
+    log(1 + a) = sum (-1)^(k+1) a^k / k."""
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1) * factorial(k - 1))
+                            for k in range(1, degree + 1)]
+
+
 # -- tiny group ring over integer root vectors ------------------------------
 
 

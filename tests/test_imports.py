@@ -12,7 +12,8 @@ the README or read by the acceptance tests.  Every absolute import names a
 module of the standard library, so the core stays stdlib-only, the test
 oracles import no module of ``charcalc``, so they stay a second route, and
 the CLI imports no private name of the package and reads no verifier: it
-runs each check through the table of checks in ``verify``."""
+runs each check through the table of checks in ``verify``, which imports no
+weights of a class: the exp kernel reads them off the class's line value."""
 
 import ast
 import re
@@ -154,6 +155,15 @@ def test_verify_reads_lambda_only_through_the_packed_kernel():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     read = imported | attributes_read(source)
     assert read & {"TSeries", "lambda_t", "gamma_t", "_tseries"} == set()
+
+
+def test_verify_imports_no_class_weights():
+    # every class reaches the exp kernel by its line value, which looks up its
+    # own weights; the gamma weights of the lambda fold are the only ones read
+    source = (PACKAGE / "verify.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(name for name in imported if name.endswith("_weights")) == ["_gamma_weights"]
 
 
 def test_private_package_imports_are_found():

@@ -5,12 +5,14 @@ must agree exactly, with ``Fraction`` coefficients for series and ``int``
 (never ``bool``) for ``KElement`` and ``TSeries``.  ``KElement`` has no
 degree bound, so only its product is checked here; its refusal to
 substitute is in ``tests/test_term_maps.py``.  The exp of the classes, by the
-graded recurrence, is checked against the Horner loop of ``substitute``, and
-the class kernels that ``homomorphism`` compares in packed form against the
-classes and their own comparison against series equality."""
+graded recurrence, is checked against the Horner loop of ``substitute`` for
+random line values, its weights against the closed forms of the Todd and Chern
+classes, and its class of one line against that line's value; the class kernels
+that ``homomorphism`` compares in packed form are checked against the classes,
+and their own comparison against series equality."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 
 import pytest
@@ -19,13 +21,15 @@ from charcalc.lambda_ring import (
     KElement,
     TSeries,
     _ch_terms,
-    _chern_weights,
     _exp_terms,
-    _todd_weights,
+    _line_weights,
     ch,
+    todd_line,
 )
 from charcalc.series import GradedSeries, _pack, _packed_product
 from charcalc.verify import _same
+
+from oracles import chern_log_weights, todd_log_weights
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -163,34 +167,62 @@ def test_tseries_substitute_matches_reference(pair, coefficients):
     assert_ints(result)
 
 
+# exact line values f = sum_k f_k l^k with f_0 = 1, zero at random degrees
+line_values = st.lists(st.one_of(st.just(0), st.fractions(min_value=-7, max_value=7,
+                                                          max_denominator=12)),
+                       max_size=10).map(lambda rest: (1, *rest))
+
+
 @st.composite
 def weighted_series(draw):
-    """A series with a non-unit denominator, and a weight table (numerators,
-    denominator) whose numerators are 0 at degree 0 and at random other degrees."""
+    """A series with a non-unit denominator, and a line value f, which may be
+    longer or shorter than the truncation."""
     n = draw(st.integers(min_value=0, max_value=4))
     D = draw(st.integers(min_value=0, max_value=10))
     monomial = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
     s = GradedSeries(n, D, draw(st.dictionaries(monomial, rationals, max_size=8)))
     hypothesis.assume(s._den != 1)
-    weight = st.one_of(st.just(0), st.integers(min_value=-40, max_value=40))
-    numerators = (0, *draw(st.lists(weight, min_size=D, max_size=D)))
-    return s, (numerators, draw(st.integers(min_value=1, max_value=12)))
+    return s, draw(line_values)
 
 
-# one symbol at degree 6 with every weight nonzero; the Todd weights at D = 3
-@example((GradedSeries(1, 6, {(1,): Fraction(1, 6), (3,): Fraction(-5, 2)}),
-          ((0, 1, -2, 3, -4, 5, -6), 7)))
-@example((GradedSeries(2, 3, {(1, 0): Fraction(3, 2), (1, 1): Fraction(-1, 6)}),
-          ((0, 6, -1, 0), 12)))
+# one symbol at degree 6 with every weight nonzero: log(1 + l + l^2) =
+# log(1 - l^3) - log(1 - l); and the Todd line at D = 3
+@example((GradedSeries(1, 6, {(1,): Fraction(1, 6), (3,): Fraction(-5, 2)}), (1, 1, 1)))
+@example((GradedSeries(2, 3, {(1, 0): Fraction(3, 2), (1, 1): Fraction(-1, 6)}), todd_line(3)))
 @settings(max_examples=100, deadline=None)
 @given(weighted_series())
 def test_multiplicative_exp_matches_horner(case):
-    s, (numerators, w) = case
+    # the class of line value f is exp of the series with its degree-k part
+    # weighted by k! (log f)_k, with log f = log(1 + u) at u = f - 1 by Horner
+    s, line = case
     D = s.truncation_degree
-    weighted = sum((s.component(k) * Fraction(c, w) for k, c in enumerate(numerators)),
+    u = GradedSeries(1, D, {(k,): c for k, c in enumerate(line[:D + 1]) if k})
+    log_1_plus = [0] + [Fraction((-1) ** (j + 1), j) for j in range(1, D + 1)]
+    log_f = dict(u.substitute(log_1_plus).terms())
+    weighted = sum((s.component(k) * (factorial(k) * log_f.get((k,), 0)) for k in range(D + 1)),
                    GradedSeries.zero(s.symbol_count, D))
     want = weighted.substitute([Fraction(1, factorial(k)) for k in range(D + 1)])
-    assert s._like(*_exp_terms(s._nums, s._den, (numerators, w), D)) == want
+    assert s._like(*_exp_terms(s._nums, s._den, line, D)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=24))
+def test_line_weights_are_the_closed_forms_of_both_classes(D):
+    # k! (log f)_k from (log f)' = f'/f against -B_k/k for the Todd line and
+    # (-1)^(k+1) (k-1)! for 1 + l, each over the lcm of its denominators
+    for line, closed in ((todd_line(D), todd_log_weights(D)), ((1, 1), chern_log_weights(D))):
+        w = lcm(*(c.denominator for c in closed))
+        assert _line_weights(line, D) == (tuple(c.numerator * (w // c.denominator)
+                                                for c in closed), w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=8), line_values)
+def test_the_exp_kernel_of_one_line_reads_back_its_line_value(D, line):
+    # the class of [a1] is f(a1), whatever f, from its ch alone
+    X, d = _ch_terms(KElement.line((1,)), D)
+    assert packed_values(*_exp_terms(X, d, line, D)) == {
+        _pack((k,), D + 1): Fraction(c) for k, c in enumerate(line[:D + 1]) if c}
 
 
 @st.composite
@@ -241,9 +273,9 @@ def test_class_kernels_match_the_classes(case):
     reduced = ch(x, D)
     assert packed_values(X, d) == packed_series(reduced)
     # exp of the kernel's own numerators against exp of the reduced ch(x, D)
-    for weights in (_todd_weights(D), _chern_weights(D)):
-        assert packed_values(*_exp_terms(X, d, weights, D)) == packed_series(
-            reduced._like(*_exp_terms(reduced._nums, reduced._den, weights, D)))
+    for line in (todd_line(D), (1, 1)):
+        assert packed_values(*_exp_terms(X, d, line, D)) == packed_series(
+            reduced._like(*_exp_terms(reduced._nums, reduced._den, line, D)))
     # the comparison of the laws: y's kernel times that of the unit, over d^2;
     # it overwrites X, which is read no more
     (Y, e), (unit, u) = _ch_terms(y, D), _ch_terms(KElement.unit(x.symbol_count), D)

@@ -16,21 +16,25 @@ spec.loader.exec_module(mutants)
 
 
 def test_the_line_laws_kill_a_chern_weight_mutant():
-    # (-1)^(k+1) read as (+1)^(k+1) gives the weights of f = 1/(1 - l) in place
-    # of 1 + l: the line laws on c see it, and the laws on random elements hold
-    # for any weight table
-    original = lambda_ring._chern_weights
-    outcomes = mutants.sample(["lambda_ring._chern_weights"])
-    assert lambda_ring._chern_weights is original is verify._chern_weights
-    flipped = [o for o in outcomes if o.change == "-1 -> +1"]
+    # k g_k = k f_k + sum_j ... in place of - gives wrong weights for every line
+    # value, the Chern and the Todd one alike: the line laws see it on both
+    # classes, and the laws on random elements hold for any weights
+    original = lambda_ring._line_weights
+    outcomes = mutants.sample(["lambda_ring._line_weights"])
+    assert lambda_ring._line_weights is original
+    assert not hasattr(verify, "_line_weights")  # read by the exp kernel alone
+    flipped = [o for o in outcomes if o.change.startswith("f[k] - Fraction(")]
     assert len(flipped) == 1
+    assert flipped[0].change.split(" -> ")[1].startswith("f[k] + Fraction(")
     assert flipped[0].checks == ["homomorphism"]
-    assert flipped[0].laws == ["line law fails: c([a_n]) != 1 + l for l = a_n",
-                               "line law fails: c(-[a_n]) != 1/(1 + l) for l = a_n"]
-    # the equivalent survivors: an unread weight at degree 0, a sign of the same
-    # parity, and a weight past the truncation
+    assert flipped[0].laws == [f"line law fails: {law} for l = a_n" for law in (
+        "Td([a_n]) != l/(1 - e^-l)", "c([a_n]) != 1 + l",
+        "Td(-[a_n]) != (1 - e^-l)/l", "c(-[a_n]) != 1/(1 + l)")]
+    # the equivalent survivors: g_0 moved to +-1, which no term of the sum reads
+    # and whose weight at degree 0 the exp kernel never reads, and a term j = 0,
+    # which is multiplied by j = 0
     assert [o.change for o in outcomes if not o.killed] == [
-        "0 -> 1", "0 -> -1", "k + 1 -> k - 1", "D + 1 -> D + 2"]
+        "[0] -> [1]", "[0] -> [-1]", "range(1, k) -> range(0, k)"]
 
 
 @pytest.mark.parametrize("options, rank", (([], "4"), (["--rank-max", "2"], "2")))

@@ -46,10 +46,6 @@ from charcalc.conductor import (
 )
 from charcalc.lambda_ring import (
     KElement,
-    _chern_weights,
-    _class_terms,
-    _graded,
-    _todd_weights,
     alternating_lambda_sum,
     ch,
     gamma_k,
@@ -306,10 +302,10 @@ def test_todd_and_total_chern_match_product_per_line(x, degree):
         assert all(type(c) is Fraction for _, c in result.terms())
 
 
-def degree_part(x, D, k, weights_of):
-    """The degree-k part of the class of x at truncation D of the weights
-    ``weights_of`` (:func:`_class_terms`), as a map from exponent tuples."""
-    return dict(_graded(x, D, *_class_terms(x, D, weights_of)).component(k).terms())
+def degree_part(x, D, k, class_of):
+    """The degree-k part of the class ``class_of`` of x at truncation D, as a map
+    from exponent tuples."""
+    return dict(class_of(x, D).component(k).terms())
 
 
 # chern_k reads c_k at any truncation from k on
@@ -322,8 +318,8 @@ def degree_part(x, D, k, weights_of):
 @example(KElement(3, {(0, 0, 0): 1, (1, 0, -1): -2}), 0, 5)
 def test_class_degree_parts_do_not_depend_on_the_truncation(x, k, D):
     k, D = sorted((k, D))
-    for weights_of in (_chern_weights, _todd_weights):
-        assert degree_part(x, D, k, weights_of) == degree_part(x, k, k, weights_of)
+    for class_of in (total_chern, todd):
+        assert degree_part(x, D, k, class_of) == degree_part(x, k, k, class_of)
 
 
 # -- the S_n-orbit Chern character times a class of generic lines ---------------

@@ -10,6 +10,8 @@ import pytest
 from charcalc import verify
 from charcalc.lambda_ring import (
     KElement,
+    _ch_terms,
+    _exp_terms,
     alternating_lambda_sum,
     ch,
     gamma_k,
@@ -100,6 +102,9 @@ def test_symmetric_ch_refuses_negative_truncation():
 def test_symmetric_ch_refuses_line_without_unit_constant(line):
     with pytest.raises(ValueError, match=r"f\[0\] = 1"):
         symmetric_ch(KElement.unit(2), 3, line)
+    # the dense classes read a line value through the same reader
+    with pytest.raises(ValueError, match=r"f\[0\] = 1"):
+        _exp_terms(*_ch_terms(KElement.unit(2), 3), line, 3)
 
 
 def test_symmetric_series_do_not_multiply():

@@ -486,11 +486,16 @@ def test_hom_laws_report_the_first_failing_case(monkeypatch, name):
     assert "case 1" not in result.detail  # the sweep stops at its first failing case
 
 
-def scaled(weights_of):
-    """A class's weights with the degree-k one times k + 1."""
-    def mutant(D):
-        numerators, w = weights_of(D)
-        return tuple((k + 1) * c for k, c in enumerate(numerators)), w
+def scaled(is_class):
+    """The weights of :func:`~charcalc.lambda_ring._line_weights`, with the degree-k
+    one times k + 1 for the line values of one class only, those ``is_class`` takes."""
+    weights_of = lambda_ring._line_weights
+
+    def mutant(line, D):
+        numerators, w = weights_of(line, D)
+        if is_class(line, D):
+            numerators = tuple((k + 1) * c for k, c in enumerate(numerators))
+        return numerators, w
     return mutant
 
 
@@ -507,8 +512,10 @@ def rewritten(function, old, new):
 # faults in the classes that the symmetric checks miss at their default
 # degrees: each is bound under every module name it is read by
 CLASS_MUTANTS = {
-    "todd-weights-times-k+1": lambda: ("_todd_weights", scaled(lambda_ring._todd_weights)),
-    "chern-weights-times-k+1": lambda: ("_chern_weights", scaled(lambda_ring._chern_weights)),
+    "todd-weights-times-k+1": lambda: (
+        "_line_weights", scaled(lambda line, D: tuple(line) == lambda_ring.todd_line(D))),
+    "chern-weights-times-k+1": lambda: (
+        "_line_weights", scaled(lambda line, D: tuple(line) == (1, 1))),
     "bernoulli-comb-m+2": lambda: (
         "_bernoulli", rewritten(lambda_ring._bernoulli, "comb(m + 1, k)", "comb(m + 2, k)")),
     "exp-output-from-degree-D-1": lambda: (
@@ -519,10 +526,9 @@ CLASS_MUTANTS = {
 
 @pytest.fixture
 def class_caches():
-    """The cached Bernoulli numbers, Todd line and class weights, cleared before
+    """The cached Bernoulli numbers, Todd line and line weights, cleared before
     and after the test, so that no value of a mutant outlives it."""
-    cached = [lambda_ring._bernoulli, lambda_ring.todd_line, lambda_ring._todd_weights,
-              lambda_ring._chern_weights]
+    cached = [lambda_ring._bernoulli, lambda_ring.todd_line, lambda_ring._line_weights]
     for f in cached:
         f.cache_clear()
     yield

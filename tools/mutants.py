@@ -39,10 +39,15 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   last, ``range(room + 1)`` -> ``range(room + 2)`` adds a step k = room + 1,
   whose C(room, k) is 0, so all it adds are zero terms, which the kernel may
   keep; ``_factorials``: ``D + 1`` -> ``D + 2``, a table longer than any read;
-- ``_todd_weights`` and ``_chern_weights``: a nonzero weight at degree 0,
-  which the exp kernel never reads;
-- ``_chern_weights``: ``(-1) ** (k + 1)`` -> ``(-1) ** (k - 1)``, the same
-  sign, and ``D + 1`` -> ``D + 2``, a weight past the truncation;
+- ``_line_weights``: ``g = [0]`` -> ``[1]`` or ``[-1]`` moves g_0, which no
+  term of the sum reads, and its weight at degree 0, which the exp kernel
+  never reads; ``range(1, k)`` -> ``range(0, k)`` adds a term j = 0, which
+  is multiplied by j = 0;
+- ``_line_value``: ``D + 1`` -> ``D + 2`` in the cut keeps a coefficient
+  past the truncation, which no weight and no ``symmetric_ch`` coefficient
+  reads (it may widen a denominator that is reduced away, or turn off the
+  shortcut for f = 1), and in the padding, ``D + 1`` -> ``D + 2`` or
+  ``D + 1 - len(f)`` -> ``D + 1 + len(f)`` pads zeros past it;
 - ``_lambda_terms``: at the base line, ``1 -> 2`` in either place and
   ``2 * t_max -> 3 * t_max`` pack at a wider base, on which no digit carries
   either, and ``default=0`` -> ``1`` or ``-1`` is read only for an element
