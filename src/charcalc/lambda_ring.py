@@ -27,16 +27,17 @@ t-powers above ``t_max``; :meth:`TSeries.invert` is the shared substitution.
 The lambda operations multiply no term maps: one kernel,
 :func:`_lambda_terms`, gives lambda_t on packed integer keys, on which a line
 factor (1 + t[r])^m multiplies by adding integers.  ``lambda_t`` unpacks it
-into a ``TSeries``, ``gamma_t`` unpacks :func:`_gamma_terms`, which
-substitutes s = t/(1 - t) on those packed terms, and ``gamma_k`` and
-``alternating_lambda_sum`` fold weighted sums of the lambda^j of the
-nontrivial lines by root (:func:`_lambda_fold`), unpacking only the folded
-roots: the trivial line [0] is the unit, so m[0] is the scalar (1 + t)^m,
-folded into the weights.  ``gala`` compares the folded roots without
-unpacking them.  The lambda_t and gamma_t laws of ``homomorphism`` unpack
-nothing: they pack their elements at one shared base, multiply packed terms by
-:func:`~charcalc.series._packed_product`, and fold them by root
-(:func:`_fold_roots`).
+into a ``TSeries``.  Every other lambda operation is a weighted sum of the
+lambda^j, and one fold reads them all (:func:`_lambda_fold`): in one pass over
+the packed lambda_t terms of the nontrivial lines, it adds each term, weighted
+by each row of a weight table, at its root and the row's index.  ``gamma_t``
+folds the rows of gamma^0..gamma^t_max (:func:`_gamma_weights`) and unpacks a
+``TSeries``; ``gamma_k`` and ``alternating_lambda_sum`` fold one row and
+unpack only its roots.  The trivial line [0] is the unit, so m[0] is the
+scalar (1 + t)^m, folded into the weights.  ``gala`` compares one row's folded
+roots without unpacking them, and the lambda_t law of ``homomorphism``
+multiplies packed terms at one shared base by
+:func:`~charcalc.series._packed_product` and unpacks nothing.
 
 Everything is exact and immutable; all identities checked downstream are
 dictionary equalities.
@@ -264,14 +265,17 @@ def _lambda_terms(x: KElement, t_max: int, base: int = 0) -> tuple[int, dict[int
 
 
 def _roots(packed, B: int, n: int) -> dict[int, Root]:
-    """The root of each packed sum_i r_i B^(i-1), |r_i| <= B // 2, as a tuple of
-    its n balanced digits, in one pass over the keys: each key is split by one
-    divmod into its low and high digits, a half is decoded the first time it is
-    met and kept for every later root that shares it, and the root is the two
-    halves joined."""
-    h, low = B // 2, n // 2
+    """The root of each packed key k + sum_i r_i B^i, 0 <= k < B and |r_i| <= B // 2,
+    as a tuple of its n balanced digits r_i, in one pass over the keys: each key
+    is split by one divmod into its low digits, digit 0 among them, and its high
+    digits, a half is decoded the first time it is met and kept for every later
+    key that shares it, and the root is the two halves joined.  The low half is
+    digit 0 and n // 2 root digits, or fewer if its divisor would pass 2^30,
+    past which a division is slower; any low half of 1 to n + 1 digits decodes
+    the same roots."""
+    h, low = B // 2, max(1, min(n // 2 + 1, 30 // B.bit_length()))  # digits in the low half
     cut = B**low
-    offset = sum(h * B**i for i in range(n))  # makes every digit non-negative
+    offset = sum(h * B**i for i in range(1, n + 1))  # makes every root digit non-negative
 
     def digits(q: int, count: int) -> Root:
         out = []
@@ -287,22 +291,23 @@ def _roots(packed, B: int, n: int) -> dict[int, Root]:
         hi, lo = divmod(key + offset, cut)
         first = lows.get(lo)
         if first is None:
-            first = lows[lo] = digits(lo, low)
+            first = lows[lo] = digits(lo // B, low - 1)
         second = highs.get(hi)
         if second is None:
-            second = highs[hi] = digits(hi, n - low)
+            second = highs[hi] = digits(hi, n + 1 - low)
         roots[key] = first + second
     return roots
 
 
 def _tseries(x: KElement, t_max: int, B: int, terms: dict[int, int]) -> TSeries:
     """The TSeries over the ambient of x of packed ``terms`` (:func:`_lambda_terms`),
-    built by :meth:`_like` on an empty TSeries of that ambient, which is made
-    without the validating constructor."""
-    roots = _roots({key // B for key in terms}, B, x.symbol_count)
+    the t-power in digit 0, built by :meth:`_like` on an empty TSeries of that
+    ambient, which is made without the validating constructor.  Each root is
+    decoded once, at its key with digit 0 cleared."""
+    roots = _roots({key - key % B for key in terms}, B, x.symbol_count)
     ambient = object.__new__(TSeries)
     _TermMap.__init__(ambient, x.symbol_count, t_max, {})
-    return ambient._like({(key % B, *roots[key // B]): c for key, c in terms.items()})
+    return ambient._like({(key % B, *roots[key - key % B]): c for key, c in terms.items()})
 
 
 def lambda_t(x: KElement, t_max: int) -> TSeries:
@@ -316,71 +321,6 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
-def _gamma_terms(B: int, lam: dict[int, int], t_max: int) -> dict[int, int]:
-    """gamma_t on packed keys, from the packed terms ``lam`` of lambda_t truncated
-    at t^t_max at base B (:func:`_lambda_terms`), at that base.
-
-    Uses s^k = sum_{j >= k} C(j-1, k-1) t^j for k >= 1, so the lambda term
-    m t^k [r] moves to every t^j [r] with j >= k, weighted by C(j-1, k-1): only
-    digit 0 moves, and a term's entries stay at most its t-power times max |e|.
-    """
-    terms = {0: 1}  # gamma^0 = lambda^0 = [0]
-    for key, mult in lam.items():
-        k = key % B
-        for j in range(k, t_max + 1) if k else ():
-            moved = key + j - k
-            terms[moved] = terms.get(moved, 0) + mult * comb(j - 1, k - 1)
-    return terms
-
-
-def gamma_t(x: KElement, t_max: int) -> TSeries:
-    """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max
-    (:func:`_gamma_terms`)."""
-    B, lam = _lambda_terms(x, t_max)
-    return _tseries(x, t_max, B, _gamma_terms(B, lam, t_max))
-
-
-def _lambda_fold(x: KElement, t_max: int, weights: list[int]) -> tuple[int, dict[int, int]]:
-    """Sum of weights[j] lambda^j(x), j = 0..t_max, on packed roots, as (B, folded):
-    the packed terms of lambda_t (:func:`_lambda_terms`) folded by their root key
-    key // B, sum_i r_i B^(i-1), to its weighted sum (:func:`_fold_roots`).  The
-    trivial line is the unit, so lambda_t(y + m[0]) = lambda_t(y) (1 + t)^m:
-    lambda^i(y) gets the weight v_i = sum_{j >= i} weights[j] C(m, j - i), and
-    no root meets (1 + t)^m.  B is the base of y, so every folded entry is at
-    most t_max max |e| <= B // 2 in size."""
-    unit = x._unit
-    m = x._nums.get(unit, 0)
-    y = x._like({r: c for r, c in x._nums.items() if r != unit})
-    B, lam = _lambda_terms(y, t_max)  # refuses a negative t_max
-    binomials = _binomials(m, t_max)
-    v = [sum(weights[j] * binomials[j - i] for j in range(i, t_max + 1)) for i in range(t_max + 1)]
-    return B, _fold_roots(B, lam, v)
-
-
-def _fold_roots(B: int, lam: dict[int, int], v: list[int]) -> dict[int, int]:
-    """The packed lambda_t terms ``lam`` at base B (:func:`_lambda_terms`) folded
-    by their root key key // B to sum_j v[j] lambda^j, for the t-power j in
-    digit 0; zero sums may stay."""
-    folded: dict[int, int] = {}
-    for key, mult in lam.items():
-        root = key // B
-        folded[root] = folded.get(root, 0) + v[key % B] * mult
-    return folded
-
-
-def _kelement(x: KElement, B: int, folded: dict[int, int]) -> KElement:
-    """The KElement over the ambient of x of the packed roots ``folded``
-    (:func:`_lambda_fold`), unpacked by :func:`_roots`."""
-    roots = _roots(folded, B, x.symbol_count)
-    return x._like({roots[root]: c for root, c in folded.items()})
-
-
-def _lambda_sum(x: KElement, t_max: int, weights: list[int]) -> KElement:
-    """Sum of weights[j] lambda^j(x), j = 0..t_max: :func:`_lambda_fold`, of
-    which only the folded roots are unpacked."""
-    return _kelement(x, *_lambda_fold(x, t_max, weights))
-
-
 def _gamma_weights(k: int) -> list[int]:
     """The weights of lambda^0..lambda^k in gamma^k: gamma^k = sum_{j=1..k}
     C(k-1, j-1) lambda^j for k >= 1, and gamma^0 = lambda^0 = [0], so
@@ -388,20 +328,63 @@ def _gamma_weights(k: int) -> list[int]:
     return [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)]
 
 
+def _lambda_fold(x: KElement, t_max: int, rows: list[list[int]]) -> tuple[int, dict[int, int]]:
+    """The weighted sums sum_j rows[k][j] lambda^j(x), j = 0..t_max, one per row k,
+    on packed keys, as (B, folded); zero sums may stay.
+
+    In one pass over the packed terms of lambda_t (:func:`_lambda_terms`), the
+    term m t^j [r] adds rows[k][j] m at key r B + k, for every row k: only digit 0
+    changes, from j to k, so a row k <= t_max reads as the t-power k and the root
+    stays key // B.  The trivial line is the unit, so lambda_t(y + m[0]) =
+    lambda_t(y) (1 + t)^m: lambda^i(y) gets the weight
+    sum_{j >= i} rows[k][j] C(m, j - i), and no root meets (1 + t)^m.  B is the
+    base of y, so every folded entry is at most t_max max |e| <= B // 2 in size."""
+    unit = x._unit
+    m = x._nums.get(unit, 0)
+    y = x._like({r: c for r, c in x._nums.items() if r != unit})
+    B, lam = _lambda_terms(y, t_max)  # refuses a negative t_max
+    binomials = _binomials(m, t_max)
+    # by t-power i of lambda_t(y), the rows k that weight it, as (k - i, weight)
+    table = [[(k - i, w) for k, row in enumerate(rows)
+              if (w := sum(map(mul, row[i:], binomials)))]
+             for i in range(t_max + 1)]
+    folded: dict[int, int] = {}
+    for key, mult in lam.items():
+        for shift, w in table[key % B]:
+            shift += key
+            folded[shift] = folded.get(shift, 0) + w * mult
+    return B, folded
+
+
+def gamma_t(x: KElement, t_max: int) -> TSeries:
+    """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max: the
+    t^k coefficient is gamma^k, so each row k of :func:`_gamma_weights` is folded
+    to the t-power k (:func:`_lambda_fold`)."""
+    rows = [_gamma_weights(k) for k in range(_size(t_max, "t_max") + 1)]
+    return _tseries(x, t_max, *_lambda_fold(x, t_max, rows))
+
+
+def _kelement(x: KElement, B: int, folded: dict[int, int]) -> KElement:
+    """The KElement over the ambient of x of one row's folded sums at the keys
+    r B (:func:`_lambda_fold`), unpacked by :func:`_roots`."""
+    roots = _roots(folded, B, x.symbol_count)  # in the order of folded
+    return x._like(dict(zip(roots.values(), folded.values())))
+
+
 def gamma_k(x: KElement, k: int) -> KElement:
-    """The k-th gamma operation: the t^k coefficient of gamma_t(x), read off
-    lambda_t(x) by :func:`_gamma_weights` and :func:`_lambda_sum`: no gamma_t
-    is built, and the trivial lines of x enter as a scalar in t."""
-    return _lambda_sum(x, _size(k, "k"), _gamma_weights(k))
+    """The k-th gamma operation: the t^k coefficient of gamma_t(x), the one row
+    :func:`_gamma_weights` folded by :func:`_lambda_fold`: no gamma_t is built,
+    and the trivial lines of x enter as a scalar in t."""
+    return _kelement(x, *_lambda_fold(x, _size(k, "k"), [_gamma_weights(k)]))
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:
     """Sum of (-1)^i lambda^i(x) for i = 0..rank(x), with the trivial lines
-    of x as a scalar in t (:func:`_lambda_sum`)."""
+    of x as a scalar in t, folded by :func:`_lambda_fold`."""
     d = x.rank
     if d < 0:
         raise ValueError(f"alternating lambda sum needs non-negative rank, got {d}")
-    return _lambda_sum(x, d, [(-1) ** j for j in range(d + 1)])
+    return _kelement(x, *_lambda_fold(x, d, [[(-1) ** j for j in range(d + 1)]]))
 
 
 # -- characteristic classes -------------------------------------------------

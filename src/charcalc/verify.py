@@ -11,18 +11,19 @@ Every class of n generic lines is symmetric in a1..an, so ``borel_serre``,
 :class:`~charcalc.series.SymmetricSeries`, one coefficient per S_n-orbit of
 monomials: :func:`~charcalc.lambda_ring.symmetric_ch` on the left, a closed
 form on the right.  ``gala`` compares packed roots of the lambda kernel: the
-fold of lambda_t that gamma_k unpacks against a packed product of the lines
-1 - [r] that reads no lambda_t; it unpacks them into K-elements only to report
-a difference.  ``homomorphism`` runs on random elements that are not
-symmetric, and all its laws run on packed maps: the lambda_t law on the packed
-terms of the lambda kernel and the ch laws on the numerator maps of the ch
-kernel (:func:`~charcalc.lambda_ring._ch_terms`), with products by
-:func:`~charcalc.series._packed_product`; the gamma_t law on two routes from
-the packed lambda_t terms; and its line laws on the Todd and Chern classes of
-one line and of its negative, the exp kernel of each line's ch, against the
-class's line value and a closed form of its inverse.  Each law subtracts one
-side from the other, freshly built, in one pass (:func:`_same`).  No check
-multiplies a ``TSeries``, and ``homomorphism`` builds no ``GradedSeries``.
+fold of lambda_t (:func:`~charcalc.lambda_ring._lambda_fold`), the one fold
+that gamma_t, gamma_k and the alternating lambda sum read, against a packed
+product of the lines 1 - [r] that reads no lambda_t; it unpacks them into
+K-elements only to report a difference.  ``homomorphism`` runs on random
+elements that are not symmetric, and all its laws run on packed maps: the
+lambda_t law on the packed terms of the lambda kernel and the ch laws on the
+numerator maps of the ch kernel (:func:`~charcalc.lambda_ring._ch_terms`), with
+products by :func:`~charcalc.series._packed_product`; and its line laws on the
+Todd and Chern classes of one line and of its negative, the exp kernel of each
+line's ch, against the class's line value and a closed form of its inverse.
+Each law subtracts one side from the other, freshly built, in one pass
+(:func:`_same`).  No check multiplies a ``TSeries``, and ``homomorphism``
+builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -41,8 +42,6 @@ from .lambda_ring import (
     KElement,
     _ch_terms,
     _exp_terms,
-    _fold_roots,
-    _gamma_terms,
     _gamma_weights,
     _kelement,
     _lambda_fold,
@@ -113,21 +112,22 @@ def verify_gala(x: KElement) -> CheckResult:
     for an effective x of rank d.
 
     Both sides are built on the packed roots of the lambda kernel at one base
-    B.  The left side is the fold of lambda_t that gamma_k unpacks
-    (:func:`_lambda_fold`), its weights times (-1)^d.  The right side is
-    lambda_{-1}(x) = prod (1 - [r])^m over the lines m[r] of x, multiplied by
-    :func:`_packed_product` with no lambda_t, so the check sees a fault in
-    either; each line's key is B times its packed root, and an entry of the
-    product is at most d max |e| <= B // 2 in size, so no digit carries.  The
-    maps are compared with zeros dropped, and unpacked into KElements only to
-    report a difference.  For a virtual x the identity holds whatever lambda
-    is, so one with a negative multiplicity, as every x of negative rank has,
-    is refused with ValueError.
+    B, the root r at the key r B.  The left side is the fold of lambda_t that
+    gamma_k unpacks (:func:`_lambda_fold`), its one row of weights times
+    (-1)^d.  The right side is lambda_{-1}(x) = prod (1 - [r])^m over the lines
+    m[r] of x, multiplied by :func:`_packed_product` with no lambda_t, so the
+    check sees a fault in either; each line's key is B times its packed root
+    too, and an entry of the product is at most d max |e| <= B // 2 in size, so
+    no digit carries.  The packed maps are compared with zeros dropped, and
+    unpacked into KElements only to report a difference; unpacking reads no
+    digit 0, so a difference there alone is reported as such.  For a virtual x
+    the identity holds whatever lambda is, so one with a negative multiplicity,
+    as every x of negative rank has, is refused with ValueError.
     """
     if any(m < 0 for m in x._nums.values()):
         raise ValueError(f"element must be effective, got {x}")
     d, n = x.rank, x.symbol_count
-    B, lhs = _lambda_fold(x - d, d, [(-1) ** d * w for w in _gamma_weights(d)])  # d is d[0]
+    B, lhs = _lambda_fold(x - d, d, [[(-1) ** d * w for w in _gamma_weights(d)]])  # d is d[0]
     powers = [B**i for i in range(1, n + 1)]
     rhs = {0: 1}
     for root, m in x._nums.items():
@@ -136,9 +136,11 @@ def verify_gala(x: KElement) -> CheckResult:
         for k in range(m + 1):
             factor[k * step] = factor.get(k * step, 0) + (-1) ** k * comb(m, k)
         rhs = _packed_product(factor, rhs, B, 0)  # groups the larger map once
-    lhs, rhs = _nonzero(lhs), {key // B: c for key, c in rhs.items() if c}
-    detail = "" if lhs == rhs else _differences(_kelement(x, B, lhs), _kelement(x, B, rhs))
-    return CheckResult("gala", {"rank": d}, not detail, detail)
+    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+    ok = lhs == rhs
+    detail = "" if ok else (_differences(_kelement(x, B, lhs), _kelement(x, B, rhs))
+                            or "the packed sides differ off their root keys")
+    return CheckResult("gala", {"rank": d}, ok, detail)
 
 
 def verify_borel_serre(n: int, max_degree: int | None = None) -> CheckResult:
@@ -281,39 +283,40 @@ def _line_laws(n: int, D: int) -> list[str]:
 
 def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     """Randomized exact check of the structural laws, lambda_t
-    multiplicativity, gamma_t as the fold of lambda_t and the Chern-character
-    ring homomorphism, at truncation degree and t-power 3, then of the line
-    laws of the Todd and Chern classes.
+    multiplicativity and the Chern-character ring homomorphism, at truncation
+    degree and t-power 3, on n >= 1 symbols, then of the line laws of the Todd
+    and Chern classes.
 
     Every law runs on packed maps, with products by :func:`_packed_product`,
-    and each series a case reads is built once.  The lambda_t and gamma_t laws
-    compare packed terms at one base B, that of x: the lambda kernel
+    and each series a case reads is built once.  The lambda_t law compares
+    packed terms at one base B, that of x: the lambda kernel
     (:func:`_lambda_terms`) packs every element :func:`random_k_element` draws,
     and their sums, at 2 t_max + 1, so it packs x, y and x + y at B, and a
-    case runs three lambda kernels and two packed products.  The gamma_t law
-    reads gamma_t(x) off the lambda_t terms of x by two routes: the
-    substitution s = t/(1 - t) (:func:`_gamma_terms`), and the fold of each
-    root's lambda^j by the weights of gamma^k (:func:`_gamma_weights`,
-    :func:`_fold_roots`) to the key root B + k, the route of gamma_k and gala;
-    from t^0 through t^t_max, so a wrong constant term or a term past t_max fails.
-    The ch laws read the ch kernel (:func:`_ch_terms`) of x, y, x + y and x y.
-    Each law is one cancellation pass (:func:`_same`): the other side's
-    numerators, cross-multiplied when the denominators differ, are subtracted
-    from the freshly built side, and no term may be left.  After the cases, the
+    case runs three lambda kernels and two packed products.  No law reads the
+    fold of lambda_t (:func:`_lambda_fold`): gamma_t, gamma_k and the
+    alternating lambda sum are that one fold, and ``gala`` checks it against a
+    product that reads no lambda_t.  The ch laws read the ch kernel
+    (:func:`_ch_terms`) of x, y, x + y and x y.  Each law is one cancellation
+    pass (:func:`_same`): the other side's numerators, cross-multiplied when
+    the denominators differ, are subtracted from the freshly built side, and
+    no term may be left.  After the cases, the
     line laws (:func:`_line_laws`) compare Td and c of [a_n] and of -[a_n] with
     their line values and closed forms of their inverses, so a wrong weight or
     exp kernel fails them, and a wrong Bernoulli number fails the laws on
     -[a_n].  No ``TSeries`` or ``GradedSeries`` is built.
 
-    The lambda_t and gamma_t laws hold for every multiplicative lambda_t; so a
-    lambda that is another ring map, such as one that doubles every root,
-    passes.  ``gala`` sees it."""
+    The lambda_t law holds for every multiplicative lambda_t; so a lambda that
+    is another ring map, such as one that doubles every root, passes.
+    ``gala`` sees it.  A ``cases`` that is not an ``int``, or is a ``bool``, is
+    refused with TypeError."""
+    if n < 1:
+        raise ValueError("need at least one line")
+    if not isinstance(cases, int) or isinstance(cases, bool):
+        raise TypeError(f"cases must be an int, got {cases!r}")
     if cases < 1:
         raise ValueError("need at least one case")
     rng = random.Random(seed)
     D = t_max = 3
-    # the weights of lambda^0..lambda^t_max in gamma^k, row k for k = 0..t_max
-    gamma_weights = [_gamma_weights(k) + [0] * (t_max - k) for k in range(t_max + 1)]
     failures = []
     for case in range(cases):
         x = random_k_element(rng, n)
@@ -324,10 +327,6 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
         product = (_packed_product(lam_x, lam_y, B, t_max), 1)
         if not _same((_lambda_terms(x_plus_y, t_max, B)[1], 1), product):
             failures.append(f"case {case}: lambda_t not multiplicative on {x}, {y}")
-        folded = {root * B + k: c for k, v in enumerate(gamma_weights)
-                  for root, c in _fold_roots(B, lam_x, v).items()}
-        if not _same((_gamma_terms(B, lam_x, t_max), 1), (folded, 1)):
-            failures.append(f"case {case}: gamma_t not the fold of lambda_t on {x}")
         (ch_x, d), (ch_y, _) = _ch_terms(x, D), _ch_terms(y, D)  # both over D!
         if not _same(_ch_terms(x_plus_y, D), (ch_x, d), (ch_y, d)):
             failures.append(f"case {case}: ch not additive on {x}, {y}")

@@ -1,8 +1,8 @@
 """lambda_t, gamma_t, gamma_k and the alternating lambda sum against
 :mod:`oracles`, which multiplies the line factors (1 + t[r])^m as plain
-tuple-keyed maps; the packed products of the lambda and gamma kernels against
-``TSeries`` products; and the verifiers, which must reach lambda_t only through
-the packed kernel, never through a ``TSeries`` product, and whose
+tuple-keyed maps; the packed products of the lambda kernel and of the lambda
+fold against ``TSeries`` products; and the verifiers, which must reach lambda_t
+only through the packed kernel, never through a ``TSeries`` product, and whose
 ``homomorphism`` laws build no ``GradedSeries``."""
 
 import pytest
@@ -11,7 +11,8 @@ import charcalc.lambda_ring as lambda_ring
 from charcalc.lambda_ring import (
     KElement,
     TSeries,
-    _gamma_terms,
+    _gamma_weights,
+    _lambda_fold,
     _lambda_terms,
     _tseries,
     alternating_lambda_sum,
@@ -137,17 +138,20 @@ def pairs(draw):
 
 
 # y's own base above x's; x + y cancels y's largest entry; the trivial line alone beside
-# a negative multiplicity; t_max 0
+# a negative multiplicity; t_max 0; the trivial line beside a line of larger entries
 @example((KElement(2, {(1, 0): 2}), KElement(2, {(0, 3): -1, (1, -1): 1}), 3))
 @example((KElement(1, {(3,): 1, (1,): -2}), KElement(1, {(3,): -1}), 4))
 @example((KElement(2, {(0, 0): -2}), KElement(2, {(-2, 1): -3}), 2))
 @example((KElement(1, {(2,): 1}), KElement(1, {(0,): 3}), 0))
+@example((KElement(2, {(0, 0): 2, (3, -1): -1}), KElement(2, {(1, 1): 1}), 4))
 @settings(max_examples=150, deadline=None)
 @given(pairs())
 def test_packed_laws_match_the_tseries_laws(case):
     # x, y and x + y packed at the largest of their own bases multiply, and unpack,
-    # as their TSeries do; gamma_t read off the lambda_t terms of z and -z packed at
-    # that base does too.  The laws of homomorphism compare such packed maps
+    # as their TSeries do; gamma_t, the lambda fold of z and of -z by the rows of
+    # gamma^0..gamma^t_max, does too, at the fold's base, which z and -z share and
+    # which is no larger than that shared base.  The lambda_t law of homomorphism
+    # compares such packed maps
     x, y, t_max = case
     B = max(_lambda_terms(z, t_max)[0] for z in (x, y, x + y))
     (Bx, px), (By, py), (Bs, psum) = (_lambda_terms(z, t_max, B) for z in (x, y, x + y))
@@ -155,10 +159,67 @@ def test_packed_laws_match_the_tseries_laws(case):
     product = _packed_product(px, py, B, t_max)
     assert _tseries(x, t_max, B, product) == lambda_t(x, t_max) * lambda_t(y, t_max)
     assert _tseries(x, t_max, B, psum) == lambda_t(x + y, t_max)
+    rows = [_gamma_weights(k) for k in range(t_max + 1)]
     for z in (x, y, x + y):
-        (Bz, lz), (Bn, ln) = _lambda_terms(z, t_max, B), _lambda_terms(-z, t_max, B)
-        assert Bz == Bn == B
-        gz, gn = _gamma_terms(B, lz, t_max), _gamma_terms(B, ln, t_max)
-        assert _tseries(z, t_max, B, gz) == gamma_t(z, t_max)
-        product = _packed_product(gz, gn, B, t_max)
-        assert _tseries(z, t_max, B, product) == gamma_t(z, t_max) * gamma_t(-z, t_max)
+        (Bz, gz), (Bn, gn) = _lambda_fold(z, t_max, rows), _lambda_fold(-z, t_max, rows)
+        assert Bz == Bn <= B
+        assert _tseries(z, t_max, Bz, gz) == gamma_t(z, t_max)
+        product = _packed_product(gz, gn, Bz, t_max)
+        assert _tseries(z, t_max, Bz, product) == gamma_t(z, t_max) * gamma_t(-z, t_max)
+        # gamma_t is a map from sums to products, so gamma_t(z) gamma_t(-z) = 1
+        assert _tseries(z, t_max, Bz, product) == TSeries.one(z.symbol_count, t_max)
+
+
+def test_gamma_t_runs_one_lambda_kernel(monkeypatch):
+    # every row of gamma_t is read off one lambda_t, in one fold
+    calls = []
+    original = lambda_ring._lambda_terms
+
+    def counted(x, t_max, base=0):
+        calls.append((x, t_max))
+        return original(x, t_max, base)
+
+    monkeypatch.setattr(lambda_ring, "_lambda_terms", counted)
+    x = KElement(2, {(1, 0): 2, (1, -1): -1, (0, 0): -3})
+    assert gamma_t(x, 5) == oracle_tseries(gamma_series(dict(x.terms()), 2, 5), 2, 5)
+    # the trivial line is a scalar in t, not a line factor
+    assert calls == [(KElement(2, {(1, 0): 2, (1, -1): -1}), 5)]
+
+
+@st.composite
+def virtual_elements(draw):
+    """One to four lines over 1..4 symbols, root entries -2..2, one of them with a
+    negative multiplicity, beside the trivial line with a nonzero multiplicity."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    root = st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)
+    lines = draw(st.dictionaries(root, st.integers(min_value=-3, max_value=3).filter(bool),
+                                 min_size=1, max_size=4))
+    negative = draw(st.sampled_from(sorted(lines)))
+    lines[negative] = -abs(lines[negative])
+    lines[(0,) * n] = draw(st.integers(min_value=-4, max_value=4).filter(bool))
+    return KElement(n, lines)
+
+
+@example(KElement(1, {(1,): -1, (0,): 1}))
+@example(KElement(2, {(1, -1): -2, (2, 0): 3, (0, 0): -4}))
+@settings(max_examples=60, deadline=None)
+@given(virtual_elements())
+def test_folds_match_the_oracle_beside_a_trivial_line(x):
+    # gamma_t, gamma_k and the alternating lambda sum are one fold each, with the
+    # trivial line folded into the weights; the oracle multiplies its line factor
+    n, lines = x.symbol_count, dict(x.terms())
+    for t_max in range(7):
+        gamma = gamma_series(lines, n, t_max)
+        assert gamma_t(x, t_max) == oracle_tseries(gamma, n, t_max)
+        for k in range(t_max + 1):
+            assert dict(gamma_k(x, k).terms()) == t_coefficient(gamma, k)
+    if x.rank < 0:
+        with pytest.raises(ValueError):
+            alternating_lambda_sum(x)
+    else:
+        full = lambda_series(lines, n, x.rank)
+        want: dict = {}
+        for j in range(x.rank + 1):
+            for root, c in t_coefficient(full, j).items():
+                want[root] = want.get(root, 0) + (-1) ** j * c
+        assert dict(alternating_lambda_sum(x).terms()) == {r: c for r, c in want.items() if c}

@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import re
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -332,6 +333,19 @@ def test_hom_laws_refuses_vacuous_input():
         verify_hom_laws(3, cases=0)
 
 
+@pytest.mark.parametrize("n", (0, -1))
+def test_hom_laws_refuses_no_lines(n):
+    # the line laws need a symbol a_n to put the line on, as generic_lines does
+    with pytest.raises(ValueError, match="need at least one line"):
+        verify_hom_laws(n)
+
+
+@pytest.mark.parametrize("cases", (True, False, 2.0, "3", None))
+def test_hom_laws_refuses_a_case_count_that_is_not_an_int(cases):
+    with pytest.raises(TypeError, match="cases must be an int"):
+        verify_hom_laws(2, cases)
+
+
 def first_case(n, seed=0):
     """The x and y of case 0 of ``verify_hom_laws(n, seed=seed)``."""
     rng = random.Random(seed)
@@ -374,8 +388,7 @@ def test_hom_laws_run_three_lambda_kernels_per_case(monkeypatch):
     monkeypatch.setattr(lambda_ring, "_lambda_terms", counted)
     monkeypatch.setattr(verify, "_lambda_terms", counted)
     assert verify.verify_hom_laws(3, cases=1).ok
-    # both routes to gamma_t(x) read the lambda_t terms of x, packed for the
-    # lambda law
+    # the lambda law alone reads lambda_t: no law folds it
     x, y = first_case(3)
     assert calls == [x, y, x + y]
 
@@ -459,17 +472,14 @@ def test_hom_laws_draws_pack_at_the_lambda_laws_base(n, seed):
         assert [lambda_ring._lambda_terms(e, 3)[0] for e in (x, y, x + y)] == [7] * 3
 
 
-# each law's function, by the name verify calls it under, fed x * x for x, or,
-# for gamma_t, which reads the packed lambda_t terms of x, those terms doubled,
-# with the start of the detail it fails with; the lambda_t law passes the packed
+# each law's function, by the name verify calls it under, fed x * x for x, with
+# the start of the detail it fails with; the lambda_t law passes the packed
 # kernel a shared base, which the wrapper forwards.  The case laws stop at case
 # 0; the exp kernel is read by the line laws alone, after the cases, on [a2],
 # and is fed twice its ch, that of 2[a2]
 SQUARED = {
     "lambda_t": ("_lambda_terms", "case 0: lambda_t not multiplicative",
                  lambda f: lambda x, t, *base: f(x * x, t, *base)),
-    "gamma_t": ("_gamma_terms", "case 0: gamma_t not the fold of lambda_t",
-                lambda f: lambda B, lam, t: f(B, {key: 2 * c for key, c in lam.items()}, t)),
     "ch": ("_ch_terms", "case 0: ch not additive", lambda f: lambda x, D: f(x * x, D)),
     "chern_k": ("_exp_terms", "line law fails: Td([a2]) != l/(1 - e^-l) for l = a2",
                 lambda f: lambda X, d, *rest: f({key: 2 * c for key, c in X.items()}, d, *rest)),
@@ -548,31 +558,44 @@ def test_homomorphism_sees_a_wrong_class(name, monkeypatch, capsys, class_caches
     assert "line law fails" in out
 
 
-# faults of gamma_t that keep gamma_t(x) gamma_t(-x) = 1: the first two
-# substitute another series than s = t/(1 - t) into lambda_s, and the last
-# writes terms at t^(t_max + 1), which a product truncated at t_max drops
+# faults of the one lambda fold that gamma_t, gamma_k and the alternating lambda
+# sum read: the first moves each weight one t-power down, the second weights
+# gamma^k as if s were t^3 in lambda_s, not t/(1 - t), and the last gives
+# gamma^k a weight on lambda^(k + 1), past the t_max = k of its fold, which the
+# trivial line's (1 + t)^m carries down onto the lambda^j that are read
 GAMMA_MUTANTS = {
-    "moved-down": ("key + j - k", "key - j - k"),
-    "s-to-t-cubed": ("comb(j - 1, k - 1)", "comb(j - 1, k + 1)"),
-    "past-t_max": ("range(k, t_max + 1)", "range(k, t_max + 2)"),
+    "moved-down": ("_lambda_fold", "row[i:]", "row[i + 1:]"),
+    "s-to-t-cubed": ("_gamma_weights", "comb(k - 1, j - 1)", "comb(k - 1, j + 1)"),
+    "past-t_max": ("_gamma_weights", "range(1, k + 1)]", "range(1, k + 1)] + [1]"),
 }
 
 
 @pytest.mark.parametrize("name", GAMMA_MUTANTS)
-def test_homomorphism_sees_a_wrong_gamma_t(name, monkeypatch, capsys):
-    mutant = rewritten(lambda_ring._gamma_terms, *GAMMA_MUTANTS[name])
+def test_verify_sees_a_wrong_lambda_fold(name, monkeypatch, capsys):
+    target, old, new = GAMMA_MUTANTS[name]
+    mutant = rewritten(getattr(lambda_ring, target), old, new)
     for module in (lambda_ring, verify):
-        monkeypatch.setattr(module, "_gamma_terms", mutant)
-    assert main(["verify", "--checks", "homomorphism", "--rank-max", "4"]) == 1
-    out = capsys.readouterr().out
-    assert "PASS homomorphism" not in out
-    assert "gamma_t not the fold of lambda_t" in out
+        monkeypatch.setattr(module, target, mutant)
+    assert main(["verify", "--rank-max", "4"]) == 1
+    failed = set(re.findall(r"^FAIL (\w+)", capsys.readouterr().out, re.MULTILINE))
+    assert failed and failed <= {"gala", "borel_serre", "ch_gamma", "prop_chtd"}
+
+
+def test_gala_compares_packed_keys_not_their_roots(monkeypatch):
+    # a fold that leaves each sum at digit 0 twice its t-power, off the root keys
+    # r B, unpacks to the right roots on generic lines, where each root has one
+    # t-power; gala fails it on the packed keys
+    mutant = rewritten(lambda_ring._lambda_fold, "(k - i, w)", "(k + i, w)")
+    monkeypatch.setattr(verify, "_lambda_fold", mutant)
+    result = verify.verify_gala(generic_lines(3))
+    assert not result.ok
+    assert result.detail == "the packed sides differ off their root keys"
 
 
 def test_gala_sees_a_lambda_that_doubles_every_root(monkeypatch, capsys):
     # lambda_t of x with every root doubled is another ring map, so the lambda_t
-    # and gamma_t laws of homomorphism hold on it; gala's right side reads no
-    # lambda_t and sees it
+    # law of homomorphism holds on it; gala's right side reads no lambda_t and
+    # sees it
     original = lambda_ring._lambda_terms
 
     def doubled(x, t_max, base=0):

@@ -26,7 +26,7 @@ survivors.
 Run from anywhere, for example::
 
     python tools/mutants.py lambda_ring._exp_terms lambda_ring.KElement.dual
-    python tools/mutants.py --rank-max 6 lambda_ring._gamma_terms
+    python tools/mutants.py --rank-max 6 lambda_ring._lambda_fold
 
 Known equivalent survivors in ``lambda_ring``, which no check can kill:
 
@@ -54,8 +54,15 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   with no lines, where ``max(1, ...)`` gives 1 all the same;
 - ``_lambda_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a power that
   ``zip`` never reaches;
-- ``_lambda_fold``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` for i adds
-  a weight v_(t_max + 1), an empty sum, that no t-power reads.
+- ``_lambda_fold``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` adds the
+  weights of a t-power t_max + 1, which no packed lambda term has;
+- ``_roots``: ``range(1, n + 1)`` -> ``range(0, n + 1)`` adds B // 2 to
+  digit 0, which is 0 in every key it is passed and which no root reads;
+  ``n + 1`` -> ``n + 2`` adds to a digit above the top one, which no half
+  reads.  The size of the low half is a speed choice, and every size from 1
+  to n + 1 digits decodes the same roots: ``n // 2 + 1`` -> ``+ 0`` or
+  ``- 1``, ``n // 2`` -> ``n // 3`` or ``n // 1``, and ``30 // ...`` ->
+  ``29 //``, ``31 //`` or ``30 * ...`` keep it in that range.
 
 Known equivalent survivors in ``verify``:
 
@@ -65,20 +72,46 @@ Known equivalent survivors in ``verify``:
   the denominator of the closed form (1 - e^-l)/l alike, and
   ``range(D + 1)`` -> ``D + 2`` in that form adds the term of degree D + 1,
   whose numerator (D + 1)! // (D + 2)! is 0;
-- ``verify_hom_laws``: ``t_max - k`` -> ``t_max + k`` pads the rows of gamma
-  weights past t_max, where no t-power reads.
+- ``verify_gala``: ``range(1, n + 1)`` -> ``range(1, n + 2)`` adds a power
+  that ``map`` never reaches; ``m + 1`` -> ``m + 2`` adds the term
+  C(m, m + 1) = 0; the bound ``0`` -> ``1`` of the packed product keeps pairs
+  whose digits 0 sum to 1, and every digit 0 is 0; ``m < 0`` -> ``m <= 0`` or
+  ``m < 1`` refuses a zero multiplicity, which no element keeps.
 
-Three more survivors of ``verify_hom_laws`` change what it reports but not
-whether verify passes: ``D = t_max = 3`` -> ``4`` or ``2`` checks the same
-laws, which hold at every degree, at another one, and ``cases < 1`` ->
-``<= 1``, ``< 2`` or ``< 0`` moves the refusal of a case count, where verify
-always asks for 20.  Tier-1 kills each of them, in ``tests/test_verify.py``.
+Survivors of ``verify_hom_laws`` and ``verify_gala`` change what they report
+but not whether verify passes: ``D = t_max = 3`` -> ``4`` or ``2`` checks the
+same laws, which hold at every degree, at another one; ``cases < 1`` ->
+``<= 1``, ``< 2`` or ``< 0`` and ``n < 1`` -> ``n < 0`` move the refusal of a
+case count or a rank, where verify always asks for 20 cases at rank 1 or
+more; and gala's ``m < 0`` -> ``m < -1`` passes a multiplicity -1, where
+verify passes effective elements alone.  Tier-1 kills each of them, in
+``tests/test_verify.py``.
 
-One survivor in ``lambda_ring`` is a real fault that no element of the CLI
-reaches: ``_lambda_terms``' ``2 * t_max * max(...)`` -> ``2 * t_max // max(...)``
-packs at too narrow a base once a root entry has size 2 or more, so digits
-carry; every root entry of verify is -1..1.  Tier-1 kills it, in 14 tests,
-such as ``tests/test_sympy_oracle.py::test_lambda_t_of_a_multiple_is_a_generalized_binomial``.
+Some survivors in ``lambda_ring`` are real faults that no element of the CLI
+reaches, and tier-1 kills each of them:
+
+- ``_lambda_terms``' ``2 * t_max * max(...)`` -> ``2 * t_max // max(...)``
+  packs at too narrow a base once a root entry has size 2 or more, so digits
+  carry; every root entry of verify is -1..1.  Killed in 14 tests, such as
+  ``tests/test_sympy_oracle.py::test_lambda_t_of_a_multiple_is_a_generalized_binomial``;
+- ``gamma_t``'s row count ``t_max + 1`` -> ``t_max + 2``, ``t_max`` or
+  ``t_max - 1`` folds one gamma^k too many or too few; verify reads no
+  gamma_t.  Killed in ``tests/test_lambda_kernel.py``;
+- ``alternating_lambda_sum``: ``range(d + 1)`` -> ``range(d + 2)`` weights
+  lambda^(d + 1), which the trivial line's (1 + t)^m carries onto the
+  lambda^i that are read; verify takes the sum of generic lines alone.
+  Killed in ``tests/test_lambda_kernel.py`` and ``tests/test_properties.py``.
+  Its refusal ``d < 0`` -> ``d <= 0`` or ``d < 1`` refuses rank 0, which
+  verify never passes either; ``tests/test_lambda_ring.py`` kills both.
+  ``d < -1`` survives tier-1 too: rank -1 is then refused by the lambda
+  kernel, as a negative t_max, with another ValueError;
+- ``_roots``: ``max(1, ...)`` -> ``max(2, ...)`` and ``n // 2 + 1`` ->
+  ``n // 2 + 2`` give a root of no symbols one digit at n = 0, where verify
+  unpacks nothing, and ``max(0, ...)`` leaves the low half no digit for a
+  base of 2^30 or more; each is killed in ``tests/test_verify.py`` or
+  ``tests/test_lambda_kernel.py``.  ``B // 2`` -> ``B // 3`` decodes a
+  digit of size above B // 3 wrongly; verify's entries are smaller.  Killed
+  in 16 tests.
 
 Stdlib only.  A method that calls ``super()`` with no arguments cannot be
 compiled outside its class and is refused.
