@@ -11,6 +11,12 @@ The checks of ``verify`` are declared in one table, :data:`charcalc.verify.CHECK
 its names, order and default degrees give the ``--checks`` default and help, the
 ``--max-degree`` help, the dispatch and the degree refusal here.
 
+Each command imports only the modules it runs, when it runs: ``verify`` imports
+``verify`` (and through it ``lambda_ring`` and ``series``), and ``conductor`` and
+``explain`` import ``conductor`` and ``modelfile``.  The ``verify`` subparser reads
+the table the first time it parses or formats its help (:class:`_DeferredParser`),
+so importing this module and parsing another command imports none of them.
+
 Exit codes: 0 all checks pass, 1 a check failed (including tameness and
 consistency refusals), 2 usage, parse, or validation errors.
 """
@@ -18,24 +24,10 @@ consistency refusals), 2 usage, parse, or validation errors.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from functools import cache, wraps
 
-from .conductor import (
-    ConductorReport,
-    ConsistencyError,
-    FiberDerivation,
-    ModelValidationError,
-    TamenessError,
-    conductor_report,
-)
-from .modelfile import ModelParseError, load_model
-from .series import render_sum
-from .verify import CHECKS
+from . import render_sum
 
 DEFAULT_RANK_CAP = 12
 # --max-degree is bounded for the O(D^2) line series, and past every default degree by _orbits.
@@ -43,19 +35,34 @@ MAX_DEGREE_LIMIT = 64
 MAX_ORBITS = 300_000
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The full ``charcalc`` parser, built at the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
-        prog="charcalc",
-        description=(
-            "Exact verification of characteristic-class identities and "
-            "conductor arithmetic on normal-crossings reduction data."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _DeferredParser(argparse.ArgumentParser):
+    """A subparser that adds its arguments, by ``add_arguments(parser)``, the first
+    time it parses or formats its help, so that building the ``charcalc`` parser
+    imports no module that the command run does not: the arguments of ``verify``
+    read :data:`charcalc.verify.CHECKS`."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def _complete(self) -> None:
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._complete()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self):
+        self._complete()
+        return super().format_help()
+
+
+def _add_verify_arguments(verify: argparse.ArgumentParser) -> None:
+    from .verify import CHECKS
+
     degree_checks = [name for name, (_, default) in CHECKS.items() if default]
-    verify = sub.add_parser("verify", help="run identity verification suites")
     verify.add_argument(
         "--checks",
         default=",".join(CHECKS),
@@ -77,6 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the safety cap on --rank-max",
     )
     verify.add_argument("--output", choices=("text", "machine"), default="text")
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``charcalc`` parser, built at the first call and shared by every later one."""
+    parser = argparse.ArgumentParser(
+        prog="charcalc",
+        description=(
+            "Exact verification of characteristic-class identities and "
+            "conductor arithmetic on normal-crossings reduction data."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    sub.add_parser(
+        "verify", help="run identity verification suites", add_arguments=_add_verify_arguments
+    )
     conductor = sub.add_parser("conductor", help="run the conductor pipeline")
     conductor.add_argument("--model", required=True, help="path to a JSON model file")
     conductor.add_argument("--output", choices=("text", "machine"), default="text")
@@ -91,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_checks(names, rank_min: int, rank_max: int, max_degree: int | None):
     """The results of the checks ``names`` at each rank, a degree check at the larger of
     its default degree and ``max_degree``."""
+    from .verify import CHECKS
+
     results = []
     for n in range(rank_min, rank_max + 1):
         for name in names:
@@ -114,6 +139,8 @@ def _orbits(n: int, D: int) -> int:
 
 def _verify_refusal(names, args) -> str | None:
     """Why ``verify`` refuses these arguments, or None if it runs them."""
+    from .verify import CHECKS
+
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         return f"unknown checks {unknown}; choose from {list(CHECKS)}"
@@ -142,6 +169,8 @@ def _verify_refusal(names, args) -> str | None:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     # a repeated name runs once, in first-seen order
     names = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
     refusal = _verify_refusal(names, args)
@@ -183,6 +212,8 @@ def _approx_log(terms) -> str:
     its largest term.  The decimals start at 30 digits and double until two runs give
     the same nonzero 12 digits.  That ends: zero exponents are omitted and the logs of
     distinct primes are linearly independent over Q, so the sum is never 0."""
+    import math
+
     try:
         floats = [float(c) * math.log(p) for p, c in terms]
     except OverflowError:
@@ -190,6 +221,8 @@ def _approx_log(terms) -> str:
     value = sum(floats)
     if math.isfinite(value) and abs(value) >= 1e-3 * max(map(abs, floats), default=0):
         return f"{value:.12g}"
+    from decimal import Context, Decimal, localcontext
+
     previous, prec = None, 30
     while True:
         with localcontext(Context(prec=prec)):
@@ -205,7 +238,8 @@ def _render_conductor(factors) -> str:
     return " * ".join(f"{p}^{e}" for p, e in factors.items()) or "1"
 
 
-def _print_conductor_text(report: ConductorReport) -> None:
+def _print_conductor_text(report) -> None:
+    """The text output of ``conductor`` for a checked ``ConductorReport``."""
     print(f"relative dimension d = {report.relative_dimension}")
     chi_q = "unspecified" if report.generic_euler is None else report.generic_euler
     print(f"generic fiber Euler characteristic chi(X_Q) = {chi_q}")
@@ -231,6 +265,9 @@ def _model_command(command):
 
     @wraps(command)
     def run(args) -> int:
+        from .conductor import ModelValidationError, conductor_report
+        from .modelfile import ModelParseError, load_model
+
         try:
             model = load_model(args.model)  # parse_model validates and normalizes it
         except (ModelParseError, ModelValidationError) as exc:
@@ -248,6 +285,10 @@ def _model_command(command):
 
 @_model_command
 def cmd_conductor(args, report) -> int:
+    import json
+
+    from .conductor import ConsistencyError, TamenessError
+
     try:
         report.checked()
     except (TamenessError, ConsistencyError) as exc:
@@ -269,7 +310,8 @@ def cmd_conductor(args, report) -> int:
 # -- explain --------------------------------------------------------------
 
 
-def _print_derivation(d: FiberDerivation) -> None:
+def _print_derivation(d) -> None:
+    """The strata table and the derivation of one ``FiberDerivation`` of ``explain``."""
     fiber = d.fiber
     print(f"\nprime {fiber.prime}:")
     mult = {cid: str(m) for cid, m, _ in fiber.components}
@@ -300,6 +342,10 @@ def _print_derivation(d: FiberDerivation) -> None:
 
 @_model_command
 def cmd_explain(args, report) -> int:
+    from fractions import Fraction
+
+    from .conductor import ConsistencyError, TamenessError
+
     print(f"relative dimension d = {report.relative_dimension}")
     for d in report.entries:
         _print_derivation(d)

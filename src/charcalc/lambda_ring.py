@@ -321,14 +321,28 @@ def lambda_t(x: KElement, t_max: int) -> TSeries:
     return _tseries(x, t_max, *_lambda_terms(x, t_max))
 
 
-def _gamma_weights(k: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _gamma_weights(k: int) -> tuple[int, ...]:
     """The weights of lambda^0..lambda^k in gamma^k: gamma^k = sum_{j=1..k}
     C(k-1, j-1) lambda^j for k >= 1, and gamma^0 = lambda^0 = [0], so
     lambda^0 counts only in gamma^0."""
-    return [int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)]
+    return tuple([int(not k)] + [comb(k - 1, j - 1) for j in range(1, k + 1)])
 
 
-def _lambda_fold(x: KElement, t_max: int, rows: list[list[int]]) -> tuple[int, dict[int, int]]:
+@lru_cache(maxsize=256)
+def _fold_table(rows: tuple[tuple[int, ...], ...], m: int, t_max: int) -> tuple:
+    """By t-power i of lambda_t(y), the rows k of :func:`_lambda_fold` that weight
+    it, as (k - i, weight): lambda^i(y) has the weight sum_{j >= i} rows[k][j] C(m, j - i)
+    in row k, for m the multiplicity of the trivial line."""
+    binomials = _binomials(m, t_max)
+    return tuple(tuple((k - i, w) for k, row in enumerate(rows)
+                       if (w := sum(map(mul, row[i:], binomials))))
+                 for i in range(t_max + 1))
+
+
+def _lambda_fold(
+    x: KElement, t_max: int, rows: tuple[tuple[int, ...], ...]
+) -> tuple[int, dict[int, int]]:
     """The weighted sums sum_j rows[k][j] lambda^j(x), j = 0..t_max, one per row k,
     on packed keys, as (B, folded); zero sums may stay.
 
@@ -337,17 +351,14 @@ def _lambda_fold(x: KElement, t_max: int, rows: list[list[int]]) -> tuple[int, d
     changes, from j to k, so a row k <= t_max reads as the t-power k and the root
     stays key // B.  The trivial line is the unit, so lambda_t(y + m[0]) =
     lambda_t(y) (1 + t)^m: lambda^i(y) gets the weight
-    sum_{j >= i} rows[k][j] C(m, j - i), and no root meets (1 + t)^m.  B is the
-    base of y, so every folded entry is at most t_max max |e| <= B // 2 in size."""
+    sum_{j >= i} rows[k][j] C(m, j - i) (:func:`_fold_table`, kept per rows, m and
+    t_max), and no root meets (1 + t)^m.  B is the base of y, so every folded
+    entry is at most t_max max |e| <= B // 2 in size."""
     unit = x._unit
     m = x._nums.get(unit, 0)
     y = x._like({r: c for r, c in x._nums.items() if r != unit})
     B, lam = _lambda_terms(y, t_max)  # refuses a negative t_max
-    binomials = _binomials(m, t_max)
-    # by t-power i of lambda_t(y), the rows k that weight it, as (k - i, weight)
-    table = [[(k - i, w) for k, row in enumerate(rows)
-              if (w := sum(map(mul, row[i:], binomials)))]
-             for i in range(t_max + 1)]
+    table = _fold_table(rows, m, t_max)
     folded: dict[int, int] = {}
     for key, mult in lam.items():
         for shift, w in table[key % B]:
@@ -360,7 +371,7 @@ def gamma_t(x: KElement, t_max: int) -> TSeries:
     """Substitute s = t/(1-t) into lambda_s(x) and re-truncate at t^t_max: the
     t^k coefficient is gamma^k, so each row k of :func:`_gamma_weights` is folded
     to the t-power k (:func:`_lambda_fold`)."""
-    rows = [_gamma_weights(k) for k in range(_size(t_max, "t_max") + 1)]
+    rows = tuple(_gamma_weights(k) for k in range(_size(t_max, "t_max") + 1))
     return _tseries(x, t_max, *_lambda_fold(x, t_max, rows))
 
 
@@ -375,7 +386,7 @@ def gamma_k(x: KElement, k: int) -> KElement:
     """The k-th gamma operation: the t^k coefficient of gamma_t(x), the one row
     :func:`_gamma_weights` folded by :func:`_lambda_fold`: no gamma_t is built,
     and the trivial lines of x enter as a scalar in t."""
-    return _kelement(x, *_lambda_fold(x, _size(k, "k"), [_gamma_weights(k)]))
+    return _kelement(x, *_lambda_fold(x, _size(k, "k"), (_gamma_weights(k),)))
 
 
 def alternating_lambda_sum(x: KElement) -> KElement:
@@ -384,7 +395,7 @@ def alternating_lambda_sum(x: KElement) -> KElement:
     d = x.rank
     if d < 0:
         raise ValueError(f"alternating lambda sum needs non-negative rank, got {d}")
-    return _kelement(x, *_lambda_fold(x, d, [[(-1) ** j for j in range(d + 1)]]))
+    return _kelement(x, *_lambda_fold(x, d, (tuple((-1) ** j for j in range(d + 1)),)))
 
 
 # -- characteristic classes -------------------------------------------------

@@ -56,6 +56,8 @@ from math import gcd, lcm
 from numbers import Rational
 from operator import add
 
+from . import render_sum
+
 Monomial = tuple[int, ...]
 
 
@@ -100,19 +102,6 @@ def _numerators(terms: dict) -> tuple[dict, int]:
         return terms, 1
     d = reduce(lcm, (c.denominator for c in terms.values()), 1)
     return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
-
-
-def render_sum(texts) -> str:
-    """Join signed term texts as ``a + b - c``; ``0`` when there are none."""
-    out = ""
-    for text in texts:
-        if not out:
-            out = text
-        elif text.startswith("-"):
-            out += f" - {text[1:]}"
-        else:
-            out += f" + {text}"
-    return out or "0"
 
 
 def dominant_exponents(symbol_count: int, degree: int):

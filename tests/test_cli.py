@@ -184,8 +184,11 @@ def test_verify_takes_its_checks_from_the_table(monkeypatch, capsys):
     def extra(n, D):
         return [CheckResult("extra", {"n": n, "max_degree": D}, True)]
 
+    from charcalc import verify
+
     table = {"extra": (extra, lambda n: n), **dict(reversed(CHECKS.items()))}
-    monkeypatch.setattr(cli, "CHECKS", table)
+    # the CLI reads the table from its home, when the verify parser or command runs
+    monkeypatch.setattr(verify, "CHECKS", table)
     monkeypatch.setenv("COLUMNS", "300")
     build_parser.cache_clear()
     try:

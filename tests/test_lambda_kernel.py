@@ -159,7 +159,7 @@ def test_packed_laws_match_the_tseries_laws(case):
     product = _packed_product(px, py, B, t_max)
     assert _tseries(x, t_max, B, product) == lambda_t(x, t_max) * lambda_t(y, t_max)
     assert _tseries(x, t_max, B, psum) == lambda_t(x + y, t_max)
-    rows = [_gamma_weights(k) for k in range(t_max + 1)]
+    rows = tuple(_gamma_weights(k) for k in range(t_max + 1))
     for z in (x, y, x + y):
         (Bz, gz), (Bn, gn) = _lambda_fold(z, t_max, rows), _lambda_fold(-z, t_max, rows)
         assert Bz == Bn <= B

@@ -47,7 +47,9 @@ def test_method_target_in_own_namespace(span, module, cls, attr):
 
 
 def test_tracer_times_every_verifier():
-    from charcalc import cli
+    # the tracer patches only modules already imported, and the CLI imports
+    # verify when the command runs, so import it before the tracer is installed
+    from charcalc import cli, verify  # noqa: F401
 
     tracer = TRACER.Tracer()
     tracer.install()

@@ -26,7 +26,7 @@ survivors.
 Run from anywhere, for example::
 
     python tools/mutants.py lambda_ring._exp_terms lambda_ring.KElement.dual
-    python tools/mutants.py --rank-max 6 lambda_ring._lambda_fold
+    python tools/mutants.py --rank-max 6 lambda_ring._lambda_fold lambda_ring._fold_table
 
 Known equivalent survivors in ``lambda_ring``, which no check can kill:
 
@@ -54,7 +54,7 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   with no lines, where ``max(1, ...)`` gives 1 all the same;
 - ``_lambda_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a power that
   ``zip`` never reaches;
-- ``_lambda_fold``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` adds the
+- ``_fold_table``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` adds the
   weights of a t-power t_max + 1, which no packed lambda term has;
 - ``_roots``: ``range(1, n + 1)`` -> ``range(0, n + 1)`` adds B // 2 to
   digit 0, which is 0 in every key it is passed and which no root reads;
