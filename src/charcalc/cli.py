@@ -257,6 +257,16 @@ def _print_conductor_text(report) -> None:
     print(f"            ~= {_approx_log(terms)}  [approximate]")
 
 
+@cache
+def _model_modules():
+    """The modules ``conductor`` and ``modelfile``, imported at the first call.  The
+    conductor side reads their names as attributes at each call, so a function
+    replaced on either module is the one that runs."""
+    from importlib import import_module
+
+    return import_module(f"{__package__}.conductor"), import_module(f"{__package__}.modelfile")
+
+
 def _model_command(command):
     """Run ``command(args, report)`` on the conductor_report of the model read from
     ``args.model``, not yet checked; a refused file exits 2.  The reader keeps the
@@ -265,18 +275,16 @@ def _model_command(command):
 
     @wraps(command)
     def run(args) -> int:
-        from .conductor import ModelValidationError, conductor_report
-        from .modelfile import ModelParseError, load_model
-
+        conductor, modelfile = _model_modules()
         try:
-            model = load_model(args.model)  # parse_model validates and normalizes it
-        except (ModelParseError, ModelValidationError) as exc:
+            model = modelfile.load_model(args.model)  # parse_model validates and normalizes it
+        except (modelfile.ModelParseError, conductor.ModelValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return command(args, conductor_report(model))
+            return command(args, conductor.conductor_report(model))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -287,11 +295,10 @@ def _model_command(command):
 def cmd_conductor(args, report) -> int:
     import json
 
-    from .conductor import ConsistencyError, TamenessError
-
+    conductor = _model_modules()[0]
     try:
         report.checked()
-    except (TamenessError, ConsistencyError) as exc:
+    except (conductor.TamenessError, conductor.ConsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.output == "machine":
@@ -344,17 +351,16 @@ def _print_derivation(d) -> None:
 def cmd_explain(args, report) -> int:
     from fractions import Fraction
 
-    from .conductor import ConsistencyError, TamenessError
-
+    conductor = _model_modules()[0]
     print(f"relative dimension d = {report.relative_dimension}")
     for d in report.entries:
         _print_derivation(d)
     try:
         report.checked()
-    except TamenessError:
+    except conductor.TamenessError:
         print("\ntameness failed; the conductor formula does not apply", file=sys.stderr)
         return 1
-    except ConsistencyError as exc:
+    except conductor.ConsistencyError as exc:
         print(f"\ncheck failed: {exc}", file=sys.stderr)
         return 1
     chi_q = "unspecified" if report.generic_euler is None else report.generic_euler

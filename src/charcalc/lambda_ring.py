@@ -10,15 +10,17 @@ into :class:`~charcalc.series.GradedSeries`: Chern character, total Chern
 class, and Todd class; the last two are exp of the first with its degree-k
 part weighted by k! (log f)_k, for f the line value (Hirzebruch).  Two kernels
 compute them on integer numerators over one denominator, on the packed keys of
-``GradedSeries``, and build no series: :func:`_ch_terms` for ch, and
-:func:`_exp_terms` for the weighted exp; each class wraps its kernels' result
-into a ``GradedSeries`` once.  A class is named by its line value alone,
-1 + l or the Todd line, a closed form in the Bernoulli numbers: one reader,
-:func:`_line_value`, takes it, and one function, :func:`_line_weights`, gives
-its weights by (log f)' = f'/f, once per line value and degree.  For elements
-invariant under permuting the symbols, :func:`symmetric_ch` gives the Chern
-character times a multiplicative class of the generic lines with one
-coefficient, and one linear factor of a polynomial product, per S_n-orbit.
+``GradedSeries``, and build no series: :func:`_ch_terms` for ch, which closes
+each root's last two nonzero entries from one cached table
+(:func:`_ch_closing`), and :func:`_exp_terms` for the weighted exp; each class
+wraps its kernels' result into a ``GradedSeries`` once.  A class is named by
+its line value alone, 1 + l or the Todd line, a closed form in the Bernoulli
+numbers: one reader, :func:`_line_value`, takes it, and one function,
+:func:`_line_weights`, gives its weights by (log f)' = f'/f, once per line
+value and degree.  For elements invariant under permuting the symbols,
+:func:`symmetric_ch` gives the Chern character times a multiplicative class of
+the generic lines with one coefficient, and one linear factor of a polynomial
+product, per S_n-orbit.
 
 ``KElement`` and ``TSeries`` are term maps like ``GradedSeries``
 (:class:`~charcalc.series._TermMap`).  A ``TSeries`` is the group ring with
@@ -408,14 +410,42 @@ def _factorials(D: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _ch_steps(r: int, shift: int, D: int, last: bool) -> tuple:
-    """Per room left, 0..D, the steps of :func:`_ch_terms` for a root entry r: (k shift,
-    r^k C(room, k), room - k) for k = 0..room, or (k shift, r^k room!/k!) if ``last``."""
-    if last:
-        return tuple(tuple((k * shift, r**k * factorial(room) // factorial(k))
-                           for k in range(room + 1)) for room in range(D + 1))
+def _ch_steps(r: int, shift: int, D: int) -> tuple:
+    """Per room left, 0..D, the steps of :func:`_ch_terms` for a root entry r that is
+    not one of its last two: (k shift, r^k C(room, k), room - k) for k = 0..room."""
     return tuple(tuple((k * shift, r**k * comb(room, k), room - k) for k in range(room + 1))
                  for room in range(D + 1))
+
+
+class _Closing(dict):
+    """The rows of :func:`_ch_closing` by room left, each built the first time it is read."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, tail):
+        self.tail = tail
+
+    def __missing__(self, room: int) -> tuple:
+        if self.tail:  # the first entry's steps, each into the row of the rest at the room left
+            (r, shift), rest = self.tail[0], _ch_closing(*self.tail[1:])
+            row = tuple((k * shift + key, r**k * comb(room, k) * value)
+                        for k in range(room + 1) for key, value in rest[room - k])
+        else:
+            row = ((0, factorial(room)),)
+        self[room] = row
+        return row
+
+
+@lru_cache(maxsize=256)
+def _ch_closing(*tail) -> _Closing:
+    """The steps that close a root of :func:`_ch_terms` on its last one or two nonzero
+    entries, ``tail`` = ((r, shift), ...): per room left, (sum k_i shift_i,
+    prod r_i^k_i room!/prod k_i!) over the exponents k with sum k_i <= room.  A row
+    depends on the tail and the room alone.  It is built when a root first reads it,
+    from the first entry's steps and the rows of the rest of the tail (the empty
+    tail's row is room!), so a root of at most two entries builds the row of room D
+    of its table, C(D + 2, 2) entries, not all C(D + 3, 3) of them."""
+    return _Closing(tail)
 
 
 def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
@@ -426,25 +456,36 @@ def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
     S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x.
     The numerators are S(e) D! / prod e_i! over D!, summed over each root's
     nonzero entries: a step that gives a_i the exponent k out of room left multiplies
-    by r_i^k C(room, k) and adds k (B^i + 1) to the key (:func:`_ch_steps`); the last
-    entry's steps also multiply by (room - k)! and go straight into the sums.  A
-    trivial line m[0] adds m D! at key 0.  A negative or non-``int`` D is refused first.
+    by r_i^k C(room, k) and adds k (B^i + 1) to the key (:func:`_ch_steps`).  The last
+    one or two entries close from one table (:func:`_ch_closing`), whose row for the
+    room left holds their steps composed and times the factorial of the room then
+    left, so its terms go straight into the sums; the entry before them is walked
+    inline, so a root of at most three entries builds no list.  A trivial line m[0]
+    adds m D! at key 0.  A negative or non-``int`` D is refused first.
     """
     factorials = _factorials(_size(D, "truncation_degree"))
     shifts = [(D + 1) ** i + 1 for i in range(1, x.symbol_count + 1)]
     sums = {0: x._nums.get(x._unit, 0) * factorials[D]}
     for root, mult in x._nums.items():
         if entries := [(r, shift) for r, shift in zip(root, shifts) if r]:
+            closing = _ch_closing(*entries[-2:])
+            if len(entries) < 3:
+                for k, step in closing[D]:
+                    sums[k] = sums.get(k, 0) + mult * step
+                continue
             level = [(0, mult, D)]  # (key so far, mult prod r_i^e_i D!/(prod e_i! room!), room)
-            for r, shift in entries[:-1]:
-                by_room = _ch_steps(r, shift, D, False)
+            for r, shift in entries[:-3]:
+                by_room = _ch_steps(r, shift, D)
                 level = [(key + k, value * step, left)
                          for key, value, room in level for k, step, left in by_room[room]]
-            closing = _ch_steps(*entries[-1], D, True)
+            by_room = _ch_steps(*entries[-3], D)
             for key, value, room in level:
-                for k, step in closing[room]:
+                for k, step, left in by_room[room]:
                     k += key
-                    sums[k] = sums.get(k, 0) + value * step
+                    step *= value
+                    for j, close in closing[left]:
+                        j += k
+                        sums[j] = sums.get(j, 0) + step * close
     return sums, factorials[D]
 
 

@@ -214,6 +214,7 @@ def parse_model(text: str, source: str = "<model>") -> ArithmeticModel:
     if fault := _int_fault("relative_dimension", raw["relative_dimension"]):
         raise ModelParseError(f"{source}{fault}")
     model = ArithmeticModel(raw["relative_dimension"], fibers, raw.get("generic_euler"))
+    del raw  # every record is read: the decoded tree is freed before validation
     return validate_model(model)
 
 

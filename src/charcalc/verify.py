@@ -238,8 +238,12 @@ def _nonzero(terms: dict) -> dict:
 def _same(lhs: tuple[dict, int], *rhs: tuple[dict, int]) -> bool:
     """Whether the series ``lhs`` is the sum of the series ``rhs``, over one denominator: their
     numerators, cross-multiplied if it is not lhs's, are subtracted from lhs's, which must be a
-    map that nothing else reads, and none may be left."""
+    map that nothing else reads, and none may be left.  Every kernel returns a positive
+    denominator, so a law that meets one that is not fails: over 0, cross-multiplying would
+    cancel any numerators."""
     (xs, d), e = lhs, rhs[0][1]
+    if d <= 0 or e <= 0:
+        return False
     if d == e:
         d = 1
     else:

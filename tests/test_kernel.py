@@ -246,7 +246,9 @@ def packed_series(series: GradedSeries) -> dict:
 
 # _same subtracts the right side from the left: a zero that only one side holds
 # cancels, a nonzero key that only one side holds does not, and unequal
-# denominators are cross-multiplied; a sum of right sides is subtracted whole
+# denominators are cross-multiplied; a sum of right sides is subtracted whole.
+# A denominator that is not positive fails on either side, even where the
+# cross-multiplication would cancel every numerator or the fraction is equal
 @pytest.mark.parametrize("lhs, rhs, same", [
     (({1: 3, 4: 0}, 2), [({1: 3}, 2)], True),
     (({1: 3}, 2), [({1: 3, 4: 0}, 2)], True),
@@ -255,6 +257,10 @@ def packed_series(series: GradedSeries) -> dict:
     (({1: 1, 4: 0}, 2), [({1: 2}, 4)], True),
     (({1: 1}, 2), [({1: 1}, 4)], False),
     (({1: 3}, 2), [({1: 1}, 2), ({1: 2, 4: 0}, 2)], True),
+    (({1: 0}, 0), [({1: 5}, 1)], False),
+    (({1: 5}, 1), [({1: 0}, 0)], False),
+    (({1: -3}, -2), [({1: 3}, 2)], False),
+    (({1: 3}, 2), [({1: -3}, -2)], False),
 ])
 def test_same_cancels_the_right_side_from_the_left(lhs, rhs, same):
     assert _same(lhs, *rhs) is same

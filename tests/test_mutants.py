@@ -37,6 +37,21 @@ def test_the_line_laws_kill_a_chern_weight_mutant():
         "[0] -> [1]", "[0] -> [-1]", "range(1, k) -> range(0, k)"]
 
 
+def test_the_ch_kernel_leaves_only_its_known_survivors():
+    # the closing table's rows have none: a wrong row fails the ch laws, or the line
+    # laws, whose one-entry roots close from it; the walk and the steps keep the
+    # equivalent survivors of the docstring: a shift that zip never reaches, the
+    # steps for a room of D + 1, and a step k = room + 1 of weight C(room, k) = 0
+    original = lambda_ring._Closing.__missing__
+    outcomes = mutants.sample(["lambda_ring._Closing.__missing__"])
+    assert lambda_ring._Closing.__missing__ is original
+    assert len(outcomes) > 10 and all(o.killed for o in outcomes)
+    assert {o.checks[0] for o in outcomes if o.checks} == {"homomorphism"}
+    outcomes = mutants.sample(["lambda_ring._ch_terms", "lambda_ring._ch_steps"])
+    assert [o.change for o in outcomes if not o.killed] == [
+        "x.symbol_count + 1 -> x.symbol_count + 2", "D + 1 -> D + 2", "room + 1 -> room + 2"]
+
+
 @pytest.mark.parametrize("options, rank", (([], "4"), (["--rank-max", "2"], "2")))
 def test_rank_max_is_the_rank_each_run_of_verify_reaches(options, rank, monkeypatch, capsys):
     ranks, original = [], cli.main

@@ -21,11 +21,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, factorial
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from charcalc import lambda_ring
 from charcalc.cli import main
 from charcalc.conductor import (
     ArithmeticModel,
@@ -175,17 +177,55 @@ def k_elements(draw):
 # the branch points of the kernel: the trivial line alone; a root whose only
 # nonzero entry is the first symbol, and one where it is the last; D = 0 and
 # D = 1; and one entry value on three symbols, so cached steps are read at
-# several shifts, and at one shift both as an inner and as a last step
+# several shifts, and at one shift both as a walked and as a closing step
 @example(KElement(2, {(0, 0): -2}), 3)
 @example(KElement(3, {(2, 0, 0): 3}), 4)
 @example(KElement(3, {(0, 0, -3): -2}), 4)
 @example(KElement(2, {(1, -2): 3, (0, 0): 1, (-1, 0): -1}), 0)
 @example(KElement(2, {(1, -2): 3, (0, 0): 1, (-1, 0): -1}), 1)
 @example(KElement(3, {(2, 2, 2): -1, (2, 0, 2): 1, (0, 2, 0): 2}), 5)
+# the closing table of the last two entries: a root of exactly two, on the first
+# two symbols and on the last two; a root of three, whose walked entry reads the
+# table below room D; roots that share their last two entries with different
+# multiplicities, so one table is read at several rooms; and D = 0 and D = 1
+@example(KElement(4, {(2, -1, 0, 0): 3}), 5)
+@example(KElement(4, {(0, 0, 1, -3): -2}), 5)
+@example(KElement(4, {(1, 0, -2, 3): 2}), 4)
+@example(KElement(3, {(0, 2, -1): 2, (3, 2, -1): -1, (-1, 2, -1): 3}), 5)
+@example(KElement(3, {(1, -1, 2): 2, (0, 3, 1): -1, (1, 0, 0): 1}), 0)
+@example(KElement(3, {(1, -1, 2): 2, (0, 3, 1): -1, (1, 0, 0): 1}), 1)
 def test_ch_matches_exp_per_line(x, degree):
     result = ch(x, degree)
     assert result == ch_by_exp(x, degree)
     assert all(type(c) is Fraction for _, c in result.terms())
+
+
+def test_ch_matches_exp_per_line_past_the_closing_cache():
+    # more tails of one or two entries than the cache holds, read by roots of two
+    # and of three entries, so tables are evicted and rebuilt within one ch
+    values = [v for v in range(-9, 10) if v]
+    x = KElement(3, {(first, a, b): a - b or 1 for first in (0, 1) for a in values for b in values})
+    lambda_ring._ch_closing.cache_clear()
+    assert ch(x, 3) == ch_by_exp(x, 3)
+    info = lambda_ring._ch_closing.cache_info()
+    assert info.currsize == info.maxsize < info.misses
+    assert ch(x, 3) == ch_by_exp(x, 3)
+
+
+def test_a_two_entry_root_builds_only_the_row_it_reads():
+    # at D = 64 the full table of two entries has C(67, 3) = 47,905 entries; the
+    # root reads the row of room D alone, C(66, 2) = 2,145 entries, composed from
+    # the rows of its last entry's table, which hold C(66, 2) entries together
+    D, shifts = 64, (65 + 1, 65**2 + 1)
+    lambda_ring._ch_closing.cache_clear()
+    # ch(3[2a1 - a2]) = 3 e^(2 a1) e^(-a2)
+    assert dict(ch(KElement(2, {(2, -1): 3}), D).terms()) == {
+        (i, j): Fraction(3 * 2**i * (-1) ** j, factorial(i) * factorial(j))
+        for i in range(D + 1) for j in range(D + 1 - i)}
+    table = lambda_ring._ch_closing((2, shifts[0]), (-1, shifts[1]))
+    assert list(table) == [D] and len(table[D]) == comb(D + 2, 2)
+    last = lambda_ring._ch_closing((-1, shifts[1]))
+    assert sum(map(len, last.values())) == comb(D + 2, 2)
 
 
 def test_ch_of_gamma_matches_exp_per_line_at_rank_6():

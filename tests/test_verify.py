@@ -531,6 +531,10 @@ CLASS_MUTANTS = {
     "exp-output-from-degree-D-1": lambda: (
         "_exp_terms",
         rewritten(lambda_ring._exp_terms, "range(B - 1, -1, -1)", "range(B - 2, -1, -1)")),
+    # every class is zero numerators over the denominator 0, which a cross-multiplying
+    # comparison would cancel to nothing
+    "exp-weight-0": lambda: (
+        "_exp_terms", rewritten(lambda_ring._exp_terms, "weight = 1  #", "weight = 0  #")),
 }
 
 

@@ -34,11 +34,13 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   denominator alike;
 - ``_ch_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a shift that ``zip``
   never reaches;
-- ``_ch_steps``: ``range(D + 1)`` -> ``range(D + 2)`` in either branch adds
-  the steps for a room of D + 1, which no root has; in the steps that are not
-  last, ``range(room + 1)`` -> ``range(room + 2)`` adds a step k = room + 1,
-  whose C(room, k) is 0, so all it adds are zero terms, which the kernel may
-  keep; ``_factorials``: ``D + 1`` -> ``D + 2``, a table longer than any read;
+- ``_ch_steps``: ``range(D + 1)`` -> ``range(D + 2)`` adds the steps for a
+  room of D + 1, which no root has; ``range(room + 1)`` -> ``range(room + 2)``
+  adds a step k = room + 1, whose C(room, k) is 0, so all it adds are zero
+  terms, which the kernel may keep; ``_factorials``: ``D + 1`` -> ``D + 2``, a
+  table longer than any read.  The rows of the closing table
+  (``_Closing.__missing__``) have no survivor: a wrong row fails the ch laws or
+  the line laws, which close one-entry roots from it;
 - ``_line_weights``: ``g = [0]`` -> ``[1]`` or ``[-1]`` moves g_0, which no
   term of the sum reads, and its weight at degree 0, which the exp kernel
   never reads; ``range(1, k)`` -> ``range(0, k)`` adds a term j = 0, which
@@ -68,6 +70,9 @@ Known equivalent survivors in ``verify``:
 
 - ``_same``: ``rhs[0]`` -> ``rhs[-1]`` takes the denominator of the last
   right side for that of the first, and every caller's right sides share one;
+  ``d <= 0`` -> ``d < 0`` or ``d <= -1``, and the same for ``e``, let a zero or
+  negative denominator through again, which no kernel returns unless it is at
+  fault.  Tier-1 kills each of them, in ``tests/test_verify.py``;
 - ``_line_laws``: ``factorial(D + 1)`` -> ``D + 2`` scales the numerators and
   the denominator of the closed form (1 - e^-l)/l alike, and
   ``range(D + 1)`` -> ``D + 2`` in that form adds the term of degree D + 1,
