@@ -1,10 +1,11 @@
 """Exact characteristic-class identity checking and conductor arithmetic.
 
-The names of ``__all__`` are exported lazily (PEP 562): each is imported from
-its module on first access, by the module ``__getattr__``, and then kept in the
-package's namespace.  So ``import charcalc``, which every import of one of its
-modules runs first, imports none of them, and each command of the CLI imports
-only the modules it runs.
+``_HOMES`` is the one list of exports, by module, and ``__all__`` is derived
+from it.  The exports are lazy (PEP 562): each is imported from its module on
+first access, by the module ``__getattr__``, and then kept in the package's
+namespace.  So ``import charcalc``, which every import of one of its modules
+runs first, imports none of them, and each command of the CLI imports only the
+modules it runs.
 """
 
 import sys
@@ -26,47 +27,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "ArithmeticModel",
-    "CheckResult",
-    "Component",
-    "ConductorReport",
-    "ConsistencyError",
-    "FiberModel",
-    "GradedSeries",
-    "KElement",
-    "MismatchError",
-    "ModelParseError",
-    "ModelValidationError",
-    "Stratum",
-    "TSeries",
-    "TamenessError",
-    "alternating_lambda_sum",
-    "bloch_degree",
-    "ch",
-    "chern_k",
-    "closed_strata_from_open",
-    "conductor",
-    "fiber_euler",
-    "gamma_k",
-    "gamma_t",
-    "generic_euler_check",
-    "generic_lines",
-    "lambda_t",
-    "load_model",
-    "normalize_fiber",
-    "open_strata_from_closed",
-    "parse_model",
-    "repeated_root_lines",
-    "tame_check",
-    "todd",
-    "total_chern",
-    "verify_borel_serre",
-    "verify_ch_gamma",
-    "verify_gala",
-    "verify_hom_laws",
-    "verify_prop_chtd",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

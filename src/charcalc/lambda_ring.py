@@ -197,7 +197,7 @@ class TSeries(_TermMap):
     def coefficient(self, power: int) -> KElement:
         _index(power, self.t_max, "t-power")
         terms = {key[1:]: m for key, m in self._nums.items() if key[0] == power}
-        return KElement.zero(self.symbol_count)._like(terms)
+        return KElement._trusted(self.symbol_count, None, terms)
 
     # bench/tracer.py wraps only methods in a class's own namespace.
     __mul__ = _TermMap.__mul__
@@ -303,13 +303,11 @@ def _roots(packed, B: int, n: int) -> dict[int, Root]:
 
 def _tseries(x: KElement, t_max: int, B: int, terms: dict[int, int]) -> TSeries:
     """The TSeries over the ambient of x of packed ``terms`` (:func:`_lambda_terms`),
-    the t-power in digit 0, built by :meth:`_like` on an empty TSeries of that
-    ambient, which is made without the validating constructor.  Each root is
+    the t-power in digit 0, built by the trusted ``_trusted``.  Each root is
     decoded once, at its key with digit 0 cleared."""
     roots = _roots({key - key % B for key in terms}, B, x.symbol_count)
-    ambient = object.__new__(TSeries)
-    _TermMap.__init__(ambient, x.symbol_count, t_max, {})
-    return ambient._like({(key % B, *roots[key - key % B]): c for key, c in terms.items()})
+    return TSeries._trusted(x.symbol_count, t_max,
+                            {(key % B, *roots[key - key % B]): c for key, c in terms.items()})
 
 
 def lambda_t(x: KElement, t_max: int) -> TSeries:
@@ -489,18 +487,9 @@ def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
     return sums, factorials[D]
 
 
-def _graded(x: KElement, D: int, terms: dict[int, int], den: int) -> GradedSeries:
-    """The GradedSeries over the symbols of x, truncated at D, of a kernel's
-    ``terms`` over ``den``, built by :meth:`_like` on an empty series of that
-    ambient, which is made without the validating constructor."""
-    ambient = object.__new__(GradedSeries)
-    _TermMap.__init__(ambient, x.symbol_count, D, {})
-    return ambient._like(terms, den)
-
-
 def ch(x: KElement, truncation_degree: int) -> GradedSeries:
     """Chern character: additive, with ch([r]) = exp(c1(r)) (:func:`_ch_terms`)."""
-    return _graded(x, truncation_degree, *_ch_terms(x, truncation_degree))
+    return GradedSeries._trusted(x.symbol_count, truncation_degree, *_ch_terms(x, truncation_degree))
 
 
 @lru_cache(maxsize=64)
@@ -597,7 +586,7 @@ def _exp_terms(X: dict[int, int], d: int, line: tuple, D: int) -> tuple[dict[int
 def total_chern(x: KElement, truncation_degree: int) -> GradedSeries:
     """Total Chern class: multiplicative, with line value 1 + l."""
     D = truncation_degree
-    return _graded(x, D, *_exp_terms(*_ch_terms(x, D), (1, 1), D))
+    return GradedSeries._trusted(x.symbol_count, D, *_exp_terms(*_ch_terms(x, D), (1, 1), D))
 
 
 def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> GradedSeries:
@@ -612,7 +601,7 @@ def chern_k(x: KElement, k: int, truncation_degree: int | None = None) -> Graded
 def todd(x: KElement, truncation_degree: int) -> GradedSeries:
     """Todd class: multiplicative, with line value l / (1 - e^{-l})."""
     D = truncation_degree
-    return _graded(x, D, *_exp_terms(*_ch_terms(x, D), todd_line(D), D))
+    return GradedSeries._trusted(x.symbol_count, D, *_exp_terms(*_ch_terms(x, D), todd_line(D), D))
 
 
 # -- classes of symmetric elements, one coefficient per S_n-orbit -------------

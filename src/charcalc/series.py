@@ -198,8 +198,9 @@ class _TermMap:
     Subclasses validate outside input in their public ``__init__`` and
     supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` of a key
     when bounded, and ``_value`` when their coefficients are ``int``; every
-    result of an operation is built by the trusted :meth:`_like`, and every
-    product of two numerator maps by :meth:`_product`.
+    result of an operation is built by the trusted :meth:`_trusted`, through
+    :meth:`_like` when the ambient is the operand's, and every product of two
+    numerator maps by :meth:`_product`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_nums", "_den")
@@ -216,13 +217,14 @@ class _TermMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, terms: dict, den: int = 1):
-        """Trusted constructor over this ambient for the coefficients
-        ``terms[key] / den``: integer numerators whose keys are already valid
-        for it, over a positive ``den``.  Zero numerators are dropped and the
-        common gcd is divided out, so the result is canonical.  The map is
-        copied only to do either, so the result may keep ``terms`` itself: a
-        caller hands over a map that it no longer changes."""
+    @classmethod
+    def _trusted(cls, symbol_count: int, bound: int | None, terms: dict, den: int = 1):
+        """Trusted constructor over the ambient ``(symbol_count, bound)`` for the
+        coefficients ``terms[key] / den``: integer numerators whose keys are
+        already valid for it, over a positive ``den``.  Zero numerators are
+        dropped and the common gcd is divided out, so the result is canonical.
+        The map is copied only to do either, so the result may keep ``terms``
+        itself: a caller hands over a map that it no longer changes."""
         if not all(terms.values()):
             terms = {k: c for k, c in terms.items() if c}
         if den != 1:
@@ -230,9 +232,13 @@ class _TermMap:
             if g != 1:
                 terms = {k: c // g for k, c in terms.items()}
                 den //= g
-        result = object.__new__(type(self))
-        _TermMap.__init__(result, self.symbol_count, self._bound, terms, den)
+        result = object.__new__(cls)
+        _TermMap.__init__(result, symbol_count, bound, terms, den)
         return result
+
+    def _like(self, terms: dict, den: int = 1):
+        """:meth:`_trusted` over this map's type and ambient."""
+        return self._trusted(self.symbol_count, self._bound, terms, den)
 
     def _value(self, numerator: int):
         """The coefficient ``numerator / _den`` as it leaves the map."""

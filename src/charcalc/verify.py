@@ -51,7 +51,7 @@ from .lambda_ring import (
     symmetric_ch,
     todd_line,
 )
-from .series import SymmetricSeries, _numerators, _packed_product, dominant_exponents
+from .series import SymmetricSeries, _numerators, _packed_product, _size, dominant_exponents
 
 DIFF_SAMPLES = 5
 
@@ -182,7 +182,7 @@ def verify_ch_gamma(n: int, max_degree: int | None = None) -> CheckResult:
     factorials = [factorial(k) for k in range(D + 1)]
     numerators = {(*(a + 1 for a in f), 0): factorials[D] // prod(factorials[a + 1] for a in f)
                   for f in dominant_exponents(n - 1, D - n + 1)}
-    rhs = SymmetricSeries(n, D)._like(numerators, factorials[D])
+    rhs = SymmetricSeries._trusted(n, D, numerators, factorials[D])
     detail = _differences(symmetric_ch(top_gamma, D), rhs)
     return CheckResult("ch_gamma", {"n": n, "max_degree": D}, not detail, detail)
 
@@ -218,13 +218,14 @@ def random_k_element(rng: random.Random, n: int) -> KElement:
     as randrange(3) - 1, which reads the stream as randint(-1, 1) does; so the
     lambda kernel packs every element drawn, and the sums of such elements, at
     base 2 t_max + 1 (:func:`_lambda_terms`).  The entries are valid by
-    construction, so the element is built by the trusted ``_like``."""
+    construction, so the element is built by the trusted constructor,
+    ``KElement._trusted``, over an ``n`` checked as the validating one does."""
     terms: dict[tuple, int] = {}
     for _ in range(rng.randint(1, 3)):
         root = tuple(rng.randrange(3) - 1 for _ in range(n))
         mult = rng.choice([-2, -1, 1, 2])
         terms[root] = terms.get(root, 0) + mult
-    return KElement.zero(n)._like(terms)
+    return KElement._trusted(_size(n, "symbol_count"), None, terms)
 
 
 def _nonzero(terms: dict) -> dict:

@@ -3,10 +3,11 @@ the package exports has a reader.
 
 A stdlib stand-in for a linter's unused-import rule: it walks each module's
 syntax tree, takes the names its imports bind, and fails on any that no
-expression reads.  A name listed in ``__all__`` is a re-export and counts
-as used; ``from __future__`` imports bind nothing.  An exported name must be
-read or imported by another module of the package, or be named in the
-README, so that no export serves only the tests; a public method or
+expression reads.  A name listed in an ``__all__`` that is a list or tuple
+literal is a re-export and counts as used; a computed ``__all__`` vouches
+for no import.  ``from __future__`` imports bind nothing.  An exported name
+must be read or imported by another module of the package, or be named in
+the README, so that no export serves only the tests; a public method or
 property of a package class must likewise be read by the package, named in
 the README or read by the acceptance tests.  Every absolute import names a
 module of the standard library, so the core stays stdlib-only, the test
@@ -41,7 +42,7 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
@@ -64,6 +65,12 @@ def test_unused_imports_are_found():
         "    return comb(x, 2)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: product_of", "line 4: dominant_exponents"]
+    computed = (
+        "from .series import GradedSeries\n"
+        "_HOME = {'GradedSeries': 'series'}\n"
+        "__all__ = sorted(_HOME)\n"
+    )
+    assert unused_imports(computed) == ["line 1: GradedSeries"]
 
 
 def absolute_imports(source: str) -> list[tuple[int, str]]:

@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from pairs import RULE, claim_met, quartiles
+from pairs import RULE, claim_met, pairs_won, quartiles
 
 HERE = Path(__file__).resolve().parent.parent
 MODEL = str(HERE / "models" / "elliptic_i3.json")
@@ -98,13 +98,12 @@ def main(argv=None) -> int:
     bytecode = "read" if args.bytecode else "not written"
     print(f"fresh processes, {args.pairs} pairs, bytecode {bytecode}")
     for name, (base_s, change_s) in runs.items():
-        wins = sum(c < b for b, c in zip(base_s, change_s))
         b1, b2, b3 = (1000 * q for q in quartiles(base_s))
         c1, c2, c3 = (1000 * q for q in quartiles(change_s))
         print(f"{name:<9} base {b2:6.1f} ms [{b1:.1f}, {b3:.1f}]  change {c2:6.1f} ms "
               f"[{c1:.1f}, {c3:.1f}]  {100 * (c2 / b2 - 1):+.1f}%  "
-              f"change faster in {wins} of {args.pairs}; "
-              f"claim rule {'met' if claim_met(base_s, change_s, wins) else 'not met'}")
+              f"change faster in {pairs_won(base_s, change_s)} of {args.pairs}; "
+              f"claim rule {'met' if claim_met(base_s, change_s) else 'not met'}")
     print(f"({RULE}; medians [quartiles])")
     return 0
 

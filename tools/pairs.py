@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         base_s.append(b)
         change_s.append(c)
         ratios.append(c / b)
-    wins = sum(r < 1 for r in ratios)
+    wins = pairs_won(base_s, change_s)
     print(f"median ratio {statistics.median(ratios):.3f}  (change / base, {args.pairs} pairs)")
     print(f"change faster in {wins} of {args.pairs} pairs")
     print(f"fastest run: base {min(base_s):.4f} s, change {min(change_s):.4f} s")
@@ -110,18 +110,25 @@ def main(argv=None) -> int:
     drop = q2 - statistics.median(change_s)
     print(f"base quartiles {q1:.4f} {q2:.4f} {q3:.4f} s (IQR {q3 - q1:.4f} s); "
           f"median drop {drop:.4f} s")
-    print(f"{RULE}: {'met' if claim_met(base_s, change_s, wins) else 'not met'}")
+    print(f"{RULE}: {'met' if claim_met(base_s, change_s) else 'not met'}")
     return 0
 
 
 RULE = "claim rule (faster in at least 9 of 10 pairs, median drop above the base IQR)"
 
 
-def claim_met(base_runs: list[float], change_runs: list[float], wins: int) -> bool:
-    """Whether the change, faster in ``wins`` of the pairs, meets the rule a
+def pairs_won(base_runs: list[float], change_runs: list[float]) -> int:
+    """How many pairs ``(base_runs[i], change_runs[i])`` the change won, by a
+    shorter run; a tie is no win."""
+    return sum(c < b for b, c in zip(base_runs, change_runs))
+
+
+def claim_met(base_runs: list[float], change_runs: list[float]) -> bool:
+    """Whether the change, run in pairs with the base, meets the rule a
     claimed gain is held to (:data:`RULE`)."""
     q1, q2, q3 = quartiles(base_runs)
-    return 10 * wins >= 9 * len(base_runs) and q2 - statistics.median(change_runs) > q3 - q1
+    return (10 * pairs_won(base_runs, change_runs) >= 9 * len(base_runs)
+            and q2 - statistics.median(change_runs) > q3 - q1)
 
 
 def quartiles(runs: list[float]) -> tuple[float, float, float]:
