@@ -401,12 +401,6 @@ def alternating_lambda_sum(x: KElement) -> KElement:
 # -- characteristic classes -------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _factorials(D: int) -> tuple[int, ...]:
-    """0!, 1!, ..., D!."""
-    return tuple(factorial(k) for k in range(D + 1))
-
-
 @lru_cache(maxsize=256)
 def _ch_steps(r: int, shift: int, D: int) -> tuple:
     """Per room left, 0..D, the steps of :func:`_ch_terms` for a root entry r that is
@@ -436,13 +430,14 @@ class _Closing(dict):
 
 @lru_cache(maxsize=256)
 def _ch_closing(*tail) -> _Closing:
-    """The steps that close a root of :func:`_ch_terms` on its last one or two nonzero
-    entries, ``tail`` = ((r, shift), ...): per room left, (sum k_i shift_i,
-    prod r_i^k_i room!/prod k_i!) over the exponents k with sum k_i <= room.  A row
-    depends on the tail and the room alone.  It is built when a root first reads it,
-    from the first entry's steps and the rows of the rest of the tail (the empty
-    tail's row is room!), so a root of at most two entries builds the row of room D
-    of its table, C(D + 2, 2) entries, not all C(D + 3, 3) of them."""
+    """The steps that close a root of :func:`_ch_terms` on its last two nonzero
+    entries, or on as many as it has, ``tail`` = ((r, shift), ...): per room left,
+    (sum k_i shift_i, prod r_i^k_i room!/prod k_i!) over the exponents k with
+    sum k_i <= room.  A row depends on the tail and the room alone.  It is built
+    when a root first reads it, from the first entry's steps and the rows of the
+    rest of the tail (the empty tail's row is room!), so a root of at most two
+    entries builds the row of room D of its table, C(D + 2, 2) entries, not all
+    C(D + 3, 3) of them."""
     return _Closing(tail)
 
 
@@ -454,37 +449,30 @@ def _ch_terms(x: KElement, D: int) -> tuple[dict[int, int], int]:
     S(e) / prod e_i! with S(e) = sum m prod r_i^e_i over the lines m[r] of x.
     The numerators are S(e) D! / prod e_i! over D!, summed over each root's
     nonzero entries: a step that gives a_i the exponent k out of room left multiplies
-    by r_i^k C(room, k) and adds k (B^i + 1) to the key (:func:`_ch_steps`).  The last
-    one or two entries close from one table (:func:`_ch_closing`), whose row for the
-    room left holds their steps composed and times the factorial of the room then
-    left, so its terms go straight into the sums; the entry before them is walked
-    inline, so a root of at most three entries builds no list.  A trivial line m[0]
-    adds m D! at key 0.  A negative or non-``int`` D is refused first.
+    by r_i^k C(room, k) and adds k (B^i + 1) to the key (:func:`_ch_steps`).  Every
+    entry but the last two is walked so; those two, or as many as the root has,
+    close from one table (:func:`_ch_closing`), whose row for the room left holds
+    their steps composed and times the factorial of the room then left, so its
+    terms go straight into the sums.  A trivial line m[0] has no entries and closes
+    from the empty tail's row, m D! at key 0.  A negative or non-``int`` D is
+    refused first.
     """
-    factorials = _factorials(_size(D, "truncation_degree"))
+    _size(D, "truncation_degree")
     shifts = [(D + 1) ** i + 1 for i in range(1, x.symbol_count + 1)]
-    sums = {0: x._nums.get(x._unit, 0) * factorials[D]}
+    sums: dict[int, int] = {}
     for root, mult in x._nums.items():
-        if entries := [(r, shift) for r, shift in zip(root, shifts) if r]:
-            closing = _ch_closing(*entries[-2:])
-            if len(entries) < 3:
-                for k, step in closing[D]:
-                    sums[k] = sums.get(k, 0) + mult * step
-                continue
-            level = [(0, mult, D)]  # (key so far, mult prod r_i^e_i D!/(prod e_i! room!), room)
-            for r, shift in entries[:-3]:
-                by_room = _ch_steps(r, shift, D)
-                level = [(key + k, value * step, left)
-                         for key, value, room in level for k, step, left in by_room[room]]
-            by_room = _ch_steps(*entries[-3], D)
-            for key, value, room in level:
-                for k, step, left in by_room[room]:
-                    k += key
-                    step *= value
-                    for j, close in closing[left]:
-                        j += k
-                        sums[j] = sums.get(j, 0) + step * close
-    return sums, factorials[D]
+        entries = [(r, shift) for r, shift in zip(root, shifts) if r]
+        level = [(0, mult, D)]  # (key so far, mult prod r_i^e_i D!/(prod e_i! room!), room)
+        for r, shift in entries[:-2]:
+            by_room = _ch_steps(r, shift, D)
+            level = [(key + k, value * step, left)
+                     for key, value, room in level for k, step, left in by_room[room]]
+        closing = _ch_closing(*entries[-2:])
+        for key, value, room in level:
+            for k, close in closing[room]:
+                k += key
+                sums[k] = sums.get(k, 0) + value * close
+    return sums, factorial(D)
 
 
 def ch(x: KElement, truncation_degree: int) -> GradedSeries:

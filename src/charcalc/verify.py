@@ -22,8 +22,8 @@ products by :func:`~charcalc.series._packed_product`; and its line laws on the
 Todd and Chern classes of one line and of its negative, the exp kernel of each
 line's ch, against the class's line value and a closed form of its inverse.
 Each law subtracts one side from the other, freshly built, in one pass
-(:func:`_same`).  No check multiplies a ``TSeries``, and ``homomorphism``
-builds no ``GradedSeries``.
+(:func:`_same`), and so does ``gala``.  No check multiplies a ``TSeries``,
+and ``homomorphism`` builds no ``GradedSeries``.
 
 :data:`CHECKS` is where a check of ``charcalc verify`` is declared: its name,
 its runner and its default truncation degree.  The CLI dispatches, refuses and
@@ -118,11 +118,13 @@ def verify_gala(x: KElement) -> CheckResult:
     m[r] of x, multiplied by :func:`_packed_product` with no lambda_t, so the
     check sees a fault in either; each line's key is B times its packed root
     too, and an entry of the product is at most d max |e| <= B // 2 in size, so
-    no digit carries.  The packed maps are compared with zeros dropped, and
-    unpacked into KElements only to report a difference; unpacking reads no
-    digit 0, so a difference there alone is reported as such.  For a virtual x
-    the identity holds whatever lambda is, so one with a negative multiplicity,
-    as every x of negative rank has, is refused with ValueError.
+    no digit carries.  The packed maps are compared by one cancellation pass
+    on a copy of the left side (:func:`_same`), as every law of
+    ``homomorphism`` is, and unpacked into KElements only to report a
+    difference; unpacking reads no digit 0, so a difference there alone is
+    reported as such.  For a virtual x the identity holds whatever lambda is,
+    so one with a negative multiplicity, as every x of negative rank has, is
+    refused with ValueError.
     """
     if any(m < 0 for m in x._nums.values()):
         raise ValueError(f"element must be effective, got {x}")
@@ -136,8 +138,7 @@ def verify_gala(x: KElement) -> CheckResult:
         for k in range(m + 1):
             factor[k * step] = factor.get(k * step, 0) + (-1) ** k * comb(m, k)
         rhs = _packed_product(factor, rhs, B, 0)  # groups the larger map once
-    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
-    ok = lhs == rhs
+    ok = _same((dict(lhs), 1), (rhs, 1))
     detail = "" if ok else (_differences(_kelement(x, B, lhs), _kelement(x, B, rhs))
                             or "the packed sides differ off their root keys")
     return CheckResult("gala", {"rank": d}, ok, detail)
@@ -226,11 +227,6 @@ def random_k_element(rng: random.Random, n: int) -> KElement:
         mult = rng.choice([-2, -1, 1, 2])
         terms[root] = terms.get(root, 0) + mult
     return KElement._trusted(_size(n, "symbol_count"), None, terms)
-
-
-def _nonzero(terms: dict) -> dict:
-    """A packed term map with its cancelled, zero, terms dropped."""
-    return {key: c for key, c in terms.items() if c}
 
 
 # A series of the class laws is a kernel's (numerators, denominator) on packed keys.

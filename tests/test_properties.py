@@ -174,10 +174,11 @@ def k_elements(draw):
 @example(KElement.zero(0), 2)
 @example(KElement(2, {(0, 0): -3, (2, -3): 1}), 7)
 @example(KElement(5, {(0,) * 5: 2, (1, -1, 0, 3, -2): -3, (-1, 0, 0, 0, 1): 3}), 7)
-# the branch points of the kernel: the trivial line alone; a root whose only
-# nonzero entry is the first symbol, and one where it is the last; D = 0 and
-# D = 1; and one entry value on three symbols, so cached steps are read at
-# several shifts, and at one shift both as a walked and as a closing step
+# roots of every length the one walk takes: the trivial line alone, which closes
+# from the empty tail; a root whose only nonzero entry is the first symbol, and
+# one where it is the last; D = 0 and D = 1; and one entry value on three
+# symbols, so cached steps are read at several shifts, and at one shift both as
+# a walked and as a closing step
 @example(KElement(2, {(0, 0): -2}), 3)
 @example(KElement(3, {(2, 0, 0): 3}), 4)
 @example(KElement(3, {(0, 0, -3): -2}), 4)

@@ -37,8 +37,7 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
 - ``_ch_steps``: ``range(D + 1)`` -> ``range(D + 2)`` adds the steps for a
   room of D + 1, which no root has; ``range(room + 1)`` -> ``range(room + 2)``
   adds a step k = room + 1, whose C(room, k) is 0, so all it adds are zero
-  terms, which the kernel may keep; ``_factorials``: ``D + 1`` -> ``D + 2``, a
-  table longer than any read.  The rows of the closing table
+  terms, which the kernel may keep.  The rows of the closing table
   (``_Closing.__missing__``) have no survivor: a wrong row fails the ch laws or
   the line laws, which close one-entry roots from it;
 - ``_line_weights``: ``g = [0]`` -> ``[1]`` or ``[-1]`` moves g_0, which no
