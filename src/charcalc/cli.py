@@ -268,8 +268,9 @@ def _model_modules():
 
 
 def _model_command(command):
-    """Run ``command(args, report)`` on the conductor_report of the model read from
-    ``args.model``, not yet checked; a refused file exits 2.  The reader keeps the
+    """Run ``command(args, report, conductor)`` on the conductor_report of the model
+    read from ``args.model``, not yet checked, and the ``conductor`` module, whose
+    errors the command catches; a refused file exits 2.  The reader keeps the
     int-to-str digit limit and the report is derived and rendered without it: each
     value it prints is a sum of products of at most three literals."""
 
@@ -284,7 +285,7 @@ def _model_command(command):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return command(args, conductor.conductor_report(model))
+            return command(args, conductor.conductor_report(model), conductor)
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -292,10 +293,9 @@ def _model_command(command):
 
 
 @_model_command
-def cmd_conductor(args, report) -> int:
+def cmd_conductor(args, report, conductor) -> int:
     import json
 
-    conductor = _model_modules()[0]
     try:
         report.checked()
     except (conductor.TamenessError, conductor.ConsistencyError) as exc:
@@ -348,10 +348,9 @@ def _print_derivation(d) -> None:
 
 
 @_model_command
-def cmd_explain(args, report) -> int:
+def cmd_explain(args, report, conductor) -> int:
     from fractions import Fraction
 
-    conductor = _model_modules()[0]
     print(f"relative dimension d = {report.relative_dimension}")
     for d in report.entries:
         _print_derivation(d)

@@ -31,9 +31,10 @@ ConductorReport.checked is the one place a report is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
@@ -161,21 +162,21 @@ class ConductorReport:
 
     ``primes`` holds the same records by prime, and ``conductor_factors`` the
     factored A(X), prime -> exponent by prime with zero exponents omitted, as a
-    read-only mapping; both are computed once, at construction.
+    read-only mapping; both are computed on first read, then kept.
     """
 
     relative_dimension: int
     generic_euler: int | None
     entries: tuple[FiberDerivation, ...]
     inferred: bool = False
-    primes: tuple[FiberDerivation, ...] = field(init=False, repr=False, compare=False)
-    conductor_factors: MappingProxyType[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        primes = tuple(sorted(self.entries, key=lambda d: d.prime))
-        factors = MappingProxyType({d.prime: d.exponent for d in primes if d.exponent})
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "conductor_factors", factors)
+    @cached_property
+    def primes(self) -> tuple[FiberDerivation, ...]:
+        return tuple(sorted(self.entries, key=lambda d: d.prime))
+
+    @cached_property
+    def conductor_factors(self) -> MappingProxyType[int, int]:
+        return MappingProxyType({d.prime: d.exponent for d in self.primes if d.exponent})
 
     def _agreed(self) -> ConductorReport:
         """The report, refused if chi(X_Q) was inferred and a fiber disagrees:

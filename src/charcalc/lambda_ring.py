@@ -272,10 +272,9 @@ def _roots(packed, B: int, n: int) -> dict[int, Root]:
     is split by one divmod into its low digits, digit 0 among them, and its high
     digits, a half is decoded the first time it is met and kept for every later
     key that shares it, and the root is the two halves joined.  The low half is
-    digit 0 and n // 2 root digits, or fewer if its divisor would pass 2^30,
-    past which a division is slower; any low half of 1 to n + 1 digits decodes
+    digit 0 and n // 2 root digits; any low half of 1 to n + 1 digits decodes
     the same roots."""
-    h, low = B // 2, max(1, min(n // 2 + 1, 30 // B.bit_length()))  # digits in the low half
+    h, low = B // 2, n // 2 + 1  # digits in the low half
     cut = B**low
     offset = sum(h * B**i for i in range(1, n + 1))  # makes every root digit non-negative
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from numbers import Rational
 from operator import add
@@ -97,10 +96,8 @@ def _index(value, bound: int, name: str) -> int:
 
 def _numerators(terms: dict) -> tuple[dict, int]:
     """Integer numerators of ``terms`` over the lcm of its denominators, which
-    is reduced for reduced ``Fraction`` values; an ``int`` map as is, over 1."""
-    if all(isinstance(c, int) for c in terms.values()):
-        return terms, 1
-    d = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    is reduced for reduced ``Fraction`` values; an ``int`` has denominator 1."""
+    d = lcm(*(c.denominator for c in terms.values()))
     return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
 
 
@@ -195,17 +192,20 @@ class _TermMap:
 
     The ambient is the symbol count and the product bound ``_bound``: terms
     whose ``_degree`` is above it are dropped, and None means no bound.
-    Subclasses validate outside input in their public ``__init__`` and
-    supply ``_scalar``, ``_render_key`` and ``_times``, ``_degree`` of a key
-    when bounded, and ``_value`` when their coefficients are ``int``; every
-    result of an operation is built by the trusted :meth:`_trusted`, through
-    :meth:`_like` when the ambient is the operand's, and every product of two
-    numerator maps by :meth:`_product`.
+    The coefficients are rational by default: ``_scalar`` takes a ``Rational``
+    that is not a ``bool`` as a ``Fraction``, ``_value`` gives one back and
+    ``_times`` renders a product with ``*``; integer maps override ``_scalar``,
+    ``_value`` and ``_times``.  Subclasses validate outside input in their
+    public ``__init__`` and supply ``_render_key``, and ``_degree`` of a key
+    when bounded; every result of an operation is built by the trusted
+    :meth:`_trusted`, through :meth:`_like` when the ambient is the operand's,
+    and every product of two numerator maps by :meth:`_product`.
     """
 
     __slots__ = ("symbol_count", "_bound", "_nums", "_den")
     _lead = 0
     _degree = None
+    _times = "*"
 
     def __init__(self, symbol_count: int, bound: int | None, terms: dict, den: int = 1):
         """Store an ambient and a reduced numerator map that are already valid for it."""
@@ -239,6 +239,11 @@ class _TermMap:
     def _like(self, terms: dict, den: int = 1):
         """:meth:`_trusted` over this map's type and ambient."""
         return self._trusted(self.symbol_count, self._bound, terms, den)
+
+    @staticmethod
+    def _scalar(value):
+        """``value`` as a coefficient of this map, or None when it is not one."""
+        return Fraction(value) if isinstance(value, Rational) and type(value) is not bool else None
 
     def _value(self, numerator: int):
         """The coefficient ``numerator / _den`` as it leaves the map."""
@@ -434,7 +439,6 @@ class GradedSeries(_TermMap):
     """
 
     __slots__ = ()
-    _times = "*"
     _unit = 0
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
@@ -459,10 +463,6 @@ class GradedSeries(_TermMap):
         """:meth:`_TermMap._product` on packed keys (:func:`_packed_product`):
         no digit carries, as no term of degree above ``bound`` <= D is formed."""
         return _packed_product(xs, ys, self._bound + 1, bound)
-
-    @staticmethod
-    def _scalar(value):
-        return Fraction(value) if isinstance(value, Rational) and type(value) is not bool else None
 
     # bench/tracer.py wraps only methods in a class's own namespace.
     __add__ = _TermMap.__add__
@@ -552,9 +552,7 @@ class SymmetricSeries(_TermMap):
     """
 
     __slots__ = ()
-    _times = "*"
     _degree = sum
-    _scalar = staticmethod(GradedSeries._scalar)
 
     def __init__(self, symbol_count: int, truncation_degree: int, terms=None):
         terms = _monomial_terms(symbol_count, truncation_degree, terms, dominant=True)

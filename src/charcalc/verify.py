@@ -102,9 +102,7 @@ def repeated_root_lines(rank: int) -> KElement:
     """An effective element of the given rank with one doubled line."""
     if rank < 2:
         raise ValueError("a repeated root needs rank at least 2")
-    n = rank - 1
-    roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return KElement.sum_of_lines(roots + [roots[0]])
+    return generic_lines(rank - 1) + KElement.line((1,) + (0,) * (rank - 2))
 
 
 def verify_gala(x: KElement) -> CheckResult:
@@ -309,12 +307,10 @@ def verify_hom_laws(n: int, cases: int = 20, seed: int = 0) -> CheckResult:
     The lambda_t law holds for every multiplicative lambda_t; so a lambda that
     is another ring map, such as one that doubles every root, passes.
     ``gala`` sees it.  A ``cases`` that is not an ``int``, or is a ``bool``, is
-    refused with TypeError."""
+    refused with TypeError, and one below 1 with ValueError."""
     if n < 1:
         raise ValueError("need at least one line")
-    if not isinstance(cases, int) or isinstance(cases, bool):
-        raise TypeError(f"cases must be an int, got {cases!r}")
-    if cases < 1:
+    if _size(cases, "cases") < 1:
         raise ValueError("need at least one case")
     rng = random.Random(seed)
     D = t_max = 3

@@ -644,6 +644,20 @@ def test_report_orders_its_records_once():
     assert report == conductor(model)
 
 
+def test_report_compares_hashes_and_shows_its_four_fields_alone():
+    model = ArithmeticModel(1, (cycle_fiber(3, 11), cycle_fiber(4, 5)), generic_euler=0)
+    report, fresh = conductor(model), conductor(model)
+    fields = (report.relative_dimension, report.generic_euler, report.entries, report.inferred)
+    shown = ("ConductorReport(relative_dimension=1, generic_euler=0, "
+             f"entries={report.entries!r}, inferred=False)")
+    for _ in range(2):  # before the records by prime are read, then after
+        assert repr(report) == shown
+        assert hash(report) == hash(fresh) == hash(fields)
+        assert report == fresh == ConductorReport(*fields)
+        assert report != ConductorReport(*fields[:3], inferred=True)
+        assert report.primes and report.conductor_factors
+
+
 def test_generic_euler_check_reports_a_stated_inconsistency():
     # the one-component fiber at 7 has sum m_i chi*(T_i) = 3, not the stated 0
     good, bad = cycle_fiber(3, 5), fiber_from_chi(7, {frozenset({"C1"}): 3})

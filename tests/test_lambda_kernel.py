@@ -5,6 +5,8 @@ fold against ``TSeries`` products; and the verifiers, which must reach lambda_t
 only through the packed kernel, never through a ``TSeries`` product, and whose
 ``homomorphism`` laws build no ``GradedSeries``."""
 
+import random
+
 import pytest
 
 import charcalc.lambda_ring as lambda_ring
@@ -14,6 +16,7 @@ from charcalc.lambda_ring import (
     _gamma_weights,
     _lambda_fold,
     _lambda_terms,
+    _roots,
     _tseries,
     alternating_lambda_sum,
     gamma_k,
@@ -223,3 +226,29 @@ def test_folds_match_the_oracle_beside_a_trivial_line(x):
             for root, c in t_coefficient(full, j).items():
                 want[root] = want.get(root, 0) + (-1) ** j * c
         assert dict(alternating_lambda_sum(x).terms()) == {r: c for r, c in want.items() if c}
+
+
+def _plain_roots(key: int, B: int, n: int) -> tuple:
+    """The n balanced root digits of a packed key, one division at a time:
+    digit 0 is in [0, B), each root digit in [-(B // 2), B // 2] for an odd B."""
+    q, root = key // B, []
+    for _ in range(n):
+        d = q % B
+        d -= B if d > B // 2 else 0
+        root.append(d)
+        q = (q - d) // B
+    return tuple(root)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_roots_decode_entries_past_2_to_the_40_digit_by_digit(n):
+    # every root entry that verify builds is -1..1; these reach 2^40 in size
+    rng = random.Random(n)
+    B = 2**41 + 1
+    h = B // 2
+    roots = [tuple(rng.choice((-h, h, 0, rng.randint(-h, h))) for _ in range(n))
+             for _ in range(20)]
+    keys = [rng.randrange(B) + sum(r * B**i for i, r in enumerate(root, 1)) for root in roots]
+    decoded = _roots(keys, B, n)
+    assert decoded == {key: _plain_roots(key, B, n) for key in keys}
+    assert [decoded[key] for key in keys] == roots

@@ -331,6 +331,9 @@ def test_hom_laws(n):
 def test_hom_laws_refuses_vacuous_input():
     with pytest.raises(ValueError, match="at least one case"):
         verify_hom_laws(3, cases=0)
+    # a negative count is refused by the package's one size check, in its words
+    with pytest.raises(ValueError, match="cases must be non-negative"):
+        verify_hom_laws(2, cases=-1)
 
 
 @pytest.mark.parametrize("n", (0, -1))
@@ -629,6 +632,14 @@ def test_hom_laws_report_a_ch_that_is_additive_but_not_multiplicative(monkeypatc
 def test_repeated_root_lines_refuses_rank_below_two():
     with pytest.raises(ValueError, match="a repeated root needs rank at least 2"):
         repeated_root_lines(1)
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_repeated_root_lines_are_the_unit_roots_and_the_first_again(rank):
+    units = [tuple(int(j == i) for j in range(rank - 1)) for i in range(rank - 1)]
+    x, want = repeated_root_lines(rank), KElement.sum_of_lines(units + [units[0]])
+    assert x == want
+    assert list(x._nums) == list(want._nums)  # the same key order
 
 
 # -- failure detail -------------------------------------------------------------

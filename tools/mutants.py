@@ -55,15 +55,17 @@ Known equivalent survivors in ``lambda_ring``, which no check can kill:
   with no lines, where ``max(1, ...)`` gives 1 all the same;
 - ``_lambda_terms``: ``x.symbol_count + 1`` -> ``+ 2`` adds a power that
   ``zip`` never reaches;
+- ``_binomials``: ``t_max + 1`` -> ``t_max + 2`` in either branch adds the
+  coefficient of t^(t_max + 1), which neither the lambda kernel, whose room
+  for it is -1, nor the fold table, which zips it away, reads;
 - ``_fold_table``: ``range(t_max + 1)`` -> ``range(t_max + 2)`` adds the
   weights of a t-power t_max + 1, which no packed lambda term has;
 - ``_roots``: ``range(1, n + 1)`` -> ``range(0, n + 1)`` adds B // 2 to
   digit 0, which is 0 in every key it is passed and which no root reads;
   ``n + 1`` -> ``n + 2`` adds to a digit above the top one, which no half
   reads.  The size of the low half is a speed choice, and every size from 1
-  to n + 1 digits decodes the same roots: ``n // 2 + 1`` -> ``+ 0`` or
-  ``- 1``, ``n // 2`` -> ``n // 3`` or ``n // 1``, and ``30 // ...`` ->
-  ``29 //``, ``31 //`` or ``30 * ...`` keep it in that range.
+  to n + 1 digits decodes the same roots: ``n // 2`` -> ``n // 3`` or
+  ``n // 1`` keeps it in that range.
 
 Known equivalent survivors in ``verify``:
 
@@ -82,10 +84,17 @@ Known equivalent survivors in ``verify``:
   whose digits 0 sum to 1, and every digit 0 is 0; ``m < 0`` -> ``m <= 0`` or
   ``m < 1`` refuses a zero multiplicity, which no element keeps.
 
+Survivors of ``repeated_root_lines`` change the element that gala checks,
+not whether it passes, as gala's identity holds on every effective element:
+``+`` -> ``-`` drops the doubled line, ``rank < 2`` -> ``rank < 1`` moves a
+refusal that generic_lines makes too, and moving an entry of the added root
+adds another effective line.  Tier-1 kills each of them, in
+``tests/test_verify.py``.
+
 Survivors of ``verify_hom_laws`` and ``verify_gala`` change what they report
 but not whether verify passes: ``D = t_max = 3`` -> ``4`` or ``2`` checks the
-same laws, which hold at every degree, at another one; ``cases < 1`` ->
-``<= 1``, ``< 2`` or ``< 0`` and ``n < 1`` -> ``n < 0`` move the refusal of a
+same laws, which hold at every degree, at another one; ``_size(cases, ...) < 1``
+-> ``<= 1``, ``< 2`` or ``< 0`` and ``n < 1`` -> ``n < 0`` move the refusal of a
 case count or a rank, where verify always asks for 20 cases at rank 1 or
 more; and gala's ``m < 0`` -> ``m < -1`` passes a multiplicity -1, where
 verify passes effective elements alone.  Tier-1 kills each of them, in
@@ -109,13 +118,12 @@ reaches, and tier-1 kills each of them:
   verify never passes either; ``tests/test_lambda_ring.py`` kills both.
   ``d < -1`` survives tier-1 too: rank -1 is then refused by the lambda
   kernel, as a negative t_max, with another ValueError;
-- ``_roots``: ``max(1, ...)`` -> ``max(2, ...)`` and ``n // 2 + 1`` ->
-  ``n // 2 + 2`` give a root of no symbols one digit at n = 0, where verify
-  unpacks nothing, and ``max(0, ...)`` leaves the low half no digit for a
-  base of 2^30 or more; each is killed in ``tests/test_verify.py`` or
-  ``tests/test_lambda_kernel.py``.  ``B // 2`` -> ``B // 3`` decodes a
-  digit of size above B // 3 wrongly; verify's entries are smaller.  Killed
-  in 16 tests.
+- ``_roots``: ``n // 2 + 1`` -> ``n // 2 + 2`` gives a root of no symbols
+  one digit at n = 0, where verify unpacks nothing; it is killed in
+  ``tests/test_verify.py`` and ``tests/test_lambda_kernel.py``.  ``B // 2``
+  -> ``B // 3`` decodes a digit of size above B // 3 wrongly; verify's
+  entries are smaller.  Killed in 25 tests, nine of them the digit-by-digit
+  decode of entries 2^40 in size in ``tests/test_lambda_kernel.py``.
 
 Stdlib only.  A method that calls ``super()`` with no arguments cannot be
 compiled outside its class and is refused.
